@@ -205,10 +205,11 @@ def _dump_predictions(path: Path, scores: np.ndarray, labels: np.ndarray) -> Non
 
 
 def _max_workers() -> int:
+    raw = os.environ.get("DENSHIFT_THREADS", "1")
     try:
-        return max(1, int(os.environ.get("DENSHIFT_THREADS", "1")))
+        return max(1, int(raw))
     except ValueError:
-        return 1
+        raise ValidationError(f"DENSHIFT_THREADS must be an integer, got {raw!r}") from None
 
 
 def cmd_gen_data(cfg: dict) -> int:

@@ -234,9 +234,10 @@ def cost_loss(logits: np.ndarray, y, cp: CostParams) -> tuple[float, np.ndarray,
     pos = y == 1
     loss_i = np.where(pos, _softplus(-c_fn * z), _softplus(c_fp * z))
     # d softplus(a*z)/dz = a*sigmoid(a*z); d/da = z*sigmoid(a*z)
-    dz = np.where(pos, -c_fn * _sigmoid(-c_fn * z), c_fp * _sigmoid(c_fp * z))
-    d_cfn = np.where(pos, -z * _sigmoid(-c_fn * z), 0.0)
-    d_cfp = np.where(pos, 0.0, z * _sigmoid(c_fp * z))
+    sig_fn, sig_fp = _sigmoid(-c_fn * z), _sigmoid(c_fp * z)
+    dz = np.where(pos, -c_fn * sig_fn, c_fp * sig_fp)
+    d_cfn = np.where(pos, -z * sig_fn, 0.0)
+    d_cfp = np.where(pos, 0.0, z * sig_fp)
 
     loss = float(loss_i.mean())
     grad = np.zeros_like(logits, dtype=np.float64)

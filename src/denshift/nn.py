@@ -28,25 +28,78 @@ class DenseLayer:
     b: np.ndarray
 
 
-@dataclass
-class ModelParams:
-    """Backbone layers + two heads. Mutable: the training loop updates arrays in place."""
+@dataclass(frozen=True)
+class Layout:
+    """Where each (W, b) array sits in a flat vector, in `flat()` order."""
 
-    backbone: list[DenseLayer]
-    head_regular: DenseLayer
-    head_balanced: DenseLayer
-    resid_span: tuple[int, int] | None
-    normalize_balanced: bool = False
-    trained_heads: tuple[str, ...] | None = None
+    slots: tuple[tuple[int, int, tuple[int, ...]], ...]  # (start, stop, shape) per array
+
+    @classmethod
+    def of(cls, arrays) -> "Layout":
+        slots, start = [], 0
+        for a in arrays:
+            slots.append((start, start + a.size, a.shape))
+            start += a.size
+        return cls(tuple(slots))
+
+    @property
+    def size(self) -> int:
+        return self.slots[-1][1]
+
+    def bind(self, vector: np.ndarray) -> tuple[list[DenseLayer], DenseLayer, DenseLayer]:
+        """Views into `vector`: the backbone layers, the regular head, the balanced head."""
+        views = [vector[start:stop].reshape(shape) for start, stop, shape in self.slots]
+        layers = [DenseLayer(W, b) for W, b in zip(views[::2], views[1::2])]
+        return layers[:-2], layers[-2], layers[-1]
+
+
+@dataclass
+class _LayerVector:
+    """Backbone layers and two heads whose arrays are views into one contiguous float64 vector."""
+
+    vector: np.ndarray
+    layout: Layout
+    backbone: list[DenseLayer] = field(init=False, repr=False)
+    head_regular: DenseLayer = field(init=False, repr=False)
+    head_balanced: DenseLayer = field(init=False, repr=False)
+
+    def __post_init__(self):
+        self.backbone, self.head_regular, self.head_balanced = self.layout.bind(self.vector)
+
+    # pickle and deepcopy would copy each view apart from `vector`; store the vector, rebind on load
+    def __getstate__(self):
+        views = ("backbone", "head_regular", "head_balanced")
+        return {k: v for k, v in self.__dict__.items() if k not in views}
+
+    def __setstate__(self, state):
+        self.__dict__.update(state)
+        self.__post_init__()
 
     def flat(self) -> list[np.ndarray]:
-        """Live parameter arrays in fixed order: backbone (W,b)*, regular head, balanced head."""
+        """Live views in fixed order: backbone (W,b)*, regular head, balanced head."""
         arrays: list[np.ndarray] = []
         for layer in self.backbone:
             arrays.extend((layer.W, layer.b))
         arrays.extend((self.head_regular.W, self.head_regular.b))
         arrays.extend((self.head_balanced.W, self.head_balanced.b))
         return arrays
+
+
+@dataclass
+class ModelParams(_LayerVector):
+    """Backbone + two heads. Mutable: the training loop updates `vector` in place."""
+
+    resid_span: tuple[int, int] | None = None
+    normalize_balanced: bool = False
+    trained_heads: tuple[str, ...] | None = None
+
+    @classmethod
+    def pack(cls, layers: list[DenseLayer], resid_span, normalize_balanced: bool = False,
+             trained_heads: tuple[str, ...] | None = None) -> "ModelParams":
+        """Copy `layers` (the backbone, then the regular head, then the balanced head) into one new vector."""
+        arrays = [a for layer in layers for a in (layer.W, layer.b)]
+        vector = np.concatenate([a.ravel() for a in arrays], dtype=np.float64)
+        return cls(vector, Layout.of(arrays), resid_span, normalize_balanced, trained_heads)
 
     @property
     def input_dim(self) -> int:
@@ -61,14 +114,8 @@ class ModelParams:
         return self.head_regular.W.shape[1]
 
     def copy(self) -> "ModelParams":
-        return ModelParams(
-            backbone=[DenseLayer(l.W.copy(), l.b.copy()) for l in self.backbone],
-            head_regular=DenseLayer(self.head_regular.W.copy(), self.head_regular.b.copy()),
-            head_balanced=DenseLayer(self.head_balanced.W.copy(), self.head_balanced.b.copy()),
-            resid_span=self.resid_span,
-            normalize_balanced=self.normalize_balanced,
-            trained_heads=self.trained_heads,
-        )
+        return ModelParams(self.vector.copy(), self.layout, self.resid_span,
+                           self.normalize_balanced, self.trained_heads)
 
 
 @dataclass
@@ -88,19 +135,8 @@ class ForwardTrace:
     bal_w_unit: np.ndarray | None = None
 
 
-@dataclass
-class Gradients:
-    backbone: list[DenseLayer]
-    head_regular: DenseLayer
-    head_balanced: DenseLayer
-
-    def flat(self) -> list[np.ndarray]:
-        arrays: list[np.ndarray] = []
-        for layer in self.backbone:
-            arrays.extend((layer.W, layer.b))
-        arrays.extend((self.head_regular.W, self.head_regular.b))
-        arrays.extend((self.head_balanced.W, self.head_balanced.b))
-        return arrays
+class Gradients(_LayerVector):
+    """Parameter gradients laid out like `ModelParams.vector`, with matching per-layer views."""
 
 
 def init_mlp(
@@ -127,9 +163,8 @@ def init_mlp(
     if n_backbone >= 3:
         m = (n_backbone - 1) // 2
         span = (m, m + 1)
-    head_regular = dense(hidden, n_classes)
-    head_balanced = dense(hidden, n_classes)
-    return ModelParams(backbone, head_regular, head_balanced, span, normalize_balanced)
+    heads = [dense(hidden, n_classes), dense(hidden, n_classes)]
+    return ModelParams.pack(backbone + heads, span, normalize_balanced)
 
 
 def forward(params: ModelParams, x: np.ndarray) -> ForwardTrace:
@@ -174,12 +209,8 @@ def backward(
 ) -> Gradients:
     """Exact parameter gradients; pass None to mask a head (its gradients stay zero)."""
     hidden = trace.hidden
-    gr_regular = DenseLayer(
-        np.zeros_like(params.head_regular.W), np.zeros_like(params.head_regular.b)
-    )
-    gr_balanced = DenseLayer(
-        np.zeros_like(params.head_balanced.W), np.zeros_like(params.head_balanced.b)
-    )
+    grads = Gradients(np.zeros(params.layout.size), params.layout)
+    gr_regular, gr_balanced = grads.head_regular, grads.head_balanced
     d_hidden = np.zeros_like(hidden)
 
     if d_logits_regular is not None:
@@ -206,7 +237,6 @@ def backward(
             d_hidden += d_logits_balanced @ params.head_balanced.W.T
 
     n_backbone = len(params.backbone)
-    gr_backbone = [DenseLayer(np.zeros_like(l.W), np.zeros_like(l.b)) for l in params.backbone]
     skip_extra: list[np.ndarray | None] = [None] * n_backbone
     span = params.resid_span
     da = d_hidden
@@ -215,12 +245,12 @@ def backward(
             da = da + skip_extra[l]
         dz = da * (trace.pre[l] > 0)
         a_in = trace.act[l - 1] if l > 0 else trace.x
-        gr_backbone[l].W[:] = a_in.T @ dz
-        gr_backbone[l].b[:] = dz.sum(axis=0)
+        grads.backbone[l].W[:] = a_in.T @ dz
+        grads.backbone[l].b[:] = dz.sum(axis=0)
         da = dz @ params.backbone[l].W.T
         if span is not None and l == span[1]:
             skip_extra[span[0] - 1] = dz
-    return Gradients(gr_backbone, gr_regular, gr_balanced)
+    return grads
 
 
 @dataclass
@@ -355,14 +385,11 @@ def load_checkpoint(path) -> tuple[ModelParams, NormStats, dict]:
         meta = json.loads(bytes(blob["__meta__"]).decode("utf-8"))
         if meta.get("version") != CHECKPOINT_VERSION:
             raise ValidationError(f"unsupported checkpoint version {meta.get('version')!r}")
-        backbone = [
-            DenseLayer(blob[f"backbone_{i}_W"].copy(), blob[f"backbone_{i}_b"].copy())
-            for i in range(meta["n_backbone"])
-        ]
-        params = ModelParams(
-            backbone=backbone,
-            head_regular=DenseLayer(blob["head_regular_W"].copy(), blob["head_regular_b"].copy()),
-            head_balanced=DenseLayer(blob["head_balanced_W"].copy(), blob["head_balanced_b"].copy()),
+        layers = [DenseLayer(blob[f"backbone_{i}_W"], blob[f"backbone_{i}_b"])
+                  for i in range(meta["n_backbone"])]
+        layers += [DenseLayer(blob[f"head_{h}_W"], blob[f"head_{h}_b"]) for h in ("regular", "balanced")]
+        params = ModelParams.pack(
+            layers,
             resid_span=tuple(meta["resid_span"]) if meta["resid_span"] else None,
             normalize_balanced=meta["normalize_balanced"],
             trained_heads=tuple(meta["trained_heads"]) if meta["trained_heads"] else None,

@@ -54,6 +54,13 @@ def class_probs(class_counts, q: float) -> np.ndarray:
     return weights / weights.sum()
 
 
+def _class_cdf(class_counts, q: float) -> np.ndarray:
+    """Cumulative class probabilities, normalised exactly as `Generator.choice` normalises p."""
+    cdf = class_probs(class_counts, q).cumsum()
+    cdf /= cdf[-1]
+    return cdf
+
+
 class SamplerState:
     """Owns the random stream for one training loop; not safe for concurrent mutation."""
 
@@ -80,26 +87,27 @@ class SamplerState:
             raise ValidationError(f"training split is missing classes: {missing}")
         self.n = ds.n
         self.batch_size = batch_size
-        self.probs_regular = class_probs(ds.class_counts, q_regular)
-        self.probs_balanced = class_probs(ds.class_counts, q_balanced)
-        self.class_indices = [np.flatnonzero(ds.labels == c) for c in range(ds.n_classes)]
+        self.cdf_regular = _class_cdf(ds.class_counts, q_regular)
+        self.cdf_balanced = _class_cdf(ds.class_counts, q_balanced)
         self.counts = ds.class_counts.copy()
+        # row indices grouped by class (ascending within a class); class c starts at starts[c]
+        self.order = np.argsort(ds.labels, kind="stable")
+        self.starts = np.cumsum(self.counts) - self.counts
         self.rng = np.random.default_rng(seed)
 
-    def _draw(self, probs: np.ndarray) -> np.ndarray:
-        classes = self.rng.choice(len(self.counts), size=self.batch_size, p=probs)
+    def _draw(self, cdf: np.ndarray) -> np.ndarray:
+        """Same draws as rng.choice(n_classes, p=probs) then a uniform row within each class."""
+        classes = cdf.searchsorted(self.rng.random(self.batch_size), side="right")
         within = self.rng.integers(0, self.counts[classes])
-        return np.array(
-            [self.class_indices[c][w] for c, w in zip(classes, within)], dtype=np.int64
-        )
+        return self.order[self.starts[classes] + within]
 
 
 def next_batch_pair(sampler: SamplerState, ds: Dataset) -> BatchPair:
     """Draw one regular batch and one balanced batch, with replacement."""
     if ds.n != sampler.n:
         raise ValidationError("sampler is bound to a different split")
-    reg_idx = sampler._draw(sampler.probs_regular)
-    bal_idx = sampler._draw(sampler.probs_balanced)
+    reg_idx = sampler._draw(sampler.cdf_regular)
+    bal_idx = sampler._draw(sampler.cdf_balanced)
     return BatchPair(
         regular=(ds.features[reg_idx], ds.labels[reg_idx]),
         balanced=(ds.features[bal_idx], ds.labels[bal_idx]),

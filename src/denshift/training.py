@@ -56,6 +56,10 @@ class TrainConfig:
             raise ValidationError("patience must be >= 0")
         if self.batch_size < 1:
             raise ValidationError("batch_size must be >= 1")
+        if not (np.isfinite(self.learning_rate) and self.learning_rate > 0):
+            raise ValidationError(f"learning_rate must be finite and > 0, got {self.learning_rate}")
+        if not self.lambda_cost >= 0:
+            raise ValidationError(f"lambda_cost must be >= 0, got {self.lambda_cost}")
 
 
 @dataclass(frozen=True)
@@ -169,9 +173,7 @@ def train(cfg: TrainConfig, splits: tuple[Dataset, Dataset]) -> tuple[ModelParam
     cost_params = CostParams(0.0, cfg.theta, cfg.offset) if spec.uses_cost else None
     cost_arr = np.zeros(1) if spec.uses_cost else None
 
-    arrays = params.flat()
-    if cost_arr is not None:
-        arrays = arrays + [cost_arr]
+    arrays = [params.vector] if cost_arr is None else [params.vector, cost_arr]
     opt = OptState.for_arrays(arrays, cfg.optimizer, cfg.learning_rate)
 
     history = TrainHistory()
@@ -190,8 +192,7 @@ def train(cfg: TrainConfig, splits: tuple[Dataset, Dataset]) -> tuple[ModelParam
                 spec.regular_terms, trace_r.logits_regular, yr,
                 dah_cfg, cost_params, cfg.gamma, cfg.lambda_cost,
             )
-            grads = backward(params, trace_r, d_logits_regular=d_r)
-            flat = grads.flat()
+            grad = backward(params, trace_r, d_logits_regular=d_r).vector
             d_cost = dcost_r
             loss_b = float("nan")
             if spec.dual_stream:
@@ -201,7 +202,7 @@ def train(cfg: TrainConfig, splits: tuple[Dataset, Dataset]) -> tuple[ModelParam
                     spec.balanced_terms, trace_b.logits_balanced, yb,
                     dah_cfg, cost_params, cfg.gamma, cfg.lambda_cost,
                 )
-                flat = [a + b for a, b in zip(flat, backward(params, trace_b, d_logits_balanced=d_b).flat())]
+                grad += backward(params, trace_b, d_logits_balanced=d_b).vector
                 d_cost += dcost_b
             if not np.isfinite(loss_r) or (spec.dual_stream and not np.isfinite(loss_b)):
                 costs = current_costs(cost_params) if cost_params else None
@@ -209,9 +210,8 @@ def train(cfg: TrainConfig, splits: tuple[Dataset, Dataset]) -> tuple[ModelParam
                     f"non-finite loss at epoch {epoch} step {step}: "
                     f"regular={loss_r} balanced={loss_b} costs={costs}"
                 )
-            if cost_arr is not None:
-                flat = flat + [np.array([d_cost])]
-            opt_step(arrays, flat, opt)
+            grads = [grad] if cost_arr is None else [grad, np.array([d_cost])]
+            opt_step(arrays, grads, opt)
             if cost_arr is not None:
                 cost_params.log_cfp = float(cost_arr[0])
             sums["regular"] += loss_r

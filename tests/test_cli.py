@@ -243,6 +243,20 @@ class TestOtherCommands:
         path = write_cfg(tmp_path)
         assert main(["train", "--config", str(path), "--variant", "nonsense"]) == 1
 
+    def test_nonpositive_learning_rate_is_exit_one(self, tmp_path, capsys):
+        out = tmp_path / "neg"
+        path = write_cfg(tmp_path, {"train": {"learning_rate": -1}, "output_dir": str(out)})
+        assert main(["train", "--config", str(path)]) == 1
+        assert "learning_rate" in capsys.readouterr().err
+        assert not (out / "report.json").exists()
+
+    def test_invalid_thread_count_is_exit_one(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv("DENSHIFT_THREADS", "abc")
+        path = write_cfg(tmp_path, {"train": {"epochs": 1}, "ablation": {"seeds": [0]},
+                                    "output_dir": str(tmp_path / "abl")})
+        assert main(["ablate", "--config", str(path)]) == 1
+        assert "DENSHIFT_THREADS" in capsys.readouterr().err
+
     def test_label_column_flag_for_csv(self, tmp_path):
         src = tmp_path / "d.csv"
         rows = ["a,b,outcome"]

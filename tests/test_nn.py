@@ -226,6 +226,21 @@ class TestOptimizers:
             opt_step(p, [g], opt)
         assert p[0][0] == pytest.approx(ref, abs=1e-15)
 
+    def test_one_step_over_the_vector_equals_the_per_array_step(self):
+        x = np.random.default_rng(0).normal(size=(8, 5))
+        y = np.array([0, 1, 0, 0, 1, 0, 1, 0])
+        for kind in ("sgd", "adam"):
+            packed, split = init_mlp(5, seed=3), init_mlp(5, seed=3)
+            opt_packed = OptState.for_arrays([packed.vector], kind, lr=1e-2)
+            opt_split = OptState.for_arrays(split.flat(), kind, lr=1e-2)
+            for _ in range(3):
+                trace = forward(packed, x)
+                _, d = ce(trace.logits_regular, y)
+                opt_step([packed.vector], [backward(packed, trace, d_logits_regular=d).vector], opt_packed)
+                _, grads = model_loss(split, x, y)
+                opt_step(split.flat(), grads, opt_split)
+            assert np.array_equal(packed.vector, split.vector), kind
+
     def test_deterministic_trajectory(self):
         histories = []
         for _ in range(2):
@@ -241,6 +256,70 @@ class TestOptimizers:
             histories.append([a.copy() for a in arrays])
         for a, b in zip(*histories):
             assert np.array_equal(a, b)
+
+
+def assert_views_of_vector(params):
+    arrays = params.flat()
+    assert sum(a.size for a in arrays) == params.vector.size
+    for arr in arrays:
+        assert np.shares_memory(arr, params.vector)
+
+
+class TestParameterVector:
+    def test_flat_arrays_are_views_in_order(self):
+        p = init_mlp(5, hidden=7, depth=4, n_classes=3, seed=2)
+        assert_views_of_vector(p)
+        assert np.array_equal(np.concatenate([a.ravel() for a in p.flat()]), p.vector)
+        p.vector[:] = 0.0
+        assert all(not a.any() for a in p.flat())
+
+    def test_copy_is_independent_of_its_source(self):
+        p = init_mlp(5, seed=2)
+        q = p.copy()
+        assert_views_of_vector(q)
+        assert not np.shares_memory(p.vector, q.vector)
+        assert np.array_equal(p.vector, q.vector)
+        q.head_balanced.W[:] += 1.0
+        p.backbone[0].b[:] -= 1.0
+        assert np.array_equal(p.head_balanced.W + 1.0, q.head_balanced.W)
+        assert np.array_equal(q.backbone[0].b - 1.0, p.backbone[0].b)
+
+    def test_pickle_and_deepcopy_keep_the_views(self):
+        import copy
+        import pickle
+
+        p = init_mlp(4, seed=6)
+        p.trained_heads = ("regular",)
+        for q in (copy.deepcopy(p), pickle.loads(pickle.dumps(p))):
+            assert_views_of_vector(q)
+            assert np.array_equal(q.vector, p.vector)
+            assert q.resid_span == p.resid_span and q.trained_heads == ("regular",)
+
+    def test_gradients_are_views_of_one_vector(self):
+        p = init_mlp(4, seed=1)
+        x = np.random.default_rng(0).normal(size=(6, 4))
+        _, d = ce(forward(p, x).logits_regular, np.array([0, 1, 1, 0, 0, 1]))
+        grads = backward(p, forward(p, x), d_logits_regular=d)
+        assert grads.vector.shape == p.vector.shape
+        assert_views_of_vector(grads)
+        assert not grads.head_balanced.W.any()
+
+    def test_views_after_load_checkpoint_and_train(self, tmp_path):
+        from denshift.data import SynthConfig, gen_synthetic, stratified_split
+        from denshift.training import TrainConfig, train
+
+        p = init_mlp(3, seed=4)
+        stats = NormStats(mean=np.zeros(3), std=np.ones(3), impute=np.zeros(3),
+                          constant_mask=np.zeros(3, dtype=bool))
+        save_checkpoint(tmp_path / "c.npz", p, stats, ("a", "b"), ("x", "y", "z"))
+        loaded, _, _ = load_checkpoint(tmp_path / "c.npz")
+        assert_views_of_vector(loaded)
+        assert np.array_equal(loaded.vector, p.vector)
+
+        ds = gen_synthetic(SynthConfig(n_majority=80, n_minority=20, dim=3, seed=0))
+        tr, va, _ = stratified_split(ds, seed=0)
+        trained, _ = train(TrainConfig(variant="full", epochs=3, batch_size=16), (tr, va))
+        assert_views_of_vector(trained)
 
 
 class TestEmbeddingsAndCheckpoints:

@@ -112,6 +112,25 @@ class TestBatchPairs:
             SamplerState(ds, batch_size=4)
 
 
+class TestDrawReference:
+    @pytest.mark.parametrize("q", [0.0, 0.5, 1.0])
+    @pytest.mark.parametrize("counts", [[37, 9], [20, 5, 13]])
+    def test_matches_one_element_at_a_time_reference(self, q, counts):
+        labels = np.random.default_rng(7).permutation(np.repeat(np.arange(len(counts)), counts))
+        ds = Dataset(np.zeros((labels.size, 1)), labels, ("a",), tuple(f"c{i}" for i in range(len(counts))))
+        sampler = SamplerState(ds, batch_size=33, seed=11, q_regular=q)
+        ref_rng = np.random.default_rng(11)
+        probs = class_probs(ds.class_counts, q)
+        class_indices = [np.flatnonzero(labels == c) for c in range(len(counts))]
+        for _ in range(4):
+            classes = ref_rng.choice(len(counts), size=33, p=probs)
+            within = ref_rng.integers(0, ds.class_counts[classes])
+            expected = np.array([class_indices[c][w] for c, w in zip(classes, within)], dtype=np.int64)
+            drawn = sampler._draw(sampler.cdf_regular)
+            assert drawn.dtype == np.int64
+            assert np.array_equal(drawn, expected)
+
+
 class TestEpochBatches:
     def test_pair_count_is_ceil(self):
         ds = make_ds([800, 200])

@@ -31,6 +31,21 @@ def splits():
     return prepared_splits()
 
 
+class TestConfigValidation:
+    @pytest.mark.parametrize("lr", [0.0, -1.0, float("nan"), float("inf")])
+    def test_learning_rate_must_be_finite_and_positive(self, lr):
+        with pytest.raises(ValidationError, match="learning_rate"):
+            TrainConfig(learning_rate=lr)
+
+    @pytest.mark.parametrize("lam", [-0.5, float("nan")])
+    def test_lambda_cost_must_be_non_negative(self, lam):
+        with pytest.raises(ValidationError, match="lambda_cost"):
+            TrainConfig(lambda_cost=lam)
+
+    def test_boundary_values_accepted(self):
+        TrainConfig(learning_rate=1e-12, lambda_cost=0.0)
+
+
 class TestVariantWiring:
     def test_dah_is_single_stream_margin_loss(self):
         spec = variant_losses("dah")
