@@ -30,7 +30,6 @@ from .errors import (
 from .losses import (
     CostParams,
     DahConfig,
-    FocalConfig,
     ce,
     cost_loss,
     current_costs,
@@ -69,7 +68,7 @@ from .nn import (
     opt_step,
     save_checkpoint,
 )
-from .sampling import BatchPair, SamplerConfig, SamplerState, class_probs, epoch_batches, next_batch_pair
+from .sampling import BatchPair, SamplerState, class_probs, epoch_batches, next_batch_pair
 from .training import (
     TrainConfig,
     TrainHistory,

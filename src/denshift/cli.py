@@ -40,12 +40,14 @@ from .metrics import (
     calibration_bins,
     nll,
     score_report,
+    split_report,
     temperature_apply,
     temperature_fit,
 )
-from .nn import forward, load_checkpoint, save_checkpoint
+from .nn import load_checkpoint, save_checkpoint
 from .training import (
     TrainConfig,
+    logits,
     predict,
     run_ablation,
     sweep_theta,
@@ -249,16 +251,6 @@ def _history_csv(path: Path, history) -> None:
                               "val_auc_prc", "cost_fp", "cost_fn"])
 
 
-def _split_report(params, split: Dataset) -> dict:
-    probs = predict(params, split.features)
-    if split.n_classes == 2:
-        return score_report(ScoredSet(probs[:, 1], split.labels))
-    from .metrics import macro_micro_auc
-
-    macro, micro = macro_micro_auc(probs, np.eye(split.n_classes)[split.labels])
-    return {"macro_auc": macro, "micro_auc": micro, "n": split.n}
-
-
 def cmd_train(cfg: dict) -> int:
     out = _out_dir(cfg)
     raw, (tr, va, te), stats = _splits(cfg)
@@ -276,6 +268,7 @@ def cmd_train(cfg: dict) -> int:
                     raw.feature_names, raw.label_column, extra=extra)
     _history_csv(out / "history.csv", history)
 
+    test_probs = predict(params, te.features)
     report = {
         "command": "train",
         "config_hash": config_hash(cfg),
@@ -286,21 +279,18 @@ def cmd_train(cfg: dict) -> int:
         "best_epoch": history.best_epoch,
         "epochs_run": history.epochs_run,
         "cost_at_best": list(history.best_cost) if history.best_cost else None,
-        "val": _split_report(params, va),
-        "test": _split_report(params, te),
+        "val": split_report(predict(params, va.features), va.labels),
+        "test": split_report(test_probs, te.labels),
     }
     if te.n_classes == 2:
-        probs = predict(params, te.features)
-        _dump_predictions(out / "predictions_test.csv", probs[:, 1], te.labels)
-        calibration_bins(ScoredSet(probs[:, 1], te.labels), cfg["metrics"]["n_bins"]).to_csv(
+        _dump_predictions(out / "predictions_test.csv", test_probs[:, 1], te.labels)
+        calibration_bins(ScoredSet(test_probs[:, 1], te.labels), cfg["metrics"]["n_bins"]).to_csv(
             out / "calibration_test.csv"
         )
     if cfg["metrics"]["temperature_scaling"]:
-        head = "balanced" if "balanced" in params.trained_heads else "regular"
-        val_logits = _head_logits(params, va.features, head)
+        val_logits = logits(params, va.features)
         t_fit = temperature_fit(val_logits, va.labels)
-        test_logits = _head_logits(params, te.features, head)
-        scaled = temperature_apply(test_logits, t_fit)
+        scaled = temperature_apply(logits(params, te.features), t_fit)
         entry = {
             "temperature": t_fit,
             "val_nll_before": nll(val_logits, va.labels, 1.0),
@@ -319,11 +309,6 @@ def cmd_train(cfg: dict) -> int:
     else:
         print(f"{tcfg.variant}: test macro_auc={test_part['macro_auc']:.4f}")
     return 0
-
-
-def _head_logits(params, x, head: str) -> np.ndarray:
-    trace = forward(params, x)
-    return trace.logits_balanced if head == "balanced" else trace.logits_regular
 
 
 def cmd_eval(cfg: dict, checkpoint_path: str, csv_path: str) -> int:
@@ -357,17 +342,12 @@ def cmd_eval(cfg: dict, checkpoint_path: str, csv_path: str) -> int:
         "variant": meta["extra"].get("variant"),
         "label_mapping": _label_mapping(ckpt_classes),
         "n_bins": n_bins,
+        "metrics": split_report(probs, prepared.labels),
     }
     if len(ckpt_classes) == 2:
-        scored = ScoredSet(probs[:, 1], prepared.labels)
-        report["metrics"] = score_report(scored)
-        calibration_bins(scored, n_bins).to_csv(out / "calibration.csv")
+        calibration_bins(ScoredSet(probs[:, 1], prepared.labels), n_bins).to_csv(out / "calibration.csv")
         _dump_predictions(out / "predictions.csv", probs[:, 1], prepared.labels)
     else:
-        from .metrics import macro_micro_auc
-
-        macro, micro = macro_micro_auc(probs, np.eye(len(ckpt_classes))[prepared.labels])
-        report["metrics"] = {"macro_auc": macro, "micro_auc": micro, "n": prepared.n}
         lines = [",".join([f"p{c}" for c in range(len(ckpt_classes))] + ["label"])]
         for i in range(prepared.n):
             lines.append(",".join(repr(float(v)) for v in probs[i]) + f",{prepared.labels[i]}")

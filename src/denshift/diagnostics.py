@@ -1,11 +1,23 @@
-"""Finite-difference verification of every loss composed with the full model."""
+"""Finite-difference verification of the training step, one probe per loss wiring."""
 
 from __future__ import annotations
 
 import numpy as np
 
-from .losses import CostParams, ce, cost_loss, dah_softmax, delta_margins, focal
-from .nn import backward, forward, grad_check, init_mlp
+from .losses import CostParams, DahConfig
+from .nn import ModelParams, grad_check, init_mlp
+from .sampling import BatchPair
+from .training import TrainConfig, VariantSpec, train_step, variant_losses
+
+# report entry -> the step wiring it probes; "cost_loss" puts the cost term alone on the regular head
+_PROBES = {
+    "ce": variant_losses("base"),
+    "focal": variant_losses("focal"),
+    "dah_softmax": variant_losses("dah"),
+    "cost_loss": VariantSpec(False, ("cost",), None),
+    "decoupling": variant_losses("decoupling"),
+    "full": variant_losses("full"),
+}
 
 
 def gradient_report(
@@ -15,68 +27,41 @@ def gradient_report(
     seed: int = 0,
     eps: float = 1e-5,
     n_samples: int = 200,
-    gamma: float = 2.0,
-    lambda_cost: float = 1.0,
 ) -> dict[str, float]:
-    """Max relative FD error for each loss family through the shared backbone.
+    """Max relative FD error of `training.train_step` for each probed wiring.
 
-    The "full" entry reproduces one dual-stream training step: margin loss on
-    the regular head for one batch plus margin + cost loss on the balanced
-    head for a second batch, including the trainable log cost parameter.
+    Each probe differentiates the summed step loss with respect to one flat
+    vector: the model parameters, followed by the trainable log cost when
+    the wiring uses the cost term. Loss settings are the `TrainConfig`
+    defaults. Cost probes are skipped for multi-class tasks.
     """
     rng = np.random.default_rng(seed)
     x_reg = rng.normal(size=(batch_size, input_dim))
     y_reg = rng.integers(0, n_classes, size=batch_size)
     x_bal = rng.normal(size=(batch_size, input_dim))
     y_bal = rng.integers(0, n_classes, size=batch_size)
-    params = init_mlp(input_dim, hidden=28, depth=4, n_classes=n_classes, seed=seed + 1)
-    deltas = delta_margins(np.linspace(900, 100, n_classes), margin_scale=1.0)
-    theta, offset = 5.0, 0.01
-    cost_arr = np.array([0.3])  # away from 0 so the cost gradient is exercised off-init
+    pair = BatchPair((x_reg, y_reg), (x_bal, y_bal), None, None)
+    init = init_mlp(input_dim, hidden=28, depth=4, n_classes=n_classes, seed=seed + 1)
+    n = init.layout.size
+    vector = np.append(init.vector, 0.3)  # log cost away from 0 so its gradient is exercised off-init
+    params = ModelParams(vector[:n], init.layout, init.resid_span)
+    cfg = TrainConfig()
+    dah_cfg = DahConfig.from_counts(np.linspace(900, 100, n_classes), margin_scale=1.0)
 
-    def head_only(loss_term):
-        def fn(arrays, batch):
-            x, y = batch
-            trace = forward(params, x)
-            loss, d_logits = loss_term(trace.logits_regular, y)
-            return loss, backward(params, trace, d_logits_regular=d_logits).flat()
-        return fn
+    def probe(spec: VariantSpec) -> float:
+        cost_params = CostParams(0.0, cfg.theta, cfg.offset) if spec.uses_cost else None
 
-    def cost_fn(arrays, batch):
-        x, y = batch
-        cp = CostParams(float(cost_arr[0]), theta, offset)
-        trace = forward(params, x)
-        loss, d_logits, d_log_cfp = cost_loss(trace.logits_regular, y, cp)
-        flat = backward(params, trace, d_logits_regular=d_logits).flat()
-        return loss, flat + [np.array([d_log_cfp])]
+        def loss_fn(vec, batch):
+            if cost_params is not None:
+                cost_params.log_cfp = float(vec[-1])
+            loss_r, loss_b, grad, d_cost = train_step(params, batch, spec, cfg, dah_cfg, cost_params)
+            loss = loss_r + loss_b if spec.dual_stream else loss_r
+            return loss, (np.append(grad, d_cost) if cost_params is not None else grad)
 
-    def full_fn(arrays, batch):
-        (xr, yr), (xb, yb) = batch
-        cp = CostParams(float(cost_arr[0]), theta, offset)
-        trace_r = forward(params, xr)
-        loss_r, d_r = dah_softmax(trace_r.logits_regular, yr, deltas)
-        flat = backward(params, trace_r, d_logits_regular=d_r).flat()
-        trace_b = forward(params, xb)
-        loss_dah, d_dah = dah_softmax(trace_b.logits_balanced, yb, deltas)
-        loss_c, d_c, d_log_cfp = cost_loss(trace_b.logits_balanced, yb, cp)
-        d_b = d_dah + lambda_cost * d_c
-        flat = [a + b for a, b in zip(flat, backward(params, trace_b, d_logits_balanced=d_b).flat())]
-        loss = loss_r + loss_dah + lambda_cost * loss_c
-        return loss, flat + [np.array([lambda_cost * d_log_cfp])]
+        probed = vector if spec.uses_cost else vector[:n]
+        return grad_check(loss_fn, probed, pair, eps, n_samples, seed)
 
-    model_arrays = params.flat()
-    batch = (x_reg, y_reg)
-    report = {
-        "ce": grad_check(head_only(ce), model_arrays, batch, eps, n_samples, seed),
-        "focal": grad_check(
-            head_only(lambda z, y: focal(z, y, gamma)), model_arrays, batch, eps, n_samples, seed
-        ),
-        "dah_softmax": grad_check(
-            head_only(lambda z, y: dah_softmax(z, y, deltas)), model_arrays, batch, eps, n_samples, seed
-        ),
-        "cost_loss": grad_check(cost_fn, model_arrays + [cost_arr], batch, eps, n_samples, seed),
-        "full": grad_check(
-            full_fn, model_arrays + [cost_arr], ((x_reg, y_reg), (x_bal, y_bal)), eps, n_samples, seed
-        ),
+    return {
+        name: probe(spec) for name, spec in _PROBES.items()
+        if n_classes == 2 or not spec.uses_cost
     }
-    return report

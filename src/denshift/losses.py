@@ -99,17 +99,6 @@ class DahConfig:
         return cls(margin_scale=margin_scale, deltas=delta_margins(class_counts, margin_scale))
 
 
-@dataclass(frozen=True)
-class FocalConfig:
-    """Focal-loss focusing strength; gamma=0 recovers plain cross-entropy."""
-
-    gamma: float = 2.0
-
-    def __post_init__(self):
-        if self.gamma < 0:
-            raise ValidationError("gamma must be >= 0")
-
-
 @dataclass
 class CostParams:
     """Trainable misclassification costs for binary tasks.
@@ -148,10 +137,8 @@ def ce(logits: np.ndarray, y) -> tuple[float, np.ndarray]:
     return loss, grad / b
 
 
-def focal(logits: np.ndarray, y, gamma: float | FocalConfig = 2.0) -> tuple[float, np.ndarray]:
+def focal(logits: np.ndarray, y, gamma: float = 2.0) -> tuple[float, np.ndarray]:
     """Focal loss (1 - p_y)^gamma * CE; gamma=0 reduces to cross-entropy."""
-    if isinstance(gamma, FocalConfig):
-        gamma = gamma.gamma
     if gamma < 0:
         raise ValidationError("gamma must be >= 0")
     y = _check_labels(logits, y)

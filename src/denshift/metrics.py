@@ -148,6 +148,16 @@ def score_report(s: ScoredSet) -> dict:
     }
 
 
+def split_report(probs: np.ndarray, labels) -> dict:
+    """`score_report` of the positive column for binary probabilities, else one-vs-rest AUCs."""
+    labels = np.asarray(labels, dtype=np.int64)
+    n_classes = probs.shape[1]
+    if n_classes == 2:
+        return score_report(ScoredSet(probs[:, 1], labels))
+    macro, micro = macro_micro_auc(probs, np.eye(n_classes)[labels])
+    return {"macro_auc": macro, "micro_auc": micro, "n": labels.size}
+
+
 def calibration_bins(s: ScoredSet, n_bins: int = 10) -> CalibrationTable:
     """Equal-width bins on [0,1]; the last bin is right-closed; empty bins keep NaN fractions."""
     if n_bins < 1:

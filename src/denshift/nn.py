@@ -297,39 +297,36 @@ def opt_step(arrays: list[np.ndarray], grads: list[np.ndarray], opt: OptState) -
     return arrays
 
 
-def grad_check(loss_fn, arrays: list[np.ndarray], batch, eps: float = 1e-5,
+def grad_check(loss_fn, vector: np.ndarray, batch, eps: float = 1e-5,
                n_samples: int = 200, seed: int = 0) -> float:
     """Max relative error of analytic gradients vs central finite differences.
 
-    loss_fn(arrays, batch) must return (scalar loss, flat gradient list).
-    Probes a random subsample of at least n_samples scalar parameters
-    (all of them if fewer exist); error is |g - g_fd| / max(|g_fd|, 1e-8).
+    loss_fn(vector, batch) must return (scalar loss, gradient shaped like
+    the 1-D `vector`). Each probed entry is perturbed in place and then
+    restored. Probes a random subsample of n_samples entries (all of them
+    if fewer exist); error is |g - g_fd| / max(|g_fd|, 1e-8).
     """
-    loss, grads = loss_fn(arrays, batch)
+    if vector.ndim != 1:
+        raise ValidationError(f"grad_check probes a 1-D vector, got shape {vector.shape}")
+    loss, grad = loss_fn(vector, batch)
     if not np.isfinite(loss):
         raise NumericalError(f"non-finite loss {loss} in gradient check")
-    sizes = [a.size for a in arrays]
-    total = int(np.sum(sizes))
     rng = np.random.default_rng(seed)
+    total = vector.size
     picks = np.arange(total) if total <= n_samples else rng.choice(total, size=n_samples, replace=False)
 
-    offsets = np.cumsum([0] + sizes)
     worst = 0.0
-    for flat_idx in picks:
-        ai = int(np.searchsorted(offsets, flat_idx, side="right") - 1)
-        local = int(flat_idx - offsets[ai])
-        view = arrays[ai].reshape(-1)
-        orig = view[local]
-        view[local] = orig + eps
-        lp, _ = loss_fn(arrays, batch)
-        view[local] = orig - eps
-        lm, _ = loss_fn(arrays, batch)
-        view[local] = orig
+    for i in picks:
+        orig = vector[i]
+        vector[i] = orig + eps
+        lp, _ = loss_fn(vector, batch)
+        vector[i] = orig - eps
+        lm, _ = loss_fn(vector, batch)
+        vector[i] = orig
         if not (np.isfinite(lp) and np.isfinite(lm)):
             raise NumericalError("non-finite loss while probing finite differences")
         g_fd = (lp - lm) / (2.0 * eps)
-        g_an = grads[ai].reshape(-1)[local]
-        worst = max(worst, abs(g_an - g_fd) / max(abs(g_fd), 1e-8))
+        worst = max(worst, abs(grad[i] - g_fd) / max(abs(g_fd), 1e-8))
     return float(worst)
 
 

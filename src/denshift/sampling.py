@@ -18,19 +18,6 @@ from .data import Dataset
 from .errors import ValidationError
 
 
-@dataclass(frozen=True)
-class SamplerConfig:
-    q: float
-    batch_size: int
-    seed: int = 0
-
-    def __post_init__(self):
-        if not 0.0 <= self.q <= 1.0:
-            raise ValidationError(f"q must be in [0, 1], got {self.q}")
-        if self.batch_size < 1:
-            raise ValidationError("batch_size must be >= 1")
-
-
 @dataclass
 class BatchPair:
     """One step's worth of data: a regular-sampled batch and a balanced one."""
@@ -63,14 +50,6 @@ def _class_cdf(class_counts, q: float) -> np.ndarray:
 
 class SamplerState:
     """Owns the random stream for one training loop; not safe for concurrent mutation."""
-
-    @classmethod
-    def from_configs(cls, ds: Dataset, regular: SamplerConfig, balanced: SamplerConfig) -> "SamplerState":
-        """Pair two stream configs; they must agree on batch size, the regular seed is used."""
-        if regular.batch_size != balanced.batch_size:
-            raise ValidationError("paired streams must share one batch size")
-        return cls(ds, regular.batch_size, seed=regular.seed,
-                   q_regular=regular.q, q_balanced=balanced.q)
 
     def __init__(
         self,

@@ -20,9 +20,9 @@ import numpy as np
 from .data import Dataset
 from .errors import NumericalError, UnsupportedTaskError, ValidationError
 from .losses import CostParams, DahConfig, ce, cost_loss, current_costs, dah_softmax, focal, softmax
-from .metrics import ScoredSet, auc_prc, auc_roc, bss, brier, macro_micro_auc
+from .metrics import ScoredSet, auc_prc, auc_roc, macro_micro_auc, split_report
 from .nn import ModelParams, OptState, backward, forward, init_mlp, opt_step
-from .sampling import SamplerState, epoch_batches
+from .sampling import BatchPair, SamplerState, epoch_batches
 
 VARIANTS = ("base", "decoupling", "dah", "focal", "cost", "full")
 
@@ -120,25 +120,53 @@ class TrainHistory:
         return len(self.val_auc_roc)
 
 
-def _head_loss(terms, logits, y, dah_cfg, cost_params, gamma, lambda_cost):
-    """Sum the named loss terms; returns (loss, d/dlogits, d/dlog_cfp)."""
-    total, grad, d_log_cfp = 0.0, np.zeros_like(logits), 0.0
+def _head_loss(terms, z, y, cfg, dah_cfg, cost_params):
+    """Sum the named loss terms on logits `z`; returns (loss, d/dz, d/dlog_cfp)."""
+    total, grad, d_log_cfp = 0.0, np.zeros_like(z), 0.0
     for term in terms:
         if term == "ce":
-            l, g = ce(logits, y)
+            l, g = ce(z, y)
         elif term == "focal":
-            l, g = focal(logits, y, gamma)
+            l, g = focal(z, y, cfg.gamma)
         elif term == "dah":
-            l, g = dah_softmax(logits, y, dah_cfg.deltas)
+            l, g = dah_softmax(z, y, dah_cfg.deltas)
         elif term == "cost":
-            l, g, dc = cost_loss(logits, y, cost_params)
-            l, g = lambda_cost * l, lambda_cost * g
-            d_log_cfp += lambda_cost * dc
+            l, g, dc = cost_loss(z, y, cost_params)
+            l, g = cfg.lambda_cost * l, cfg.lambda_cost * g
+            d_log_cfp += cfg.lambda_cost * dc
         else:
             raise ValidationError(f"unknown loss term {term!r}")
         total += l
         grad += g
     return total, grad, d_log_cfp
+
+
+def train_step(params: ModelParams, pair: BatchPair, spec: VariantSpec, cfg: TrainConfig,
+               dah_cfg: DahConfig | None,
+               cost_params: CostParams | None) -> tuple[float, float, np.ndarray, float]:
+    """Losses and gradients of one decoupled step; parameters are not updated.
+
+    The regular batch trains the regular head; for dual-stream variants the
+    balanced batch trains the balanced head and the backbone gets the sum of
+    both gradients. Returns (loss_regular, loss_balanced (NaN when single
+    stream), gradient laid out like `params.vector`, d/dlog_cfp).
+    """
+    xr, yr = pair.regular
+    trace_r = forward(params, xr)
+    loss_r, d_r, d_cost = _head_loss(
+        spec.regular_terms, trace_r.logits_regular, yr, cfg, dah_cfg, cost_params
+    )
+    grad = backward(params, trace_r, d_logits_regular=d_r).vector
+    loss_b = float("nan")
+    if spec.dual_stream:
+        xb, yb = pair.balanced
+        trace_b = forward(params, xb)
+        loss_b, d_b, dcost_b = _head_loss(
+            spec.balanced_terms, trace_b.logits_balanced, yb, cfg, dah_cfg, cost_params
+        )
+        grad += backward(params, trace_b, d_logits_balanced=d_b).vector
+        d_cost += dcost_b
+    return loss_r, loss_b, grad, d_cost
 
 
 def _val_metrics(params: ModelParams, val: Dataset, head: str) -> tuple[float, float]:
@@ -182,74 +210,54 @@ def train(cfg: TrainConfig, splits: tuple[Dataset, Dataset]) -> tuple[ModelParam
     streak = 0
     val_head = spec.inference_head
 
-    for epoch in range(cfg.epochs):
-        sums = {"regular": 0.0, "balanced": 0.0}
-        n_steps = 0
-        for step, pair in enumerate(epoch_batches(sampler, train_ds)):
-            xr, yr = pair.regular
-            trace_r = forward(params, xr)
-            loss_r, d_r, dcost_r = _head_loss(
-                spec.regular_terms, trace_r.logits_regular, yr,
-                dah_cfg, cost_params, cfg.gamma, cfg.lambda_cost,
-            )
-            grad = backward(params, trace_r, d_logits_regular=d_r).vector
-            d_cost = dcost_r
-            loss_b = float("nan")
-            if spec.dual_stream:
-                xb, yb = pair.balanced
-                trace_b = forward(params, xb)
-                loss_b, d_b, dcost_b = _head_loss(
-                    spec.balanced_terms, trace_b.logits_balanced, yb,
-                    dah_cfg, cost_params, cfg.gamma, cfg.lambda_cost,
-                )
-                grad += backward(params, trace_b, d_logits_balanced=d_b).vector
-                d_cost += dcost_b
-            if not np.isfinite(loss_r) or (spec.dual_stream and not np.isfinite(loss_b)):
-                costs = current_costs(cost_params) if cost_params else None
-                raise NumericalError(
-                    f"non-finite loss at epoch {epoch} step {step}: "
-                    f"regular={loss_r} balanced={loss_b} costs={costs}"
-                )
-            grads = [grad] if cost_arr is None else [grad, np.array([d_cost])]
-            opt_step(arrays, grads, opt)
-            if cost_arr is not None:
-                cost_params.log_cfp = float(cost_arr[0])
-            sums["regular"] += loss_r
-            if spec.dual_stream:
-                sums["balanced"] += loss_b
-            n_steps += 1
+    try:
+        with np.errstate(over="raise"):  # ReLU can hide an overflow from every finite-loss check
+            for epoch in range(cfg.epochs):
+                sum_r = sum_b = 0.0
+                for step, pair in enumerate(epoch_batches(sampler, train_ds)):
+                    loss_r, loss_b, grad, d_cost = train_step(params, pair, spec, cfg, dah_cfg, cost_params)
+                    if not np.isfinite(loss_r) or (spec.dual_stream and not np.isfinite(loss_b)):
+                        costs = current_costs(cost_params) if cost_params else None
+                        raise NumericalError(
+                            f"non-finite loss at epoch {epoch} step {step}: "
+                            f"regular={loss_r} balanced={loss_b} costs={costs}"
+                        )
+                    grads = [grad] if cost_arr is None else [grad, np.array([d_cost])]
+                    opt_step(arrays, grads, opt)
+                    if cost_arr is not None:
+                        cost_params.log_cfp = float(cost_arr[0])
+                    sum_r += loss_r
+                    sum_b += loss_b
 
-        val_auc, val_ap = _val_metrics(params, val_ds, val_head)
-        history.loss_regular.append(sums["regular"] / n_steps)
-        history.loss_balanced.append(sums["balanced"] / n_steps if spec.dual_stream else float("nan"))
-        history.val_auc_roc.append(val_auc)
-        history.val_auc_prc.append(val_ap)
-        if cost_params is not None:
-            c_fp, c_fn = current_costs(cost_params)
-            history.cost_fp.append(c_fp)
-            history.cost_fn.append(c_fn)
-        else:
-            history.cost_fp.append(float("nan"))
-            history.cost_fn.append(float("nan"))
+                val_auc, val_ap = _val_metrics(params, val_ds, val_head)
+                history.loss_regular.append(sum_r / (step + 1))
+                history.loss_balanced.append(sum_b / (step + 1))
+                history.val_auc_roc.append(val_auc)
+                history.val_auc_prc.append(val_ap)
+                c_fp, c_fn = current_costs(cost_params) if cost_params else (float("nan"), float("nan"))
+                history.cost_fp.append(c_fp)
+                history.cost_fn.append(c_fn)
 
-        if val_auc > best_auc:
-            best_auc = val_auc
-            history.best_epoch = epoch
-            best_params = params.copy()
-            history.best_cost = current_costs(cost_params) if cost_params else None
-            streak = 0
-        else:
-            streak += 1
-            if streak > cfg.early_stop_patience:
-                break
+                if val_auc > best_auc:
+                    best_auc = val_auc
+                    history.best_epoch = epoch
+                    best_params = params.copy()
+                    history.best_cost = current_costs(cost_params) if cost_params else None
+                    streak = 0
+                else:
+                    streak += 1
+                    if streak > cfg.early_stop_patience:
+                        break
+    except FloatingPointError as exc:
+        raise NumericalError(f"numeric blow-up at epoch {epoch}: {exc}") from None
 
     best_params.trained_heads = ("regular", "balanced") if spec.dual_stream else ("regular",)
     history.wall_time_s = time.perf_counter() - t0
     return best_params, history
 
 
-def predict(params: ModelParams, x: np.ndarray, head: str | None = None) -> np.ndarray:
-    """Class probabilities from the chosen head (default: balanced when trained, else regular)."""
+def logits(params: ModelParams, x: np.ndarray, head: str | None = None) -> np.ndarray:
+    """Logits of the chosen head (default: balanced when trained, else regular)."""
     available = params.trained_heads if params.trained_heads is not None else ("regular", "balanced")
     if head is None:
         head = "balanced" if "balanced" in available else "regular"
@@ -258,8 +266,12 @@ def predict(params: ModelParams, x: np.ndarray, head: str | None = None) -> np.n
     if head not in available:
         raise ValidationError(f"head {head!r} was not trained for this variant")
     trace = forward(params, x)
-    logits = trace.logits_balanced if head == "balanced" else trace.logits_regular
-    return softmax(logits)
+    return trace.logits_balanced if head == "balanced" else trace.logits_regular
+
+
+def predict(params: ModelParams, x: np.ndarray, head: str | None = None) -> np.ndarray:
+    """Class probabilities: the softmax of `logits`."""
+    return softmax(logits(params, x, head))
 
 
 def _mean_ci(values: list[float]) -> tuple[float, float]:
@@ -270,24 +282,12 @@ def _mean_ci(values: list[float]) -> tuple[float, float]:
     return float(arr.mean()), float(1.96 * stderr)
 
 
-def _test_scores(params: ModelParams, test: Dataset) -> ScoredSet:
-    probs = predict(params, test.features)
-    return ScoredSet(probs[:, 1], test.labels)
-
-
 def _run_single(job) -> dict:
     cfg, train_ds, val_ds, test_ds = job
     params, history = train(cfg, (train_ds, val_ds))
     out = {"variant": cfg.variant, "seed": cfg.seed, "theta": cfg.theta,
            "best_epoch": history.best_epoch, "epochs_run": history.epochs_run}
-    if test_ds.n_classes == 2:
-        scored = _test_scores(params, test_ds)
-        out.update(auc_roc=auc_roc(scored), auc_prc=auc_prc(scored),
-                   brier=brier(scored), bss=bss(scored))
-    else:
-        probs = predict(params, test_ds.features)
-        macro, micro = macro_micro_auc(probs, np.eye(test_ds.n_classes)[test_ds.labels])
-        out.update(macro_auc=macro, micro_auc=micro)
+    out.update(split_report(predict(params, test_ds.features), test_ds.labels))
     return out
 
 

@@ -224,7 +224,10 @@ class TestOtherCommands:
 
     def test_grad_check_exits_zero(self, capsys):
         assert main(["grad-check"]) == 0
-        assert "worst=" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert "worst=" in out
+        for probe in ("ce", "focal", "dah_softmax", "cost_loss", "decoupling", "full"):
+            assert f" {probe} " in out, probe
 
     def test_missing_config_is_exit_one(self, tmp_path):
         assert main(["train", "--config", str(tmp_path / "nope.json")]) == 1
@@ -248,6 +251,15 @@ class TestOtherCommands:
         path = write_cfg(tmp_path, {"train": {"learning_rate": -1}, "output_dir": str(out)})
         assert main(["train", "--config", str(path)]) == 1
         assert "learning_rate" in capsys.readouterr().err
+        assert not (out / "report.json").exists()
+
+    def test_numeric_overflow_is_exit_two(self, tmp_path, capsys):
+        out = tmp_path / "blowup"
+        path = write_cfg(tmp_path, {"train": {"optimizer": "sgd", "learning_rate": 1000},
+                                    "output_dir": str(out)})
+        assert main(["train", "--config", str(path), "--variant", "full"]) == 2
+        err = capsys.readouterr().err
+        assert "overflow" in err and "epoch" in err
         assert not (out / "report.json").exists()
 
     def test_invalid_thread_count_is_exit_one(self, tmp_path, capsys, monkeypatch):

@@ -7,7 +7,6 @@ from denshift.errors import UnsupportedTaskError, ValidationError
 from denshift.losses import (
     CostParams,
     DahConfig,
-    FocalConfig,
     ce,
     cost_loss,
     current_costs,
@@ -163,14 +162,6 @@ class TestCeAndFocal:
             ce(np.zeros((1, 2)), [2])
         with pytest.raises(ValidationError):
             focal(np.zeros((1, 2)), [0], -1.0)
-
-    def test_focal_config(self):
-        rng = np.random.default_rng(11)
-        z = rand_logits(rng, b=3, c=2)
-        y = rng.integers(0, 2, size=3)
-        assert focal(z, y, FocalConfig(2.0))[0] == focal(z, y, 2.0)[0]
-        with pytest.raises(ValidationError):
-            FocalConfig(-0.5)
 
 
 class TestCostParams:

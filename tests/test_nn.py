@@ -113,7 +113,7 @@ def model_loss(params, x, y, head="regular", deltas=None):
     else:
         loss, d = dah_softmax(logits, y, deltas)
     kw = {"d_logits_regular": d} if head == "regular" else {"d_logits_balanced": d}
-    return loss, backward(params, trace, **kw).flat()
+    return loss, backward(params, trace, **kw)
 
 
 class TestBackward:
@@ -157,10 +157,11 @@ class TestBackward:
             y = rng.integers(0, 3, size=8)
             deltas = rng.uniform(0.1, 0.6, size=3)
 
-            def fn(arrays, batch, _p=p, _d=deltas):
-                return model_loss(_p, batch[0], batch[1], head="balanced", deltas=_d)
+            def fn(vector, batch, _p=p, _d=deltas):
+                loss, grads = model_loss(_p, batch[0], batch[1], head="balanced", deltas=_d)
+                return loss, grads.vector
 
-            err = grad_check(fn, p.flat(), (x, y), eps=1e-5, n_samples=200, seed=seed)
+            err = grad_check(fn, p.vector, (x, y), eps=1e-5, n_samples=200, seed=seed)
             assert err < 1e-4
 
     def test_gradcheck_with_normalized_balanced_head(self):
@@ -170,25 +171,28 @@ class TestBackward:
             x = rng.normal(size=(8, 6)) + 0.5
             y = rng.integers(0, 2, size=8)
 
-            def fn(arrays, batch, _p=p):
-                return model_loss(_p, batch[0], batch[1], head="balanced")
+            def fn(vector, batch, _p=p):
+                loss, grads = model_loss(_p, batch[0], batch[1], head="balanced")
+                return loss, grads.vector
 
-            err = grad_check(fn, p.flat(), (x, y), eps=1e-5, n_samples=200, seed=seed)
+            err = grad_check(fn, p.vector, (x, y), eps=1e-5, n_samples=200, seed=seed)
             assert err < 1e-4
 
     def test_linear_model_squared_loss_is_exact(self):
         rng = np.random.default_rng(3)
-        w = rng.normal(size=(4, 1))
+        w = rng.normal(size=4)
         x = rng.normal(size=(10, 4))
-        t = rng.normal(size=(10, 1))
+        t = rng.normal(size=10)
 
-        def fn(arrays, batch):
-            pred = batch[0] @ arrays[0]
+        def fn(vector, batch):
+            pred = batch[0] @ vector
             resid = pred - batch[1]
-            return float((resid**2).sum()), [2.0 * batch[0].T @ resid]
+            return float((resid**2).sum()), 2.0 * batch[0].T @ resid
 
-        err = grad_check(fn, [w], (x, t), eps=1e-5, n_samples=200, seed=0)
+        err = grad_check(fn, w, (x, t), eps=1e-5, n_samples=200, seed=0)
         assert err < 1e-9
+        with pytest.raises(ValidationError, match="1-D"):
+            grad_check(fn, w.reshape(4, 1), (x, t))
 
 
 class TestOptimizers:
@@ -238,7 +242,7 @@ class TestOptimizers:
                 _, d = ce(trace.logits_regular, y)
                 opt_step([packed.vector], [backward(packed, trace, d_logits_regular=d).vector], opt_packed)
                 _, grads = model_loss(split, x, y)
-                opt_step(split.flat(), grads, opt_split)
+                opt_step(split.flat(), grads.flat(), opt_split)
             assert np.array_equal(packed.vector, split.vector), kind
 
     def test_deterministic_trajectory(self):
@@ -252,7 +256,7 @@ class TestOptimizers:
             y = rng.integers(0, 2, size=8)
             for _ in range(3):
                 _, grads = model_loss(p, x, y)
-                opt_step(arrays, grads, opt)
+                opt_step(arrays, grads.flat(), opt)
             histories.append([a.copy() for a in arrays])
         for a, b in zip(*histories):
             assert np.array_equal(a, b)

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from denshift.data import Dataset
 from denshift.errors import ValidationError
-from denshift.sampling import SamplerConfig, SamplerState, class_probs, epoch_batches, next_batch_pair
+from denshift.sampling import SamplerState, class_probs, epoch_batches, next_batch_pair
 
 
 def make_ds(counts):
@@ -49,27 +49,6 @@ class TestClassProbs:
         counts = np.array([123, 7, 55])
         assert np.array_equal(class_probs(counts, 0.0), np.full(3, 1 / 3))
         assert np.array_equal(class_probs(counts, 1.0), counts / counts.sum())
-
-
-class TestSamplerConfig:
-    def test_validation(self):
-        SamplerConfig(q=0.5, batch_size=4)
-        with pytest.raises(ValidationError):
-            SamplerConfig(q=-0.1, batch_size=4)
-        with pytest.raises(ValidationError):
-            SamplerConfig(q=0.5, batch_size=0)
-
-    def test_from_configs_matches_direct_construction(self):
-        ds = make_ds([30, 10])
-        paired = SamplerState.from_configs(
-            ds, SamplerConfig(q=1.0, batch_size=8, seed=5), SamplerConfig(q=0.0, batch_size=8, seed=5)
-        )
-        direct = SamplerState(ds, batch_size=8, seed=5)
-        a, b = next_batch_pair(paired, ds), next_batch_pair(direct, ds)
-        assert np.array_equal(a.regular_idx, b.regular_idx)
-        assert np.array_equal(a.balanced_idx, b.balanced_idx)
-        with pytest.raises(ValidationError):
-            SamplerState.from_configs(ds, SamplerConfig(1.0, 8), SamplerConfig(0.0, 16))
 
 
 class TestBatchPairs:

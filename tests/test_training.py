@@ -1,8 +1,11 @@
+import math
+
 import numpy as np
 import pytest
 
 import denshift.training as training
 from denshift.data import SynthConfig, apply_preprocess, fit_preprocess, gen_synthetic, stratified_split
+from denshift.diagnostics import gradient_report
 from denshift.errors import NumericalError, UnsupportedTaskError, ValidationError
 from denshift.nn import forward, init_mlp
 from denshift.training import (
@@ -185,6 +188,20 @@ class TestTrainLoop:
         with pytest.raises(NumericalError, match="epoch 0 step 0"):
             train(TrainConfig(variant="base", epochs=1), (tr, va))
 
+    def test_train_calls_train_step_once_per_step(self, splits, monkeypatch):
+        tr, va, _ = splits
+        real, calls = training.train_step, []
+
+        def counting(*args):
+            calls.append(args[2])
+            return real(*args)
+
+        monkeypatch.setattr(training, "train_step", counting)
+        cfg = TrainConfig(variant="full", epochs=3, batch_size=32)
+        _, history = train(cfg, (tr, va))
+        assert len(calls) == history.epochs_run * math.ceil(tr.n / cfg.batch_size)
+        assert all(spec == variant_losses("full") for spec in calls)
+
     def test_every_variant_fits_separable_toy(self):
         tr, va, _ = prepared_splits(n_maj=160, n_min=40, dim=5, modes=1, spread=10.0, seed=1)
         for variant in VARIANTS:
@@ -193,6 +210,13 @@ class TestTrainLoop:
             _, history = train(cfg, (tr, va))
             floor = min(history.loss_regular)
             assert floor < 0.1, f"{variant} stalled at train loss {floor:.3f}"
+
+
+class TestGradientReport:
+    def test_multiclass_probes_every_wiring_without_cost(self):
+        report = gradient_report(n_classes=3)
+        assert list(report) == ["ce", "focal", "dah_softmax", "decoupling"]
+        assert all(err < 1e-4 for err in report.values())
 
 
 class TestPredict:
@@ -213,6 +237,7 @@ class TestPredict:
         x = np.random.default_rng(1).normal(size=(30, 4))
         probs = predict(params, x, head="regular")
         logits = forward(params, x).logits_regular
+        assert np.array_equal(training.logits(params, x, head="regular"), logits)
         expected = 1.0 / (1.0 + np.exp(-(logits[:, 1] - logits[:, 0])))
         assert np.abs(probs[:, 1] - expected).max() < 1e-12
 
