@@ -48,6 +48,7 @@ from .metrics import (
     brier,
     bss,
     calibration_bins,
+    macro_auc,
     macro_micro_auc,
     nll,
     score_report,

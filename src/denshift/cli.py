@@ -32,6 +32,7 @@ from .data import (
     load_csv,
     save_csv,
     stratified_split,
+    write_labeled_rows,
 )
 from .diagnostics import gradient_report
 from .errors import DenshiftError, NumericalError, SchemaError, ValidationError
@@ -199,13 +200,6 @@ def _label_mapping(class_names) -> dict:
     return {str(i): name for i, name in enumerate(class_names)}
 
 
-def _dump_predictions(path: Path, scores: np.ndarray, labels: np.ndarray) -> None:
-    lines = ["score,label"]
-    for s, l in zip(scores, labels):
-        lines.append(f"{repr(float(s))},{int(l)}")
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-
-
 def _max_workers() -> int:
     raw = os.environ.get("DENSHIFT_THREADS", "1")
     try:
@@ -283,7 +277,7 @@ def cmd_train(cfg: dict) -> int:
         "test": split_report(test_probs, te.labels),
     }
     if te.n_classes == 2:
-        _dump_predictions(out / "predictions_test.csv", test_probs[:, 1], te.labels)
+        write_labeled_rows(out / "predictions_test.csv", ["score"], test_probs[:, 1:], te.labels)
         calibration_bins(ScoredSet(test_probs[:, 1], te.labels), cfg["metrics"]["n_bins"]).to_csv(
             out / "calibration_test.csv"
         )
@@ -346,12 +340,10 @@ def cmd_eval(cfg: dict, checkpoint_path: str, csv_path: str) -> int:
     }
     if len(ckpt_classes) == 2:
         calibration_bins(ScoredSet(probs[:, 1], prepared.labels), n_bins).to_csv(out / "calibration.csv")
-        _dump_predictions(out / "predictions.csv", probs[:, 1], prepared.labels)
+        write_labeled_rows(out / "predictions.csv", ["score"], probs[:, 1:], prepared.labels)
     else:
-        lines = [",".join([f"p{c}" for c in range(len(ckpt_classes))] + ["label"])]
-        for i in range(prepared.n):
-            lines.append(",".join(repr(float(v)) for v in probs[i]) + f",{prepared.labels[i]}")
-        (out / "predictions.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
+        write_labeled_rows(out / "predictions.csv", [f"p{c}" for c in range(len(ckpt_classes))],
+                           probs, prepared.labels)
     _write_json(out / "report.json", report)
     print(json.dumps(_sanitize(report["metrics"])))
     return 0

@@ -9,7 +9,9 @@ imputes them; after preprocessing every value is finite.
 from __future__ import annotations
 
 import csv
+import io
 import math
+from array import array
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -153,11 +155,32 @@ class SynthConfig:
         return self.n_majority / self.n_minority
 
 
+def _parse_cells(path, rownum: int, cells: list[str], names: tuple[str, ...]) -> list[float]:
+    """One row's feature cells, cell by cell: empty means NaN, else a finite number."""
+    row = []
+    for name, cell in zip(names, cells):
+        cell = cell.strip()
+        if cell == "":
+            row.append(math.nan)
+            continue
+        try:
+            value = float(cell)
+        except ValueError:
+            raise ParseError(f"{path}: row {rownum}, column {name!r}: non-numeric cell {cell!r}") from None
+        if not math.isfinite(value):
+            raise ParseError(f"{path}: row {rownum}, column {name!r}: non-finite value {cell!r}")
+        row.append(value)
+    return row
+
+
 def load_csv(path, label_column: str) -> Dataset:
     """Load a UTF-8, comma-separated, headered CSV into a Dataset.
 
     Empty feature cells become NaN (missing); labels are mapped to
-    contiguous class indices in order of first appearance.
+    contiguous class indices in order of first appearance. A row is
+    converted whole; one that fails, or holds a non-finite value, is
+    parsed again cell by cell, which reads empty cells as NaN and names
+    the row and column of a bad one.
     """
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
@@ -170,14 +193,14 @@ def load_csv(path, label_column: str) -> Dataset:
         label_idx = header.index(label_column)
         feature_names = tuple(h for i, h in enumerate(header) if i != label_idx)
 
-        rows: list[list[float]] = []
+        values = array("d")  # raw doubles, row after row: no float object outlives its row
         label_values: list[int] = []
         class_names: list[str] = []
         class_index: dict[str, int] = {}
         for rownum, cells in enumerate(reader, start=1):
             if len(cells) != len(header):
                 raise ParseError(f"{path}: row {rownum} has {len(cells)} cells, expected {len(header)}")
-            raw_label = cells[label_idx].strip()
+            raw_label = cells.pop(label_idx).strip()
             if raw_label == "":
                 raise ParseError(f"{path}: row {rownum} has an empty label cell")
             if raw_label not in class_index:
@@ -189,43 +212,49 @@ def load_csv(path, label_column: str) -> Dataset:
                 class_names.append(raw_label)
             label_values.append(class_index[raw_label])
 
-            feat_row = []
-            for i, cell in enumerate(cells):
-                if i == label_idx:
-                    continue
-                cell = cell.strip()
-                if cell == "":
-                    feat_row.append(math.nan)
-                    continue
-                try:
-                    value = float(cell)
-                except ValueError:
-                    raise ParseError(
-                        f"{path}: row {rownum}, column {header[i]!r}: non-numeric cell {cell!r}"
-                    ) from None
-                if not math.isfinite(value):
-                    raise ParseError(
-                        f"{path}: row {rownum}, column {header[i]!r}: non-finite value {cell!r}"
-                    )
-                feat_row.append(value)
-            rows.append(feat_row)
+            try:
+                row = list(map(float, cells))
+            except ValueError:
+                row = None
+            if row is None or not math.isfinite(sum(row)):
+                row = _parse_cells(path, rownum, cells, feature_names)
+            values.fromlist(row)
 
     if len(class_names) < 2:
         raise ValidationError(f"{path}: label column has a single class {class_names!r}")
-    features = np.array(rows, dtype=np.float64).reshape(len(rows), len(feature_names))
+    features = np.frombuffer(values, dtype=np.float64).reshape(len(label_values), len(feature_names))
     labels = np.array(label_values, dtype=np.int64)
     return Dataset(features, labels, feature_names, tuple(class_names), label_column=label_column)
 
 
+def _csv_field(text: str) -> str:
+    """`text` as `csv.writer` writes it in a row of several fields."""
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="").writerow(["", text])
+    return buf.getvalue()[1:]
+
+
 def save_csv(ds: Dataset, path) -> None:
-    """Write a Dataset in the same CSV dialect `load_csv` reads (NaN -> empty cell)."""
+    """Write a Dataset in the same CSV dialect `load_csv` reads (NaN -> empty cell, CRLF line ends)."""
+    labels = [_csv_field(name) for name in ds.class_names]
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(list(ds.feature_names) + [ds.label_column])
-        for i in range(ds.n):
-            row = ["" if math.isnan(v) else repr(float(v)) for v in ds.features[i]]
-            row.append(ds.class_names[ds.labels[i]])
-            writer.writerow(row)
+        csv.writer(fh).writerow(list(ds.feature_names) + [ds.label_column])
+        for row, label in zip(ds.features, ds.labels.tolist()):
+            cells = ["" if v != v else repr(v) for v in row.tolist()]  # v != v: NaN
+            cells.append(labels[label])
+            fh.write(",".join(cells) + "\r\n")
+
+
+def write_labeled_rows(path, columns: list[str], matrix: np.ndarray, labels) -> None:
+    """Write float rows, each followed by its integer label, as CSV with LF line ends.
+
+    `columns` names the float columns; the label column is `label`. Floats
+    are written with `repr`, so they read back bit-exact.
+    """
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(",".join(columns) + ",label\n")
+        for row, label in zip(matrix, np.asarray(labels, dtype=np.int64).tolist()):
+            fh.write(",".join(map(repr, row.tolist())) + f",{label}\n")
 
 
 def fit_preprocess(train: Dataset) -> NormStats:

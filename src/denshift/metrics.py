@@ -63,14 +63,20 @@ class CalibrationTable:
 
     def to_csv(self, path) -> None:
         lines = ["bin_lo,bin_hi,mean_pred,frac_pos,count"]
-        for i in range(self.count.size):
-            mp = "" if np.isnan(self.mean_pred[i]) else repr(float(self.mean_pred[i]))
-            fp = "" if np.isnan(self.frac_pos[i]) else repr(float(self.frac_pos[i]))
-            lines.append(
-                f"{repr(float(self.bin_lo[i]))},{repr(float(self.bin_hi[i]))},{mp},{fp},{int(self.count[i])}"
-            )
+        for lo, hi, mp, fp, n in zip(self.bin_lo.tolist(), self.bin_hi.tolist(), self.mean_pred.tolist(),
+                                     self.frac_pos.tolist(), self.count.tolist()):
+            mp = "" if mp != mp else repr(mp)  # empty bins hold NaN
+            fp = "" if fp != fp else repr(fp)
+            lines.append(f"{lo!r},{hi!r},{mp},{fp},{n}")
         with open(path, "w", encoding="utf-8") as fh:
             fh.write("\n".join(lines) + "\n")
+
+
+def _tie_bounds(sorted_scores: np.ndarray) -> np.ndarray:
+    """Start of each run of equal values in a sorted vector, then the vector's length."""
+    edge = np.ones(sorted_scores.size + 1, dtype=bool)
+    np.not_equal(sorted_scores[1:], sorted_scores[:-1], out=edge[1:-1])
+    return np.flatnonzero(edge)
 
 
 def _rank_auc(scores: np.ndarray, positives: np.ndarray) -> float:
@@ -80,15 +86,10 @@ def _rank_auc(scores: np.ndarray, positives: np.ndarray) -> float:
     if n_pos == 0 or n_neg == 0:
         raise ValidationError("AUC-ROC needs both classes present")
     order = np.argsort(scores, kind="stable")
-    sorted_scores = scores[order]
+    bounds = _tie_bounds(scores[order])
     ranks = np.empty(scores.size, dtype=np.float64)
-    i = 0
-    while i < scores.size:
-        j = i
-        while j + 1 < scores.size and sorted_scores[j + 1] == sorted_scores[i]:
-            j += 1
-        ranks[order[i : j + 1]] = 0.5 * (i + j) + 1.0  # average of 1-based ranks i+1..j+1
-        i = j + 1
+    # the tie group [start, stop) gets the average of the 1-based ranks start+1..stop
+    ranks[order] = np.repeat(0.5 * (bounds[:-1] + bounds[1:] - 1) + 1.0, np.diff(bounds))
     rank_sum_pos = ranks[positives].sum()
     u = rank_sum_pos - n_pos * (n_pos + 1) / 2.0
     return float(u / (n_pos * n_neg))
@@ -105,21 +106,11 @@ def auc_prc(s: ScoredSet) -> float:
     if n_pos == 0:
         raise ValidationError("AUC-PRC needs at least one positive")
     order = np.argsort(-s.scores, kind="stable")
-    scores = s.scores[order]
-    labels = s.labels[order]
-    ap = 0.0
-    tp = 0
-    i = 0
-    while i < scores.size:
-        j = i
-        while j + 1 < scores.size and scores[j + 1] == scores[i]:
-            j += 1
-        tp_group = int(labels[i : j + 1].sum())
-        tp += tp_group
-        if tp_group:
-            ap += (tp_group / n_pos) * (tp / (j + 1))
-        i = j + 1
-    return float(ap)
+    bounds = _tie_bounds(s.scores[order])
+    tp_group = np.add.reduceat(s.labels[order], bounds[:-1])
+    terms = (tp_group / n_pos) * (np.cumsum(tp_group) / bounds[1:])
+    # cumsum adds left to right like a running sum; np.sum's pairwise order would change the last bits
+    return float(np.cumsum(terms)[-1])
 
 
 def brier(s: ScoredSet) -> float:
@@ -173,12 +164,8 @@ def calibration_bins(s: ScoredSet, n_bins: int = 10) -> CalibrationTable:
     return CalibrationTable(edges[:-1], edges[1:], mean_pred, frac_pos, count)
 
 
-def macro_micro_auc(score_matrix: np.ndarray, label_matrix: np.ndarray) -> tuple[float, float]:
-    """One-vs-rest AUCs for single-label multi-class scores.
-
-    macro: unweighted mean of per-class AUC-ROC; micro: AUC-ROC over the
-    flattened (score, indicator) pairs of all classes.
-    """
+def macro_auc(score_matrix: np.ndarray, label_matrix: np.ndarray) -> float:
+    """Unweighted mean of the one-vs-rest AUC-ROC of each class of single-label N x C scores."""
     scores = np.asarray(score_matrix, dtype=np.float64)
     labels = np.asarray(label_matrix, dtype=np.float64)
     if scores.ndim != 2 or scores.shape != labels.shape:
@@ -191,8 +178,19 @@ def macro_micro_auc(score_matrix: np.ndarray, label_matrix: np.ndarray) -> tuple
         if not pos.any() or pos.all():
             raise ValidationError(f"class {c} absent (or exhaustive) in labels")
         per_class.append(_rank_auc(scores[:, c], pos))
-    micro = _rank_auc(scores.reshape(-1), labels.reshape(-1) == 1.0)
-    return float(np.mean(per_class)), micro
+    return float(np.mean(per_class))
+
+
+def macro_micro_auc(score_matrix: np.ndarray, label_matrix: np.ndarray) -> tuple[float, float]:
+    """One-vs-rest AUCs for single-label multi-class scores.
+
+    macro: `macro_auc`; micro: AUC-ROC over the flattened (score, indicator)
+    pairs of all classes.
+    """
+    macro = macro_auc(score_matrix, label_matrix)
+    scores = np.asarray(score_matrix, dtype=np.float64).reshape(-1)
+    labels = np.asarray(label_matrix, dtype=np.float64).reshape(-1)
+    return macro, _rank_auc(scores, labels == 1.0)
 
 
 def nll(logits: np.ndarray, labels, temperature: float = 1.0) -> float:

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import NormStats
+from .data import NormStats, write_labeled_rows
 from .errors import NumericalError, ValidationError
 
 CHECKPOINT_VERSION = "denshift-checkpoint-1"
@@ -337,12 +337,7 @@ def export_embeddings(params: ModelParams, x: np.ndarray, labels, path=None) -> 
     if labels.shape != (hidden.shape[0],):
         raise ValidationError("need one label per row")
     if path is not None:
-        cols = [f"e{j}" for j in range(hidden.shape[1])] + ["label"]
-        lines = [",".join(cols)]
-        for i in range(hidden.shape[0]):
-            lines.append(",".join(repr(float(v)) for v in hidden[i]) + f",{labels[i]}")
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write("\n".join(lines) + "\n")
+        write_labeled_rows(path, [f"e{j}" for j in range(hidden.shape[1])], hidden, labels)
     return hidden
 
 

@@ -20,7 +20,7 @@ import numpy as np
 from .data import Dataset
 from .errors import NumericalError, UnsupportedTaskError, ValidationError
 from .losses import CostParams, DahConfig, ce, cost_loss, current_costs, dah_softmax, focal, softmax
-from .metrics import ScoredSet, auc_prc, auc_roc, macro_micro_auc, split_report
+from .metrics import ScoredSet, auc_prc, auc_roc, macro_auc, split_report
 from .nn import ModelParams, OptState, backward, forward, init_mlp, opt_step
 from .sampling import BatchPair, SamplerState, epoch_batches
 
@@ -60,6 +60,21 @@ class TrainConfig:
             raise ValidationError(f"learning_rate must be finite and > 0, got {self.learning_rate}")
         if not self.lambda_cost >= 0:
             raise ValidationError(f"lambda_cost must be >= 0, got {self.lambda_cost}")
+        if not self.theta > 0:
+            raise ValidationError(f"theta must be > 0, got {self.theta}")
+        if not self.offset >= 0:
+            raise ValidationError(f"offset must be >= 0, got {self.offset}")
+        if not self.gamma >= 0:
+            raise ValidationError(f"gamma must be >= 0, got {self.gamma}")
+        for name in ("q_regular", "q_balanced"):
+            if not 0 <= getattr(self, name) <= 1:
+                raise ValidationError(f"{name} must be in [0, 1], got {getattr(self, name)}")
+        if self.hidden < 1:
+            raise ValidationError(f"hidden must be >= 1, got {self.hidden}")
+        if self.depth < 2:
+            raise ValidationError(f"depth must be >= 2, got {self.depth}")
+        if self.margin_scale is not None and not self.margin_scale > 0:
+            raise ValidationError(f"margin_scale must be > 0 or null, got {self.margin_scale}")
 
 
 @dataclass(frozen=True)
@@ -174,9 +189,7 @@ def _val_metrics(params: ModelParams, val: Dataset, head: str) -> tuple[float, f
     if val.n_classes == 2:
         scored = ScoredSet(probs[:, 1], val.labels)
         return auc_roc(scored), auc_prc(scored)
-    onehot = np.eye(val.n_classes)[val.labels]
-    macro, _ = macro_micro_auc(probs, onehot)
-    return macro, float("nan")
+    return macro_auc(probs, np.eye(val.n_classes)[val.labels]), float("nan")
 
 
 def train(cfg: TrainConfig, splits: tuple[Dataset, Dataset]) -> tuple[ModelParams, TrainHistory]:

@@ -253,6 +253,14 @@ class TestOtherCommands:
         assert "learning_rate" in capsys.readouterr().err
         assert not (out / "report.json").exists()
 
+    @pytest.mark.parametrize("field, value", [("theta", 0), ("q_regular", 2), ("hidden", 0)])
+    def test_bad_train_field_is_exit_one_naming_it(self, tmp_path, capsys, field, value):
+        out = tmp_path / "bad"
+        path = write_cfg(tmp_path, {"train": {field: value}, "output_dir": str(out)})
+        assert main(["train", "--config", str(path), "--variant", "base"]) == 1
+        assert field in capsys.readouterr().err
+        assert not (out / "report.json").exists()
+
     def test_numeric_overflow_is_exit_two(self, tmp_path, capsys):
         out = tmp_path / "blowup"
         path = write_cfg(tmp_path, {"train": {"optimizer": "sgd", "learning_rate": 1000},

@@ -1,6 +1,10 @@
+import math
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from denshift.data import (
@@ -17,6 +21,12 @@ from denshift.data import (
 from denshift.errors import ParseError, SchemaError, ValidationError
 
 from oracles import logistic_regression_auc
+
+# feature cells save_csv must round-trip: any finite float, the extremes, and missing (NaN)
+CSV_CELLS = st.one_of(
+    st.sampled_from([1e308, -1e308, 5e-324, -5e-324, -0.0, 0.0, math.nan]),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
 
 
 def write(tmp_path, text, name="data.csv"):
@@ -66,6 +76,71 @@ class TestLoadCsv:
         with pytest.raises(ParseError):
             load_csv(p, "label")
 
+
+    def test_nan_text_rejected(self, tmp_path):
+        p = write(tmp_path, "a,label\n1,x\nnan,y\n")
+        with pytest.raises(ParseError, match="row 2, column 'a': non-finite value 'nan'"):
+            load_csv(p, "label")
+
+    @pytest.mark.parametrize("cell", ["-inf", "1e999"])
+    def test_non_finite_cell_rejected(self, tmp_path, cell):
+        p = write(tmp_path, f"a,b,label\n1,{cell},x\n1,2,y\n")
+        with pytest.raises(ParseError, match=f"row 1, column 'b': non-finite value '{cell}'"):
+            load_csv(p, "label")
+
+    def test_whitespace_only_cell_is_missing(self, tmp_path):
+        p = write(tmp_path, "a,b,label\n1,   ,x\n2,3,y\n")
+        ds = load_csv(p, "label")
+        assert np.isnan(ds.features[0, 1])
+        assert ds.features[1].tolist() == [2.0, 3.0]
+
+    def test_padded_number_parses(self, tmp_path):
+        p = write(tmp_path, "a,label\n 1.5 ,x\n2,y\n")
+        assert load_csv(p, "label").features[:, 0].tolist() == [1.5, 2.0]
+
+    def test_finite_cells_whose_sum_overflows_are_kept(self, tmp_path):
+        p = write(tmp_path, "a,b,label\n1e308,1e308,x\n-1e308,-1e308,y\n")
+        assert load_csv(p, "label").features.tolist() == [[1e308, 1e308], [-1e308, -1e308]]
+
+    def test_bad_cell_after_many_good_rows_names_row_and_column(self, tmp_path):
+        good = "".join(f"{i},{i % 2},{0.5 * i}\n" for i in range(500))
+        p = write(tmp_path, "a,label,b\n" + good + "1,0,2x\n")
+        with pytest.raises(ParseError, match="row 501, column 'b': non-numeric cell '2x'"):
+            load_csv(p, "label")
+
+    def test_blank_line_mid_file_rejected(self, tmp_path):
+        p = write(tmp_path, "a,label\n1,x\n\n2,y\n")
+        with pytest.raises(ParseError, match="row 2 has 0 cells"):
+            load_csv(p, "label")
+
+
+class TestSaveCsv:
+    def test_exact_bytes(self, tmp_path):
+        feats = np.array([[1.5, np.nan], [-0.0, 1e-300], [np.nan, np.nan]])
+        ds = Dataset(feats, np.array([0, 1, 0]), ("a", "b"), ("x,y", 'say "hi"'), label_column="out")
+        path = tmp_path / "s.csv"
+        save_csv(ds, path)
+        assert path.read_bytes() == (
+            b'a,b,out\r\n1.5,,"x,y"\r\n-0.0,1e-300,"say ""hi"""\r\n,,"x,y"\r\n'
+        )
+        back = load_csv(path, "out")
+        assert back.class_names == ("x,y", 'say "hi"')
+        assert back.labels.tolist() == [0, 1, 0]
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 4).flatmap(
+        lambda d: st.lists(st.lists(CSV_CELLS, min_size=d, max_size=d), min_size=2, max_size=8)))
+    @example([[1e308, math.nan], [5e-324, -0.0]])
+    def test_round_trip_is_bit_exact(self, rows):
+        feats = np.array(rows, dtype=np.float64)
+        labels = np.arange(len(rows)) % 2
+        ds = Dataset(feats, labels, tuple(f"f{j}" for j in range(feats.shape[1])), ("neg", "pos"))
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "r.csv"
+            save_csv(ds, path)
+            back = load_csv(path, "label")
+        assert back.features.tobytes() == feats.tobytes()  # NaN, -0.0 and subnormals included
+        assert back.labels.tolist() == labels.tolist()
 
 class TestPreprocess:
     def make(self, column):

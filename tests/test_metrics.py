@@ -12,6 +12,7 @@ from denshift.metrics import (
     brier,
     bss,
     calibration_bins,
+    macro_auc,
     macro_micro_auc,
     nll,
     score_report,
@@ -36,6 +37,52 @@ def _random_scored(seed):
     if labels.sum() == n:
         labels[0] = 0
     return ScoredSet(scores, labels)
+
+
+# The element-at-a-time tie loops the vectorised metrics replaced. The
+# arithmetic is unchanged, so the two must agree bit for bit.
+
+
+def loop_rank_auc(scores, positives):
+    n_pos = int(positives.sum())
+    n_neg = positives.size - n_pos
+    order = np.argsort(scores, kind="stable")
+    sorted_scores = scores[order]
+    ranks = np.empty(scores.size, dtype=np.float64)
+    i = 0
+    while i < scores.size:
+        j = i
+        while j + 1 < scores.size and sorted_scores[j + 1] == sorted_scores[i]:
+            j += 1
+        ranks[order[i : j + 1]] = 0.5 * (i + j) + 1.0
+        i = j + 1
+    u = ranks[positives].sum() - n_pos * (n_pos + 1) / 2.0
+    return float(u / (n_pos * n_neg))
+
+
+def loop_average_precision(s):
+    n_pos = int(s.labels.sum())
+    order = np.argsort(-s.scores, kind="stable")
+    scores, labels = s.scores[order], s.labels[order]
+    ap, tp, i = 0.0, 0, 0
+    while i < scores.size:
+        j = i
+        while j + 1 < scores.size and scores[j + 1] == scores[i]:
+            j += 1
+        tp_group = int(labels[i : j + 1].sum())
+        tp += tp_group
+        if tp_group:
+            ap += (tp_group / n_pos) * (tp / (j + 1))
+        i = j + 1
+    return float(ap)
+
+
+def _large_scored(seed, tied):
+    rng = np.random.default_rng(seed)
+    scores = rng.random(20_000)
+    if tied:
+        scores = np.round(scores, 2)
+    return ScoredSet(scores, (rng.random(scores.size) < 0.05 + 0.4 * scores).astype(np.int64))
 
 
 class TestScoredSet:
@@ -69,6 +116,16 @@ class TestAucRoc:
     @settings(max_examples=150, deadline=None)
     def test_matches_pairwise_oracle(self, s):
         assert abs(auc_roc(s) - pairwise_auc(s.scores, s.labels)) < 1e-12
+
+    @given(scored_sets)
+    @settings(max_examples=80, deadline=None)
+    def test_bit_equal_to_loop_reference(self, s):
+        assert auc_roc(s) == loop_rank_auc(s.scores, s.labels == 1)
+
+    @pytest.mark.parametrize("tied", [False, True])
+    def test_bit_equal_to_loop_reference_on_large_sets(self, tied):
+        s = _large_scored(3, tied)
+        assert auc_roc(s) == loop_rank_auc(s.scores, s.labels == 1)
 
     @given(scored_sets)
     @settings(max_examples=80, deadline=None)
@@ -107,6 +164,16 @@ class TestAucPrc:
     @settings(max_examples=150, deadline=None)
     def test_matches_cutoff_oracle(self, s):
         assert abs(auc_prc(s) - cutoff_average_precision(s.scores, s.labels)) < 1e-12
+
+    @given(scored_sets)
+    @settings(max_examples=80, deadline=None)
+    def test_bit_equal_to_loop_reference(self, s):
+        assert auc_prc(s) == loop_average_precision(s)
+
+    @pytest.mark.parametrize("tied", [False, True])
+    def test_bit_equal_to_loop_reference_on_large_sets(self, tied):
+        s = _large_scored(4, tied)
+        assert auc_prc(s) == loop_average_precision(s)
 
 
 class TestBrierSkill:
@@ -192,6 +259,18 @@ class TestCalibration:
         assert lines[0] == "bin_lo,bin_hi,mean_pred,frac_pos,count"
         assert len(lines) == 11
 
+    def test_csv_exact_bytes_with_empty_bin(self, tmp_path):
+        table = calibration_bins(ScoredSet(np.array([0.1, 0.2, 0.9]), np.array([0, 1, 1])), 2)
+        path = tmp_path / "cal.csv"
+        table.to_csv(path)
+        assert path.read_bytes() == (
+            b"bin_lo,bin_hi,mean_pred,frac_pos,count\n"
+            b"0.0,0.5,0.15000000000000002,0.5,2\n0.5,1.0,0.9,1.0,1\n"
+        )
+        empty = calibration_bins(ScoredSet(np.array([0.1, 0.3]), np.array([0, 1])), 2)
+        empty.to_csv(path)
+        assert path.read_text().splitlines()[2] == "0.5,1.0,,,0"
+
 
 class TestMacroMicro:
     def test_binary_macro_equals_positive_auc(self):
@@ -234,6 +313,14 @@ class TestMacroMicro:
         onehot = np.eye(3)[np.array([0, 0, 1, 1, 0])]  # class 2 unseen
         with pytest.raises(ValidationError):
             macro_micro_auc(scores, onehot)
+        with pytest.raises(ValidationError):
+            macro_auc(scores, onehot)
+
+    def test_macro_auc_is_the_macro_half(self):
+        rng = np.random.default_rng(11)
+        scores = np.round(softmax(rng.normal(size=(300, 4))), 2)
+        onehot = np.eye(4)[rng.integers(0, 4, size=300)]
+        assert macro_auc(scores, onehot) == macro_micro_auc(scores, onehot)[0]
 
 
 class TestTemperature:

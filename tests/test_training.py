@@ -45,8 +45,24 @@ class TestConfigValidation:
         with pytest.raises(ValidationError, match="lambda_cost"):
             TrainConfig(lambda_cost=lam)
 
+    @pytest.mark.parametrize("field, value", [
+        ("theta", 0.0), ("theta", -1.0), ("theta", float("nan")),
+        ("offset", -0.01), ("offset", float("nan")),
+        ("gamma", -0.5), ("gamma", float("nan")),
+        ("q_regular", -0.1), ("q_regular", 2.0), ("q_regular", float("nan")),
+        ("q_balanced", -0.1), ("q_balanced", 1.5),
+        ("hidden", 0), ("hidden", -3),
+        ("depth", 1), ("depth", 0),
+        ("margin_scale", 0.0), ("margin_scale", -0.5), ("margin_scale", float("nan")),
+    ])
+    def test_bad_value_names_its_field(self, field, value):
+        with pytest.raises(ValidationError, match=field):
+            TrainConfig(**{field: value})
+
     def test_boundary_values_accepted(self):
-        TrainConfig(learning_rate=1e-12, lambda_cost=0.0)
+        TrainConfig(learning_rate=1e-12, lambda_cost=0.0, offset=0.0, gamma=0.0,
+                    q_regular=0.0, q_balanced=1.0, hidden=1, depth=2, margin_scale=1e-9)
+        TrainConfig(q_regular=1.0, q_balanced=0.0, margin_scale=None)
 
 
 class TestVariantWiring:
@@ -169,6 +185,26 @@ class TestTrainLoop:
         probs = predict(params, va.features)
         assert probs.shape == (va.n, 3)
         assert max(history.val_auc_roc) > 0.9
+
+    def test_multiclass_validation_ranks_each_class_once(self, monkeypatch):
+        import denshift.metrics as metrics
+        from denshift.data import Dataset
+
+        lengths = []
+        rank_auc = metrics._rank_auc
+
+        def recording(scores, positives):
+            lengths.append(scores.size)
+            return rank_auc(scores, positives)
+
+        monkeypatch.setattr(metrics, "_rank_auc", recording)
+        rng = np.random.default_rng(2)
+        labels = np.repeat([0, 1, 2], 30)
+        ds = Dataset(rng.normal(size=(90, 2)) + labels[:, None], labels, ("a", "b"), ("x", "y", "z"))
+        tr, va, _ = stratified_split(ds, seed=0)
+        _, history = train(TrainConfig(variant="base", epochs=3, early_stop_patience=3), (tr, va))
+        # one AUC per class per epoch, each over the validation rows; no micro AUC over N*C scores
+        assert lengths == [va.n] * (3 * history.epochs_run)
 
     def test_missing_values_rejected(self):
         from denshift.data import Dataset
