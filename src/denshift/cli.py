@@ -52,6 +52,7 @@ from .training import (
     predict,
     run_ablation,
     sweep_theta,
+    table_metrics,
     train,
 )
 
@@ -246,9 +247,9 @@ def _history_csv(path: Path, history) -> None:
 
 
 def cmd_train(cfg: dict) -> int:
+    tcfg = _train_config(cfg)
     out = _out_dir(cfg)
     raw, (tr, va, te), stats = _splits(cfg)
-    tcfg = _train_config(cfg)
     params, history = train(tcfg, (tr, va))
 
     extra = {
@@ -350,27 +351,26 @@ def cmd_eval(cfg: dict, checkpoint_path: str, csv_path: str) -> int:
 
 
 def cmd_ablate(cfg: dict) -> int:
+    tcfg = _train_config(cfg)
     out = _out_dir(cfg)
     _, splits, _ = _splits(cfg)
-    table = run_ablation(_train_config(cfg), splits, seeds=tuple(cfg["ablation"]["seeds"]),
+    table = run_ablation(tcfg, splits, seeds=tuple(cfg["ablation"]["seeds"]),
                          max_workers=_max_workers())
-    columns = ["variant", "n_runs", "auc_roc_mean", "auc_roc_ci95", "auc_prc_mean",
-               "auc_prc_ci95", "bss_mean", "bss_ci95"]
+    metrics = table_metrics(splits[0].n_classes)
+    columns = ["variant", "n_runs"] + [f"{m}_{stat}" for m in metrics for stat in ("mean", "ci95")]
     rows = [{"variant": v, **{k: row[k] for k in columns[1:]}} for v, row in table.items()]
     _write_table(out / "ablation.csv", rows, columns)
     _write_json(out / "ablation.json", {"config_hash": config_hash(cfg), "table": table})
     for row in rows:
-        print(
-            f"{row['variant']:<11} auc_roc={row['auc_roc_mean']:.4f} "
-            f"auc_prc={row['auc_prc_mean']:.4f} bss={row['bss_mean']:.4f}"
-        )
+        print(f"{row['variant']:<11} " + " ".join(f"{m}={row[m + '_mean']:.4f}" for m in metrics))
     return 0
 
 
 def cmd_sweep_theta(cfg: dict) -> int:
+    tcfg = _train_config(cfg)
     out = _out_dir(cfg)
     _, splits, _ = _splits(cfg)
-    rows = sweep_theta(_train_config(cfg), splits, theta_grid=cfg["sweep"]["theta_grid"],
+    rows = sweep_theta(tcfg, splits, theta_grid=cfg["sweep"]["theta_grid"],
                        seeds=tuple(cfg["sweep"]["seeds"]), max_workers=_max_workers())
     columns = ["theta", "n_runs", "auc_roc_mean", "auc_roc_ci95", "auc_prc_mean", "auc_prc_ci95"]
     _write_table(out / "sweep_theta.csv", rows, columns)

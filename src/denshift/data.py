@@ -236,6 +236,10 @@ def _csv_field(text: str) -> str:
 
 def save_csv(ds: Dataset, path) -> None:
     """Write a Dataset in the same CSV dialect `load_csv` reads (NaN -> empty cell, CRLF line ends)."""
+    for name in ds.class_names:
+        if name != name.strip():
+            raise ValidationError(f"class name {name!r} has leading or trailing whitespace, "
+                                  f"which load_csv strips; it would read back as {name.strip()!r}")
     labels = [_csv_field(name) for name in ds.class_names]
     with open(path, "w", newline="", encoding="utf-8") as fh:
         csv.writer(fh).writerow(list(ds.feature_names) + [ds.label_column])

@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 
 from .losses import CostParams, DahConfig
-from .nn import ModelParams, grad_check, init_mlp
+from .nn import grad_check, init_mlp
 from .sampling import BatchPair
 from .training import TrainConfig, VariantSpec, train_step, variant_losses
 
@@ -40,11 +42,11 @@ def gradient_report(
     y_reg = rng.integers(0, n_classes, size=batch_size)
     x_bal = rng.normal(size=(batch_size, input_dim))
     y_bal = rng.integers(0, n_classes, size=batch_size)
-    pair = BatchPair((x_reg, y_reg), (x_bal, y_bal), None, None)
+    pair = BatchPair(np.concatenate((x_reg, x_bal)), np.concatenate((y_reg, y_bal)), None, batch_size)
     init = init_mlp(input_dim, hidden=28, depth=4, n_classes=n_classes, seed=seed + 1)
     n = init.layout.size
     vector = np.append(init.vector, 0.3)  # log cost away from 0 so its gradient is exercised off-init
-    params = ModelParams(vector[:n], init.layout, init.resid_span)
+    params = replace(init, vector=vector[:n])
     cfg = TrainConfig()
     dah_cfg = DahConfig.from_counts(np.linspace(900, 100, n_classes), margin_scale=1.0)
 

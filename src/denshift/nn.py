@@ -5,7 +5,10 @@ head path, ReLU hidden layers of equal width, and one residual skip
 block spanning two middle hidden layers (h_out = relu(W2 relu(W1 h) + b2 + h)).
 Two heads share the backbone; `backward` routes each head's upstream
 gradient only to that head, and the backbone accumulates the sum of
-whatever flows from unmasked heads. Everything is float64.
+whatever flows from unmasked heads. A head's upstream gradient may cover
+only a block of the batch's rows (the regular head the first rows, the
+balanced head the last), so one pass over two stacked batches trains
+each head on its own batch. Everything is float64.
 """
 
 from __future__ import annotations
@@ -206,35 +209,50 @@ def backward(
     trace: ForwardTrace,
     d_logits_regular: np.ndarray | None = None,
     d_logits_balanced: np.ndarray | None = None,
+    out: Gradients | None = None,
 ) -> Gradients:
-    """Exact parameter gradients; pass None to mask a head (its gradients stay zero)."""
+    """Exact parameter gradients, written into `out` (a new buffer when None) and returned.
+
+    Each head's upstream gradient covers a block of the trace's rows: the
+    regular head's the first rows, the balanced head's the last rows, so
+    one stacked pass can train each head on its own batch. A gradient with
+    as many rows as the trace covers all of it. Pass None to mask a head
+    (its gradients are zero); the backbone gets the sum over both blocks.
+    """
     hidden = trace.hidden
-    grads = Gradients(np.zeros(params.layout.size), params.layout)
+    n_rows = hidden.shape[0]
+    grads = Gradients(np.empty(params.layout.size), params.layout) if out is None else out
     gr_regular, gr_balanced = grads.head_regular, grads.head_balanced
     d_hidden = np.zeros_like(hidden)
 
-    if d_logits_regular is not None:
-        gr_regular.W[:] = hidden.T @ d_logits_regular
-        gr_regular.b[:] = d_logits_regular.sum(axis=0)
-        d_hidden += d_logits_regular @ params.head_regular.W.T
+    if d_logits_regular is None:
+        gr_regular.W.fill(0.0)
+        gr_regular.b.fill(0.0)
+    else:
+        rows = slice(0, d_logits_regular.shape[0])
+        np.matmul(hidden[rows].T, d_logits_regular, out=gr_regular.W)
+        np.sum(d_logits_regular, axis=0, out=gr_regular.b)
+        d_hidden[rows] += d_logits_regular @ params.head_regular.W.T
 
-    if d_logits_balanced is not None:
+    if d_logits_balanced is None:
+        gr_balanced.W.fill(0.0)
+        gr_balanced.b.fill(0.0)
+    else:
+        rows = slice(n_rows - d_logits_balanced.shape[0], n_rows)
+        np.sum(d_logits_balanced, axis=0, out=gr_balanced.b)
         if params.normalize_balanced:
-            h_unit, w_unit = trace.hidden_unit, trace.bal_w_unit
+            h_unit, w_unit = trace.hidden_unit[rows], trace.bal_w_unit
             d_w_unit = h_unit.T @ d_logits_balanced
             # project out the radial component of each unit vector's gradient
-            gr_balanced.W[:] = (
-                d_w_unit - w_unit * (w_unit * d_w_unit).sum(axis=0, keepdims=True)
-            ) / trace.bal_w_norms
-            gr_balanced.b[:] = d_logits_balanced.sum(axis=0)
+            np.divide(d_w_unit - w_unit * (w_unit * d_w_unit).sum(axis=0, keepdims=True),
+                      trace.bal_w_norms, out=gr_balanced.W)
             d_h_unit = d_logits_balanced @ w_unit.T
-            d_hidden += (
+            d_hidden[rows] += (
                 d_h_unit - h_unit * (h_unit * d_h_unit).sum(axis=1, keepdims=True)
-            ) / trace.hidden_norms
+            ) / trace.hidden_norms[rows]
         else:
-            gr_balanced.W[:] = hidden.T @ d_logits_balanced
-            gr_balanced.b[:] = d_logits_balanced.sum(axis=0)
-            d_hidden += d_logits_balanced @ params.head_balanced.W.T
+            np.matmul(hidden[rows].T, d_logits_balanced, out=gr_balanced.W)
+            d_hidden[rows] += d_logits_balanced @ params.head_balanced.W.T
 
     n_backbone = len(params.backbone)
     skip_extra: list[np.ndarray | None] = [None] * n_backbone
@@ -245,9 +263,10 @@ def backward(
             da = da + skip_extra[l]
         dz = da * (trace.pre[l] > 0)
         a_in = trace.act[l - 1] if l > 0 else trace.x
-        grads.backbone[l].W[:] = a_in.T @ dz
-        grads.backbone[l].b[:] = dz.sum(axis=0)
-        da = dz @ params.backbone[l].W.T
+        np.matmul(a_in.T, dz, out=grads.backbone[l].W)
+        np.sum(dz, axis=0, out=grads.backbone[l].b)
+        if l > 0:  # the input's own gradient is never needed
+            da = dz @ params.backbone[l].W.T
         if span is not None and l == span[1]:
             skip_extra[span[0] - 1] = dz
     return grads

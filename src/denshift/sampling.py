@@ -4,7 +4,7 @@ Class j is drawn with probability n_j^q / sum_c n_c^q, then an instance
 uniformly within the class, with replacement. q=1 reproduces regular
 random sampling (instance-uniform), q=0 class-balanced sampling. A
 SamplerState pairs one regular stream with one balanced stream so the
-decoupled trainer gets both batches per step.
+decoupled trainer gets both batches per step, stacked in one array.
 """
 
 from __future__ import annotations
@@ -20,12 +20,32 @@ from .errors import ValidationError
 
 @dataclass
 class BatchPair:
-    """One step's worth of data: a regular-sampled batch and a balanced one."""
+    """One step's worth of data: a regular-sampled batch stacked above a balanced one.
 
-    regular: tuple[np.ndarray, np.ndarray]
-    balanced: tuple[np.ndarray, np.ndarray]
-    regular_idx: np.ndarray
-    balanced_idx: np.ndarray
+    `x`, `y` and `idx` hold the regular rows first, then the balanced rows;
+    `regular`, `balanced` and their indices are views of the two halves.
+    """
+
+    x: np.ndarray
+    y: np.ndarray
+    idx: np.ndarray | None
+    n_regular: int
+
+    @property
+    def regular(self) -> tuple[np.ndarray, np.ndarray]:
+        return self.x[:self.n_regular], self.y[:self.n_regular]
+
+    @property
+    def balanced(self) -> tuple[np.ndarray, np.ndarray]:
+        return self.x[self.n_regular:], self.y[self.n_regular:]
+
+    @property
+    def regular_idx(self) -> np.ndarray:
+        return self.idx[:self.n_regular]
+
+    @property
+    def balanced_idx(self) -> np.ndarray:
+        return self.idx[self.n_regular:]
 
 
 def class_probs(class_counts, q: float) -> np.ndarray:
@@ -82,17 +102,13 @@ class SamplerState:
 
 
 def next_batch_pair(sampler: SamplerState, ds: Dataset) -> BatchPair:
-    """Draw one regular batch and one balanced batch, with replacement."""
+    """Draw one regular batch and one balanced batch, with replacement, and gather both at once."""
     if ds.n != sampler.n:
         raise ValidationError("sampler is bound to a different split")
     reg_idx = sampler._draw(sampler.cdf_regular)
     bal_idx = sampler._draw(sampler.cdf_balanced)
-    return BatchPair(
-        regular=(ds.features[reg_idx], ds.labels[reg_idx]),
-        balanced=(ds.features[bal_idx], ds.labels[bal_idx]),
-        regular_idx=reg_idx,
-        balanced_idx=bal_idx,
-    )
+    idx = np.concatenate((reg_idx, bal_idx))
+    return BatchPair(ds.features[idx], ds.labels[idx], idx, reg_idx.size)
 
 
 def epoch_batches(sampler: SamplerState, ds: Dataset):

@@ -1,19 +1,26 @@
 """Decoupled dual-batch training, the ablation variant grid, and the theta sweep.
 
-Each step draws a regular batch and a class-balanced batch. Both pass
-through the shared backbone; the regular head is optimized only on the
-regular batch and the balanced head only on the balanced batch, with the
-backbone accumulating the sum of both gradients. Model selection is by
-validation AUC-ROC of the inference head (the balanced one when it is
-trained), with early stopping after `early_stop_patience` epochs without
-improvement.
+Each step draws a regular batch and a class-balanced batch, stacked in
+one array, regular rows first. Dual-stream variants run the stacked rows
+through the shared backbone in one forward and one backward pass; the
+regular head's loss reads only its logits on the regular rows and the
+balanced head's only its logits on the balanced rows, so each head is
+optimized on its own batch alone while the backbone gets the sum of both
+gradients. Single-stream variants run the regular rows alone. The
+gradient buffer is allocated once per run, and one optimizer step
+updates one vector: the parameters, then log C_FP when the cost term
+trains. Model selection is by validation AUC-ROC of the inference head
+(the balanced one when it is trained), with early stopping after
+`early_stop_patience` epochs without improvement.
 """
 
 from __future__ import annotations
 
+import numbers
+import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -21,10 +28,29 @@ from .data import Dataset
 from .errors import NumericalError, UnsupportedTaskError, ValidationError
 from .losses import CostParams, DahConfig, ce, cost_loss, current_costs, dah_softmax, focal, softmax
 from .metrics import ScoredSet, auc_prc, auc_roc, macro_auc, split_report
-from .nn import ModelParams, OptState, backward, forward, init_mlp, opt_step
+from .nn import Gradients, ModelParams, OptState, backward, forward, init_mlp, opt_step
 from .sampling import BatchPair, SamplerState, epoch_batches
 
 VARIANTS = ("base", "decoupling", "dah", "focal", "cost", "full")
+
+
+def _is_int(v) -> bool:
+    return isinstance(v, numbers.Integral) and not isinstance(v, bool)
+
+
+def _is_real(v) -> bool:
+    """A finite number that a float64 can hold (NaN fails the comparison)."""
+    return isinstance(v, numbers.Real) and not isinstance(v, bool) and abs(v) <= sys.float_info.max
+
+
+# TrainConfig field annotation -> (does a value have that type, how an error message names it)
+_FIELD_TYPES = {
+    "str": (lambda v: isinstance(v, str), "a string"),
+    "int": (_is_int, "an integer"),
+    "float": (_is_real, "a finite number"),
+    "float | None": (lambda v: v is None or _is_real(v), "a finite number or null"),
+    "bool": (lambda v: isinstance(v, bool), "true or false"),
+}
 
 
 @dataclass(frozen=True)
@@ -48,16 +74,23 @@ class TrainConfig:
     normalize_balanced: bool = False
 
     def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            has_type, expected = _FIELD_TYPES[f.type]
+            if not has_type(value):
+                raise ValidationError(f"{f.name} must be {expected}, got {value!r}")
         if self.variant not in VARIANTS:
             raise ValidationError(f"variant must be one of {VARIANTS}, got {self.variant!r}")
+        if self.seed < 0:
+            raise ValidationError(f"seed must be >= 0, got {self.seed}")
         if self.epochs < 1:
-            raise ValidationError("epochs must be >= 1")
+            raise ValidationError(f"epochs must be >= 1, got {self.epochs}")
         if self.early_stop_patience < 0:
-            raise ValidationError("patience must be >= 0")
+            raise ValidationError(f"early_stop_patience must be >= 0, got {self.early_stop_patience}")
         if self.batch_size < 1:
-            raise ValidationError("batch_size must be >= 1")
-        if not (np.isfinite(self.learning_rate) and self.learning_rate > 0):
-            raise ValidationError(f"learning_rate must be finite and > 0, got {self.learning_rate}")
+            raise ValidationError(f"batch_size must be >= 1, got {self.batch_size}")
+        if not self.learning_rate > 0:
+            raise ValidationError(f"learning_rate must be > 0, got {self.learning_rate}")
         if not self.lambda_cost >= 0:
             raise ValidationError(f"lambda_cost must be >= 0, got {self.lambda_cost}")
         if not self.theta > 0:
@@ -75,6 +108,8 @@ class TrainConfig:
             raise ValidationError(f"depth must be >= 2, got {self.depth}")
         if self.margin_scale is not None and not self.margin_scale > 0:
             raise ValidationError(f"margin_scale must be > 0 or null, got {self.margin_scale}")
+        if self.optimizer not in ("sgd", "adam"):
+            raise ValidationError(f"optimizer must be 'sgd' or 'adam', got {self.optimizer!r}")
 
 
 @dataclass(frozen=True)
@@ -157,31 +192,30 @@ def _head_loss(terms, z, y, cfg, dah_cfg, cost_params):
 
 
 def train_step(params: ModelParams, pair: BatchPair, spec: VariantSpec, cfg: TrainConfig,
-               dah_cfg: DahConfig | None,
-               cost_params: CostParams | None) -> tuple[float, float, np.ndarray, float]:
+               dah_cfg: DahConfig | None, cost_params: CostParams | None,
+               out: Gradients | None = None) -> tuple[float, float, np.ndarray, float]:
     """Losses and gradients of one decoupled step; parameters are not updated.
 
-    The regular batch trains the regular head; for dual-stream variants the
-    balanced batch trains the balanced head and the backbone gets the sum of
-    both gradients. Returns (loss_regular, loss_balanced (NaN when single
-    stream), gradient laid out like `params.vector`, d/dlog_cfp).
+    One forward and one backward pass: over the stacked regular and
+    balanced rows for dual-stream variants, over the regular rows alone
+    otherwise. Each head's loss reads its own head's logits on its own
+    rows. Returns (loss_regular, loss_balanced (NaN when single stream),
+    gradient laid out like `params.vector` (the vector of `out` when
+    given), d/dlog_cfp).
     """
-    xr, yr = pair.regular
-    trace_r = forward(params, xr)
+    n_reg = pair.n_regular
+    trace = forward(params, pair.x if spec.dual_stream else pair.x[:n_reg])
     loss_r, d_r, d_cost = _head_loss(
-        spec.regular_terms, trace_r.logits_regular, yr, cfg, dah_cfg, cost_params
+        spec.regular_terms, trace.logits_regular[:n_reg], pair.y[:n_reg], cfg, dah_cfg, cost_params
     )
-    grad = backward(params, trace_r, d_logits_regular=d_r).vector
-    loss_b = float("nan")
+    loss_b, d_b = float("nan"), None
     if spec.dual_stream:
-        xb, yb = pair.balanced
-        trace_b = forward(params, xb)
         loss_b, d_b, dcost_b = _head_loss(
-            spec.balanced_terms, trace_b.logits_balanced, yb, cfg, dah_cfg, cost_params
+            spec.balanced_terms, trace.logits_balanced[n_reg:], pair.y[n_reg:], cfg, dah_cfg, cost_params
         )
-        grad += backward(params, trace_b, d_logits_balanced=d_b).vector
         d_cost += dcost_b
-    return loss_r, loss_b, grad, d_cost
+    grads = backward(params, trace, d_r, d_b, out)
+    return loss_r, loss_b, grads.vector, d_cost
 
 
 def _val_metrics(params: ModelParams, val: Dataset, head: str) -> tuple[float, float]:
@@ -202,20 +236,23 @@ def train(cfg: TrainConfig, splits: tuple[Dataset, Dataset]) -> tuple[ModelParam
         raise UnsupportedTaskError("cost-matrix variants support binary tasks only")
 
     t0 = time.perf_counter()
-    params = init_mlp(
+    init = init_mlp(
         train_ds.dim, cfg.hidden, cfg.depth, train_ds.n_classes,
         seed=cfg.seed, normalize_balanced=cfg.normalize_balanced,
     )
+    # the optimizer updates one vector: the parameters, then log C_FP when the cost term trains
+    n = init.layout.size
+    state = np.append(init.vector, 0.0) if spec.uses_cost else init.vector
+    params = replace(init, vector=state[:n])
+    grad = np.empty_like(state)
+    grads = Gradients(grad[:n], init.layout)
     sampler = SamplerState(
         train_ds, cfg.batch_size, seed=cfg.seed,
         q_regular=cfg.q_regular, q_balanced=cfg.q_balanced,
     )
     dah_cfg = DahConfig.from_counts(train_ds.class_counts, cfg.margin_scale) if spec.uses_dah else None
     cost_params = CostParams(0.0, cfg.theta, cfg.offset) if spec.uses_cost else None
-    cost_arr = np.zeros(1) if spec.uses_cost else None
-
-    arrays = [params.vector] if cost_arr is None else [params.vector, cost_arr]
-    opt = OptState.for_arrays(arrays, cfg.optimizer, cfg.learning_rate)
+    opt = OptState.for_arrays([state], cfg.optimizer, cfg.learning_rate)
 
     history = TrainHistory()
     best_auc = -np.inf
@@ -228,17 +265,18 @@ def train(cfg: TrainConfig, splits: tuple[Dataset, Dataset]) -> tuple[ModelParam
             for epoch in range(cfg.epochs):
                 sum_r = sum_b = 0.0
                 for step, pair in enumerate(epoch_batches(sampler, train_ds)):
-                    loss_r, loss_b, grad, d_cost = train_step(params, pair, spec, cfg, dah_cfg, cost_params)
+                    loss_r, loss_b, _, d_cost = train_step(params, pair, spec, cfg, dah_cfg, cost_params, grads)
                     if not np.isfinite(loss_r) or (spec.dual_stream and not np.isfinite(loss_b)):
                         costs = current_costs(cost_params) if cost_params else None
                         raise NumericalError(
                             f"non-finite loss at epoch {epoch} step {step}: "
                             f"regular={loss_r} balanced={loss_b} costs={costs}"
                         )
-                    grads = [grad] if cost_arr is None else [grad, np.array([d_cost])]
-                    opt_step(arrays, grads, opt)
-                    if cost_arr is not None:
-                        cost_params.log_cfp = float(cost_arr[0])
+                    if cost_params is not None:
+                        grad[n] = d_cost
+                    opt_step([state], [grad], opt)
+                    if cost_params is not None:
+                        cost_params.log_cfp = float(state[n])
                     sum_r += loss_r
                     sum_b += loss_b
 
@@ -343,6 +381,11 @@ def sweep_theta(
     return rows
 
 
+def table_metrics(n_classes: int) -> tuple[str, ...]:
+    """Test metrics an ablation table aggregates: binary scores, or macro/micro AUC for multi-class."""
+    return ("auc_roc", "auc_prc", "bss") if n_classes == 2 else ("macro_auc", "micro_auc")
+
+
 def run_ablation(
     cfg: TrainConfig,
     splits: tuple[Dataset, Dataset, Dataset],
@@ -350,8 +393,13 @@ def run_ablation(
     seeds=(0, 1, 2, 3, 4),
     max_workers: int = 1,
 ) -> dict:
-    """Train every variant on identical splits with shared seeds; consolidated metric table."""
+    """Train every variant on identical splits with shared seeds; consolidated metric table.
+
+    On multi-class data the binary-only cost variants are skipped.
+    """
     train_ds, val_ds, test_ds = splits
+    if train_ds.n_classes != 2:
+        variants = tuple(v for v in variants if not variant_losses(v).uses_cost)
     jobs = [
         (replace(cfg, variant=v, seed=s), train_ds, val_ds, test_ds)
         for v in variants for s in seeds
@@ -361,7 +409,7 @@ def run_ablation(
     for v in variants:
         runs = [r for r in results if r["variant"] == v]
         row = {"n_runs": len(runs)}
-        for metric in ("auc_roc", "auc_prc", "bss"):
+        for metric in table_metrics(train_ds.n_classes):
             mean, ci = _mean_ci([r[metric] for r in runs])
             row[f"{metric}_mean"] = mean
             row[f"{metric}_ci95"] = ci

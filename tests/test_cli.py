@@ -1,10 +1,17 @@
+import contextlib
+import io
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from denshift.cli import DEFAULT_CONFIG, config_hash, load_config, main
 from denshift.metrics import ScoredSet, auc_prc, auc_roc, bss
+from denshift.training import VARIANTS
 
 TINY = {
     "dataset": {"synthetic": {"n_majority": 270, "n_minority": 30, "n_minority_modes": 2,
@@ -209,6 +216,29 @@ class TestOtherCommands:
         assert lines[0].startswith("variant,n_runs,auc_roc_mean")
         assert len(lines) == 7  # header + 6 variants
 
+    def test_ablate_on_multiclass_csv_skips_cost_variants(self, tmp_path):
+        rng = np.random.default_rng(0)
+        rows = ["a,b,label"]
+        for i in range(90):
+            k = i % 3
+            rows.append(f"{rng.normal() + 2 * (k == 1)},{rng.normal() + 2 * (k == 2)},{'xyz'[k]}")
+        (tmp_path / "d.csv").write_text("\n".join(rows) + "\n")
+        out = tmp_path / "abl"
+        cfg = {"dataset": {"csv": {"path": str(tmp_path / "d.csv")}},
+               "train": {"epochs": 2, "batch_size": 16}, "ablation": {"seeds": [0, 1]},
+               "output_dir": str(out)}
+        (tmp_path / "c.json").write_text(json.dumps(cfg))
+        assert main(["ablate", "--config", str(tmp_path / "c.json")]) == 0
+        table = json.loads((out / "ablation.json").read_text())["table"]
+        assert sorted(table) == ["base", "dah", "decoupling", "focal"]
+        for row in table.values():
+            assert not any(key.startswith("auc_roc") for key in row)
+            assert row["n_runs"] == 2 and len(row["macro_auc_per_seed"]) == 2
+            assert 0.0 <= row["micro_auc_mean"] <= 1.0
+        lines = (out / "ablation.csv").read_text().strip().splitlines()
+        assert lines[0] == "variant,n_runs,macro_auc_mean,macro_auc_ci95,micro_auc_mean,micro_auc_ci95"
+        assert [line.split(",")[0] for line in lines[1:]] == ["base", "decoupling", "dah", "focal"]
+
     def test_sweep_table_rows(self, tmp_path):
         out = tmp_path / "sw"
         path = write_cfg(tmp_path, {"train": {"epochs": 2, "batch_size": 32, "variant": "cost"},
@@ -291,3 +321,51 @@ class TestOtherCommands:
         path.write_text(json.dumps(cfg))
         assert main(["train", "--config", str(path)]) == 1  # wrong column: schema error
         assert main(["train", "--config", str(path), "--label-column", "outcome"]) == 0
+
+
+# (field, a value of the wrong type or out of range) for every `train` field
+_INTS = {"epochs": 1, "batch_size": 1, "early_stop_patience": 0, "hidden": 1, "depth": 2, "seed": 0}
+_POSITIVE = ("learning_rate", "theta", "margin_scale")
+_NON_NEGATIVE = ("offset", "gamma", "lambda_cost")
+_PROBABILITIES = ("q_regular", "q_balanced")
+_WRONG_TYPE = st.one_of(st.text(max_size=4), st.lists(st.integers(), max_size=2),
+                        st.dictionaries(st.text(max_size=2), st.integers(), max_size=1))
+_NON_FINITE = st.one_of(st.sampled_from([float("nan"), float("inf"), float("-inf")]),
+                        st.integers(min_value=2**1024))  # an integer no float64 can hold
+_BAD_TRAIN_FIELDS = st.one_of(
+    *[st.tuples(st.just(f), st.one_of(_WRONG_TYPE, st.booleans(), st.none(),
+                                      st.floats().filter(lambda v: v != int(v) if np.isfinite(v) else True),
+                                      st.integers(max_value=low - 1)))
+      for f, low in _INTS.items()],
+    *[st.tuples(st.just(f), st.one_of(_WRONG_TYPE, st.booleans(), st.floats(max_value=0.0), _NON_FINITE))
+      for f in _POSITIVE],
+    *[st.tuples(st.just(f), st.one_of(_WRONG_TYPE, st.booleans(), st.none(),
+                                      st.floats(max_value=-1e-300), st.just(float("nan"))))
+      for f in _NON_NEGATIVE],
+    *[st.tuples(st.just(f), st.one_of(_WRONG_TYPE, st.booleans(), st.none(), _NON_FINITE,
+                                      st.floats(max_value=-1e-300), st.floats(min_value=1.0 + 1e-12)))
+      for f in _PROBABILITIES],
+    st.tuples(st.just("normalize_balanced"), st.one_of(_WRONG_TYPE, st.none(), st.integers(), st.floats())),
+    *[st.tuples(st.just(f), st.one_of(st.none(), st.booleans(), st.integers(), st.floats(),
+                                      st.text(max_size=6).filter(lambda v: v not in ok)))
+      for f, ok in (("variant", VARIANTS), ("optimizer", ("sgd", "adam")))],
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_BAD_TRAIN_FIELDS)
+def test_bad_train_field_of_any_kind_exits_one_naming_it(bad):
+    field, value = bad
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp) / "out"
+        cfg = json.loads(json.dumps(TINY))
+        cfg["train"][field] = value
+        cfg["output_dir"] = str(out)
+        path = Path(tmp) / "cfg.json"
+        path.write_text(json.dumps(cfg), encoding="utf-8")
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            code = main(["train", "--config", str(path)])
+        assert code == 1, (field, value)
+        assert field in err.getvalue(), (field, value, err.getvalue())
+        assert not out.exists()

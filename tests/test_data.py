@@ -1,4 +1,5 @@
 import math
+import re
 import tempfile
 from pathlib import Path
 
@@ -141,6 +142,16 @@ class TestSaveCsv:
             back = load_csv(path, "label")
         assert back.features.tobytes() == feats.tobytes()  # NaN, -0.0 and subnormals included
         assert back.labels.tolist() == labels.tolist()
+
+    @pytest.mark.parametrize("names", [(" yes", "no"), ("yes", "no "), ("yes", "\tno")])
+    def test_class_name_that_would_not_round_trip_is_rejected(self, tmp_path, names):
+        ds = Dataset(np.zeros((2, 1)), np.array([0, 1]), ("a",), names)
+        path = tmp_path / "w.csv"
+        bad = next(n for n in names if n != n.strip())
+        with pytest.raises(ValidationError, match=re.escape(repr(bad))):
+            save_csv(ds, path)
+        assert not path.exists()
+
 
 class TestPreprocess:
     def make(self, column):

@@ -85,6 +85,21 @@ class TestBatchPairs:
         with pytest.raises(ValidationError):
             next_batch_pair(sampler, other)
 
+    def test_one_stacked_gather_with_views_of_each_half(self):
+        ds = make_ds([30, 10])
+        sampler = SamplerState(ds, batch_size=8, seed=5)
+        pair = next_batch_pair(sampler, ds)
+        ref = SamplerState(ds, batch_size=8, seed=5)
+        reg_idx, bal_idx = ref._draw(ref.cdf_regular), ref._draw(ref.cdf_balanced)
+        assert pair.n_regular == 8
+        assert np.array_equal(pair.idx, np.concatenate((reg_idx, bal_idx)))
+        assert np.array_equal(pair.x[:, 0], pair.idx.astype(float))
+        assert np.array_equal(pair.y, ds.labels[pair.idx])
+        for half, idx in ((pair.regular, reg_idx), (pair.balanced, bal_idx)):
+            assert np.shares_memory(half[0], pair.x) and np.shares_memory(half[1], pair.y)
+            assert np.array_equal(half[1], ds.labels[idx])
+        assert np.array_equal(pair.regular_idx, reg_idx) and np.array_equal(pair.balanced_idx, bal_idx)
+
     def test_missing_class_in_split_rejected(self):
         ds = make_ds([6, 6]).subset(np.arange(6))  # drops class 1 entirely
         with pytest.raises(ValidationError):

@@ -7,7 +7,9 @@ import denshift.training as training
 from denshift.data import SynthConfig, apply_preprocess, fit_preprocess, gen_synthetic, stratified_split
 from denshift.diagnostics import gradient_report
 from denshift.errors import NumericalError, UnsupportedTaskError, ValidationError
-from denshift.nn import forward, init_mlp
+from denshift.losses import CostParams, DahConfig
+from denshift.nn import Gradients, OptState, backward, forward, init_mlp, opt_step
+from denshift.sampling import SamplerState, epoch_batches, next_batch_pair
 from denshift.training import (
     TrainConfig,
     VARIANTS,
@@ -15,6 +17,7 @@ from denshift.training import (
     run_ablation,
     sweep_theta,
     train,
+    train_step,
     variant_losses,
 )
 
@@ -58,6 +61,20 @@ class TestConfigValidation:
     def test_bad_value_names_its_field(self, field, value):
         with pytest.raises(ValidationError, match=field):
             TrainConfig(**{field: value})
+
+    @pytest.mark.parametrize("field, value", [
+        ("hidden", "28"), ("hidden", 28.0), ("epochs", 2.5), ("seed", True), ("batch_size", None),
+        ("normalize_balanced", "no"), ("normalize_balanced", 1), ("theta", "5"), ("theta", True),
+        ("theta", float("inf")), ("learning_rate", 10**400), ("gamma", [2.0]), ("margin_scale", "1"), ("variant", 3),
+        ("seed", -1), ("optimizer", "rmsprop"),
+    ])
+    def test_wrong_type_names_its_field(self, field, value):
+        with pytest.raises(ValidationError, match=field):
+            TrainConfig(**{field: value})
+
+    def test_integers_accepted_for_float_fields(self):
+        cfg = TrainConfig(theta=5, learning_rate=1, margin_scale=2, seed=np.int64(3), hidden=np.int32(8))
+        assert cfg.theta == 5.0 and cfg.seed == 3
 
     def test_boundary_values_accepted(self):
         TrainConfig(learning_rate=1e-12, lambda_cost=0.0, offset=0.0, gamma=0.0,
@@ -246,6 +263,154 @@ class TestTrainLoop:
             _, history = train(cfg, (tr, va))
             floor = min(history.loss_regular)
             assert floor < 0.1, f"{variant} stalled at train loss {floor:.3f}"
+
+
+# The two-pass step the stacked one replaced: each stream is forwarded and
+# backpropagated on its own and the two gradients are added. The stacked
+# step changes only the summation order of the backbone gradient.
+
+
+def two_pass_step(params, pair, spec, cfg, dah_cfg, cost_params):
+    xr, yr = pair.regular
+    trace_r = forward(params, xr)
+    loss_r, d_r, d_cost = training._head_loss(spec.regular_terms, trace_r.logits_regular, yr,
+                                              cfg, dah_cfg, cost_params)
+    grad = backward(params, trace_r, d_logits_regular=d_r).vector
+    loss_b = float("nan")
+    if spec.dual_stream:
+        xb, yb = pair.balanced
+        trace_b = forward(params, xb)
+        loss_b, d_b, dcost_b = training._head_loss(spec.balanced_terms, trace_b.logits_balanced, yb,
+                                                   cfg, dah_cfg, cost_params)
+        grad = grad + backward(params, trace_b, d_logits_balanced=d_b).vector
+        d_cost += dcost_b
+    return loss_r, loss_b, grad, d_cost
+
+
+def step_inputs(cfg, train_ds):
+    spec = variant_losses(cfg.variant)
+    params = init_mlp(train_ds.dim, cfg.hidden, cfg.depth, train_ds.n_classes, seed=cfg.seed,
+                      normalize_balanced=cfg.normalize_balanced)
+    sampler = SamplerState(train_ds, cfg.batch_size, seed=cfg.seed,
+                           q_regular=cfg.q_regular, q_balanced=cfg.q_balanced)
+    dah_cfg = DahConfig.from_counts(train_ds.class_counts, cfg.margin_scale) if spec.uses_dah else None
+    cost_params = CostParams(0.0, cfg.theta, cfg.offset) if spec.uses_cost else None
+    return spec, params, sampler, dah_cfg, cost_params
+
+
+def reference_train(cfg, train_ds, epochs):
+    """Parameters and mean regular losses after `epochs` epochs of two-pass steps, Adam over two arrays."""
+    spec, params, sampler, dah_cfg, cost_params = step_inputs(cfg, train_ds)
+    cost_arr = np.zeros(1)
+    arrays = [params.vector, cost_arr] if cost_params else [params.vector]
+    opt = OptState.for_arrays(arrays, cfg.optimizer, cfg.learning_rate)
+    losses = []
+    for _ in range(epochs):
+        total = 0.0
+        for step, pair in enumerate(epoch_batches(sampler, train_ds)):
+            loss_r, _, grad, d_cost = two_pass_step(params, pair, spec, cfg, dah_cfg, cost_params)
+            opt_step(arrays, [grad, np.array([d_cost])][:len(arrays)], opt)
+            if cost_params:
+                cost_params.log_cfp = float(cost_arr[0])
+            total += loss_r
+        losses.append(total / (step + 1))
+    return params, losses
+
+
+class TestStackedStep:
+    @pytest.mark.parametrize("normalize", [False, True])
+    @pytest.mark.parametrize("variant", ["decoupling", "full"])
+    def test_dual_stream_gradient_matches_two_pass_reference(self, splits, variant, normalize):
+        cfg = TrainConfig(variant=variant, normalize_balanced=normalize, seed=3)
+        spec, params, sampler, dah_cfg, cost_params = step_inputs(cfg, splits[0])
+        if cost_params:
+            cost_params.log_cfp = 0.3
+        for _ in range(5):
+            pair = next_batch_pair(sampler, splits[0])
+            loss_r, loss_b, grad, d_cost = train_step(params, pair, spec, cfg, dah_cfg, cost_params)
+            ref_r, ref_b, ref_grad, ref_cost = two_pass_step(params, pair, spec, cfg, dah_cfg, cost_params)
+            assert loss_r == pytest.approx(ref_r, rel=1e-12)
+            assert loss_b == pytest.approx(ref_b, rel=1e-12)
+            assert np.abs(grad - ref_grad).max() <= 1e-12 * np.abs(ref_grad).max()
+            assert d_cost == pytest.approx(ref_cost, rel=1e-12, abs=0.0)
+            params.vector -= 1e-2 * grad  # move off the initial point between probes
+
+    @pytest.mark.parametrize("normalize", [False, True])
+    def test_each_head_ignores_the_other_block_exactly(self, splits, normalize):
+        tr = splits[0]
+        params = init_mlp(tr.dim, n_classes=2, seed=4, normalize_balanced=normalize)
+        pair = next_batch_pair(SamplerState(tr, batch_size=32, seed=4), tr)
+        n = pair.n_regular
+        rng = np.random.default_rng(0)
+        trace = forward(params, pair.x)
+        d_r, d_b = rng.normal(size=(n, 2)), rng.normal(size=(n, 2))
+        fused = backward(params, trace, d_r, d_b)
+        regular_only = backward(params, trace, d_logits_regular=d_r)
+        balanced_only = backward(params, trace, d_logits_balanced=d_b)
+        assert not regular_only.head_balanced.W.any() and not regular_only.head_balanced.b.any()
+        assert not balanced_only.head_regular.W.any() and not balanced_only.head_regular.b.any()
+        # new data and upstream gradients in one block leave the other head's gradient bit-equal
+        x = pair.x.copy()
+        x[n:] = rng.normal(size=(n, tr.dim))
+        other_b = backward(params, forward(params, x), d_r, rng.normal(size=(n, 2)))
+        assert np.array_equal(other_b.head_regular.W, fused.head_regular.W)
+        assert np.array_equal(other_b.head_regular.b, fused.head_regular.b)
+        x = pair.x.copy()
+        x[:n] = rng.normal(size=(n, tr.dim))
+        other_r = backward(params, forward(params, x), rng.normal(size=(n, 2)), d_b)
+        assert np.array_equal(other_r.head_balanced.W, fused.head_balanced.W)
+        assert np.array_equal(other_r.head_balanced.b, fused.head_balanced.b)
+
+    @pytest.mark.parametrize("normalize", [False, True])
+    def test_backward_into_reused_buffer_equals_fresh(self, normalize):
+        rng = np.random.default_rng(1)
+        params = init_mlp(5, hidden=9, depth=5, n_classes=3, seed=1, normalize_balanced=normalize)
+        trace = forward(params, rng.normal(size=(12, 5)))
+        buffer = Gradients(np.empty(params.layout.size), params.layout)
+        for d_r, d_b in [(rng.normal(size=(12, 3)), None), (None, rng.normal(size=(12, 3))),
+                         (rng.normal(size=(5, 3)), rng.normal(size=(7, 3)))]:
+            buffer.vector[:] = rng.normal(size=buffer.vector.size)  # stale values from an earlier step
+            assert backward(params, trace, d_r, d_b, buffer) is buffer
+            assert np.array_equal(buffer.vector, backward(params, trace, d_r, d_b).vector)
+
+    @pytest.mark.parametrize("extra", [{}, {"normalize_balanced": True}, {"optimizer": "sgd", "learning_rate": 0.05}])
+    @pytest.mark.parametrize("variant", ["base", "dah", "focal", "cost"])
+    def test_single_stream_training_equals_two_pass_reference(self, splits, variant, extra):
+        cfg = TrainConfig(variant=variant, epochs=30, early_stop_patience=30, seed=2, **extra)
+        params, history = train(cfg, splits[:2])
+        ref_params, ref_losses = reference_train(cfg, splits[0], history.best_epoch + 1)
+        assert np.array_equal(params.vector, ref_params.vector)
+        assert history.loss_regular[:history.best_epoch + 1] == ref_losses
+
+    def test_one_forward_backward_and_adam_array_per_step(self, splits, monkeypatch):
+        tr, va, _ = splits
+        for variant in VARIANTS:
+            calls = {"forward": 0, "backward": [], "opt_step": []}
+
+            def counting_forward(*args, _real=training.forward):
+                calls["forward"] += 1
+                return _real(*args)
+
+            def counting_backward(*args, _real=training.backward):
+                calls["backward"].append(args[4])
+                return _real(*args)
+
+            def counting_opt_step(arrays, grads, opt, _real=training.opt_step):
+                calls["opt_step"].append(len(arrays))
+                return _real(arrays, grads, opt)
+
+            monkeypatch.setattr(training, "forward", counting_forward)
+            monkeypatch.setattr(training, "backward", counting_backward)
+            monkeypatch.setattr(training, "opt_step", counting_opt_step)
+            cfg = TrainConfig(variant=variant, epochs=2, batch_size=32, early_stop_patience=2)
+            _, history = train(cfg, (tr, va))
+            monkeypatch.undo()
+            steps = history.epochs_run * math.ceil(tr.n / cfg.batch_size)
+            assert calls["forward"] == steps + history.epochs_run, variant  # plus one validation pass per epoch
+            assert len(calls["backward"]) == steps, variant
+            assert calls["backward"][0] is not None, variant
+            assert all(out is calls["backward"][0] for out in calls["backward"]), variant  # one buffer per run
+            assert calls["opt_step"] == [1] * steps, variant
 
 
 class TestGradientReport:
