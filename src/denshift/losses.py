@@ -1,10 +1,13 @@
 """Objective functions with exact logit-space gradients.
 
-Every loss takes a batch of logits (B x C) and integer labels (B,) and
-returns the mean loss together with d(loss)/d(logits), with the 1/B batch
-reduction already folded into the gradient. The cost-matrix loss also
-returns the derivative with respect to its trainable log false-positive
-cost.
+Every loss takes a batch of logits (B x C) and integer labels (B,), checks
+the labels, and returns the mean loss together with d(loss)/d(logits), with
+the 1/B batch reduction already folded into the gradient. The cost-matrix
+loss also returns the derivative with respect to its trainable log
+false-positive cost.
+
+`ce` and `dah_softmax` share one log-softmax cross-entropy core (`ce` is
+its zero-margin case, as in LDAM, arXiv:1906.07413).
 
 The density-aware hinge assigns class c the margin
 
@@ -35,26 +38,14 @@ from .errors import UnsupportedTaskError, ValidationError
 
 
 def _log_softmax(logits: np.ndarray) -> np.ndarray:
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    return shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+    shifted = logits - np.maximum.reduce(logits, axis=1, keepdims=True)
+    exp = np.exp(shifted)  # floating even when the logits are integers
+    total = np.add.reduce(exp, axis=1, keepdims=True)
+    return np.subtract(shifted, np.log(total, out=total), out=exp)
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:
     return np.exp(_log_softmax(logits))
-
-
-def _softplus(x: np.ndarray) -> np.ndarray:
-    # log(1 + e^x) without overflow
-    return np.maximum(x, 0.0) + np.log1p(np.exp(-np.abs(x)))
-
-
-def _sigmoid(x: np.ndarray) -> np.ndarray:
-    out = np.empty_like(x, dtype=np.float64)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
 
 
 def _check_labels(logits: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -63,9 +54,32 @@ def _check_labels(logits: np.ndarray, y: np.ndarray) -> np.ndarray:
         raise ValidationError(f"logits must be 2-D, got shape {logits.shape}")
     if y.shape != (logits.shape[0],):
         raise ValidationError("labels must be one per logit row")
-    if y.size and (y.min() < 0 or y.max() >= logits.shape[1]):
+    # one reduction over the labels as unsigned integers: a negative label wraps to a huge one
+    if y.size and np.maximum.reduce(y.view(np.uint64)) >= logits.shape[1]:
         raise ValidationError("label out of range for logit width")
     return y
+
+
+def _check_margins(logits: np.ndarray, deltas) -> np.ndarray:
+    deltas = np.asarray(deltas, dtype=np.float64)
+    if deltas.shape != (logits.shape[1],):
+        raise ValidationError("need one margin per class")
+    return deltas
+
+
+def _softmax_ce(logits: np.ndarray, y: np.ndarray, deltas: np.ndarray | None = None):
+    """Mean CE with each true logit lowered by deltas[y] (unshifted when None), and d/dlogits."""
+    b = logits.shape[0]
+    rows = np.arange(b)
+    if deltas is not None:
+        logits = np.array(logits, dtype=np.float64)
+        logits[rows, y] -= deltas[y]
+    logp = _log_softmax(logits)
+    loss = float(-np.add.reduce(logp[rows, y]) / b)
+    grad = np.exp(logp, out=logp)
+    grad[rows, y] -= 1.0
+    grad /= b
+    return loss, grad
 
 
 def delta_margins(class_counts, margin_scale: float) -> np.ndarray:
@@ -127,14 +141,8 @@ def current_costs(cp: CostParams) -> tuple[float, float]:
 
 
 def ce(logits: np.ndarray, y) -> tuple[float, np.ndarray]:
-    """Softmax cross-entropy, mean over the batch."""
-    y = _check_labels(logits, y)
-    b = logits.shape[0]
-    logp = _log_softmax(logits)
-    loss = float(-logp[np.arange(b), y].mean())
-    grad = np.exp(logp)
-    grad[np.arange(b), y] -= 1.0
-    return loss, grad / b
+    """Softmax cross-entropy, mean over the batch: the zero-margin case of `dah_softmax`."""
+    return _softmax_ce(logits, _check_labels(logits, y))
 
 
 def focal(logits: np.ndarray, y, gamma: float = 2.0) -> tuple[float, np.ndarray]:
@@ -143,26 +151,26 @@ def focal(logits: np.ndarray, y, gamma: float = 2.0) -> tuple[float, np.ndarray]
         raise ValidationError("gamma must be >= 0")
     y = _check_labels(logits, y)
     if gamma == 0.0:
-        return ce(logits, y)
+        return _softmax_ce(logits, y)
     b = logits.shape[0]
     rows = np.arange(b)
     logp = _log_softmax(logits)
-    p = np.exp(logp)
-    p_true = p[rows, y]
     ce_i = -logp[rows, y]
+    p = np.exp(logp, out=logp)
+    p_true = p[rows, y]
     w = 1.0 - p_true
     wg = w**gamma
-    loss = float((wg * ce_i).mean())
+    loss = float(np.add.reduce(wg * ce_i) / b)
 
     # d/dz_j [(1-p)^g * CE] = (p_j - onehot_j) * (g (1-p)^(g-1) p CE + (1-p)^g);
     # when p_y == 1 both terms vanish faster than (1-p)^(g-1) diverges.
     with np.errstate(divide="ignore", invalid="ignore"):
         fac = gamma * w ** (gamma - 1.0) * p_true * ce_i
     fac = np.where(w > 0.0, fac, 0.0)
-    onehot = np.zeros_like(p)
-    onehot[rows, y] = 1.0
-    grad = (p - onehot) * (fac + wg)[:, None]
-    return loss, grad / b
+    p[rows, y] -= 1.0
+    p *= (fac + wg)[:, None]
+    p /= b
+    return loss, p
 
 
 def dah_softmax(logits: np.ndarray, y, deltas) -> tuple[float, np.ndarray]:
@@ -171,26 +179,13 @@ def dah_softmax(logits: np.ndarray, y, deltas) -> tuple[float, np.ndarray]:
     The gradient is the softmax of the shifted logits minus the one-hot target.
     """
     y = _check_labels(logits, y)
-    deltas = np.asarray(deltas, dtype=np.float64)
-    if deltas.shape != (logits.shape[1],):
-        raise ValidationError("need one margin per class")
-    b = logits.shape[0]
-    rows = np.arange(b)
-    shifted = np.array(logits, dtype=np.float64)
-    shifted[rows, y] -= deltas[y]
-    logp = _log_softmax(shifted)
-    loss = float(-logp[rows, y].mean())
-    grad = np.exp(logp)
-    grad[rows, y] -= 1.0
-    return loss, grad / b
+    return _softmax_ce(logits, y, _check_margins(logits, deltas))
 
 
 def dah_hinge(logits: np.ndarray, y, deltas) -> float:
     """Hinge form max(max_{j != y} z_j - z_y + delta_y, 0), mean over the batch."""
     y = _check_labels(logits, y)
-    deltas = np.asarray(deltas, dtype=np.float64)
-    if deltas.shape != (logits.shape[1],):
-        raise ValidationError("need one margin per class")
+    deltas = _check_margins(logits, deltas)
     b, c = logits.shape
     if c < 2:
         raise ValidationError("hinge needs at least 2 classes")
@@ -218,16 +213,16 @@ def cost_loss(logits: np.ndarray, y, cp: CostParams) -> tuple[float, np.ndarray,
     amax = logits.argmax(axis=1)
     z = logits[rows, amax]
 
+    # only each row's own branch: softplus(u), u = a*z with a = -c_fn on positives, c_fp on negatives,
+    # d/dz = a*sigmoid(u), d/da = z*sigmoid(u); one e = exp(-|u|) serves softplus and sigmoid
     pos = y == 1
-    loss_i = np.where(pos, _softplus(-c_fn * z), _softplus(c_fp * z))
-    # d softplus(a*z)/dz = a*sigmoid(a*z); d/da = z*sigmoid(a*z)
-    sig_fn, sig_fp = _sigmoid(-c_fn * z), _sigmoid(c_fp * z)
-    dz = np.where(pos, -c_fn * sig_fn, c_fp * sig_fp)
-    d_cfn = np.where(pos, -z * sig_fn, 0.0)
-    d_cfp = np.where(pos, 0.0, z * sig_fp)
-
-    loss = float(loss_i.mean())
-    grad = np.zeros_like(logits, dtype=np.float64)
-    grad[rows, amax] = dz / b
-    d_log_cfp = float((d_cfp + cp.theta * d_cfn).mean() * c_fp)
-    return loss, grad, d_log_cfp
+    a = np.where(pos, -c_fn, c_fp)
+    u = a * z
+    e = np.exp(-np.abs(u))
+    loss = float(np.add.reduce(np.maximum(u, 0.0) + np.log1p(e)) / b)
+    sig = np.where(u >= 0.0, 1.0, e) / (1.0 + e)
+    grad = np.zeros(logits.shape)
+    grad[rows, amax] = a * sig / b
+    # d/dlog_cfp = c_fp * (d/dc_fp + theta * d/dc_fn); + 0.0 turns an all-zero -0.0 into 0.0
+    d_cost = np.where(pos, -cp.theta, 1.0) * (z * sig)
+    return loss, grad, float(np.add.reduce(d_cost) / b * c_fp) + 0.0

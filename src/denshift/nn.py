@@ -109,10 +109,6 @@ class ModelParams(_LayerVector):
         return self.backbone[0].W.shape[0]
 
     @property
-    def hidden_dim(self) -> int:
-        return self.backbone[-1].W.shape[1]
-
-    @property
     def n_classes(self) -> int:
         return self.head_regular.W.shape[1]
 
@@ -213,46 +209,50 @@ def backward(
 ) -> Gradients:
     """Exact parameter gradients, written into `out` (a new buffer when None) and returned.
 
-    Each head's upstream gradient covers a block of the trace's rows: the
-    regular head's the first rows, the balanced head's the last rows, so
-    one stacked pass can train each head on its own batch. A gradient with
-    as many rows as the trace covers all of it. Pass None to mask a head
-    (its gradients are zero); the backbone gets the sum over both blocks.
+    Each head's upstream gradient covers a block of the trace's rows (the
+    regular head's the first rows, the balanced head's the last), so one
+    stacked pass trains each head on its own batch; None masks a head. The
+    backbone gets the sum over both blocks; rows neither covers add nothing.
     """
     hidden = trace.hidden
     n_rows = hidden.shape[0]
     grads = Gradients(np.empty(params.layout.size), params.layout) if out is None else out
-    gr_regular, gr_balanced = grads.head_regular, grads.head_balanced
-    d_hidden = np.zeros_like(hidden)
+    # each head writes its own rows of d_hidden; uncovered rows get 0, an overlapping block adds
+    n_reg = 0 if d_logits_regular is None else d_logits_regular.shape[0]
+    start_bal = n_rows if d_logits_balanced is None else n_rows - d_logits_balanced.shape[0]
+    overlap = start_bal < n_reg
+    d_hidden = np.empty_like(hidden)
+    d_hidden[n_reg:n_rows if overlap else start_bal] = 0.0
 
     if d_logits_regular is None:
-        gr_regular.W.fill(0.0)
-        gr_regular.b.fill(0.0)
+        grads.head_regular.W.fill(0.0)
+        grads.head_regular.b.fill(0.0)
     else:
-        rows = slice(0, d_logits_regular.shape[0])
-        np.matmul(hidden[rows].T, d_logits_regular, out=gr_regular.W)
-        np.sum(d_logits_regular, axis=0, out=gr_regular.b)
-        d_hidden[rows] += d_logits_regular @ params.head_regular.W.T
+        np.matmul(hidden[:n_reg].T, d_logits_regular, out=grads.head_regular.W)
+        np.add.reduce(d_logits_regular, axis=0, out=grads.head_regular.b)
+        np.matmul(d_logits_regular, params.head_regular.W.T, out=d_hidden[:n_reg])
 
     if d_logits_balanced is None:
-        gr_balanced.W.fill(0.0)
-        gr_balanced.b.fill(0.0)
+        grads.head_balanced.W.fill(0.0)
+        grads.head_balanced.b.fill(0.0)
     else:
-        rows = slice(n_rows - d_logits_balanced.shape[0], n_rows)
-        np.sum(d_logits_balanced, axis=0, out=gr_balanced.b)
+        rows = slice(start_bal, n_rows)
+        block = np.empty((n_rows - start_bal, hidden.shape[1])) if overlap else d_hidden[rows]
+        np.add.reduce(d_logits_balanced, axis=0, out=grads.head_balanced.b)
         if params.normalize_balanced:
             h_unit, w_unit = trace.hidden_unit[rows], trace.bal_w_unit
             d_w_unit = h_unit.T @ d_logits_balanced
             # project out the radial component of each unit vector's gradient
             np.divide(d_w_unit - w_unit * (w_unit * d_w_unit).sum(axis=0, keepdims=True),
-                      trace.bal_w_norms, out=gr_balanced.W)
+                      trace.bal_w_norms, out=grads.head_balanced.W)
             d_h_unit = d_logits_balanced @ w_unit.T
-            d_hidden[rows] += (
-                d_h_unit - h_unit * (h_unit * d_h_unit).sum(axis=1, keepdims=True)
-            ) / trace.hidden_norms[rows]
+            np.divide(d_h_unit - h_unit * (h_unit * d_h_unit).sum(axis=1, keepdims=True),
+                      trace.hidden_norms[rows], out=block)
         else:
-            np.matmul(hidden[rows].T, d_logits_balanced, out=gr_balanced.W)
-            d_hidden[rows] += d_logits_balanced @ params.head_balanced.W.T
+            np.matmul(hidden[rows].T, d_logits_balanced, out=grads.head_balanced.W)
+            np.matmul(d_logits_balanced, params.head_balanced.W.T, out=block)
+        if overlap:
+            d_hidden[rows] += block
 
     n_backbone = len(params.backbone)
     skip_extra: list[np.ndarray | None] = [None] * n_backbone
@@ -261,10 +261,10 @@ def backward(
     for l in range(n_backbone - 1, -1, -1):
         if skip_extra[l] is not None:
             da = da + skip_extra[l]
-        dz = da * (trace.pre[l] > 0)
+        dz = np.multiply(da, trace.pre[l] > 0, out=da)  # da is this pass's own array
         a_in = trace.act[l - 1] if l > 0 else trace.x
         np.matmul(a_in.T, dz, out=grads.backbone[l].W)
-        np.sum(dz, axis=0, out=grads.backbone[l].b)
+        np.add.reduce(dz, axis=0, out=grads.backbone[l].b)
         if l > 0:  # the input's own gradient is never needed
             da = dz @ params.backbone[l].W.T
         if span is not None and l == span[1]:
@@ -274,46 +274,49 @@ def backward(
 
 @dataclass
 class OptState:
-    """SGD or bias-corrected Adam over a flat list of parameter arrays."""
+    """SGD or bias-corrected Adam over one flat vector; Adam's moments and two scratch vectors match it."""
 
     kind: str
     lr: float
     step: int = 0
-    m: list[np.ndarray] = field(default_factory=list)
-    v: list[np.ndarray] = field(default_factory=list)
+    m: np.ndarray | None = None
+    v: np.ndarray | None = None
     beta1: float = 0.9
     beta2: float = 0.999
     eps: float = 1e-8
+    scratch: tuple[np.ndarray, np.ndarray] | None = field(default=None, repr=False)
 
     @classmethod
-    def for_arrays(cls, arrays: list[np.ndarray], kind: str = "adam", lr: float = 1e-3) -> "OptState":
+    def for_vector(cls, vector: np.ndarray, kind: str = "adam", lr: float = 1e-3) -> "OptState":
         if kind not in ("sgd", "adam"):
             raise ValidationError(f"unknown optimizer {kind!r}")
-        state = cls(kind=kind, lr=lr)
+        state = cls(kind=kind, lr=lr, scratch=(np.empty_like(vector), np.empty_like(vector)))
         if kind == "adam":
-            state.m = [np.zeros_like(a) for a in arrays]
-            state.v = [np.zeros_like(a) for a in arrays]
+            state.m, state.v = np.zeros_like(vector), np.zeros_like(vector)
         return state
 
 
-def opt_step(arrays: list[np.ndarray], grads: list[np.ndarray], opt: OptState) -> list[np.ndarray]:
-    """Update parameters in place and return them."""
-    if len(arrays) != len(grads):
-        raise ValidationError("parameter/gradient count mismatch")
+def opt_step(vector: np.ndarray, grad: np.ndarray, opt: OptState) -> np.ndarray:
+    """Update `vector` in place from `grad` (same shape) and return it, allocating nothing."""
+    if grad.shape != vector.shape:
+        raise ValidationError(f"gradient shape {grad.shape} does not match parameters {vector.shape}")
+    s, t = opt.scratch
     if opt.kind == "sgd":
-        for p, g in zip(arrays, grads):
-            p -= opt.lr * g
-        return arrays
+        vector -= np.multiply(grad, opt.lr, out=s)
+        return vector
     opt.step += 1
-    bc1 = 1.0 - opt.beta1**opt.step
-    bc2 = 1.0 - opt.beta2**opt.step
-    for p, g, m, v in zip(arrays, grads, opt.m, opt.v):
-        m *= opt.beta1
-        m += (1.0 - opt.beta1) * g
-        v *= opt.beta2
-        v += (1.0 - opt.beta2) * g * g
-        p -= opt.lr * (m / bc1) / (np.sqrt(v / bc2) + opt.eps)
-    return arrays
+    m, v = opt.m, opt.v
+    m *= opt.beta1
+    m += np.multiply(grad, 1.0 - opt.beta1, out=s)  # m = b1*m + (1-b1)*g
+    v *= opt.beta2
+    v += np.multiply(np.multiply(grad, 1.0 - opt.beta2, out=s), grad, out=s)  # v = b2*v + (1-b2)*g*g
+    np.divide(m, 1.0 - opt.beta1**opt.step, out=s)
+    s *= opt.lr
+    np.divide(v, 1.0 - opt.beta2**opt.step, out=t)
+    np.sqrt(t, out=t)
+    t += opt.eps
+    vector -= np.divide(s, t, out=s)  # p -= lr*m_hat / (sqrt(v_hat) + eps)
+    return vector
 
 
 def grad_check(loss_fn, vector: np.ndarray, batch, eps: float = 1e-5,

@@ -16,6 +16,7 @@ trains. Model selection is by validation AUC-ROC of the inference head
 
 from __future__ import annotations
 
+import math
 import numbers
 import sys
 import time
@@ -172,7 +173,7 @@ class TrainHistory:
 
 def _head_loss(terms, z, y, cfg, dah_cfg, cost_params):
     """Sum the named loss terms on logits `z`; returns (loss, d/dz, d/dlog_cfp)."""
-    total, grad, d_log_cfp = 0.0, np.zeros_like(z), 0.0
+    total, grad, d_log_cfp = 0.0, None, 0.0
     for term in terms:
         if term == "ce":
             l, g = ce(z, y)
@@ -187,7 +188,7 @@ def _head_loss(terms, z, y, cfg, dah_cfg, cost_params):
         else:
             raise ValidationError(f"unknown loss term {term!r}")
         total += l
-        grad += g
+        grad = g if grad is None else np.add(grad, g, out=grad)  # the first term's fresh array
     return total, grad, d_log_cfp
 
 
@@ -252,7 +253,7 @@ def train(cfg: TrainConfig, splits: tuple[Dataset, Dataset]) -> tuple[ModelParam
     )
     dah_cfg = DahConfig.from_counts(train_ds.class_counts, cfg.margin_scale) if spec.uses_dah else None
     cost_params = CostParams(0.0, cfg.theta, cfg.offset) if spec.uses_cost else None
-    opt = OptState.for_arrays([state], cfg.optimizer, cfg.learning_rate)
+    opt = OptState.for_vector(state, cfg.optimizer, cfg.learning_rate)
 
     history = TrainHistory()
     best_auc = -np.inf
@@ -266,7 +267,7 @@ def train(cfg: TrainConfig, splits: tuple[Dataset, Dataset]) -> tuple[ModelParam
                 sum_r = sum_b = 0.0
                 for step, pair in enumerate(epoch_batches(sampler, train_ds)):
                     loss_r, loss_b, _, d_cost = train_step(params, pair, spec, cfg, dah_cfg, cost_params, grads)
-                    if not np.isfinite(loss_r) or (spec.dual_stream and not np.isfinite(loss_b)):
+                    if not math.isfinite(loss_r) or (spec.dual_stream and not math.isfinite(loss_b)):
                         costs = current_costs(cost_params) if cost_params else None
                         raise NumericalError(
                             f"non-finite loss at epoch {epoch} step {step}: "
@@ -274,7 +275,7 @@ def train(cfg: TrainConfig, splits: tuple[Dataset, Dataset]) -> tuple[ModelParam
                         )
                     if cost_params is not None:
                         grad[n] = d_cost
-                    opt_step([state], [grad], opt)
+                    opt_step(state, grad, opt)
                     if cost_params is not None:
                         cost_params.log_cfp = float(state[n])
                     sum_r += loss_r

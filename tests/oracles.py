@@ -1,8 +1,8 @@
 """Independent brute-force oracles the fast implementations are checked against.
 
 Everything here is deliberately naive (O(n^2) enumeration, full-batch
-gradient descent, scalar finite differences) and shares no code with the
-package internals it verifies.
+gradient descent, scalar finite differences, the losses as first written)
+and shares no code with the package internals it verifies.
 """
 
 from __future__ import annotations
@@ -60,3 +60,98 @@ def logistic_regression_auc(features, labels, steps: int = 2000, lr: float = 0.5
 def central_difference(fn, x0: float, eps: float = 1e-6) -> float:
     """Scalar central finite difference of fn at x0."""
     return (fn(x0 + eps) - fn(x0 - eps)) / (2.0 * eps)
+
+
+# The loss functions as they were before they shared one log-softmax core
+# and before the cost loss evaluated only each row's own branch. The
+# arithmetic is copied verbatim; the label checks are left out (the oracles
+# only see valid labels) and the helpers carry a `_ref` prefix. The package's
+# losses must agree with these bit for bit.
+
+
+def _ref_log_softmax(logits):
+    shifted = logits - logits.max(axis=1, keepdims=True)
+    return shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+
+
+def _ref_softplus(x):
+    return np.maximum(x, 0.0) + np.log1p(np.exp(-np.abs(x)))
+
+
+def _ref_sigmoid(x):
+    out = np.empty_like(x, dtype=np.float64)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
+
+
+def ref_ce(logits, y):
+    y = np.asarray(y, dtype=np.int64)
+    b = logits.shape[0]
+    logp = _ref_log_softmax(logits)
+    loss = float(-logp[np.arange(b), y].mean())
+    grad = np.exp(logp)
+    grad[np.arange(b), y] -= 1.0
+    return loss, grad / b
+
+
+def ref_focal(logits, y, gamma=2.0):
+    y = np.asarray(y, dtype=np.int64)
+    if gamma == 0.0:
+        return ref_ce(logits, y)
+    b = logits.shape[0]
+    rows = np.arange(b)
+    logp = _ref_log_softmax(logits)
+    p = np.exp(logp)
+    p_true = p[rows, y]
+    ce_i = -logp[rows, y]
+    w = 1.0 - p_true
+    wg = w**gamma
+    loss = float((wg * ce_i).mean())
+    with np.errstate(divide="ignore", invalid="ignore"):
+        fac = gamma * w ** (gamma - 1.0) * p_true * ce_i
+    fac = np.where(w > 0.0, fac, 0.0)
+    onehot = np.zeros_like(p)
+    onehot[rows, y] = 1.0
+    grad = (p - onehot) * (fac + wg)[:, None]
+    return loss, grad / b
+
+
+def ref_dah_softmax(logits, y, deltas):
+    y = np.asarray(y, dtype=np.int64)
+    deltas = np.asarray(deltas, dtype=np.float64)
+    b = logits.shape[0]
+    rows = np.arange(b)
+    shifted = np.array(logits, dtype=np.float64)
+    shifted[rows, y] -= deltas[y]
+    logp = _ref_log_softmax(shifted)
+    loss = float(-logp[rows, y].mean())
+    grad = np.exp(logp)
+    grad[rows, y] -= 1.0
+    return loss, grad / b
+
+
+def ref_cost_loss(logits, y, cp):
+    """Both cost branches on every row, then a per-row pick; cp has log_cfp, theta and offset."""
+    y = np.asarray(y, dtype=np.int64)
+    b = logits.shape[0]
+    rows = np.arange(b)
+    c_fp = float(np.exp(cp.log_cfp))
+    c_fn = cp.theta * c_fp + cp.offset
+    amax = logits.argmax(axis=1)
+    z = logits[rows, amax]
+
+    pos = y == 1
+    loss_i = np.where(pos, _ref_softplus(-c_fn * z), _ref_softplus(c_fp * z))
+    sig_fn, sig_fp = _ref_sigmoid(-c_fn * z), _ref_sigmoid(c_fp * z)
+    dz = np.where(pos, -c_fn * sig_fn, c_fp * sig_fp)
+    d_cfn = np.where(pos, -z * sig_fn, 0.0)
+    d_cfp = np.where(pos, 0.0, z * sig_fp)
+
+    loss = float(loss_i.mean())
+    grad = np.zeros_like(logits, dtype=np.float64)
+    grad[rows, amax] = dz / b
+    d_log_cfp = float((d_cfp + cp.theta * d_cfn).mean() * c_fp)
+    return loss, grad, d_log_cfp

@@ -17,7 +17,9 @@ from denshift.losses import (
     focal,
 )
 
-from oracles import central_difference
+from denshift import training
+from denshift.training import TrainConfig, variant_losses, VARIANTS
+from oracles import central_difference, ref_ce, ref_cost_loss, ref_dah_softmax, ref_focal
 
 
 def rand_logits(rng, b=16, c=3, scale=3.0):
@@ -164,6 +166,25 @@ class TestCeAndFocal:
             focal(np.zeros((1, 2)), [0], -1.0)
 
 
+class TestLabelChecks:
+    LOSSES = {
+        "ce": lambda z, y: ce(z, y),
+        "focal": lambda z, y: focal(z, y, 2.0),
+        "dah_softmax": lambda z, y: dah_softmax(z, y, [0.1, 0.2]),
+        "cost_loss": lambda z, y: cost_loss(z, y, CostParams()),
+    }
+
+    @pytest.mark.parametrize("name", LOSSES)
+    def test_every_loss_checks_its_labels(self, name):
+        loss = self.LOSSES[name]
+        for y in ([-1, 0], [0, 2], [np.iinfo(np.int64).min, 1], [1, np.iinfo(np.int64).max]):
+            with pytest.raises(ValidationError, match="label out of range"):
+                loss(np.zeros((2, 2)), y)
+        with pytest.raises(ValidationError, match="one per logit row"):
+            loss(np.zeros((2, 2)), [0, 1, 1])
+        loss(np.zeros((2, 2)), np.array([1, 7, 0, 7])[::2])  # strided labels in range
+
+
 class TestCostParams:
     def test_current_costs(self):
         assert current_costs(CostParams(0.0, 5.0, 0.01)) == pytest.approx((1.0, 5.01))
@@ -268,3 +289,74 @@ def test_all_losses_finite_on_random_inputs(b, c, seed):
         assert np.isfinite(value)
     if c == 2:
         assert np.isfinite(cost_loss(z, y, CostParams(0.0, 5.0, 0.01))[0])
+
+
+# The losses against the reference copies in oracles.py: equal with ==, not
+# within a tolerance, so every variant trains on the same numbers.
+
+REFERENCES = {
+    "ce": lambda z, y, cfg, deltas, cp: ref_ce(z, y),
+    "focal": lambda z, y, cfg, deltas, cp: ref_focal(z, y, cfg.gamma),
+    "dah": lambda z, y, cfg, deltas, cp: ref_dah_softmax(z, y, deltas),
+    "cost": lambda z, y, cfg, deltas, cp: ref_cost_loss(z, y, cp),
+}
+
+
+@st.composite
+def loss_batches(draw):
+    b = draw(st.integers(1, 130))
+    c = draw(st.sampled_from([2, 3, 5]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    z = rng.normal(0.0, draw(st.floats(1e-2, 400.0)), size=(b, c))
+    if draw(st.booleans()):  # rows whose largest logit is tied
+        ties = rng.random(b) < 0.5
+        z[ties, 1] = z[ties].max(axis=1)
+        z[ties, 0] = z[ties, 1]
+    y = rng.integers(0, c, size=b)
+    deltas = rng.uniform(0.0, 2.0, size=c)
+    cp = CostParams(float(rng.normal(0.0, 2.0)), float(rng.uniform(0.1, 50.0)), float(rng.uniform(0.0, 1.0)))
+    cfg = TrainConfig(gamma=float(rng.choice([0.0, 0.5, 2.0, 3.5])), lambda_cost=float(rng.uniform(0.0, 3.0)))
+    return z, y, deltas, cp, cfg
+
+
+def assert_same(got, ref):
+    assert len(got) == len(ref)
+    for g, r in zip(got, ref):
+        assert np.array_equal(g, r) if isinstance(r, np.ndarray) else g == r
+
+
+@given(loss_batches())
+@settings(max_examples=300, deadline=None)
+def test_losses_equal_reference_copies(batch):
+    z, y, deltas, cp, cfg = batch
+    assert_same(ce(z, y), ref_ce(z, y))
+    assert_same(focal(z, y, cfg.gamma), ref_focal(z, y, cfg.gamma))
+    assert_same(dah_softmax(z, y, deltas), ref_dah_softmax(z, y, deltas))
+    if z.shape[1] == 2:
+        assert_same(cost_loss(z, y, cp), ref_cost_loss(z, y, cp))
+    zi = np.round(z).astype(np.int64)  # integer logits are accepted as before
+    assert_same(ce(zi, y), ref_ce(zi, y))
+    assert_same(focal(zi, y, cfg.gamma), ref_focal(zi, y, cfg.gamma))
+    assert_same(dah_softmax(zi, y, deltas), ref_dah_softmax(zi, y, deltas))
+
+
+@given(loss_batches())
+@settings(max_examples=100, deadline=None)
+def test_head_loss_equals_summed_references(batch):
+    z, y, deltas, cp, cfg = batch
+    dah_cfg = DahConfig(1.0, deltas)
+    for variant in VARIANTS:
+        spec = variant_losses(variant)
+        if spec.uses_cost and z.shape[1] != 2:
+            continue
+        for terms in filter(None, (spec.regular_terms, spec.balanced_terms)):
+            total, grad, d_log_cfp = 0.0, np.zeros_like(z), 0.0
+            for term in terms:
+                l, g, *dc = REFERENCES[term](z, y, cfg, deltas, cp)
+                if term == "cost":
+                    l, g = cfg.lambda_cost * l, cfg.lambda_cost * g
+                    d_log_cfp += cfg.lambda_cost * dc[0]
+                total += l
+                grad += g
+            got = training._head_loss(terms, z, y, cfg, dah_cfg, cp)
+            assert_same(got, (total, grad, d_log_cfp))

@@ -116,6 +116,18 @@ def model_loss(params, x, y, head="regular", deltas=None):
     return loss, backward(params, trace, **kw)
 
 
+def poison_empty_like(monkeypatch):
+    """Make np.empty_like return NaN-filled arrays, so a scratch row backward never writes shows up."""
+    real = np.empty_like
+
+    def nan_filled(*args, **kwargs):
+        out = real(*args, **kwargs)
+        out.fill(np.nan)
+        return out
+
+    monkeypatch.setattr(np, "empty_like", nan_filled)
+
+
 class TestBackward:
     def test_zero_upstream_gives_zero_grads(self):
         p = init_mlp(5, seed=0)
@@ -148,6 +160,34 @@ class TestBackward:
         only_b = backward(p, trace, d_logits_balanced=db)
         for g, gr, gb in zip(both.flat(), only_r.flat(), only_b.flat()):
             assert np.abs(g - (gr + gb)).max() < 1e-12
+
+    @pytest.mark.parametrize("normalize", [False, True])
+    @pytest.mark.parametrize("n_reg, n_bal", [(5, None), (None, 7), (4, 5), (8, 8)])
+    def test_uncovered_rows_contribute_exact_zeros(self, monkeypatch, normalize, n_reg, n_bal):
+        # blocks shorter than the 12-row trace (alone, with a gap between them, or overlapping)
+        # give the gradients of the same upstream zero-padded to full height
+        rng = np.random.default_rng(n_reg or 0)
+        p = init_mlp(5, hidden=9, depth=5, n_classes=3, seed=2, normalize_balanced=normalize)
+        trace = forward(p, rng.normal(size=(12, 5)))
+        d_r = None if n_reg is None else rng.normal(size=(n_reg, 3))
+        d_b = None if n_bal is None else rng.normal(size=(n_bal, 3))
+        pad_r = None if d_r is None else np.vstack([d_r, np.zeros((12 - n_reg, 3))])
+        pad_b = None if d_b is None else np.vstack([np.zeros((12 - n_bal, 3)), d_b])
+        ref = backward(p, trace, pad_r, pad_b).vector
+        poison_empty_like(monkeypatch)
+        got = backward(p, trace, d_r, d_b).vector
+        assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
+
+    @pytest.mark.parametrize("normalize", [False, True])
+    def test_overlapping_full_height_blocks_add(self, monkeypatch, normalize):
+        rng = np.random.default_rng(5)
+        p = init_mlp(5, hidden=9, depth=5, n_classes=2, seed=5, normalize_balanced=normalize)
+        trace = forward(p, rng.normal(size=(10, 5)))
+        dr, db = rng.normal(size=(10, 2)), rng.normal(size=(10, 2))
+        summed = backward(p, trace, d_logits_regular=dr).vector + backward(p, trace, d_logits_balanced=db).vector
+        poison_empty_like(monkeypatch)
+        both = backward(p, trace, dr, db).vector
+        assert np.abs(both - summed).max() <= 1e-12 * np.abs(summed).max()
 
     def test_gradcheck_through_full_model(self):
         for seed in range(5):
@@ -197,29 +237,29 @@ class TestBackward:
 
 class TestOptimizers:
     def test_sgd_step(self):
-        p = [np.array([1.0])]
-        opt = OptState.for_arrays(p, "sgd", lr=0.1)
-        opt_step(p, [np.array([2.0])], opt)
-        assert p[0][0] == pytest.approx(0.8)
+        p = np.array([1.0])
+        opt = OptState.for_vector(p, "sgd", lr=0.1)
+        assert opt_step(p, np.array([2.0]), opt) is p
+        assert p[0] == pytest.approx(0.8)
 
     def test_adam_first_step_magnitude_is_lr(self):
         for g in (1e-4, 1.0, 1e4):
-            p = [np.array([0.0])]
-            opt = OptState.for_arrays(p, "adam", lr=0.01)
-            opt_step(p, [np.array([g])], opt)
-            assert abs(p[0][0]) == pytest.approx(0.01, rel=1e-3)
+            p = np.array([0.0])
+            opt = OptState.for_vector(p, "adam", lr=0.01)
+            opt_step(p, np.array([g]), opt)
+            assert abs(p[0]) == pytest.approx(0.01, rel=1e-3)
 
     def test_zero_gradient_keeps_parameters(self):
         for kind in ("sgd", "adam"):
-            p = [np.array([1.5, -2.0])]
-            opt = OptState.for_arrays(p, kind, lr=0.1)
-            opt_step(p, [np.zeros(2)], opt)
-            assert np.array_equal(p[0], np.array([1.5, -2.0]))
+            p = np.array([1.5, -2.0])
+            opt = OptState.for_vector(p, kind, lr=0.1)
+            opt_step(p, np.zeros(2), opt)
+            assert np.array_equal(p, np.array([1.5, -2.0]))
 
     def test_adam_bias_correction_reference(self):
         # two constant-gradient steps, checked against the textbook update rule
-        p = [np.array([0.0])]
-        opt = OptState.for_arrays(p, "adam", lr=0.1)
+        p = np.array([0.0])
+        opt = OptState.for_vector(p, "adam", lr=0.1)
         g = np.array([3.0])
         m = v = 0.0
         ref = 0.0
@@ -227,39 +267,68 @@ class TestOptimizers:
             m = 0.9 * m + 0.1 * 3.0
             v = 0.999 * v + 0.001 * 9.0
             ref -= 0.1 * (m / (1 - 0.9**t)) / (np.sqrt(v / (1 - 0.999**t)) + 1e-8)
-            opt_step(p, [g], opt)
-        assert p[0][0] == pytest.approx(ref, abs=1e-15)
+            opt_step(p, g, opt)
+        assert p[0] == pytest.approx(ref, abs=1e-15)
+
+    @pytest.mark.parametrize("kind", ["sgd", "adam"])
+    def test_fifty_steps_bit_equal_to_textbook_update(self, kind):
+        rng = np.random.default_rng(11)
+        p = rng.normal(size=300)
+        ref = p.copy()
+        lr, b1, b2, eps = 3e-3, 0.9, 0.999, 1e-8
+        m, v = np.zeros_like(p), np.zeros_like(p)
+        opt = OptState.for_vector(p, kind, lr=lr)
+        for t in range(1, 51):
+            g = rng.normal(size=p.size) * 10.0 ** rng.uniform(-6, 2, size=p.size)
+            if t % 7 == 0:
+                g[::3] = 0.0
+            assert opt_step(p, g, opt) is p
+            if kind == "sgd":
+                ref = ref - lr * g
+            else:
+                m = b1 * m + (1 - b1) * g
+                v = b2 * v + (1 - b2) * g * g
+                ref = ref - lr * (m / (1 - b1**t)) / (np.sqrt(v / (1 - b2**t)) + eps)
+            assert np.array_equal(p, ref), (kind, t)
+
+    def test_unknown_kind_and_shape_mismatch_rejected(self):
+        with pytest.raises(ValidationError, match="optimizer"):
+            OptState.for_vector(np.zeros(3), "rmsprop")
+        opt = OptState.for_vector(np.zeros(3), "adam")
+        with pytest.raises(ValidationError, match="shape"):
+            opt_step(np.zeros(3), np.zeros(4), opt)
 
     def test_one_step_over_the_vector_equals_the_per_array_step(self):
+        # every update is elementwise, so one optimizer over the packed vector equals
+        # one optimizer per layer array
         x = np.random.default_rng(0).normal(size=(8, 5))
         y = np.array([0, 1, 0, 0, 1, 0, 1, 0])
         for kind in ("sgd", "adam"):
             packed, split = init_mlp(5, seed=3), init_mlp(5, seed=3)
-            opt_packed = OptState.for_arrays([packed.vector], kind, lr=1e-2)
-            opt_split = OptState.for_arrays(split.flat(), kind, lr=1e-2)
+            opt_packed = OptState.for_vector(packed.vector, kind, lr=1e-2)
+            opt_split = [OptState.for_vector(a, kind, lr=1e-2) for a in split.flat()]
             for _ in range(3):
                 trace = forward(packed, x)
                 _, d = ce(trace.logits_regular, y)
-                opt_step([packed.vector], [backward(packed, trace, d_logits_regular=d).vector], opt_packed)
+                opt_step(packed.vector, backward(packed, trace, d_logits_regular=d).vector, opt_packed)
                 _, grads = model_loss(split, x, y)
-                opt_step(split.flat(), grads.flat(), opt_split)
+                for a, g, opt in zip(split.flat(), grads.flat(), opt_split):
+                    opt_step(a, g, opt)
             assert np.array_equal(packed.vector, split.vector), kind
 
     def test_deterministic_trajectory(self):
         histories = []
         for _ in range(2):
             p = init_mlp(5, seed=3)
-            arrays = p.flat()
-            opt = OptState.for_arrays(arrays, "adam", lr=1e-3)
+            opt = OptState.for_vector(p.vector, "adam", lr=1e-3)
             rng = np.random.default_rng(0)
             x = rng.normal(size=(8, 5))
             y = rng.integers(0, 2, size=8)
             for _ in range(3):
                 _, grads = model_loss(p, x, y)
-                opt_step(arrays, grads.flat(), opt)
-            histories.append([a.copy() for a in arrays])
-        for a, b in zip(*histories):
-            assert np.array_equal(a, b)
+                opt_step(p.vector, grads.vector, opt)
+            histories.append(p.vector.copy())
+        assert np.array_equal(*histories)
 
 
 def assert_views_of_vector(params):
@@ -341,7 +410,7 @@ class TestEmbeddingsAndCheckpoints:
     def test_zero_model_zero_embeddings(self):
         p = zero_params(init_mlp(4, seed=0))
         emb = export_embeddings(p, np.ones((3, 4)), [0, 1, 0])
-        assert np.array_equal(emb, np.zeros((3, p.hidden_dim)))
+        assert np.array_equal(emb, np.zeros((3, p.backbone[-1].W.shape[1])))
 
     def test_checkpoint_round_trip_bit_exact(self, tmp_path):
         p = init_mlp(5, seed=9)
