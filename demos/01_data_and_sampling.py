@@ -46,9 +46,16 @@ for q in (1.0, 0.5, 0.25, 0.0):
 
 sampler = SamplerState(train_p, batch_size=64, seed=0)
 pair = next_batch_pair(sampler, train_p)
+labels, n_reg = pair.rows()[1], pair.n_regular
 print("\none batch pair (batch size 64):")
-print(f"  regular stream  (q=1): {int((pair.regular[1] == 1).sum())} minority rows")
-print(f"  balanced stream (q=0): {int((pair.balanced[1] == 1).sum())} minority rows")
+print(f"  regular stream  (q=1): {int((labels[:n_reg] == 1).sum())} minority rows")
+print(f"  balanced stream (q=0): {int((labels[n_reg:] == 1).sum())} minority rows")
 
-fractions = [(next_batch_pair(sampler, train_p).balanced[1] == 1).mean() for _ in range(200)]
+
+def balanced_minority_fraction():
+    pair = next_batch_pair(sampler, train_p)
+    return (pair.rows()[1][pair.n_regular:] == 1).mean()
+
+
+fractions = [balanced_minority_fraction() for _ in range(200)]
 print(f"  minority fraction in 200 balanced batches: {np.mean(fractions):.3f} (target 0.5)")

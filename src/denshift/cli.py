@@ -352,10 +352,10 @@ def cmd_eval(cfg: dict, checkpoint_path: str, csv_path: str) -> int:
 
 def cmd_ablate(cfg: dict) -> int:
     tcfg = _train_config(cfg)
-    out = _out_dir(cfg)
     _, splits, _ = _splits(cfg)
     table = run_ablation(tcfg, splits, seeds=tuple(cfg["ablation"]["seeds"]),
                          max_workers=_max_workers())
+    out = _out_dir(cfg)
     metrics = table_metrics(splits[0].n_classes)
     columns = ["variant", "n_runs"] + [f"{m}_{stat}" for m in metrics for stat in ("mean", "ci95")]
     rows = [{"variant": v, **{k: row[k] for k in columns[1:]}} for v, row in table.items()]
@@ -368,10 +368,10 @@ def cmd_ablate(cfg: dict) -> int:
 
 def cmd_sweep_theta(cfg: dict) -> int:
     tcfg = _train_config(cfg)
-    out = _out_dir(cfg)
     _, splits, _ = _splits(cfg)
     rows = sweep_theta(tcfg, splits, theta_grid=cfg["sweep"]["theta_grid"],
                        seeds=tuple(cfg["sweep"]["seeds"]), max_workers=_max_workers())
+    out = _out_dir(cfg)
     columns = ["theta", "n_runs", "auc_roc_mean", "auc_roc_ci95", "auc_prc_mean", "auc_prc_ci95"]
     _write_table(out / "sweep_theta.csv", rows, columns)
     _write_json(out / "sweep_theta.json", {"config_hash": config_hash(cfg), "rows": rows})

@@ -42,7 +42,8 @@ def gradient_report(
     y_reg = rng.integers(0, n_classes, size=batch_size)
     x_bal = rng.normal(size=(batch_size, input_dim))
     y_bal = rng.integers(0, n_classes, size=batch_size)
-    pair = BatchPair(np.concatenate((x_reg, x_bal)), np.concatenate((y_reg, y_bal)), None, batch_size)
+    pair = BatchPair(np.concatenate((x_reg, x_bal)), np.concatenate((y_reg, y_bal)),
+                     np.arange(2 * batch_size), batch_size)
     init = init_mlp(input_dim, hidden=28, depth=4, n_classes=n_classes, seed=seed + 1)
     n = init.layout.size
     vector = np.append(init.vector, 0.3)  # log cost away from 0 so its gradient is exercised off-init

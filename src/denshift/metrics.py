@@ -35,7 +35,7 @@ class ScoredSet:
             raise ValidationError("empty scored set")
         if not np.isfinite(scores).all() or scores.min() < 0.0 or scores.max() > 1.0:
             raise ValidationError("scores must be finite and in [0, 1]")
-        if not np.isin(labels, (0, 1)).all():
+        if np.maximum.reduce(labels.view(np.uint64)) > 1:  # a negative label wraps to a huge value
             raise ValidationError("labels must be 0/1")
         scores.flags.writeable = False
         labels.flags.writeable = False

@@ -25,24 +25,25 @@ CHECKPOINT_VERSION = "denshift-checkpoint-1"
 _NORM_EPS = 1e-12  # guards division when a hidden row or weight column is exactly zero
 
 
-@dataclass
 class DenseLayer:
-    W: np.ndarray
-    b: np.ndarray
+    """One affine map a @ W + b, held as the (d_in + 1, d_out) matrix Wb = [W; b]; W and b are views of it."""
+
+    def __init__(self, Wb: np.ndarray):
+        self.Wb, self.W, self.b = Wb, Wb[:-1], Wb[-1]
 
 
 @dataclass(frozen=True)
 class Layout:
-    """Where each (W, b) array sits in a flat vector, in `flat()` order."""
+    """Where each layer's [W; b] matrix sits in a flat vector: W row-major, then b, layer by layer."""
 
-    slots: tuple[tuple[int, int, tuple[int, ...]], ...]  # (start, stop, shape) per array
+    slots: tuple[tuple[int, int, tuple[int, int]], ...]  # (start, stop, (d_in + 1, d_out)) per layer
 
     @classmethod
-    def of(cls, arrays) -> "Layout":
+    def of(cls, weight_shapes) -> "Layout":
         slots, start = [], 0
-        for a in arrays:
-            slots.append((start, start + a.size, a.shape))
-            start += a.size
+        for d_in, d_out in weight_shapes:
+            slots.append((start, start + (d_in + 1) * d_out, (d_in + 1, d_out)))
+            start = slots[-1][1]
         return cls(tuple(slots))
 
     @property
@@ -51,8 +52,7 @@ class Layout:
 
     def bind(self, vector: np.ndarray) -> tuple[list[DenseLayer], DenseLayer, DenseLayer]:
         """Views into `vector`: the backbone layers, the regular head, the balanced head."""
-        views = [vector[start:stop].reshape(shape) for start, stop, shape in self.slots]
-        layers = [DenseLayer(W, b) for W, b in zip(views[::2], views[1::2])]
+        layers = [DenseLayer(vector[start:stop].reshape(shape)) for start, stop, shape in self.slots]
         return layers[:-2], layers[-2], layers[-1]
 
 
@@ -80,12 +80,8 @@ class _LayerVector:
 
     def flat(self) -> list[np.ndarray]:
         """Live views in fixed order: backbone (W,b)*, regular head, balanced head."""
-        arrays: list[np.ndarray] = []
-        for layer in self.backbone:
-            arrays.extend((layer.W, layer.b))
-        arrays.extend((self.head_regular.W, self.head_regular.b))
-        arrays.extend((self.head_balanced.W, self.head_balanced.b))
-        return arrays
+        layers = (*self.backbone, self.head_regular, self.head_balanced)
+        return [a for layer in layers for a in (layer.W, layer.b)]
 
 
 @dataclass
@@ -97,12 +93,11 @@ class ModelParams(_LayerVector):
     trained_heads: tuple[str, ...] | None = None
 
     @classmethod
-    def pack(cls, layers: list[DenseLayer], resid_span, normalize_balanced: bool = False,
+    def pack(cls, layers: list[tuple[np.ndarray, np.ndarray]], resid_span, normalize_balanced: bool = False,
              trained_heads: tuple[str, ...] | None = None) -> "ModelParams":
-        """Copy `layers` (the backbone, then the regular head, then the balanced head) into one new vector."""
-        arrays = [a for layer in layers for a in (layer.W, layer.b)]
-        vector = np.concatenate([a.ravel() for a in arrays], dtype=np.float64)
-        return cls(vector, Layout.of(arrays), resid_span, normalize_balanced, trained_heads)
+        """Copy (W, b) pairs (the backbone, then the regular head, then the balanced head) into one new vector."""
+        vector = np.concatenate([a.ravel() for W, b in layers for a in (W, b)], dtype=np.float64)
+        return cls(vector, Layout.of(W.shape for W, _ in layers), resid_span, normalize_balanced, trained_heads)
 
     @property
     def input_dim(self) -> int:
@@ -119,19 +114,25 @@ class ModelParams(_LayerVector):
 
 @dataclass
 class ForwardTrace:
-    """Cached activations from one forward pass, enough for an exact backward pass."""
+    """Cached activations from one forward pass, enough for an exact backward pass.
 
-    x: np.ndarray
-    pre: list[np.ndarray]
+    `act[l]` is backbone layer l's input (act[0] the batch) with a trailing
+    column of ones. A head's logits are None when the pass did not compute them.
+    """
+
     act: list[np.ndarray]
-    hidden: np.ndarray
-    logits_regular: np.ndarray
-    logits_balanced: np.ndarray
+    logits_regular: np.ndarray | None
+    logits_balanced: np.ndarray | None = None
     # populated only when the balanced head normalizes hidden/weight vectors
     hidden_norms: np.ndarray | None = None
     hidden_unit: np.ndarray | None = None
     bal_w_norms: np.ndarray | None = None
     bal_w_unit: np.ndarray | None = None
+
+    @property
+    def hidden(self) -> np.ndarray:
+        """The last hidden representation (the heads' input), without its ones column."""
+        return self.act[-1][:, :-1]
 
 
 class Gradients(_LayerVector):
@@ -154,7 +155,7 @@ def init_mlp(
 
     def dense(d_in, d_out):
         bound = 1.0 / np.sqrt(d_in)
-        return DenseLayer(rng.uniform(-bound, bound, size=(d_in, d_out)), np.zeros(d_out))
+        return rng.uniform(-bound, bound, size=(d_in, d_out)), np.zeros(d_out)
 
     backbone = [dense(input_dim, hidden)]
     backbone += [dense(hidden, hidden) for _ in range(n_backbone - 1)]
@@ -166,38 +167,50 @@ def init_mlp(
     return ModelParams.pack(backbone + heads, span, normalize_balanced)
 
 
-def forward(params: ModelParams, x: np.ndarray) -> ForwardTrace:
-    """Run a batch through the backbone and both heads, caching activations."""
+def _with_ones(rows: int, width: int) -> np.ndarray:
+    """An uninitialised (rows, width + 1) buffer whose last column is 1."""
+    buf = np.empty((rows, width + 1))
+    buf[:, width] = 1.0
+    return buf
+
+
+def forward(params: ModelParams, x: np.ndarray, head: str | None = None) -> ForwardTrace:
+    """Run a batch through the backbone and one head ("regular"/"balanced") or both (None), caching activations.
+
+    Each affine map is one GEMM: a layer writes `a @ [W; b]` into the first
+    columns of a buffer whose last column is 1, and ReLU in place keeps the ones.
+    """
+    if head not in (None, "regular", "balanced"):
+        raise ValidationError(f"unknown head {head!r}")
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != params.input_dim:
         raise ValidationError(f"input shape {x.shape} does not match input_dim {params.input_dim}")
-    span = params.resid_span
-    pre, act = [], []
-    a = x
+    rows, span = x.shape[0], params.resid_span
+    a = _with_ones(rows, x.shape[1])
+    a[:, :-1] = x
+    act = [a]
     for l, layer in enumerate(params.backbone):
-        z = a @ layer.W + layer.b
+        a = _with_ones(rows, layer.W.shape[1])
+        z = np.matmul(act[-1], layer.Wb, out=a[:, :-1])
         if span is not None and l == span[1]:
-            z = z + act[span[0] - 1]
-        a = np.maximum(z, 0.0)
-        pre.append(z)
+            z += act[span[0]][:, :-1]
+        np.maximum(a, 0.0, out=a)
         act.append(a)
-    hidden = act[-1]
-    logits_regular = hidden @ params.head_regular.W + params.head_regular.b
-
+    trace = ForwardTrace(act, a @ params.head_regular.Wb if head != "balanced" else None)
+    if head == "regular":
+        return trace
     if params.normalize_balanced:
+        hidden = trace.hidden
         r = np.sqrt((hidden**2).sum(axis=1, keepdims=True))
-        r_safe = np.maximum(r, _NORM_EPS)
-        h_unit = hidden / r_safe
+        trace.hidden_norms = np.maximum(r, _NORM_EPS)
+        trace.hidden_unit = hidden / trace.hidden_norms
         s = np.sqrt((params.head_balanced.W**2).sum(axis=0, keepdims=True))
-        s_safe = np.maximum(s, _NORM_EPS)
-        w_unit = params.head_balanced.W / s_safe
-        logits_balanced = h_unit @ w_unit + params.head_balanced.b
-        return ForwardTrace(
-            x, pre, act, hidden, logits_regular, logits_balanced,
-            hidden_norms=r_safe, hidden_unit=h_unit, bal_w_norms=s_safe, bal_w_unit=w_unit,
-        )
-    logits_balanced = hidden @ params.head_balanced.W + params.head_balanced.b
-    return ForwardTrace(x, pre, act, hidden, logits_regular, logits_balanced)
+        trace.bal_w_norms = np.maximum(s, _NORM_EPS)
+        trace.bal_w_unit = params.head_balanced.W / trace.bal_w_norms
+        trace.logits_balanced = trace.hidden_unit @ trace.bal_w_unit + params.head_balanced.b
+    else:
+        trace.logits_balanced = a @ params.head_balanced.Wb
+    return trace
 
 
 def backward(
@@ -213,33 +226,32 @@ def backward(
     regular head's the first rows, the balanced head's the last), so one
     stacked pass trains each head on its own batch; None masks a head. The
     backbone gets the sum over both blocks; rows neither covers add nothing.
+    Each layer's dW and db come from one GEMM, `[a_in, 1].T @ dz`, written
+    into the gradient's [W; b] view.
     """
-    hidden = trace.hidden
+    hidden = trace.act[-1]  # with its ones column
     n_rows = hidden.shape[0]
     grads = Gradients(np.empty(params.layout.size), params.layout) if out is None else out
     # each head writes its own rows of d_hidden; uncovered rows get 0, an overlapping block adds
     n_reg = 0 if d_logits_regular is None else d_logits_regular.shape[0]
     start_bal = n_rows if d_logits_balanced is None else n_rows - d_logits_balanced.shape[0]
     overlap = start_bal < n_reg
-    d_hidden = np.empty_like(hidden)
+    d_hidden = np.empty_like(trace.hidden)
     d_hidden[n_reg:n_rows if overlap else start_bal] = 0.0
 
     if d_logits_regular is None:
-        grads.head_regular.W.fill(0.0)
-        grads.head_regular.b.fill(0.0)
+        grads.head_regular.Wb.fill(0.0)
     else:
-        np.matmul(hidden[:n_reg].T, d_logits_regular, out=grads.head_regular.W)
-        np.add.reduce(d_logits_regular, axis=0, out=grads.head_regular.b)
+        np.matmul(hidden[:n_reg].T, d_logits_regular, out=grads.head_regular.Wb)
         np.matmul(d_logits_regular, params.head_regular.W.T, out=d_hidden[:n_reg])
 
     if d_logits_balanced is None:
-        grads.head_balanced.W.fill(0.0)
-        grads.head_balanced.b.fill(0.0)
+        grads.head_balanced.Wb.fill(0.0)
     else:
         rows = slice(start_bal, n_rows)
-        block = np.empty((n_rows - start_bal, hidden.shape[1])) if overlap else d_hidden[rows]
-        np.add.reduce(d_logits_balanced, axis=0, out=grads.head_balanced.b)
+        block = np.empty((n_rows - start_bal, d_hidden.shape[1])) if overlap else d_hidden[rows]
         if params.normalize_balanced:
+            np.add.reduce(d_logits_balanced, axis=0, out=grads.head_balanced.b)
             h_unit, w_unit = trace.hidden_unit[rows], trace.bal_w_unit
             d_w_unit = h_unit.T @ d_logits_balanced
             # project out the radial component of each unit vector's gradient
@@ -249,7 +261,7 @@ def backward(
             np.divide(d_h_unit - h_unit * (h_unit * d_h_unit).sum(axis=1, keepdims=True),
                       trace.hidden_norms[rows], out=block)
         else:
-            np.matmul(hidden[rows].T, d_logits_balanced, out=grads.head_balanced.W)
+            np.matmul(hidden[rows].T, d_logits_balanced, out=grads.head_balanced.Wb)
             np.matmul(d_logits_balanced, params.head_balanced.W.T, out=block)
         if overlap:
             d_hidden[rows] += block
@@ -260,11 +272,9 @@ def backward(
     da = d_hidden
     for l in range(n_backbone - 1, -1, -1):
         if skip_extra[l] is not None:
-            da = da + skip_extra[l]
-        dz = np.multiply(da, trace.pre[l] > 0, out=da)  # da is this pass's own array
-        a_in = trace.act[l - 1] if l > 0 else trace.x
-        np.matmul(a_in.T, dz, out=grads.backbone[l].W)
-        np.add.reduce(dz, axis=0, out=grads.backbone[l].b)
+            da += skip_extra[l]  # da is this pass's own array
+        dz = np.multiply(da, trace.act[l + 1][:, :-1] > 0, out=da)
+        np.matmul(trace.act[l].T, dz, out=grads.backbone[l].Wb)
         if l > 0:  # the input's own gradient is never needed
             da = dz @ params.backbone[l].W.T
         if span is not None and l == span[1]:
@@ -367,14 +377,9 @@ def save_checkpoint(path, params: ModelParams, norm_stats: NormStats,
                     class_names: tuple[str, ...], feature_names: tuple[str, ...],
                     label_column: str = "label", extra: dict | None = None) -> None:
     """Bit-exact model checkpoint: parameter arrays + preprocessing stats + label mapping."""
-    arrays = {}
-    for i, layer in enumerate(params.backbone):
-        arrays[f"backbone_{i}_W"] = layer.W
-        arrays[f"backbone_{i}_b"] = layer.b
-    arrays["head_regular_W"] = params.head_regular.W
-    arrays["head_regular_b"] = params.head_regular.b
-    arrays["head_balanced_W"] = params.head_balanced.W
-    arrays["head_balanced_b"] = params.head_balanced.b
+    named = [(f"backbone_{i}", layer) for i, layer in enumerate(params.backbone)]
+    named += [("head_regular", params.head_regular), ("head_balanced", params.head_balanced)]
+    arrays = {f"{name}_{k}": getattr(layer, k) for name, layer in named for k in ("W", "b")}
     arrays["norm_mean"] = norm_stats.mean
     arrays["norm_std"] = norm_stats.std
     arrays["norm_impute"] = norm_stats.impute
@@ -399,9 +404,8 @@ def load_checkpoint(path) -> tuple[ModelParams, NormStats, dict]:
         meta = json.loads(bytes(blob["__meta__"]).decode("utf-8"))
         if meta.get("version") != CHECKPOINT_VERSION:
             raise ValidationError(f"unsupported checkpoint version {meta.get('version')!r}")
-        layers = [DenseLayer(blob[f"backbone_{i}_W"], blob[f"backbone_{i}_b"])
-                  for i in range(meta["n_backbone"])]
-        layers += [DenseLayer(blob[f"head_{h}_W"], blob[f"head_{h}_b"]) for h in ("regular", "balanced")]
+        layers = [(blob[f"backbone_{i}_W"], blob[f"backbone_{i}_b"]) for i in range(meta["n_backbone"])]
+        layers += [(blob[f"head_{h}_W"], blob[f"head_{h}_b"]) for h in ("regular", "balanced")]
         params = ModelParams.pack(
             layers,
             resid_span=tuple(meta["resid_span"]) if meta["resid_span"] else None,

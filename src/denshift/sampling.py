@@ -4,7 +4,7 @@ Class j is drawn with probability n_j^q / sum_c n_c^q, then an instance
 uniformly within the class, with replacement. q=1 reproduces regular
 random sampling (instance-uniform), q=0 class-balanced sampling. A
 SamplerState pairs one regular stream with one balanced stream so the
-decoupled trainer gets both batches per step, stacked in one array.
+decoupled trainer gets both batches per step, stacked in one index array.
 """
 
 from __future__ import annotations
@@ -20,32 +20,22 @@ from .errors import ValidationError
 
 @dataclass
 class BatchPair:
-    """One step's worth of data: a regular-sampled batch stacked above a balanced one.
+    """One step's worth of draws: a regular batch stacked above a balanced one.
 
-    `x`, `y` and `idx` hold the regular rows first, then the balanced rows;
-    `regular`, `balanced` and their indices are views of the two halves.
+    `idx` holds the regular draw's row indices first, then the balanced
+    draw's; they index `features` and `labels`, the whole split. A step
+    gathers only the rows it reads with `rows`.
     """
 
-    x: np.ndarray
-    y: np.ndarray
-    idx: np.ndarray | None
+    features: np.ndarray
+    labels: np.ndarray
+    idx: np.ndarray
     n_regular: int
 
-    @property
-    def regular(self) -> tuple[np.ndarray, np.ndarray]:
-        return self.x[:self.n_regular], self.y[:self.n_regular]
-
-    @property
-    def balanced(self) -> tuple[np.ndarray, np.ndarray]:
-        return self.x[self.n_regular:], self.y[self.n_regular:]
-
-    @property
-    def regular_idx(self) -> np.ndarray:
-        return self.idx[:self.n_regular]
-
-    @property
-    def balanced_idx(self) -> np.ndarray:
-        return self.idx[self.n_regular:]
+    def rows(self, stop: int | None = None) -> tuple[np.ndarray, np.ndarray]:
+        """Features and labels of the drawn rows before `stop` (all of them when None), in one gather."""
+        idx = self.idx[:stop]
+        return self.features[idx], self.labels[idx]
 
 
 def class_probs(class_counts, q: float) -> np.ndarray:
@@ -102,13 +92,12 @@ class SamplerState:
 
 
 def next_batch_pair(sampler: SamplerState, ds: Dataset) -> BatchPair:
-    """Draw one regular batch and one balanced batch, with replacement, and gather both at once."""
+    """Draw one regular batch and one balanced batch of row indices, with replacement."""
     if ds.n != sampler.n:
         raise ValidationError("sampler is bound to a different split")
     reg_idx = sampler._draw(sampler.cdf_regular)
     bal_idx = sampler._draw(sampler.cdf_balanced)
-    idx = np.concatenate((reg_idx, bal_idx))
-    return BatchPair(ds.features[idx], ds.labels[idx], idx, reg_idx.size)
+    return BatchPair(ds.features, ds.labels, np.concatenate((reg_idx, bal_idx)), reg_idx.size)
 
 
 def epoch_batches(sampler: SamplerState, ds: Dataset):

@@ -197,22 +197,23 @@ def train_step(params: ModelParams, pair: BatchPair, spec: VariantSpec, cfg: Tra
                out: Gradients | None = None) -> tuple[float, float, np.ndarray, float]:
     """Losses and gradients of one decoupled step; parameters are not updated.
 
-    One forward and one backward pass: over the stacked regular and
-    balanced rows for dual-stream variants, over the regular rows alone
-    otherwise. Each head's loss reads its own head's logits on its own
-    rows. Returns (loss_regular, loss_balanced (NaN when single stream),
-    gradient laid out like `params.vector` (the vector of `out` when
-    given), d/dlog_cfp).
+    One gather, forward and backward pass: over the stacked regular and
+    balanced rows for dual-stream variants, over the regular rows and the
+    regular head alone otherwise. Each head's loss reads its own head's
+    logits on its own rows. Returns (loss_regular, loss_balanced (NaN when
+    single stream), gradient laid out like `params.vector` (the vector of
+    `out` when given), d/dlog_cfp).
     """
     n_reg = pair.n_regular
-    trace = forward(params, pair.x if spec.dual_stream else pair.x[:n_reg])
+    x, y = pair.rows(None if spec.dual_stream else n_reg)
+    trace = forward(params, x, None if spec.dual_stream else "regular")
     loss_r, d_r, d_cost = _head_loss(
-        spec.regular_terms, trace.logits_regular[:n_reg], pair.y[:n_reg], cfg, dah_cfg, cost_params
+        spec.regular_terms, trace.logits_regular[:n_reg], y[:n_reg], cfg, dah_cfg, cost_params
     )
     loss_b, d_b = float("nan"), None
     if spec.dual_stream:
         loss_b, d_b, dcost_b = _head_loss(
-            spec.balanced_terms, trace.logits_balanced[n_reg:], pair.y[n_reg:], cfg, dah_cfg, cost_params
+            spec.balanced_terms, trace.logits_balanced[n_reg:], y[n_reg:], cfg, dah_cfg, cost_params
         )
         d_cost += dcost_b
     grads = backward(params, trace, d_r, d_b, out)
@@ -317,7 +318,7 @@ def logits(params: ModelParams, x: np.ndarray, head: str | None = None) -> np.nd
         raise ValidationError(f"unknown head {head!r}")
     if head not in available:
         raise ValidationError(f"head {head!r} was not trained for this variant")
-    trace = forward(params, x)
+    trace = forward(params, x, head)
     return trace.logits_balanced if head == "balanced" else trace.logits_regular
 
 
@@ -362,8 +363,10 @@ def sweep_theta(
         raise ValidationError("theta sweep requires a cost-matrix variant")
     if len(seeds) < 3:
         raise ValidationError("theta sweep needs at least 3 seeds for confidence intervals")
-    train_ds, val_ds, test_ds = splits
     grid = sorted(float(t) for t in theta_grid)
+    if not grid:
+        raise ValidationError("sweep.theta_grid must not be empty")
+    train_ds, val_ds, test_ds = splits
     jobs = [
         (replace(cfg, theta=t, seed=s), train_ds, val_ds, test_ds)
         for t in grid for s in seeds
@@ -398,6 +401,8 @@ def run_ablation(
 
     On multi-class data the binary-only cost variants are skipped.
     """
+    if not seeds:
+        raise ValidationError("ablation.seeds must not be empty")
     train_ds, val_ds, test_ds = splits
     if train_ds.n_classes != 2:
         variants = tuple(v for v in variants if not variant_losses(v).uses_cost)

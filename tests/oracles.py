@@ -155,3 +155,70 @@ def ref_cost_loss(logits, y, cp):
     grad[rows, amax] = dz / b
     d_log_cfp = float((d_cfp + cp.theta * d_cfn).mean() * c_fp)
     return loss, grad, d_log_cfp
+
+
+# The backbone and heads as they were before each bias was folded into its
+# layer's matmul: `a @ W + b`, then a separate bias reduction in the
+# backward pass. The arithmetic follows the unfolded code; the backward pass
+# takes full-height upstream gradients, whose zero rows mask a head.
+
+
+def ref_forward(params, x):
+    """(pre-activations, activations, regular logits, balanced logits), unfolded."""
+    span = params.resid_span
+    pre, act, a = [], [], np.asarray(x, dtype=np.float64)
+    for l, layer in enumerate(params.backbone):
+        z = a @ layer.W + layer.b
+        if span is not None and l == span[1]:
+            z = z + act[span[0] - 1]
+        a = np.maximum(z, 0.0)
+        pre.append(z)
+        act.append(a)
+    hidden = act[-1]
+    logits_regular = hidden @ params.head_regular.W + params.head_regular.b
+    w_bal = params.head_balanced.W
+    if params.normalize_balanced:
+        r = np.maximum(np.sqrt((hidden**2).sum(axis=1, keepdims=True)), 1e-12)
+        s = np.maximum(np.sqrt((w_bal**2).sum(axis=0, keepdims=True)), 1e-12)
+        logits_balanced = (hidden / r) @ (w_bal / s) + params.head_balanced.b
+    else:
+        logits_balanced = hidden @ w_bal + params.head_balanced.b
+    return pre, act, logits_regular, logits_balanced
+
+
+def ref_gradients(params, x, d_regular, d_balanced):
+    """Parameter gradients in `flat()` order for full-height upstream gradients of both heads."""
+    x = np.asarray(x, dtype=np.float64)
+    pre, act, _, _ = ref_forward(params, x)
+    hidden = act[-1]
+    head_r = [hidden.T @ d_regular, d_regular.sum(axis=0)]
+    d_hidden = d_regular @ params.head_regular.W.T
+    w_bal = params.head_balanced.W
+    if params.normalize_balanced:
+        r = np.maximum(np.sqrt((hidden**2).sum(axis=1, keepdims=True)), 1e-12)
+        s = np.maximum(np.sqrt((w_bal**2).sum(axis=0, keepdims=True)), 1e-12)
+        h_unit, w_unit = hidden / r, w_bal / s
+        d_w_unit = h_unit.T @ d_balanced
+        d_w = (d_w_unit - w_unit * (w_unit * d_w_unit).sum(axis=0, keepdims=True)) / s
+        d_h_unit = d_balanced @ w_unit.T
+        d_hidden = d_hidden + (d_h_unit - h_unit * (h_unit * d_h_unit).sum(axis=1, keepdims=True)) / r
+    else:
+        d_w = hidden.T @ d_balanced
+        d_hidden = d_hidden + d_balanced @ w_bal.T
+    head_b = [d_w, d_balanced.sum(axis=0)]
+
+    n = len(params.backbone)
+    span = params.resid_span
+    skip = [None] * n
+    backbone = [None] * n
+    da = d_hidden
+    for l in range(n - 1, -1, -1):
+        if skip[l] is not None:
+            da = da + skip[l]
+        dz = da * (pre[l] > 0)
+        a_in = act[l - 1] if l > 0 else x
+        backbone[l] = [a_in.T @ dz, dz.sum(axis=0)]
+        da = dz @ params.backbone[l].W.T
+        if span is not None and l == span[1]:
+            skip[span[0] - 1] = dz
+    return [g for pair in backbone for g in pair] + head_r + head_b

@@ -101,7 +101,8 @@ def test_03_sampler_correctness():
     passes, statistics = 0, []
     for seed in (0, 1, 2):
         sampler = SamplerState(ds, batch_size=10_000, seed=seed)
-        drawn = next_batch_pair(sampler, ds).balanced[1]
+        pair = next_batch_pair(sampler, ds)
+        drawn = pair.rows()[1][pair.n_regular:]
         observed = np.bincount(drawn, minlength=4)
         statistic = float(((observed - 2500.0) ** 2 / 2500.0).sum())
         statistics.append(statistic)
@@ -158,13 +159,14 @@ def test_06_decoupling_isolation(bench_splits):
     backbone_gap = 0.0
     for _ in range(10):
         pair = next_batch_pair(sampler, tr)
-        xr, yr = pair.regular
+        x, y = pair.rows()
+        xr, yr = x[:pair.n_regular], y[:pair.n_regular]
         trace = forward(params, xr)
         _, d_r = dah_softmax(trace.logits_regular, yr, deltas)
         only_regular = backward(params, trace, d_logits_regular=d_r)
         worst_balanced = max(worst_balanced, np.abs(only_regular.head_balanced.W).max(),
                              np.abs(only_regular.head_balanced.b).max())
-        xb, yb = pair.balanced
+        xb, yb = x[pair.n_regular:], y[pair.n_regular:]
         trace_b = forward(params, xb)
         _, d_b = dah_softmax(trace_b.logits_balanced, yb, deltas)
         only_balanced = backward(params, trace_b, d_logits_balanced=d_b)

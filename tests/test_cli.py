@@ -252,6 +252,18 @@ class TestOtherCommands:
         assert thetas == sorted(thetas)
         assert {5.0, 10.0} <= set(thetas)
 
+    @pytest.mark.parametrize("command, section, key", [("ablate", "ablation", "seeds"),
+                                                      ("sweep-theta", "sweep", "theta_grid")])
+    def test_empty_seed_or_grid_list_is_exit_one_and_writes_nothing(self, tmp_path, capsys,
+                                                                    command, section, key):
+        out = tmp_path / "empty"
+        path = write_cfg(tmp_path, {"train": {"epochs": 1, "variant": "cost"}, section: {key: []},
+                                    "output_dir": str(out)})
+        assert main([command, "--config", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert f"{section}.{key}" in captured.err and captured.out == ""
+        assert not out.exists()
+
     def test_grad_check_exits_zero(self, capsys):
         assert main(["grad-check"]) == 0
         out = capsys.readouterr().out

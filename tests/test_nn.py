@@ -1,10 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from denshift.data import NormStats
 from denshift.errors import ValidationError
 from denshift.losses import ce, dah_softmax
 from denshift.nn import (
+    Gradients,
     OptState,
     backward,
     export_embeddings,
@@ -15,6 +18,7 @@ from denshift.nn import (
     opt_step,
     save_checkpoint,
 )
+from oracles import ref_forward, ref_gradients
 
 
 def zero_params(params):
@@ -103,6 +107,63 @@ class TestForward:
         b = forward(p, x)
         assert np.array_equal(a.logits_regular, b.logits_regular)
         assert np.array_equal(a.logits_balanced, b.logits_balanced)
+
+
+class TestFoldedBiasAgainstUnfoldedOracle:
+    @settings(max_examples=60, deadline=None)
+    @given(rows=st.integers(1, 130), hidden=st.integers(1, 40), depth=st.integers(2, 6),
+           normalize=st.booleans(), seed=st.integers(0, 2**16), data=st.data())
+    def test_logits_and_gradients_match(self, rows, hidden, depth, normalize, seed, data):
+        rng = np.random.default_rng(seed)
+        p = init_mlp(5, hidden=hidden, depth=depth, n_classes=3, seed=seed, normalize_balanced=normalize)
+        p.vector[:] = rng.normal(scale=0.5, size=p.vector.size)  # nonzero biases, so the fold is exercised
+        x = rng.normal(size=(rows, 5))
+        _, _, ref_r, ref_b = ref_forward(p, x)
+        both = forward(p, x)
+        for got, ref in ((both.logits_regular, ref_r), (both.logits_balanced, ref_b),
+                         (forward(p, x, "regular").logits_regular, ref_r),
+                         (forward(p, x, "balanced").logits_balanced, ref_b)):
+            assert np.abs(got - ref).max() <= 1e-12 * max(np.abs(ref).max(), 1e-300)
+        assert forward(p, x, "regular").logits_balanced is None
+        assert forward(p, x, "balanced").logits_regular is None
+
+        # each head's upstream covers its own block (first/last rows) or is masked (None)
+        n_reg = data.draw(st.none() | st.integers(1, rows))
+        n_bal = data.draw(st.none() | st.integers(1, rows))
+        d_r = None if n_reg is None else rng.normal(size=(n_reg, 3))
+        d_b = None if n_bal is None else rng.normal(size=(n_bal, 3))
+        pad_r, pad_b = np.zeros((rows, 3)), np.zeros((rows, 3))
+        if d_r is not None:
+            pad_r[:n_reg] = d_r
+        if d_b is not None:
+            pad_b[rows - n_bal:] = d_b
+        ref = np.concatenate([g.ravel() for g in ref_gradients(p, x, pad_r, pad_b)])
+        got = backward(p, both, d_r, d_b).vector
+        assert np.abs(got - ref).max() <= 1e-12 * max(np.abs(ref).max(), 1e-300)
+
+
+def assert_affine_views_write_through(model):
+    rng = np.random.default_rng(0)
+    for layer in model.backbone + [model.head_regular, model.head_balanced]:
+        d_in, d_out = layer.W.shape
+        assert layer.Wb.shape == (d_in + 1, d_out)
+        new = rng.normal(size=layer.Wb.shape)
+        layer.Wb[:] = new
+        assert np.array_equal(layer.W, new[:-1]) and np.array_equal(layer.b, new[-1])
+    assert np.array_equal(np.concatenate([a.ravel() for a in model.flat()]), model.vector)
+
+
+def test_affine_views_write_through_after_every_construction(tmp_path):
+    import pickle
+
+    p = init_mlp(4, hidden=6, depth=5, n_classes=3, seed=2)
+    stats = NormStats(mean=np.zeros(4), std=np.ones(4), impute=np.zeros(4),
+                      constant_mask=np.zeros(4, dtype=bool))
+    save_checkpoint(tmp_path / "c.npz", p, stats, ("a", "b", "c"), tuple("wxyz"))
+    loaded, _, _ = load_checkpoint(tmp_path / "c.npz")
+    for model in (p, p.copy(), loaded, pickle.loads(pickle.dumps(p)),
+                  Gradients(np.zeros(p.layout.size), p.layout)):
+        assert_affine_views_write_through(model)
 
 
 def model_loss(params, x, y, head="regular", deltas=None):

@@ -56,21 +56,21 @@ class TestBatchPairs:
         ds = make_ds([900, 100])
         sampler = SamplerState(ds, batch_size=10_000, seed=0)
         pair = next_batch_pair(sampler, ds)
-        frac = (pair.balanced[1] == 1).mean()
+        frac = (pair.rows()[1][pair.n_regular:] == 1).mean()
         assert abs(frac - 0.5) <= 0.015  # 3 sigma of binomial(10000, 0.5)
 
     def test_regular_minority_fraction(self):
         ds = make_ds([900, 100])
         sampler = SamplerState(ds, batch_size=10_000, seed=1)
         pair = next_batch_pair(sampler, ds)
-        frac = (pair.regular[1] == 1).mean()
+        frac = (pair.rows()[1][:pair.n_regular] == 1).mean()
         assert abs(frac - 0.1) <= 0.009  # 3 sigma of binomial(10000, 0.1)
 
     def test_within_class_selection_uniform(self):
         ds = make_ds([10, 10])
         sampler = SamplerState(ds, batch_size=20_000, seed=2)
         pair = next_batch_pair(sampler, ds)
-        idx = pair.balanced_idx
+        idx = pair.idx[pair.n_regular:]
         first_class = idx[idx < 10]  # ~10000 draws land in the 10-instance class
         hits = np.bincount(first_class, minlength=10)
         assert np.abs(hits - 1000).max() <= 150
@@ -79,13 +79,14 @@ class TestBatchPairs:
         ds = make_ds([30, 10])
         sampler = SamplerState(ds, batch_size=8, seed=3)
         pair = next_batch_pair(sampler, ds)
-        assert pair.regular[0].shape == (8, 1)
-        assert np.array_equal(pair.regular[0][:, 0], pair.regular_idx.astype(float))
+        x_reg = pair.rows()[0][:pair.n_regular]
+        assert x_reg.shape == (8, 1)
+        assert np.array_equal(x_reg[:, 0], pair.idx[:pair.n_regular].astype(float))
         other = make_ds([5, 5])
         with pytest.raises(ValidationError):
             next_batch_pair(sampler, other)
 
-    def test_one_stacked_gather_with_views_of_each_half(self):
+    def test_one_stacked_draw_gathered_whole_or_regular_only(self):
         ds = make_ds([30, 10])
         sampler = SamplerState(ds, batch_size=8, seed=5)
         pair = next_batch_pair(sampler, ds)
@@ -93,12 +94,14 @@ class TestBatchPairs:
         reg_idx, bal_idx = ref._draw(ref.cdf_regular), ref._draw(ref.cdf_balanced)
         assert pair.n_regular == 8
         assert np.array_equal(pair.idx, np.concatenate((reg_idx, bal_idx)))
-        assert np.array_equal(pair.x[:, 0], pair.idx.astype(float))
-        assert np.array_equal(pair.y, ds.labels[pair.idx])
-        for half, idx in ((pair.regular, reg_idx), (pair.balanced, bal_idx)):
-            assert np.shares_memory(half[0], pair.x) and np.shares_memory(half[1], pair.y)
-            assert np.array_equal(half[1], ds.labels[idx])
-        assert np.array_equal(pair.regular_idx, reg_idx) and np.array_equal(pair.balanced_idx, bal_idx)
+        x, y = pair.rows()
+        assert np.array_equal(x[:, 0], pair.idx.astype(float))
+        assert np.array_equal(y, ds.labels[pair.idx])
+        for half, idx in ((slice(None, 8), reg_idx), (slice(8, None), bal_idx)):
+            assert np.array_equal(y[half], ds.labels[idx])
+            assert np.array_equal(pair.idx[half], idx)
+        x_reg, y_reg = pair.rows(pair.n_regular)
+        assert np.array_equal(x_reg, x[:8]) and np.array_equal(y_reg, y[:8])
 
     def test_missing_class_in_split_rejected(self):
         ds = make_ds([6, 6]).subset(np.arange(6))  # drops class 1 entirely
@@ -142,7 +145,7 @@ class TestEpochBatches:
         for _ in range(2):
             sampler = SamplerState(ds, batch_size=16, seed=9)
             seqs.append([
-                (p.regular_idx.tolist(), p.balanced_idx.tolist())
+                (p.idx[:p.n_regular].tolist(), p.idx[p.n_regular:].tolist())
                 for _ in range(2)
                 for p in epoch_batches(sampler, ds)
             ])

@@ -271,14 +271,15 @@ class TestTrainLoop:
 
 
 def two_pass_step(params, pair, spec, cfg, dah_cfg, cost_params):
-    xr, yr = pair.regular
+    x, y = pair.rows()
+    xr, yr = x[:pair.n_regular], y[:pair.n_regular]
     trace_r = forward(params, xr)
     loss_r, d_r, d_cost = training._head_loss(spec.regular_terms, trace_r.logits_regular, yr,
                                               cfg, dah_cfg, cost_params)
     grad = backward(params, trace_r, d_logits_regular=d_r).vector
     loss_b = float("nan")
     if spec.dual_stream:
-        xb, yb = pair.balanced
+        xb, yb = x[pair.n_regular:], y[pair.n_regular:]
         trace_b = forward(params, xb)
         loss_b, d_b, dcost_b = training._head_loss(spec.balanced_terms, trace_b.logits_balanced, yb,
                                                    cfg, dah_cfg, cost_params)
@@ -347,6 +348,26 @@ class TestStackedStep:
             assert d_cost == pytest.approx(ref_cost, rel=1e-12, abs=0.0)
             params.vector -= 1e-2 * grad  # move off the initial point between probes
 
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_step_gathers_and_computes_only_what_it_reads(self, splits, monkeypatch, variant):
+        # single-stream steps gather the regular draw's rows alone and compute no balanced logits
+        cfg = TrainConfig(variant=variant)
+        spec, params, sampler, dah_cfg, cost_params = step_inputs(cfg, splits[0])
+        pair = next_batch_pair(sampler, splits[0])
+        seen = []
+
+        def recording_forward(params, x, head=None, _real=training.forward):
+            seen.append((x, _real(params, x, head)))
+            return seen[-1][1]
+
+        monkeypatch.setattr(training, "forward", recording_forward)
+        train_step(params, pair, spec, cfg, dah_cfg, cost_params)
+        [(x, trace)] = seen
+        rows = pair.idx if spec.dual_stream else pair.idx[:pair.n_regular]
+        assert np.array_equal(x, splits[0].features[rows])
+        assert trace.logits_regular.shape[0] == rows.size
+        assert (trace.logits_balanced is None) == (not spec.dual_stream)
+
     @pytest.mark.parametrize("normalize", [False, True])
     def test_each_head_ignores_the_other_block_exactly(self, splits, normalize):
         tr = splits[0]
@@ -354,7 +375,8 @@ class TestStackedStep:
         pair = next_batch_pair(SamplerState(tr, batch_size=32, seed=4), tr)
         n = pair.n_regular
         rng = np.random.default_rng(0)
-        trace = forward(params, pair.x)
+        pair_x = pair.rows()[0]
+        trace = forward(params, pair_x)
         d_r, d_b = rng.normal(size=(n, 2)), rng.normal(size=(n, 2))
         fused = backward(params, trace, d_r, d_b)
         regular_only = backward(params, trace, d_logits_regular=d_r)
@@ -362,12 +384,12 @@ class TestStackedStep:
         assert not regular_only.head_balanced.W.any() and not regular_only.head_balanced.b.any()
         assert not balanced_only.head_regular.W.any() and not balanced_only.head_regular.b.any()
         # new data and upstream gradients in one block leave the other head's gradient bit-equal
-        x = pair.x.copy()
+        x = pair_x.copy()
         x[n:] = rng.normal(size=(n, tr.dim))
         other_b = backward(params, forward(params, x), d_r, rng.normal(size=(n, 2)))
         assert np.array_equal(other_b.head_regular.W, fused.head_regular.W)
         assert np.array_equal(other_b.head_regular.b, fused.head_regular.b)
-        x = pair.x.copy()
+        x = pair_x.copy()
         x[:n] = rng.normal(size=(n, tr.dim))
         other_r = backward(params, forward(params, x), rng.normal(size=(n, 2)), d_b)
         assert np.array_equal(other_r.head_balanced.W, fused.head_balanced.W)
