@@ -18,6 +18,7 @@ import hashlib
 import json
 import os
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -32,7 +33,7 @@ from .data import (
     load_csv,
     save_csv,
     stratified_split,
-    write_labeled_rows,
+    write_table,
 )
 from .diagnostics import gradient_report
 from .errors import DenshiftError, NumericalError, SchemaError, ValidationError
@@ -56,39 +57,11 @@ from .training import (
     train,
 )
 
+# the synthetic benchmark: the config classes' defaults with the benchmark's spread, scale and budget
 DEFAULT_CONFIG = {
-    "dataset": {
-        "synthetic": {
-            "n_majority": 900,
-            "n_minority": 100,
-            "n_minority_modes": 3,
-            "dim": 20,
-            "mode_spread": 2.25,
-            "noise_scale": 1.0,
-            "minority_scale": 0.8,
-            "seed": 0,
-        }
-    },
+    "dataset": {"synthetic": {**asdict(SynthConfig()), "mode_spread": 2.25, "minority_scale": 0.8}},
     "split": {"fractions": [0.8, 0.1, 0.1], "seed": 0},
-    "train": {
-        "variant": "full",
-        "epochs": 400,
-        "batch_size": 64,
-        "learning_rate": 1e-3,
-        "optimizer": "adam",
-        "seed": 0,
-        "early_stop_patience": 60,
-        "hidden": 28,
-        "depth": 4,
-        "margin_scale": None,
-        "gamma": 2.0,
-        "theta": 5.0,
-        "offset": 0.01,
-        "lambda_cost": 1.0,
-        "q_regular": 1.0,
-        "q_balanced": 0.0,
-        "normalize_balanced": False,
-    },
+    "train": {**asdict(TrainConfig()), "epochs": 400, "early_stop_patience": 60},
     "metrics": {"n_bins": 10, "temperature_scaling": False},
     "sweep": {"theta_grid": [1, 5, 10, 25, 50, 100], "seeds": [0, 1, 2]},
     "ablation": {"seeds": [0, 1, 2, 3, 4]},
@@ -136,7 +109,7 @@ def load_config(path=None, overrides: dict | None = None) -> dict:
 
 def config_hash(cfg: dict) -> str:
     """Hash of the experiment-defining part of the config (output location excluded)."""
-    core = {k: v for k, v in cfg.items() if k not in ("output_dir", "eval_label_column")}
+    core = {k: v for k, v in cfg.items() if k != "output_dir"}
     canon = json.dumps(core, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canon.encode("utf-8")).hexdigest()[:16]
 
@@ -177,20 +150,6 @@ def _write_json(path: Path, payload: dict) -> None:
     path.write_text(json.dumps(_sanitize(payload), sort_keys=True, indent=2) + "\n", encoding="utf-8")
 
 
-def _write_table(path: Path, rows: list[dict], columns: list[str]) -> None:
-    lines = [",".join(columns)]
-    for row in rows:
-        cells = []
-        for col in columns:
-            v = row[col]
-            if isinstance(v, (float, np.floating)):
-                cells.append("" if not np.isfinite(v) else repr(float(v)))
-            else:
-                cells.append(str(v))
-        lines.append(",".join(cells))
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-
-
 def _out_dir(cfg: dict) -> Path:
     out = Path(cfg["output_dir"])
     out.mkdir(parents=True, exist_ok=True)
@@ -209,7 +168,7 @@ def _max_workers() -> int:
         raise ValidationError(f"DENSHIFT_THREADS must be an integer, got {raw!r}") from None
 
 
-def cmd_gen_data(cfg: dict) -> int:
+def cmd_gen_data(cfg: dict, args) -> int:
     if "synthetic" not in cfg["dataset"]:
         raise ValidationError("gen-data needs a synthetic dataset source")
     out = _out_dir(cfg)
@@ -230,58 +189,30 @@ def cmd_gen_data(cfg: dict) -> int:
     return 0
 
 
-def _history_csv(path: Path, history) -> None:
-    rows = []
-    for e in range(history.epochs_run):
-        rows.append({
-            "epoch": e,
-            "loss_regular": history.loss_regular[e],
-            "loss_balanced": history.loss_balanced[e],
-            "val_auc_roc": history.val_auc_roc[e],
-            "val_auc_prc": history.val_auc_prc[e],
-            "cost_fp": history.cost_fp[e],
-            "cost_fn": history.cost_fn[e],
-        })
-    _write_table(path, rows, ["epoch", "loss_regular", "loss_balanced", "val_auc_roc",
-                              "val_auc_prc", "cost_fp", "cost_fn"])
+HISTORY_COLUMNS = ("epoch", "loss_regular", "loss_balanced", "val_auc_roc", "val_auc_prc", "cost_fp", "cost_fn")
 
 
-def cmd_train(cfg: dict) -> int:
+def cmd_train(cfg: dict, args) -> int:
     tcfg = _train_config(cfg)
     out = _out_dir(cfg)
     raw, (tr, va, te), stats = _splits(cfg)
     params, history = train(tcfg, (tr, va))
-
-    extra = {
-        "config_hash": config_hash(cfg),
-        "variant": tcfg.variant,
-        "theta": tcfg.theta,
-        "offset": tcfg.offset,
-        "cost_at_best": list(history.best_cost) if history.best_cost else None,
-    }
-    save_checkpoint(out / "checkpoint.npz", params, stats, raw.class_names,
-                    raw.feature_names, raw.label_column, extra=extra)
-    _history_csv(out / "history.csv", history)
-
     test_probs = predict(params, te.features)
+    chash = config_hash(cfg)
+    cost_at_best = list(history.best_cost) if history.best_cost else None
     report = {
         "command": "train",
-        "config_hash": config_hash(cfg),
+        "config_hash": chash,
         "variant": tcfg.variant,
         "seed": tcfg.seed,
         "label_mapping": _label_mapping(raw.class_names),
         "imbalance_ratio": imbalance_ratio(raw),
         "best_epoch": history.best_epoch,
         "epochs_run": history.epochs_run,
-        "cost_at_best": list(history.best_cost) if history.best_cost else None,
+        "cost_at_best": cost_at_best,
         "val": split_report(predict(params, va.features), va.labels),
         "test": split_report(test_probs, te.labels),
     }
-    if te.n_classes == 2:
-        write_labeled_rows(out / "predictions_test.csv", ["score"], test_probs[:, 1:], te.labels)
-        calibration_bins(ScoredSet(test_probs[:, 1], te.labels), cfg["metrics"]["n_bins"]).to_csv(
-            out / "calibration_test.csv"
-        )
     if cfg["metrics"]["temperature_scaling"]:
         val_logits = logits(params, va.features)
         t_fit = temperature_fit(val_logits, va.labels)
@@ -294,6 +225,19 @@ def cmd_train(cfg: dict) -> int:
         if te.n_classes == 2:
             entry["test"] = score_report(ScoredSet(scaled[:, 1], te.labels))
         report["temperature_scaling"] = entry
+
+    extra = {"config_hash": chash, "variant": tcfg.variant, "theta": tcfg.theta, "offset": tcfg.offset,
+             "cost_at_best": cost_at_best}
+    save_checkpoint(out / "checkpoint.npz", params, stats, raw.class_names,
+                    raw.feature_names, raw.label_column, extra=extra)
+    write_table(out / "history.csv", HISTORY_COLUMNS,
+                zip(range(history.epochs_run), *(getattr(history, c) for c in HISTORY_COLUMNS[1:])))
+    if te.n_classes == 2:
+        write_table(out / "predictions_test.csv", ["score", "label"],
+                    zip(test_probs[:, 1].tolist(), te.labels.tolist()))
+        calibration_bins(ScoredSet(test_probs[:, 1], te.labels), cfg["metrics"]["n_bins"]).to_csv(
+            out / "calibration_test.csv"
+        )
     _write_json(out / "report.json", report)
     test_part = report["test"]
     if "auc_roc" in test_part:
@@ -306,23 +250,23 @@ def cmd_train(cfg: dict) -> int:
     return 0
 
 
-def cmd_eval(cfg: dict, checkpoint_path: str, csv_path: str) -> int:
+def cmd_eval(cfg: dict, args) -> int:
     out = _out_dir(cfg)
-    params, stats, meta = load_checkpoint(checkpoint_path)
-    label_column = cfg.get("eval_label_column") or meta["label_column"]
-    ds = load_csv(csv_path, label_column)
+    params, stats, meta = load_checkpoint(args.checkpoint)
+    label_column = args.label_column or meta["label_column"]
+    ds = load_csv(args.csv, label_column)
     if list(ds.feature_names) != list(meta["feature_names"]):
         missing = set(meta["feature_names"]) - set(ds.feature_names)
         extra = set(ds.feature_names) - set(meta["feature_names"])
         raise SchemaError(
-            f"{csv_path}: feature columns do not match checkpoint "
+            f"{args.csv}: feature columns do not match checkpoint "
             f"(missing {sorted(missing)}, unexpected {sorted(extra)})"
         )
     # align the file's label indexing with the checkpoint's class order
     ckpt_classes = list(meta["class_names"])
     unknown = [c for c in ds.class_names if c not in ckpt_classes]
     if unknown:
-        raise SchemaError(f"{csv_path}: label values unknown to checkpoint: {unknown}")
+        raise SchemaError(f"{args.csv}: label values unknown to checkpoint: {unknown}")
     remap = np.array([ckpt_classes.index(c) for c in ds.class_names], dtype=np.int64)
     labels = remap[ds.labels]
     ds = Dataset(ds.features, labels, ds.feature_names, tuple(ckpt_classes),
@@ -341,16 +285,17 @@ def cmd_eval(cfg: dict, checkpoint_path: str, csv_path: str) -> int:
     }
     if len(ckpt_classes) == 2:
         calibration_bins(ScoredSet(probs[:, 1], prepared.labels), n_bins).to_csv(out / "calibration.csv")
-        write_labeled_rows(out / "predictions.csv", ["score"], probs[:, 1:], prepared.labels)
+        columns, shown = ["score"], probs[:, 1:]
     else:
-        write_labeled_rows(out / "predictions.csv", [f"p{c}" for c in range(len(ckpt_classes))],
-                           probs, prepared.labels)
+        columns, shown = [f"p{c}" for c in range(len(ckpt_classes))], probs
+    write_table(out / "predictions.csv", columns + ["label"],
+                zip(*shown.T.tolist(), prepared.labels.tolist()))
     _write_json(out / "report.json", report)
     print(json.dumps(_sanitize(report["metrics"])))
     return 0
 
 
-def cmd_ablate(cfg: dict) -> int:
+def cmd_ablate(cfg: dict, args) -> int:
     tcfg = _train_config(cfg)
     _, splits, _ = _splits(cfg)
     table = run_ablation(tcfg, splits, seeds=tuple(cfg["ablation"]["seeds"]),
@@ -358,29 +303,28 @@ def cmd_ablate(cfg: dict) -> int:
     out = _out_dir(cfg)
     metrics = table_metrics(splits[0].n_classes)
     columns = ["variant", "n_runs"] + [f"{m}_{stat}" for m in metrics for stat in ("mean", "ci95")]
-    rows = [{"variant": v, **{k: row[k] for k in columns[1:]}} for v, row in table.items()]
-    _write_table(out / "ablation.csv", rows, columns)
+    write_table(out / "ablation.csv", columns, ([v] + [row[k] for k in columns[1:]] for v, row in table.items()))
     _write_json(out / "ablation.json", {"config_hash": config_hash(cfg), "table": table})
-    for row in rows:
-        print(f"{row['variant']:<11} " + " ".join(f"{m}={row[m + '_mean']:.4f}" for m in metrics))
+    for v, row in table.items():
+        print(f"{v:<11} " + " ".join(f"{m}={row[m + '_mean']:.4f}" for m in metrics))
     return 0
 
 
-def cmd_sweep_theta(cfg: dict) -> int:
+def cmd_sweep_theta(cfg: dict, args) -> int:
     tcfg = _train_config(cfg)
     _, splits, _ = _splits(cfg)
     rows = sweep_theta(tcfg, splits, theta_grid=cfg["sweep"]["theta_grid"],
                        seeds=tuple(cfg["sweep"]["seeds"]), max_workers=_max_workers())
     out = _out_dir(cfg)
     columns = ["theta", "n_runs", "auc_roc_mean", "auc_roc_ci95", "auc_prc_mean", "auc_prc_ci95"]
-    _write_table(out / "sweep_theta.csv", rows, columns)
+    write_table(out / "sweep_theta.csv", columns, ([row[k] for k in columns] for row in rows))
     _write_json(out / "sweep_theta.json", {"config_hash": config_hash(cfg), "rows": rows})
     for row in rows:
         print(f"theta={row['theta']:<6g} auc_roc={row['auc_roc_mean']:.4f} auc_prc={row['auc_prc_mean']:.4f}")
     return 0
 
 
-def cmd_grad_check(cfg: dict) -> int:
+def cmd_grad_check(cfg: dict, args) -> int:
     seeds = range(5)
     worst = 0.0
     for seed in seeds:
@@ -399,7 +343,8 @@ def build_parser() -> argparse.ArgumentParser:
                                      description="density-aware imbalanced-classification toolkit")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, theta=False, bins=False):
+    def common(p, run, theta=False, bins=False):
+        p.set_defaults(run=run)
         p.add_argument("--config", help="JSON experiment config")
         p.add_argument("--out", help="output directory")
         p.add_argument("--seed", type=int, help="training seed override")
@@ -410,50 +355,33 @@ def build_parser() -> argparse.ArgumentParser:
         if bins:
             p.add_argument("--bins", type=int, help="calibration bin count override")
 
-    common(sub.add_parser("gen-data", help="generate synthetic train/val/test CSVs"))
-    common(sub.add_parser("train", help="train and evaluate one model"), theta=True, bins=True)
+    common(sub.add_parser("gen-data", help="generate synthetic train/val/test CSVs"), cmd_gen_data)
+    common(sub.add_parser("train", help="train and evaluate one model"), cmd_train, theta=True, bins=True)
     p_eval = sub.add_parser("eval", help="evaluate a checkpoint on a CSV")
     p_eval.add_argument("--checkpoint", required=True)
     p_eval.add_argument("--csv", required=True)
-    common(p_eval, bins=True)
-    common(sub.add_parser("ablate", help="run the full variant grid"))
-    common(sub.add_parser("sweep-theta", help="grid search the cost ratio"), theta=True)
-    common(sub.add_parser("grad-check", help="finite-difference gradient verification"))
+    common(p_eval, cmd_eval, bins=True)
+    common(sub.add_parser("ablate", help="run the full variant grid"), cmd_ablate)
+    common(sub.add_parser("sweep-theta", help="grid search the cost ratio"), cmd_sweep_theta, theta=True)
+    common(sub.add_parser("grad-check", help="finite-difference gradient verification"), cmd_grad_check)
     return parser
 
 
 def _overrides(args) -> dict:
-    out = {
-        "output_dir": getattr(args, "out", None),
-        "train.seed": getattr(args, "seed", None),
-        "train.variant": getattr(args, "variant", None),
+    return {
+        "output_dir": args.out,
+        "train.seed": args.seed,
+        "train.variant": args.variant,
         "train.theta": getattr(args, "theta", None),
         "metrics.n_bins": getattr(args, "bins", None),
+        "dataset.csv.label_column": args.label_column,
     }
-    label = getattr(args, "label_column", None)
-    if label is not None:
-        out["dataset.csv.label_column"] = label
-        out["eval_label_column"] = label
-    return out
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        cfg = load_config(args.config, _overrides(args))
-        if args.command == "gen-data":
-            return cmd_gen_data(cfg)
-        if args.command == "train":
-            return cmd_train(cfg)
-        if args.command == "eval":
-            return cmd_eval(cfg, args.checkpoint, args.csv)
-        if args.command == "ablate":
-            return cmd_ablate(cfg)
-        if args.command == "sweep-theta":
-            return cmd_sweep_theta(cfg)
-        if args.command == "grad-check":
-            return cmd_grad_check(cfg)
-        raise ValidationError(f"unknown command {args.command!r}")
+        return args.run(load_config(args.config, _overrides(args)), args)
     except NumericalError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

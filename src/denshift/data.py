@@ -40,6 +40,8 @@ class Dataset:
     def __post_init__(self):
         feats = np.ascontiguousarray(self.features, dtype=np.float64)
         labels = np.ascontiguousarray(self.labels, dtype=np.int64)
+        if labels is not self.labels and not np.array_equal(labels, self.labels):
+            raise ValidationError("labels must be whole numbers")
         if feats.ndim != 2:
             raise ValidationError(f"features must be 2-D, got shape {feats.shape}")
         n, d = feats.shape
@@ -249,16 +251,22 @@ def save_csv(ds: Dataset, path) -> None:
             fh.write(",".join(cells) + "\r\n")
 
 
-def write_labeled_rows(path, columns: list[str], matrix: np.ndarray, labels) -> None:
-    """Write float rows, each followed by its integer label, as CSV with LF line ends.
+def _table_cell(value) -> str:
+    if isinstance(value, float):
+        return repr(float(value)) if math.isfinite(value) else ""
+    return str(value)
 
-    `columns` names the float columns; the label column is `label`. Floats
-    are written with `repr`, so they read back bit-exact.
+
+def write_table(path, columns, rows) -> None:
+    """Write a result table as CSV with LF line ends.
+
+    Floats are written with `repr`, so they read back bit-exact, and a
+    non-finite float is an empty cell; any other value is written with `str`.
     """
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(",".join(columns) + ",label\n")
-        for row, label in zip(matrix, np.asarray(labels, dtype=np.int64).tolist()):
-            fh.write(",".join(map(repr, row.tolist())) + f",{label}\n")
+        fh.write(",".join(columns) + "\n")
+        for row in rows:
+            fh.write(",".join(map(_table_cell, row)) + "\n")
 
 
 def fit_preprocess(train: Dataset) -> NormStats:

@@ -15,8 +15,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .data import write_table
 from .errors import ValidationError
-from .losses import _log_softmax
+from .losses import _log_softmax, softmax
 
 
 @dataclass(frozen=True)
@@ -35,7 +36,8 @@ class ScoredSet:
             raise ValidationError("empty scored set")
         if not np.isfinite(scores).all() or scores.min() < 0.0 or scores.max() > 1.0:
             raise ValidationError("scores must be finite and in [0, 1]")
-        if np.maximum.reduce(labels.view(np.uint64)) > 1:  # a negative label wraps to a huge value
+        fractional = labels is not self.labels and not np.array_equal(labels, self.labels)
+        if fractional or np.maximum.reduce(labels.view(np.uint64)) > 1:  # a negative label wraps to a huge value
             raise ValidationError("labels must be 0/1")
         scores.flags.writeable = False
         labels.flags.writeable = False
@@ -62,14 +64,10 @@ class CalibrationTable:
     count: np.ndarray
 
     def to_csv(self, path) -> None:
-        lines = ["bin_lo,bin_hi,mean_pred,frac_pos,count"]
-        for lo, hi, mp, fp, n in zip(self.bin_lo.tolist(), self.bin_hi.tolist(), self.mean_pred.tolist(),
-                                     self.frac_pos.tolist(), self.count.tolist()):
-            mp = "" if mp != mp else repr(mp)  # empty bins hold NaN
-            fp = "" if fp != fp else repr(fp)
-            lines.append(f"{lo!r},{hi!r},{mp},{fp},{n}")
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write("\n".join(lines) + "\n")
+        """One row per bin; an empty bin's NaN mean and fraction are empty cells."""
+        write_table(path, ["bin_lo", "bin_hi", "mean_pred", "frac_pos", "count"],
+                    zip(self.bin_lo.tolist(), self.bin_hi.tolist(), self.mean_pred.tolist(),
+                        self.frac_pos.tolist(), self.count.tolist()))
 
 
 def _tie_bounds(sorted_scores: np.ndarray) -> np.ndarray:
@@ -237,4 +235,4 @@ def temperature_apply(logits: np.ndarray, temperature: float) -> np.ndarray:
     """softmax(logits / T); T=1 leaves probabilities unchanged."""
     if temperature <= 0:
         raise ValidationError("temperature must be positive")
-    return np.exp(_log_softmax(np.asarray(logits, dtype=np.float64) / temperature))
+    return softmax(np.asarray(logits, dtype=np.float64) / temperature)

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import NormStats, write_labeled_rows
+from .data import NormStats, write_table
 from .errors import NumericalError, ValidationError
 
 CHECKPOINT_VERSION = "denshift-checkpoint-1"
@@ -369,7 +369,8 @@ def export_embeddings(params: ModelParams, x: np.ndarray, labels, path=None) -> 
     if labels.shape != (hidden.shape[0],):
         raise ValidationError("need one label per row")
     if path is not None:
-        write_labeled_rows(path, [f"e{j}" for j in range(hidden.shape[1])], hidden, labels)
+        write_table(path, [f"e{j}" for j in range(hidden.shape[1])] + ["label"],
+                    zip(*hidden.T.tolist(), labels.tolist()))
     return hidden
 
 

@@ -323,8 +323,12 @@ def logits(params: ModelParams, x: np.ndarray, head: str | None = None) -> np.nd
 
 
 def predict(params: ModelParams, x: np.ndarray, head: str | None = None) -> np.ndarray:
-    """Class probabilities: the softmax of `logits`."""
-    return softmax(logits(params, x, head))
+    """Class probabilities: the softmax of `logits`; a non-finite one raises NumericalError."""
+    probs = softmax(logits(params, x, head))
+    if not np.isfinite(probs).all():
+        bad = int((~np.isfinite(probs)).any(axis=1).sum())
+        raise NumericalError(f"non-finite class probabilities in {bad} of {probs.shape[0]} rows")
+    return probs
 
 
 def _mean_ci(values: list[float]) -> tuple[float, float]:
@@ -337,11 +341,8 @@ def _mean_ci(values: list[float]) -> tuple[float, float]:
 
 def _run_single(job) -> dict:
     cfg, train_ds, val_ds, test_ds = job
-    params, history = train(cfg, (train_ds, val_ds))
-    out = {"variant": cfg.variant, "seed": cfg.seed, "theta": cfg.theta,
-           "best_epoch": history.best_epoch, "epochs_run": history.epochs_run}
-    out.update(split_report(predict(params, test_ds.features), test_ds.labels))
-    return out
+    params, _ = train(cfg, (train_ds, val_ds))
+    return split_report(predict(params, test_ds.features), test_ds.labels)
 
 
 def _run_jobs(jobs, max_workers: int = 1) -> list[dict]:
@@ -349,6 +350,27 @@ def _run_jobs(jobs, max_workers: int = 1) -> list[dict]:
         return [_run_single(j) for j in jobs]
     with ProcessPoolExecutor(max_workers=min(max_workers, len(jobs))) as pool:
         return list(pool.map(_run_single, jobs))
+
+
+def _grid(cfg: TrainConfig, splits: tuple[Dataset, Dataset, Dataset], field: str, values, seeds,
+          metrics, max_workers: int) -> dict:
+    """Train one job per (value of `field`, seed) on the same splits.
+
+    Maps each value to its run count and, for each test metric, the mean,
+    the 95% CI half-width and the per-seed values.
+    """
+    train_ds, val_ds, test_ds = splits
+    jobs = [(replace(cfg, **{field: v, "seed": s}), train_ds, val_ds, test_ds) for v in values for s in seeds]
+    results = _run_jobs(jobs, max_workers)
+    table = {}
+    for i, value in enumerate(values):
+        runs = results[i * len(seeds):(i + 1) * len(seeds)]
+        row = table[value] = {"n_runs": len(runs)}
+        for metric in metrics:
+            per_seed = [r[metric] for r in runs]
+            row[f"{metric}_mean"], row[f"{metric}_ci95"] = _mean_ci(per_seed)
+            row[f"{metric}_per_seed"] = per_seed
+    return table
 
 
 def sweep_theta(
@@ -363,26 +385,12 @@ def sweep_theta(
         raise ValidationError("theta sweep requires a cost-matrix variant")
     if len(seeds) < 3:
         raise ValidationError("theta sweep needs at least 3 seeds for confidence intervals")
-    grid = sorted(float(t) for t in theta_grid)
+    grid = sorted({float(t) for t in theta_grid})
     if not grid:
         raise ValidationError("sweep.theta_grid must not be empty")
-    train_ds, val_ds, test_ds = splits
-    jobs = [
-        (replace(cfg, theta=t, seed=s), train_ds, val_ds, test_ds)
-        for t in grid for s in seeds
-    ]
-    results = _run_jobs(jobs, max_workers)
-    rows = []
-    for t in grid:
-        runs = [r for r in results if r["theta"] == t]
-        roc_mean, roc_ci = _mean_ci([r["auc_roc"] for r in runs])
-        prc_mean, prc_ci = _mean_ci([r["auc_prc"] for r in runs])
-        rows.append({
-            "theta": t, "n_runs": len(runs),
-            "auc_roc_mean": roc_mean, "auc_roc_ci95": roc_ci,
-            "auc_prc_mean": prc_mean, "auc_prc_ci95": prc_ci,
-        })
-    return rows
+    table = _grid(cfg, splits, "theta", grid, seeds, ("auc_roc", "auc_prc"), max_workers)
+    return [{"theta": t, **{k: v for k, v in row.items() if not k.endswith("_per_seed")}}
+            for t, row in table.items()]
 
 
 def table_metrics(n_classes: int) -> tuple[str, ...]:
@@ -403,22 +411,7 @@ def run_ablation(
     """
     if not seeds:
         raise ValidationError("ablation.seeds must not be empty")
-    train_ds, val_ds, test_ds = splits
-    if train_ds.n_classes != 2:
+    n_classes = splits[0].n_classes
+    if n_classes != 2:
         variants = tuple(v for v in variants if not variant_losses(v).uses_cost)
-    jobs = [
-        (replace(cfg, variant=v, seed=s), train_ds, val_ds, test_ds)
-        for v in variants for s in seeds
-    ]
-    results = _run_jobs(jobs, max_workers)
-    table = {}
-    for v in variants:
-        runs = [r for r in results if r["variant"] == v]
-        row = {"n_runs": len(runs)}
-        for metric in table_metrics(train_ds.n_classes):
-            mean, ci = _mean_ci([r[metric] for r in runs])
-            row[f"{metric}_mean"] = mean
-            row[f"{metric}_ci95"] = ci
-            row[f"{metric}_per_seed"] = [r[metric] for r in runs]
-        table[v] = row
-    return table
+    return _grid(cfg, splits, "variant", variants, seeds, table_metrics(n_classes), max_workers)

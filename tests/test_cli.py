@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from denshift.cli import DEFAULT_CONFIG, config_hash, load_config, main
-from denshift.metrics import ScoredSet, auc_prc, auc_roc, bss
+from denshift.metrics import ScoredSet, auc_prc, auc_roc, bss, split_report
 from denshift.training import VARIANTS
 
 TINY = {
@@ -18,6 +18,44 @@ TINY = {
                               "dim": 6, "mode_spread": 3.0, "noise_scale": 1.0, "seed": 4}},
     "train": {"epochs": 6, "batch_size": 32, "early_stop_patience": 6},
 }
+
+
+HISTORY_HEADER = "epoch,loss_regular,loss_balanced,val_auc_roc,val_auc_prc,cost_fp,cost_fn"
+
+
+def write_multiclass_csv(path, n_rows=90, label_column="label", dim=2):
+    """Three classes x/y/z over `dim` features; y is shifted along the first feature, z the second."""
+    rng = np.random.default_rng(0)
+    rows = [",".join("abcdefgh"[:dim]) + f",{label_column}"]
+    for i in range(n_rows):
+        k = i % 3
+        rows.append(",".join(str(rng.normal() + 2 * (k == j + 1)) for j in range(dim)) + f",{'xyz'[k]}")
+    path.write_text("\n".join(rows) + "\n")
+    return path
+
+
+def read_table(path):
+    """Header line and split rows of a result CSV, after checking it ends every line with LF alone."""
+    text = path.read_bytes().decode("utf-8")
+    assert text.endswith("\n") and "\r" not in text
+    header, *rows = text[:-1].split("\n")
+    return header, [row.split(",") for row in rows]
+
+
+def assert_cells_match(path, header, expected_rows):
+    """Each cell of a result CSV reads back bit-exactly as its JSON value; JSON null is an empty cell."""
+    got_header, rows = read_table(path)
+    assert got_header == header
+    assert len(rows) == len(expected_rows)
+    for row, expected in zip(rows, expected_rows):
+        for column, cell in zip(header.split(","), row):
+            value = expected[column]
+            if value is None:
+                assert cell == "", (column, cell)
+            elif isinstance(value, float):
+                assert float(cell).hex() == value.hex(), (column, cell, value)
+            else:
+                assert cell == str(value), (column, cell, value)
 
 
 def write_cfg(tmp_path, extra=None, name="cfg.json"):
@@ -63,6 +101,10 @@ class TestConfig:
         assert config_hash(a) == config_hash(b)
         b["train"]["seed"] = 123
         assert config_hash(a) != config_hash(b)
+
+    def test_default_config_hash_is_pinned(self):
+        # reports embed this hash, so the defaults' keys and values are part of the output contract
+        assert config_hash(load_config()) == "f6835e391cc8bb94"
 
 
 class TestGenData:
@@ -205,6 +247,79 @@ class TestEval:
         assert code == 1
         assert "wrong" in capsys.readouterr().err
 
+    def test_label_column_flag_names_the_eval_files_label(self, tmp_path, capsys):
+        run = tmp_path / "run"
+        cfg = {"dataset": {"csv": {"path": str(write_multiclass_csv(tmp_path / "d.csv", label_column="outcome")),
+                                   "label_column": "outcome"}},
+               "train": {"epochs": 2, "batch_size": 16}, "output_dir": str(run)}
+        (tmp_path / "c.json").write_text(json.dumps(cfg))
+        assert main(["train", "--config", str(tmp_path / "c.json"), "--variant", "base"]) == 0
+        renamed = write_multiclass_csv(tmp_path / "e.csv", label_column="y")
+        argv = ["eval", "--checkpoint", str(run / "checkpoint.npz"), "--csv", str(renamed)]
+        assert main(argv + ["--out", str(tmp_path / "ok"), "--label-column", "y"]) == 0
+        capsys.readouterr()
+        assert main(argv + ["--out", str(tmp_path / "missing")]) == 1
+        assert "'outcome'" in capsys.readouterr().err
+
+    def test_non_finite_multiclass_predictions_exit_two_and_write_nothing(self, tmp_path, capsys):
+        src = write_multiclass_csv(tmp_path / "d.csv", n_rows=300, dim=4)
+        run, out = tmp_path / "run", tmp_path / "eval"
+        cfg = {"dataset": {"csv": {"path": str(src)}}, "train": {"epochs": 3, "batch_size": 16},
+               "output_dir": str(run)}
+        (tmp_path / "c.json").write_text(json.dumps(cfg))
+        assert main(["train", "--config", str(tmp_path / "c.json"), "--variant", "decoupling"]) == 0
+        header, *rows = src.read_text().splitlines()
+        huge = tmp_path / "huge.csv"
+        huge.write_text("\n".join([header, "1.7e308,-1.7e308,1.7e308,-1.7e308,x"] + rows) + "\n")
+        with np.errstate(all="ignore"):
+            code = main(["eval", "--checkpoint", str(run / "checkpoint.npz"), "--csv", str(huge),
+                         "--out", str(out)])
+        assert code == 2
+        assert "non-finite" in capsys.readouterr().err
+        assert list(out.glob("*")) == []
+
+
+class TestResultFiles:
+    def test_binary_history_and_predictions_read_back_as_the_report(self, tmp_path):
+        for variant, empty in (("base", [False, True, False, False, True, True]), ("full", [False] * 6)):
+            out = tmp_path / variant
+            path = write_cfg(tmp_path, {"output_dir": str(out)})
+            assert main(["train", "--config", str(path), "--variant", variant]) == 0
+            report = json.loads((out / "report.json").read_text())
+            header, rows = read_table(out / "history.csv")
+            assert header == HISTORY_HEADER
+            assert [row[0] for row in rows] == [str(e) for e in range(report["epochs_run"])]
+            assert all([cell == "" for cell in row[1:]] == empty for row in rows), variant
+            if variant == "full":
+                best = rows[report["best_epoch"]]
+                assert [float(c).hex() for c in best[5:]] == [c.hex() for c in report["cost_at_best"]]
+
+            header, rows = read_table(out / "predictions_test.csv")
+            assert header == "score,label"
+            scored = ScoredSet([float(r[0]) for r in rows], [int(r[1]) for r in rows])
+            for key, metric in (("auc_roc", auc_roc), ("auc_prc", auc_prc), ("bss", bss)):
+                assert metric(scored) == report["test"][key], (variant, key)
+
+    def test_multiclass_history_and_predictions(self, tmp_path):
+        src = write_multiclass_csv(tmp_path / "d.csv")
+        run, out = tmp_path / "run", tmp_path / "eval"
+        cfg = {"dataset": {"csv": {"path": str(src)}}, "train": {"epochs": 3, "batch_size": 16},
+               "output_dir": str(run)}
+        (tmp_path / "c.json").write_text(json.dumps(cfg))
+        assert main(["train", "--config", str(tmp_path / "c.json"), "--variant", "decoupling"]) == 0
+        header, rows = read_table(run / "history.csv")
+        assert header == HISTORY_HEADER and len(rows) == 3
+        assert all([cell == "" for cell in row[1:]] == [False, False, False, True, True, True] for row in rows)
+        assert not (run / "predictions_test.csv").exists()
+
+        assert main(["eval", "--checkpoint", str(run / "checkpoint.npz"), "--csv", str(src),
+                     "--out", str(out)]) == 0
+        header, rows = read_table(out / "predictions.csv")
+        assert header == "p0,p1,p2,label" and len(rows) == 90
+        probs = np.array([[float(c) for c in row[:3]] for row in rows])
+        labels = [int(row[3]) for row in rows]
+        assert split_report(probs, labels) == json.loads((out / "report.json").read_text())["metrics"]
+
 
 class TestOtherCommands:
     def test_ablate_table_shape(self, tmp_path):
@@ -212,17 +327,13 @@ class TestOtherCommands:
         path = write_cfg(tmp_path, {"train": {"epochs": 2, "batch_size": 32},
                                     "ablation": {"seeds": [0, 1]}, "output_dir": str(out)})
         assert main(["ablate", "--config", str(path)]) == 0
-        lines = (out / "ablation.csv").read_text().strip().splitlines()
-        assert lines[0].startswith("variant,n_runs,auc_roc_mean")
-        assert len(lines) == 7  # header + 6 variants
+        table = json.loads((out / "ablation.json").read_text())["table"]
+        assert_cells_match(out / "ablation.csv",
+                           "variant,n_runs,auc_roc_mean,auc_roc_ci95,auc_prc_mean,auc_prc_ci95,bss_mean,bss_ci95",
+                           [{"variant": v, **table[v]} for v in VARIANTS])
 
     def test_ablate_on_multiclass_csv_skips_cost_variants(self, tmp_path):
-        rng = np.random.default_rng(0)
-        rows = ["a,b,label"]
-        for i in range(90):
-            k = i % 3
-            rows.append(f"{rng.normal() + 2 * (k == 1)},{rng.normal() + 2 * (k == 2)},{'xyz'[k]}")
-        (tmp_path / "d.csv").write_text("\n".join(rows) + "\n")
+        write_multiclass_csv(tmp_path / "d.csv")
         out = tmp_path / "abl"
         cfg = {"dataset": {"csv": {"path": str(tmp_path / "d.csv")}},
                "train": {"epochs": 2, "batch_size": 16}, "ablation": {"seeds": [0, 1]},
@@ -235,9 +346,9 @@ class TestOtherCommands:
             assert not any(key.startswith("auc_roc") for key in row)
             assert row["n_runs"] == 2 and len(row["macro_auc_per_seed"]) == 2
             assert 0.0 <= row["micro_auc_mean"] <= 1.0
-        lines = (out / "ablation.csv").read_text().strip().splitlines()
-        assert lines[0] == "variant,n_runs,macro_auc_mean,macro_auc_ci95,micro_auc_mean,micro_auc_ci95"
-        assert [line.split(",")[0] for line in lines[1:]] == ["base", "decoupling", "dah", "focal"]
+        assert_cells_match(out / "ablation.csv",
+                           "variant,n_runs,macro_auc_mean,macro_auc_ci95,micro_auc_mean,micro_auc_ci95",
+                           [{"variant": v, **table[v]} for v in ("base", "decoupling", "dah", "focal")])
 
     def test_sweep_table_rows(self, tmp_path):
         out = tmp_path / "sw"
@@ -246,11 +357,10 @@ class TestOtherCommands:
                                               "seeds": [0, 1, 2]},
                                     "output_dir": str(out)})
         assert main(["sweep-theta", "--config", str(path)]) == 0
-        lines = (out / "sweep_theta.csv").read_text().strip().splitlines()
-        assert len(lines) == 7
-        thetas = [float(l.split(",")[0]) for l in lines[1:]]
-        assert thetas == sorted(thetas)
-        assert {5.0, 10.0} <= set(thetas)
+        rows = json.loads((out / "sweep_theta.json").read_text())["rows"]
+        assert [row["theta"] for row in rows] == [1.0, 5.0, 10.0, 25.0, 50.0, 100.0]
+        assert_cells_match(out / "sweep_theta.csv",
+                           "theta,n_runs,auc_roc_mean,auc_roc_ci95,auc_prc_mean,auc_prc_ci95", rows)
 
     @pytest.mark.parametrize("command, section, key", [("ablate", "ablation", "seeds"),
                                                       ("sweep-theta", "sweep", "theta_grid")])

@@ -18,6 +18,7 @@ from denshift.data import (
     load_csv,
     save_csv,
     stratified_split,
+    write_table,
 )
 from denshift.errors import ParseError, SchemaError, ValidationError
 
@@ -113,6 +114,29 @@ class TestLoadCsv:
         p = write(tmp_path, "a,label\n1,x\n\n2,y\n")
         with pytest.raises(ParseError, match="row 2 has 0 cells"):
             load_csv(p, "label")
+
+
+class TestDataset:
+    def test_labels_must_be_whole_numbers(self):
+        with pytest.raises(ValidationError, match="whole numbers"):
+            Dataset(np.zeros((4, 1)), [0.5, 1.7, 0.0, 1.2], ("a",), ("x", "y"))
+        ds = Dataset(np.zeros((4, 1)), [0.0, 1.0, 0.0, 1.0], ("a",), ("x", "y"))
+        assert ds.labels.dtype == np.int64 and ds.labels.tolist() == [0, 1, 0, 1]
+
+
+class TestWriteTable:
+    def test_exact_bytes(self, tmp_path):
+        extremes = [1e308, -1e308, 5e-324, -0.0, np.float64(0.1)]
+        rows = [(v, i, f"r{i}") for i, v in enumerate(extremes)]
+        rows += [(math.nan, np.int64(5), "nan"), (math.inf, -6, 'a "b"'), (-math.inf, True, "")]
+        path = tmp_path / "t.csv"
+        write_table(path, ("x", "n", "s"), rows)
+        assert path.read_bytes() == (
+            b'x,n,s\n1e+308,0,r0\n-1e+308,1,r1\n5e-324,2,r2\n-0.0,3,r3\n0.1,4,r4\n'
+            b',5,nan\n,-6,a "b"\n,True,\n'
+        )
+        back = [line.split(",")[0] for line in path.read_text().splitlines()[1:6]]
+        assert [float(cell).hex() for cell in back] == [float(v).hex() for v in extremes]
 
 
 class TestSaveCsv:

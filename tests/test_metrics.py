@@ -94,6 +94,12 @@ class TestScoredSet:
         with pytest.raises(ValidationError):
             ScoredSet(np.array([]), np.array([]))
 
+    def test_fractional_labels_rejected(self):
+        with pytest.raises(ValidationError, match="0/1"):
+            ScoredSet([0.2, 0.9, 0.4], [0.5, 1.7, 0.0])
+        whole = ScoredSet([0.2, 0.9, 0.4], [0.0, 1.0, 0.0])
+        assert whole.labels.dtype == np.int64 and whole.labels.tolist() == [0, 1, 0]
+
 
 class TestAucRoc:
     def test_perfect_separation(self):
