@@ -29,7 +29,6 @@ from .errors import (
 )
 from .losses import (
     CostParams,
-    DahConfig,
     ce,
     cost_loss,
     current_costs,

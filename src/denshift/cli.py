@@ -114,10 +114,6 @@ def config_hash(cfg: dict) -> str:
     return hashlib.sha256(canon.encode("utf-8")).hexdigest()[:16]
 
 
-def _train_config(cfg: dict) -> TrainConfig:
-    return TrainConfig(**cfg["train"])
-
-
 def _load_dataset(cfg: dict) -> Dataset:
     source = cfg["dataset"]
     if "synthetic" in source:
@@ -160,6 +156,16 @@ def _label_mapping(class_names) -> dict:
     return {str(i): name for i, name in enumerate(class_names)}
 
 
+def _write_scores(out: Path, suffix: str, probs: np.ndarray, labels: np.ndarray, n_bins: int) -> None:
+    """predictions{suffix}.csv (binary: the positive score only) and, if binary, calibration{suffix}.csv."""
+    if probs.shape[1] == 2:
+        calibration_bins(ScoredSet(probs[:, 1], labels), n_bins).to_csv(out / f"calibration{suffix}.csv")
+        columns, shown = ["score"], probs[:, 1:]
+    else:
+        columns, shown = [f"p{c}" for c in range(probs.shape[1])], probs
+    write_table(out / f"predictions{suffix}.csv", columns + ["label"], zip(*shown.T.tolist(), labels.tolist()))
+
+
 def _max_workers() -> int:
     raw = os.environ.get("DENSHIFT_THREADS", "1")
     try:
@@ -193,7 +199,7 @@ HISTORY_COLUMNS = ("epoch", "loss_regular", "loss_balanced", "val_auc_roc", "val
 
 
 def cmd_train(cfg: dict, args) -> int:
-    tcfg = _train_config(cfg)
+    tcfg = TrainConfig(**cfg["train"])
     out = _out_dir(cfg)
     raw, (tr, va, te), stats = _splits(cfg)
     params, history = train(tcfg, (tr, va))
@@ -233,20 +239,11 @@ def cmd_train(cfg: dict, args) -> int:
     write_table(out / "history.csv", HISTORY_COLUMNS,
                 zip(range(history.epochs_run), *(getattr(history, c) for c in HISTORY_COLUMNS[1:])))
     if te.n_classes == 2:
-        write_table(out / "predictions_test.csv", ["score", "label"],
-                    zip(test_probs[:, 1].tolist(), te.labels.tolist()))
-        calibration_bins(ScoredSet(test_probs[:, 1], te.labels), cfg["metrics"]["n_bins"]).to_csv(
-            out / "calibration_test.csv"
-        )
+        _write_scores(out, "_test", test_probs, te.labels, cfg["metrics"]["n_bins"])
     _write_json(out / "report.json", report)
     test_part = report["test"]
-    if "auc_roc" in test_part:
-        print(
-            f"{tcfg.variant}: test auc_roc={test_part['auc_roc']:.4f} "
-            f"auc_prc={test_part['auc_prc']:.4f} bss={test_part['bss']:.4f}"
-        )
-    else:
-        print(f"{tcfg.variant}: test macro_auc={test_part['macro_auc']:.4f}")
+    shown = ("auc_roc", "auc_prc", "bss") if "auc_roc" in test_part else ("macro_auc",)
+    print(f"{tcfg.variant}: test " + " ".join(f"{m}={test_part[m]:.4f}" for m in shown))
     return 0
 
 
@@ -283,20 +280,14 @@ def cmd_eval(cfg: dict, args) -> int:
         "n_bins": n_bins,
         "metrics": split_report(probs, prepared.labels),
     }
-    if len(ckpt_classes) == 2:
-        calibration_bins(ScoredSet(probs[:, 1], prepared.labels), n_bins).to_csv(out / "calibration.csv")
-        columns, shown = ["score"], probs[:, 1:]
-    else:
-        columns, shown = [f"p{c}" for c in range(len(ckpt_classes))], probs
-    write_table(out / "predictions.csv", columns + ["label"],
-                zip(*shown.T.tolist(), prepared.labels.tolist()))
+    _write_scores(out, "", probs, prepared.labels, n_bins)
     _write_json(out / "report.json", report)
     print(json.dumps(_sanitize(report["metrics"])))
     return 0
 
 
 def cmd_ablate(cfg: dict, args) -> int:
-    tcfg = _train_config(cfg)
+    tcfg = TrainConfig(**cfg["train"])
     _, splits, _ = _splits(cfg)
     table = run_ablation(tcfg, splits, seeds=tuple(cfg["ablation"]["seeds"]),
                          max_workers=_max_workers())
@@ -311,7 +302,7 @@ def cmd_ablate(cfg: dict, args) -> int:
 
 
 def cmd_sweep_theta(cfg: dict, args) -> int:
-    tcfg = _train_config(cfg)
+    tcfg = TrainConfig(**cfg["train"])
     _, splits, _ = _splits(cfg)
     rows = sweep_theta(tcfg, splits, theta_grid=cfg["sweep"]["theta_grid"],
                        seeds=tuple(cfg["sweep"]["seeds"]), max_workers=_max_workers())
@@ -338,50 +329,56 @@ def cmd_grad_check(cfg: dict, args) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # a usage error is bad input: exit 1, as 2 means a numeric failure
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+
+# flag (without --) -> (the config entry it overrides, None if the command reads it itself; argparse keywords)
+_FLAGS = {
+    "config": (None, {"help": "JSON experiment config"}),
+    "out": ("output_dir", {"help": "output directory"}),
+    "seed": ("train.seed", {"type": int, "help": "training seed override"}),
+    "variant": ("train.variant", {"help": "training variant override"}),
+    "label-column": ("dataset.csv.label_column", {"help": "label column name for CSV sources"}),
+    "theta": ("train.theta", {"type": float, "help": "cost-ratio hyperparameter override"}),
+    "bins": ("metrics.n_bins", {"type": int, "help": "calibration bin count override"}),
+    "checkpoint": (None, {"required": True, "help": "checkpoint written by train"}),
+    "csv": (None, {"required": True, "help": "CSV to evaluate"}),
+}
+
+# command -> (what it runs, help, the flags it reads)
+_COMMANDS = {
+    "gen-data": (cmd_gen_data, "generate synthetic train/val/test CSVs", "config out"),
+    "train": (cmd_train, "train and evaluate one model", "config out seed variant label-column theta bins"),
+    "eval": (cmd_eval, "evaluate a checkpoint on a CSV", "checkpoint csv config out label-column bins"),
+    "ablate": (cmd_ablate, "run the full variant grid", "config out label-column"),
+    "sweep-theta": (cmd_sweep_theta, "grid search the cost ratio", "config out variant label-column"),
+    "grad-check": (cmd_grad_check, "finite-difference gradient verification", ""),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="denshift",
-                                     description="density-aware imbalanced-classification toolkit")
+    parser = _Parser(prog="denshift", description="density-aware imbalanced-classification toolkit")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p, run, theta=False, bins=False):
+    for name, (run, help_text, flags) in _COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
         p.set_defaults(run=run)
-        p.add_argument("--config", help="JSON experiment config")
-        p.add_argument("--out", help="output directory")
-        p.add_argument("--seed", type=int, help="training seed override")
-        p.add_argument("--variant", help="training variant override")
-        p.add_argument("--label-column", help="label column name for CSV sources")
-        if theta:
-            p.add_argument("--theta", type=float, help="cost-ratio hyperparameter override")
-        if bins:
-            p.add_argument("--bins", type=int, help="calibration bin count override")
-
-    common(sub.add_parser("gen-data", help="generate synthetic train/val/test CSVs"), cmd_gen_data)
-    common(sub.add_parser("train", help="train and evaluate one model"), cmd_train, theta=True, bins=True)
-    p_eval = sub.add_parser("eval", help="evaluate a checkpoint on a CSV")
-    p_eval.add_argument("--checkpoint", required=True)
-    p_eval.add_argument("--csv", required=True)
-    common(p_eval, cmd_eval, bins=True)
-    common(sub.add_parser("ablate", help="run the full variant grid"), cmd_ablate)
-    common(sub.add_parser("sweep-theta", help="grid search the cost ratio"), cmd_sweep_theta, theta=True)
-    common(sub.add_parser("grad-check", help="finite-difference gradient verification"), cmd_grad_check)
+        for flag in flags.split():
+            p.add_argument(f"--{flag}", **_FLAGS[flag][1])
     return parser
 
 
 def _overrides(args) -> dict:
-    return {
-        "output_dir": args.out,
-        "train.seed": args.seed,
-        "train.variant": args.variant,
-        "train.theta": getattr(args, "theta", None),
-        "metrics.n_bins": getattr(args, "bins", None),
-        "dataset.csv.label_column": args.label_column,
-    }
+    return {entry: getattr(args, flag.replace("-", "_"), None)
+            for flag, (entry, _) in _FLAGS.items() if entry is not None}
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.run(load_config(args.config, _overrides(args)), args)
+        return args.run(load_config(getattr(args, "config", None), _overrides(args)), args)
     except NumericalError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -21,6 +21,17 @@ from .errors import ParseError, SchemaError, ValidationError
 MAX_LABEL_VALUES = 64
 
 
+def class_labels(labels, n_classes: int) -> np.ndarray:
+    """`labels` as contiguous int64 class indices; each must be a whole number in [0, n_classes)."""
+    y = np.ascontiguousarray(labels, dtype=np.int64)
+    fractional = y is not labels and not np.array_equal(y, labels)
+    # one reduction over the labels as unsigned integers: a negative label wraps to a huge one
+    if fractional or (y.size and np.maximum.reduce(y.view(np.uint64), axis=None) >= n_classes):
+        valid = "0/1" if n_classes == 2 else f"in 0..{n_classes - 1}"
+        raise ValidationError(f"label out of range: labels must be whole numbers {valid}")
+    return y
+
+
 @dataclass(frozen=True)
 class Dataset:
     """Immutable feature matrix + labels + class bookkeeping.
@@ -39,9 +50,8 @@ class Dataset:
 
     def __post_init__(self):
         feats = np.ascontiguousarray(self.features, dtype=np.float64)
-        labels = np.ascontiguousarray(self.labels, dtype=np.int64)
-        if labels is not self.labels and not np.array_equal(labels, self.labels):
-            raise ValidationError("labels must be whole numbers")
+        n_classes = len(self.class_names)
+        labels = class_labels(self.labels, n_classes)
         if feats.ndim != 2:
             raise ValidationError(f"features must be 2-D, got shape {feats.shape}")
         n, d = feats.shape
@@ -49,13 +59,10 @@ class Dataset:
             raise ValidationError(f"labels shape {labels.shape} does not match {n} rows")
         if len(self.feature_names) != d:
             raise ValidationError(f"{len(self.feature_names)} feature names for {d} columns")
-        if len(self.class_names) < 2:
+        if n_classes < 2:
             raise ValidationError("need at least 2 classes")
         if np.isinf(feats).any():
             raise ValidationError("features contain Inf")
-        n_classes = len(self.class_names)
-        if labels.size and (labels.min() < 0 or labels.max() >= n_classes):
-            raise ValidationError("labels outside [0, n_classes)")
         counts = np.bincount(labels, minlength=n_classes).astype(np.int64)
         if not self.allow_empty_classes and (counts == 0).any():
             empty = [self.class_names[c] for c in np.flatnonzero(counts == 0)]

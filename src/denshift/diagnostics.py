@@ -6,7 +6,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from .losses import CostParams, DahConfig
+from .losses import CostParams, delta_margins
 from .nn import grad_check, init_mlp
 from .sampling import BatchPair
 from .training import TrainConfig, VariantSpec, train_step, variant_losses
@@ -49,7 +49,7 @@ def gradient_report(
     vector = np.append(init.vector, 0.3)  # log cost away from 0 so its gradient is exercised off-init
     params = replace(init, vector=vector[:n])
     cfg = TrainConfig()
-    dah_cfg = DahConfig.from_counts(np.linspace(900, 100, n_classes), margin_scale=1.0)
+    deltas = delta_margins(np.linspace(900, 100, n_classes), 1.0)
 
     def probe(spec: VariantSpec) -> float:
         cost_params = CostParams(0.0, cfg.theta, cfg.offset) if spec.uses_cost else None
@@ -57,7 +57,7 @@ def gradient_report(
         def loss_fn(vec, batch):
             if cost_params is not None:
                 cost_params.log_cfp = float(vec[-1])
-            loss_r, loss_b, grad, d_cost = train_step(params, batch, spec, cfg, dah_cfg, cost_params)
+            loss_r, loss_b, grad, d_cost = train_step(params, batch, spec, cfg, deltas, cost_params)
             loss = loss_r + loss_b if spec.dual_stream else loss_r
             return loss, (np.append(grad, d_cost) if cost_params is not None else grad)
 

@@ -34,6 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .data import class_labels
 from .errors import UnsupportedTaskError, ValidationError
 
 
@@ -48,15 +49,12 @@ def softmax(logits: np.ndarray) -> np.ndarray:
     return np.exp(_log_softmax(logits))
 
 
-def _check_labels(logits: np.ndarray, y: np.ndarray) -> np.ndarray:
-    y = np.asarray(y, dtype=np.int64)
+def _check_labels(logits: np.ndarray, y) -> np.ndarray:
     if logits.ndim != 2:
         raise ValidationError(f"logits must be 2-D, got shape {logits.shape}")
+    y = class_labels(y, logits.shape[1])
     if y.shape != (logits.shape[0],):
         raise ValidationError("labels must be one per logit row")
-    # one reduction over the labels as unsigned integers: a negative label wraps to a huge one
-    if y.size and np.maximum.reduce(y.view(np.uint64)) >= logits.shape[1]:
-        raise ValidationError("label out of range for logit width")
     return y
 
 
@@ -82,11 +80,16 @@ def _softmax_ce(logits: np.ndarray, y: np.ndarray, deltas: np.ndarray | None = N
     return loss, grad
 
 
-def delta_margins(class_counts, margin_scale: float) -> np.ndarray:
-    """Per-class margins margin_scale / count**(1/4); smaller classes get larger margins."""
+def delta_margins(class_counts, margin_scale: float | None = None) -> np.ndarray:
+    """Per-class margins margin_scale / count**(1/4); smaller classes get larger margins.
+
+    A None scale is `default_margin_scale`, so the rarest class gets margin 0.5.
+    """
     counts = np.asarray(class_counts, dtype=np.float64)
     if (counts < 1).any():
         raise ValidationError("class counts must be >= 1")
+    if margin_scale is None:
+        margin_scale = default_margin_scale(counts)
     if margin_scale <= 0:
         raise ValidationError("margin_scale must be positive")
     return margin_scale / counts**0.25
@@ -96,21 +99,6 @@ def default_margin_scale(class_counts, max_margin: float = 0.5) -> float:
     """Scale chosen so the rarest class gets margin max_margin."""
     counts = np.asarray(class_counts, dtype=np.float64)
     return float(max_margin * counts.min() ** 0.25)
-
-
-@dataclass(frozen=True)
-class DahConfig:
-    """Density-aware hinge settings: the scale and the margins it induces."""
-
-    margin_scale: float
-    deltas: np.ndarray
-
-    @classmethod
-    def from_counts(cls, class_counts, margin_scale: float | None = None) -> "DahConfig":
-        """Build margins from training-split counts; default scale caps the max margin at 0.5."""
-        if margin_scale is None:
-            margin_scale = default_margin_scale(class_counts)
-        return cls(margin_scale=margin_scale, deltas=delta_margins(class_counts, margin_scale))
 
 
 @dataclass

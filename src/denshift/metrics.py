@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import write_table
+from .data import class_labels, write_table
 from .errors import ValidationError
 from .losses import _log_softmax, softmax
 
@@ -29,16 +29,13 @@ class ScoredSet:
 
     def __post_init__(self):
         scores = np.ascontiguousarray(self.scores, dtype=np.float64)
-        labels = np.ascontiguousarray(self.labels, dtype=np.int64)
+        labels = class_labels(self.labels, 2)
         if scores.ndim != 1 or labels.shape != scores.shape:
             raise ValidationError("scores and labels must be equal-length vectors")
         if scores.size == 0:
             raise ValidationError("empty scored set")
         if not np.isfinite(scores).all() or scores.min() < 0.0 or scores.max() > 1.0:
             raise ValidationError("scores must be finite and in [0, 1]")
-        fractional = labels is not self.labels and not np.array_equal(labels, self.labels)
-        if fractional or np.maximum.reduce(labels.view(np.uint64)) > 1:  # a negative label wraps to a huge value
-            raise ValidationError("labels must be 0/1")
         scores.flags.writeable = False
         labels.flags.writeable = False
         object.__setattr__(self, "scores", scores)
@@ -139,8 +136,8 @@ def score_report(s: ScoredSet) -> dict:
 
 def split_report(probs: np.ndarray, labels) -> dict:
     """`score_report` of the positive column for binary probabilities, else one-vs-rest AUCs."""
-    labels = np.asarray(labels, dtype=np.int64)
     n_classes = probs.shape[1]
+    labels = class_labels(labels, n_classes)
     if n_classes == 2:
         return score_report(ScoredSet(probs[:, 1], labels))
     macro, micro = macro_micro_auc(probs, np.eye(n_classes)[labels])
@@ -195,8 +192,9 @@ def nll(logits: np.ndarray, labels, temperature: float = 1.0) -> float:
     """Mean negative log-likelihood of softmax(logits / T)."""
     if temperature <= 0:
         raise ValidationError("temperature must be positive")
-    labels = np.asarray(labels, dtype=np.int64)
-    logp = _log_softmax(np.asarray(logits, dtype=np.float64) / temperature)
+    logits = np.asarray(logits, dtype=np.float64)
+    labels = class_labels(labels, logits.shape[1])
+    logp = _log_softmax(logits / temperature)
     return float(-logp[np.arange(labels.size), labels].mean())
 
 
@@ -208,7 +206,7 @@ def temperature_fit(logits: np.ndarray, labels, lo: float = 0.05, hi: float = 20
     the unscaled NLL, 1.0 is returned, so applying the fit weakly improves
     likelihood by construction.
     """
-    labels = np.asarray(labels, dtype=np.int64)
+    labels = class_labels(labels, np.shape(logits)[1])
     if np.unique(labels).size < 2:
         raise ValidationError("temperature fit needs at least two classes in the labels")
     invphi = (np.sqrt(5.0) - 1.0) / 2.0

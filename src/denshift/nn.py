@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import NormStats, write_table
+from .data import NormStats, class_labels, write_table
 from .errors import NumericalError, ValidationError
 
 CHECKPOINT_VERSION = "denshift-checkpoint-1"
@@ -365,7 +365,7 @@ def grad_check(loss_fn, vector: np.ndarray, batch, eps: float = 1e-5,
 def export_embeddings(params: ModelParams, x: np.ndarray, labels, path=None) -> np.ndarray:
     """Last hidden representation (the classifier input), optionally written as CSV with labels."""
     hidden = forward(params, x).hidden
-    labels = np.asarray(labels, dtype=np.int64)
+    labels = class_labels(labels, params.n_classes)
     if labels.shape != (hidden.shape[0],):
         raise ValidationError("need one label per row")
     if path is not None:

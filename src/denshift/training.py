@@ -27,7 +27,7 @@ import numpy as np
 
 from .data import Dataset
 from .errors import NumericalError, UnsupportedTaskError, ValidationError
-from .losses import CostParams, DahConfig, ce, cost_loss, current_costs, dah_softmax, focal, softmax
+from .losses import CostParams, ce, cost_loss, current_costs, dah_softmax, delta_margins, focal, softmax
 from .metrics import ScoredSet, auc_prc, auc_roc, macro_auc, split_report
 from .nn import Gradients, ModelParams, OptState, backward, forward, init_mlp, opt_step
 from .sampling import BatchPair, SamplerState, epoch_batches
@@ -125,14 +125,6 @@ class VariantSpec:
     def uses_cost(self) -> bool:
         return "cost" in self.regular_terms or ("cost" in (self.balanced_terms or ()))
 
-    @property
-    def uses_dah(self) -> bool:
-        return "dah" in self.regular_terms or ("dah" in (self.balanced_terms or ()))
-
-    @property
-    def inference_head(self) -> str:
-        return "balanced" if self.dual_stream else "regular"
-
 
 _VARIANT_SPECS = {
     "base": VariantSpec(False, ("ce",), None),
@@ -171,7 +163,7 @@ class TrainHistory:
         return len(self.val_auc_roc)
 
 
-def _head_loss(terms, z, y, cfg, dah_cfg, cost_params):
+def _head_loss(terms, z, y, cfg, deltas, cost_params):
     """Sum the named loss terms on logits `z`; returns (loss, d/dz, d/dlog_cfp)."""
     total, grad, d_log_cfp = 0.0, None, 0.0
     for term in terms:
@@ -180,7 +172,7 @@ def _head_loss(terms, z, y, cfg, dah_cfg, cost_params):
         elif term == "focal":
             l, g = focal(z, y, cfg.gamma)
         elif term == "dah":
-            l, g = dah_softmax(z, y, dah_cfg.deltas)
+            l, g = dah_softmax(z, y, deltas)
         elif term == "cost":
             l, g, dc = cost_loss(z, y, cost_params)
             l, g = cfg.lambda_cost * l, cfg.lambda_cost * g
@@ -193,7 +185,7 @@ def _head_loss(terms, z, y, cfg, dah_cfg, cost_params):
 
 
 def train_step(params: ModelParams, pair: BatchPair, spec: VariantSpec, cfg: TrainConfig,
-               dah_cfg: DahConfig | None, cost_params: CostParams | None,
+               deltas: np.ndarray, cost_params: CostParams | None,
                out: Gradients | None = None) -> tuple[float, float, np.ndarray, float]:
     """Losses and gradients of one decoupled step; parameters are not updated.
 
@@ -208,20 +200,20 @@ def train_step(params: ModelParams, pair: BatchPair, spec: VariantSpec, cfg: Tra
     x, y = pair.rows(None if spec.dual_stream else n_reg)
     trace = forward(params, x, None if spec.dual_stream else "regular")
     loss_r, d_r, d_cost = _head_loss(
-        spec.regular_terms, trace.logits_regular[:n_reg], y[:n_reg], cfg, dah_cfg, cost_params
+        spec.regular_terms, trace.logits_regular[:n_reg], y[:n_reg], cfg, deltas, cost_params
     )
     loss_b, d_b = float("nan"), None
     if spec.dual_stream:
         loss_b, d_b, dcost_b = _head_loss(
-            spec.balanced_terms, trace.logits_balanced[n_reg:], y[n_reg:], cfg, dah_cfg, cost_params
+            spec.balanced_terms, trace.logits_balanced[n_reg:], y[n_reg:], cfg, deltas, cost_params
         )
         d_cost += dcost_b
     grads = backward(params, trace, d_r, d_b, out)
     return loss_r, loss_b, grads.vector, d_cost
 
 
-def _val_metrics(params: ModelParams, val: Dataset, head: str) -> tuple[float, float]:
-    probs = predict(params, val.features, head=head)
+def _val_metrics(params: ModelParams, val: Dataset) -> tuple[float, float]:
+    probs = predict(params, val.features)
     if val.n_classes == 2:
         scored = ScoredSet(probs[:, 1], val.labels)
         return auc_roc(scored), auc_prc(scored)
@@ -245,14 +237,15 @@ def train(cfg: TrainConfig, splits: tuple[Dataset, Dataset]) -> tuple[ModelParam
     # the optimizer updates one vector: the parameters, then log C_FP when the cost term trains
     n = init.layout.size
     state = np.append(init.vector, 0.0) if spec.uses_cost else init.vector
-    params = replace(init, vector=state[:n])
+    params = replace(init, vector=state[:n],
+                     trained_heads=("regular", "balanced") if spec.dual_stream else ("regular",))
     grad = np.empty_like(state)
     grads = Gradients(grad[:n], init.layout)
     sampler = SamplerState(
         train_ds, cfg.batch_size, seed=cfg.seed,
         q_regular=cfg.q_regular, q_balanced=cfg.q_balanced,
     )
-    dah_cfg = DahConfig.from_counts(train_ds.class_counts, cfg.margin_scale) if spec.uses_dah else None
+    deltas = delta_margins(train_ds.class_counts, cfg.margin_scale)
     cost_params = CostParams(0.0, cfg.theta, cfg.offset) if spec.uses_cost else None
     opt = OptState.for_vector(state, cfg.optimizer, cfg.learning_rate)
 
@@ -260,14 +253,13 @@ def train(cfg: TrainConfig, splits: tuple[Dataset, Dataset]) -> tuple[ModelParam
     best_auc = -np.inf
     best_params = None
     streak = 0
-    val_head = spec.inference_head
 
     try:
         with np.errstate(over="raise"):  # ReLU can hide an overflow from every finite-loss check
             for epoch in range(cfg.epochs):
                 sum_r = sum_b = 0.0
                 for step, pair in enumerate(epoch_batches(sampler, train_ds)):
-                    loss_r, loss_b, _, d_cost = train_step(params, pair, spec, cfg, dah_cfg, cost_params, grads)
+                    loss_r, loss_b, _, d_cost = train_step(params, pair, spec, cfg, deltas, cost_params, grads)
                     if not math.isfinite(loss_r) or (spec.dual_stream and not math.isfinite(loss_b)):
                         costs = current_costs(cost_params) if cost_params else None
                         raise NumericalError(
@@ -282,7 +274,7 @@ def train(cfg: TrainConfig, splits: tuple[Dataset, Dataset]) -> tuple[ModelParam
                     sum_r += loss_r
                     sum_b += loss_b
 
-                val_auc, val_ap = _val_metrics(params, val_ds, val_head)
+                val_auc, val_ap = _val_metrics(params, val_ds)
                 history.loss_regular.append(sum_r / (step + 1))
                 history.loss_balanced.append(sum_b / (step + 1))
                 history.val_auc_roc.append(val_auc)
@@ -304,7 +296,6 @@ def train(cfg: TrainConfig, splits: tuple[Dataset, Dataset]) -> tuple[ModelParam
     except FloatingPointError as exc:
         raise NumericalError(f"numeric blow-up at epoch {epoch}: {exc}") from None
 
-    best_params.trained_heads = ("regular", "balanced") if spec.dual_stream else ("regular",)
     history.wall_time_s = time.perf_counter() - t0
     return best_params, history
 

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from denshift.cli import DEFAULT_CONFIG, config_hash, load_config, main
+from denshift.cli import DEFAULT_CONFIG, build_parser, config_hash, load_config, main
 from denshift.metrics import ScoredSet, auc_prc, auc_roc, bss, split_report
 from denshift.training import VARIANTS
 
@@ -491,3 +491,49 @@ def test_bad_train_field_of_any_kind_exits_one_naming_it(bad):
         assert code == 1, (field, value)
         assert field in err.getvalue(), (field, value, err.getvalue())
         assert not out.exists()
+
+
+# each command's argv without optional flags, and the flags it reads or does not read, with a value
+_ARGV = {"gen-data": ["gen-data"], "train": ["train"], "eval": ["eval", "--checkpoint", "c.npz", "--csv", "d.csv"],
+         "ablate": ["ablate"], "sweep-theta": ["sweep-theta"], "grad-check": ["grad-check"]}
+_VALUES = {"--config": "c.json", "--out": "o", "--seed": "3", "--variant": "base", "--label-column": "y",
+           "--theta": "2.5", "--bins": "7"}
+_READ = {"gen-data": ("--config", "--out"),
+         "train": ("--config", "--out", "--seed", "--variant", "--label-column", "--theta", "--bins"),
+         "eval": ("--config", "--out", "--label-column", "--bins"),
+         "ablate": ("--config", "--out", "--label-column"),
+         "sweep-theta": ("--config", "--out", "--variant", "--label-column"),
+         "grad-check": ()}
+
+
+class TestFlags:
+    @pytest.mark.parametrize("command, flag", [(c, f) for c, flags in _READ.items() for f in flags])
+    def test_a_flag_the_command_reads_is_accepted(self, command, flag):
+        args = build_parser().parse_args(_ARGV[command] + [flag, _VALUES[flag]])
+        assert str(getattr(args, flag[2:].replace("-", "_"))) == _VALUES[flag]
+
+    @pytest.mark.parametrize("command, flag", [(c, f) for c in _READ for f in _VALUES if f not in _READ[c]])
+    def test_a_flag_the_command_does_not_read_is_a_usage_error(self, command, flag, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(_ARGV[command] + [flag, _VALUES[flag]])
+        assert exc.value.code == 1
+        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [["train", "--bogus"], ["train", "--seed", "x"], ["eval"], ["nonsense"], []])
+    def test_usage_error_exits_one_not_two(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 1
+        assert "usage: denshift" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [["--help"], ["train", "--help"], ["grad-check", "-h"]])
+    def test_help_exits_zero(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 0
+        assert "usage: denshift" in capsys.readouterr().out
+
+    def test_the_benchmark_command_lines_parse(self):
+        for argv in (["train", "--config", "c.json", "--out", "o"], ["gen-data", "--config", "c.json", "--out", "o"],
+                     ["eval", "--checkpoint", "c.npz", "--csv", "d.csv", "--out", "o"]):
+            assert build_parser().parse_args(argv).out == "o"

@@ -21,6 +21,9 @@ from denshift.data import (
     write_table,
 )
 from denshift.errors import ParseError, SchemaError, ValidationError
+from denshift.losses import CostParams, ce, cost_loss, dah_softmax, focal
+from denshift.metrics import ScoredSet, nll, split_report, temperature_fit
+from denshift.nn import export_embeddings, init_mlp
 
 from oracles import logistic_regression_auc
 
@@ -122,6 +125,32 @@ class TestDataset:
             Dataset(np.zeros((4, 1)), [0.5, 1.7, 0.0, 1.2], ("a",), ("x", "y"))
         ds = Dataset(np.zeros((4, 1)), [0.0, 1.0, 0.0, 1.0], ("a",), ("x", "y"))
         assert ds.labels.dtype == np.int64 and ds.labels.tolist() == [0, 1, 0, 1]
+
+
+# every function that reads class labels, with its class count: each validates them through `class_labels`
+LABEL_READERS = {
+    "Dataset": (2, lambda y: Dataset(np.zeros((3, 1)), y, ("a",), ("x", "y"))),
+    "ScoredSet": (2, lambda y: ScoredSet([0.2, 0.9, 0.4], y)),
+    "ce": (2, lambda y: ce(np.zeros((3, 2)), y)),
+    "focal": (2, lambda y: focal(np.zeros((3, 2)), y, 2.0)),
+    "dah_softmax": (2, lambda y: dah_softmax(np.zeros((3, 2)), y, [0.1, 0.2])),
+    "cost_loss": (2, lambda y: cost_loss(np.zeros((3, 2)), y, CostParams())),
+    "nll": (2, lambda y: nll(np.zeros((3, 2)), y)),
+    "temperature_fit": (2, lambda y: temperature_fit(np.zeros((3, 2)), y)),
+    "split_report binary": (2, lambda y: split_report(np.full((3, 2), 0.5), y)),
+    "split_report 3-class": (3, lambda y: split_report(np.full((3, 3), 1 / 3), y)),
+    "export_embeddings": (2, lambda y: export_embeddings(init_mlp(2, hidden=4), np.zeros((3, 2)), y)),
+}
+BAD_LABELS = {"fractional": lambda c: [0.5, 1.7, 0.0], "negative": lambda c: [0, 1, -1],
+              "n_classes": lambda c: [0, 1, c]}
+
+
+@pytest.mark.parametrize("reader", LABEL_READERS)
+@pytest.mark.parametrize("bad", BAD_LABELS)
+def test_every_label_reader_rejects_labels_outside_its_classes(reader, bad):
+    n_classes, read = LABEL_READERS[reader]
+    with pytest.raises(ValidationError, match="label out of range"):
+        read(BAD_LABELS[bad](n_classes))
 
 
 class TestWriteTable:

@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 from denshift.errors import UnsupportedTaskError, ValidationError
 from denshift.losses import (
     CostParams,
-    DahConfig,
     ce,
     cost_loss,
     current_costs,
@@ -51,9 +50,9 @@ class TestDeltaMargins:
 
     def test_default_scale_caps_max_margin(self):
         counts = [900, 100]
-        cfg = DahConfig.from_counts(counts)
-        assert cfg.deltas.max() == pytest.approx(0.5)
-        assert cfg.margin_scale == pytest.approx(default_margin_scale(counts))
+        deltas = delta_margins(counts)
+        assert deltas.max() == pytest.approx(0.5)
+        np.testing.assert_array_equal(deltas, delta_margins(counts, default_margin_scale(counts)))
 
     def test_validation(self):
         with pytest.raises(ValidationError):
@@ -344,7 +343,6 @@ def test_losses_equal_reference_copies(batch):
 @settings(max_examples=100, deadline=None)
 def test_head_loss_equals_summed_references(batch):
     z, y, deltas, cp, cfg = batch
-    dah_cfg = DahConfig(1.0, deltas)
     for variant in VARIANTS:
         spec = variant_losses(variant)
         if spec.uses_cost and z.shape[1] != 2:
@@ -358,5 +356,5 @@ def test_head_loss_equals_summed_references(batch):
                     d_log_cfp += cfg.lambda_cost * dc[0]
                 total += l
                 grad += g
-            got = training._head_loss(terms, z, y, cfg, dah_cfg, cp)
+            got = training._head_loss(terms, z, y, cfg, deltas, cp)
             assert_same(got, (total, grad, d_log_cfp))

@@ -7,7 +7,7 @@ import denshift.training as training
 from denshift.data import SynthConfig, apply_preprocess, fit_preprocess, gen_synthetic, stratified_split
 from denshift.diagnostics import gradient_report
 from denshift.errors import NumericalError, UnsupportedTaskError, ValidationError
-from denshift.losses import CostParams, DahConfig
+from denshift.losses import CostParams, delta_margins
 from denshift.nn import Gradients, backward, forward, init_mlp
 from denshift.sampling import SamplerState, epoch_batches, next_batch_pair
 from denshift.training import (
@@ -270,19 +270,19 @@ class TestTrainLoop:
 # step changes only the summation order of the backbone gradient.
 
 
-def two_pass_step(params, pair, spec, cfg, dah_cfg, cost_params):
+def two_pass_step(params, pair, spec, cfg, deltas, cost_params):
     x, y = pair.rows()
     xr, yr = x[:pair.n_regular], y[:pair.n_regular]
     trace_r = forward(params, xr)
     loss_r, d_r, d_cost = training._head_loss(spec.regular_terms, trace_r.logits_regular, yr,
-                                              cfg, dah_cfg, cost_params)
+                                              cfg, deltas, cost_params)
     grad = backward(params, trace_r, d_logits_regular=d_r).vector
     loss_b = float("nan")
     if spec.dual_stream:
         xb, yb = x[pair.n_regular:], y[pair.n_regular:]
         trace_b = forward(params, xb)
         loss_b, d_b, dcost_b = training._head_loss(spec.balanced_terms, trace_b.logits_balanced, yb,
-                                                   cfg, dah_cfg, cost_params)
+                                                   cfg, deltas, cost_params)
         grad = grad + backward(params, trace_b, d_logits_balanced=d_b).vector
         d_cost += dcost_b
     return loss_r, loss_b, grad, d_cost
@@ -294,9 +294,9 @@ def step_inputs(cfg, train_ds):
                       normalize_balanced=cfg.normalize_balanced)
     sampler = SamplerState(train_ds, cfg.batch_size, seed=cfg.seed,
                            q_regular=cfg.q_regular, q_balanced=cfg.q_balanced)
-    dah_cfg = DahConfig.from_counts(train_ds.class_counts, cfg.margin_scale) if spec.uses_dah else None
+    deltas = delta_margins(train_ds.class_counts, cfg.margin_scale)
     cost_params = CostParams(0.0, cfg.theta, cfg.offset) if spec.uses_cost else None
-    return spec, params, sampler, dah_cfg, cost_params
+    return spec, params, sampler, deltas, cost_params
 
 
 def reference_train(cfg, train_ds, epochs):
@@ -305,7 +305,7 @@ def reference_train(cfg, train_ds, epochs):
     The optimizer is written out here over two arrays (the parameters, then
     log C_FP), independent of `nn.opt_step`.
     """
-    spec, params, sampler, dah_cfg, cost_params = step_inputs(cfg, train_ds)
+    spec, params, sampler, deltas, cost_params = step_inputs(cfg, train_ds)
     cost_arr = np.zeros(1)
     arrays = [params.vector, cost_arr] if cost_params else [params.vector]
     moments = [(np.zeros_like(a), np.zeros_like(a)) for a in arrays]
@@ -314,7 +314,7 @@ def reference_train(cfg, train_ds, epochs):
     for _ in range(epochs):
         total = 0.0
         for step, pair in enumerate(epoch_batches(sampler, train_ds)):
-            loss_r, _, grad, d_cost = two_pass_step(params, pair, spec, cfg, dah_cfg, cost_params)
+            loss_r, _, grad, d_cost = two_pass_step(params, pair, spec, cfg, deltas, cost_params)
             t += 1
             for p, g, (m, v) in zip(arrays, [grad, np.array([d_cost])], moments):
                 if cfg.optimizer == "sgd":
@@ -335,13 +335,13 @@ class TestStackedStep:
     @pytest.mark.parametrize("variant", ["decoupling", "full"])
     def test_dual_stream_gradient_matches_two_pass_reference(self, splits, variant, normalize):
         cfg = TrainConfig(variant=variant, normalize_balanced=normalize, seed=3)
-        spec, params, sampler, dah_cfg, cost_params = step_inputs(cfg, splits[0])
+        spec, params, sampler, deltas, cost_params = step_inputs(cfg, splits[0])
         if cost_params:
             cost_params.log_cfp = 0.3
         for _ in range(5):
             pair = next_batch_pair(sampler, splits[0])
-            loss_r, loss_b, grad, d_cost = train_step(params, pair, spec, cfg, dah_cfg, cost_params)
-            ref_r, ref_b, ref_grad, ref_cost = two_pass_step(params, pair, spec, cfg, dah_cfg, cost_params)
+            loss_r, loss_b, grad, d_cost = train_step(params, pair, spec, cfg, deltas, cost_params)
+            ref_r, ref_b, ref_grad, ref_cost = two_pass_step(params, pair, spec, cfg, deltas, cost_params)
             assert loss_r == pytest.approx(ref_r, rel=1e-12)
             assert loss_b == pytest.approx(ref_b, rel=1e-12)
             assert np.abs(grad - ref_grad).max() <= 1e-12 * np.abs(ref_grad).max()
@@ -352,7 +352,7 @@ class TestStackedStep:
     def test_step_gathers_and_computes_only_what_it_reads(self, splits, monkeypatch, variant):
         # single-stream steps gather the regular draw's rows alone and compute no balanced logits
         cfg = TrainConfig(variant=variant)
-        spec, params, sampler, dah_cfg, cost_params = step_inputs(cfg, splits[0])
+        spec, params, sampler, deltas, cost_params = step_inputs(cfg, splits[0])
         pair = next_batch_pair(sampler, splits[0])
         seen = []
 
@@ -361,7 +361,7 @@ class TestStackedStep:
             return seen[-1][1]
 
         monkeypatch.setattr(training, "forward", recording_forward)
-        train_step(params, pair, spec, cfg, dah_cfg, cost_params)
+        train_step(params, pair, spec, cfg, deltas, cost_params)
         [(x, trace)] = seen
         rows = pair.idx if spec.dual_stream else pair.idx[:pair.n_regular]
         assert np.array_equal(x, splits[0].features[rows])
