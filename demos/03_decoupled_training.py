@@ -16,8 +16,8 @@ from denshift import (
     TrainConfig,
     apply_preprocess,
     calibration_bins,
-    export_embeddings,
     fit_preprocess,
+    forward,
     gen_synthetic,
     predict,
     score_report,
@@ -56,14 +56,12 @@ for i in range(10):
     else:
         print(f"  [{table.bin_lo[i]:.1f},{table.bin_hi[i]:.1f}]    {table.mean_pred[i]:.3f}     {table.frac_pos[i]:.3f}  {int(table.count[i]):5d}")
 
-emb = export_embeddings(params, te.features, te.labels, "embeddings_test.csv")
+emb = forward(params, te.features).hidden  # the last hidden representation, the heads' input
 
 
 def spread(block):
     return np.linalg.norm(block - block.mean(0), axis=1).mean()
 
 
-print(f"\nexported {emb.shape[0]}x{emb.shape[1]} embeddings to embeddings_test.csv")
-print(f"mean distance to class centroid in embedding space: "
+print(f"\nmean distance to class centroid in the {emb.shape[1]}-d embedding space: "
       f"majority {spread(emb[te.labels == 0]):.2f}, minority {spread(emb[te.labels == 1]):.2f}")
-print("(feed the CSV to any 2-D projector, e.g. t-SNE, to inspect the class density structure)")

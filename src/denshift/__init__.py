@@ -60,7 +60,6 @@ from .nn import (
     ModelParams,
     OptState,
     backward,
-    export_embeddings,
     forward,
     grad_check,
     init_mlp,

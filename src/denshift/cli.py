@@ -248,7 +248,6 @@ def cmd_train(cfg: dict, args) -> int:
 
 
 def cmd_eval(cfg: dict, args) -> int:
-    out = _out_dir(cfg)
     params, stats, meta = load_checkpoint(args.checkpoint)
     label_column = args.label_column or meta["label_column"]
     ds = load_csv(args.csv, label_column)
@@ -280,6 +279,7 @@ def cmd_eval(cfg: dict, args) -> int:
         "n_bins": n_bins,
         "metrics": split_report(probs, prepared.labels),
     }
+    out = _out_dir(cfg)
     _write_scores(out, "", probs, prepared.labels, n_bins)
     _write_json(out / "report.json", report)
     print(json.dumps(_sanitize(report["metrics"])))

@@ -17,7 +17,7 @@ import numpy as np
 
 from .data import class_labels, write_table
 from .errors import ValidationError
-from .losses import _log_softmax, softmax
+from .losses import _check_labels, _log_softmax, softmax
 
 
 @dataclass(frozen=True)
@@ -136,12 +136,10 @@ def score_report(s: ScoredSet) -> dict:
 
 def split_report(probs: np.ndarray, labels) -> dict:
     """`score_report` of the positive column for binary probabilities, else one-vs-rest AUCs."""
-    n_classes = probs.shape[1]
-    labels = class_labels(labels, n_classes)
-    if n_classes == 2:
+    if probs.shape[1] == 2:
         return score_report(ScoredSet(probs[:, 1], labels))
-    macro, micro = macro_micro_auc(probs, np.eye(n_classes)[labels])
-    return {"macro_auc": macro, "micro_auc": micro, "n": labels.size}
+    macro, micro = macro_micro_auc(probs, labels)
+    return {"macro_auc": macro, "micro_auc": micro, "n": probs.shape[0]}
 
 
 def calibration_bins(s: ScoredSet, n_bins: int = 10) -> CalibrationTable:
@@ -159,33 +157,29 @@ def calibration_bins(s: ScoredSet, n_bins: int = 10) -> CalibrationTable:
     return CalibrationTable(edges[:-1], edges[1:], mean_pred, frac_pos, count)
 
 
-def macro_auc(score_matrix: np.ndarray, label_matrix: np.ndarray) -> float:
-    """Unweighted mean of the one-vs-rest AUC-ROC of each class of single-label N x C scores."""
+def macro_auc(score_matrix: np.ndarray, labels) -> float:
+    """Unweighted mean of the one-vs-rest AUC-ROC of each class of N x C scores with N class labels."""
     scores = np.asarray(score_matrix, dtype=np.float64)
-    labels = np.asarray(label_matrix, dtype=np.float64)
-    if scores.ndim != 2 or scores.shape != labels.shape:
-        raise ValidationError("score and label matrices must share an N x C shape")
-    if not np.isin(labels, (0.0, 1.0)).all() or not (labels.sum(axis=1) == 1.0).all():
-        raise ValidationError("label matrix must be one-hot")
+    labels = _check_labels(scores, labels)
     per_class = []
     for c in range(scores.shape[1]):
-        pos = labels[:, c] == 1.0
+        pos = labels == c
         if not pos.any() or pos.all():
             raise ValidationError(f"class {c} absent (or exhaustive) in labels")
         per_class.append(_rank_auc(scores[:, c], pos))
     return float(np.mean(per_class))
 
 
-def macro_micro_auc(score_matrix: np.ndarray, label_matrix: np.ndarray) -> tuple[float, float]:
-    """One-vs-rest AUCs for single-label multi-class scores.
+def macro_micro_auc(score_matrix: np.ndarray, labels) -> tuple[float, float]:
+    """One-vs-rest AUCs for N x C multi-class scores with N class labels.
 
     macro: `macro_auc`; micro: AUC-ROC over the flattened (score, indicator)
     pairs of all classes.
     """
-    macro = macro_auc(score_matrix, label_matrix)
-    scores = np.asarray(score_matrix, dtype=np.float64).reshape(-1)
-    labels = np.asarray(label_matrix, dtype=np.float64).reshape(-1)
-    return macro, _rank_auc(scores, labels == 1.0)
+    scores = np.asarray(score_matrix, dtype=np.float64)
+    labels = _check_labels(scores, labels)
+    onehot = labels[:, None] == np.arange(scores.shape[1])
+    return macro_auc(scores, labels), _rank_auc(scores.reshape(-1), onehot.reshape(-1))
 
 
 def nll(logits: np.ndarray, labels, temperature: float = 1.0) -> float:
@@ -193,7 +187,7 @@ def nll(logits: np.ndarray, labels, temperature: float = 1.0) -> float:
     if temperature <= 0:
         raise ValidationError("temperature must be positive")
     logits = np.asarray(logits, dtype=np.float64)
-    labels = class_labels(labels, logits.shape[1])
+    labels = _check_labels(logits, labels)
     logp = _log_softmax(logits / temperature)
     return float(-logp[np.arange(labels.size), labels].mean())
 
@@ -206,7 +200,7 @@ def temperature_fit(logits: np.ndarray, labels, lo: float = 0.05, hi: float = 20
     the unscaled NLL, 1.0 is returned, so applying the fit weakly improves
     likelihood by construction.
     """
-    labels = class_labels(labels, np.shape(logits)[1])
+    labels = _check_labels(np.asarray(logits), labels)
     if np.unique(labels).size < 2:
         raise ValidationError("temperature fit needs at least two classes in the labels")
     invphi = (np.sqrt(5.0) - 1.0) / 2.0

@@ -18,11 +18,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import NormStats, class_labels, write_table
+from .data import NormStats
 from .errors import NumericalError, ValidationError
 
 CHECKPOINT_VERSION = "denshift-checkpoint-1"
-_NORM_EPS = 1e-12  # guards division when a hidden row or weight column is exactly zero
 
 
 class DenseLayer:
@@ -89,15 +88,14 @@ class ModelParams(_LayerVector):
     """Backbone + two heads. Mutable: the training loop updates `vector` in place."""
 
     resid_span: tuple[int, int] | None = None
-    normalize_balanced: bool = False
     trained_heads: tuple[str, ...] | None = None
 
     @classmethod
-    def pack(cls, layers: list[tuple[np.ndarray, np.ndarray]], resid_span, normalize_balanced: bool = False,
+    def pack(cls, layers: list[tuple[np.ndarray, np.ndarray]], resid_span,
              trained_heads: tuple[str, ...] | None = None) -> "ModelParams":
         """Copy (W, b) pairs (the backbone, then the regular head, then the balanced head) into one new vector."""
         vector = np.concatenate([a.ravel() for W, b in layers for a in (W, b)], dtype=np.float64)
-        return cls(vector, Layout.of(W.shape for W, _ in layers), resid_span, normalize_balanced, trained_heads)
+        return cls(vector, Layout.of(W.shape for W, _ in layers), resid_span, trained_heads)
 
     @property
     def input_dim(self) -> int:
@@ -108,8 +106,7 @@ class ModelParams(_LayerVector):
         return self.head_regular.W.shape[1]
 
     def copy(self) -> "ModelParams":
-        return ModelParams(self.vector.copy(), self.layout, self.resid_span,
-                           self.normalize_balanced, self.trained_heads)
+        return ModelParams(self.vector.copy(), self.layout, self.resid_span, self.trained_heads)
 
 
 @dataclass
@@ -122,12 +119,7 @@ class ForwardTrace:
 
     act: list[np.ndarray]
     logits_regular: np.ndarray | None
-    logits_balanced: np.ndarray | None = None
-    # populated only when the balanced head normalizes hidden/weight vectors
-    hidden_norms: np.ndarray | None = None
-    hidden_unit: np.ndarray | None = None
-    bal_w_norms: np.ndarray | None = None
-    bal_w_unit: np.ndarray | None = None
+    logits_balanced: np.ndarray | None
 
     @property
     def hidden(self) -> np.ndarray:
@@ -145,7 +137,6 @@ def init_mlp(
     depth: int = 4,
     n_classes: int = 2,
     seed: int = 0,
-    normalize_balanced: bool = False,
 ) -> ModelParams:
     """Seeded model: depth weight matrices per head path, uniform(+-1/sqrt(fan_in)) weights, zero biases."""
     if min(input_dim, hidden, n_classes) < 1 or depth < 2:
@@ -164,7 +155,7 @@ def init_mlp(
         m = (n_backbone - 1) // 2
         span = (m, m + 1)
     heads = [dense(hidden, n_classes), dense(hidden, n_classes)]
-    return ModelParams.pack(backbone + heads, span, normalize_balanced)
+    return ModelParams.pack(backbone + heads, span)
 
 
 def _with_ones(rows: int, width: int) -> np.ndarray:
@@ -196,21 +187,8 @@ def forward(params: ModelParams, x: np.ndarray, head: str | None = None) -> Forw
             z += act[span[0]][:, :-1]
         np.maximum(a, 0.0, out=a)
         act.append(a)
-    trace = ForwardTrace(act, a @ params.head_regular.Wb if head != "balanced" else None)
-    if head == "regular":
-        return trace
-    if params.normalize_balanced:
-        hidden = trace.hidden
-        r = np.sqrt((hidden**2).sum(axis=1, keepdims=True))
-        trace.hidden_norms = np.maximum(r, _NORM_EPS)
-        trace.hidden_unit = hidden / trace.hidden_norms
-        s = np.sqrt((params.head_balanced.W**2).sum(axis=0, keepdims=True))
-        trace.bal_w_norms = np.maximum(s, _NORM_EPS)
-        trace.bal_w_unit = params.head_balanced.W / trace.bal_w_norms
-        trace.logits_balanced = trace.hidden_unit @ trace.bal_w_unit + params.head_balanced.b
-    else:
-        trace.logits_balanced = a @ params.head_balanced.Wb
-    return trace
+    return ForwardTrace(act, a @ params.head_regular.Wb if head != "balanced" else None,
+                        a @ params.head_balanced.Wb if head != "regular" else None)
 
 
 def backward(
@@ -250,19 +228,8 @@ def backward(
     else:
         rows = slice(start_bal, n_rows)
         block = np.empty((n_rows - start_bal, d_hidden.shape[1])) if overlap else d_hidden[rows]
-        if params.normalize_balanced:
-            np.add.reduce(d_logits_balanced, axis=0, out=grads.head_balanced.b)
-            h_unit, w_unit = trace.hidden_unit[rows], trace.bal_w_unit
-            d_w_unit = h_unit.T @ d_logits_balanced
-            # project out the radial component of each unit vector's gradient
-            np.divide(d_w_unit - w_unit * (w_unit * d_w_unit).sum(axis=0, keepdims=True),
-                      trace.bal_w_norms, out=grads.head_balanced.W)
-            d_h_unit = d_logits_balanced @ w_unit.T
-            np.divide(d_h_unit - h_unit * (h_unit * d_h_unit).sum(axis=1, keepdims=True),
-                      trace.hidden_norms[rows], out=block)
-        else:
-            np.matmul(hidden[rows].T, d_logits_balanced, out=grads.head_balanced.Wb)
-            np.matmul(d_logits_balanced, params.head_balanced.W.T, out=block)
+        np.matmul(hidden[rows].T, d_logits_balanced, out=grads.head_balanced.Wb)
+        np.matmul(d_logits_balanced, params.head_balanced.W.T, out=block)
         if overlap:
             d_hidden[rows] += block
 
@@ -362,18 +329,6 @@ def grad_check(loss_fn, vector: np.ndarray, batch, eps: float = 1e-5,
     return float(worst)
 
 
-def export_embeddings(params: ModelParams, x: np.ndarray, labels, path=None) -> np.ndarray:
-    """Last hidden representation (the classifier input), optionally written as CSV with labels."""
-    hidden = forward(params, x).hidden
-    labels = class_labels(labels, params.n_classes)
-    if labels.shape != (hidden.shape[0],):
-        raise ValidationError("need one label per row")
-    if path is not None:
-        write_table(path, [f"e{j}" for j in range(hidden.shape[1])] + ["label"],
-                    zip(*hidden.T.tolist(), labels.tolist()))
-    return hidden
-
-
 def save_checkpoint(path, params: ModelParams, norm_stats: NormStats,
                     class_names: tuple[str, ...], feature_names: tuple[str, ...],
                     label_column: str = "label", extra: dict | None = None) -> None:
@@ -389,7 +344,6 @@ def save_checkpoint(path, params: ModelParams, norm_stats: NormStats,
         "version": CHECKPOINT_VERSION,
         "n_backbone": len(params.backbone),
         "resid_span": list(params.resid_span) if params.resid_span else None,
-        "normalize_balanced": params.normalize_balanced,
         "trained_heads": list(params.trained_heads) if params.trained_heads else None,
         "class_names": list(class_names),
         "feature_names": list(feature_names),
@@ -405,12 +359,14 @@ def load_checkpoint(path) -> tuple[ModelParams, NormStats, dict]:
         meta = json.loads(bytes(blob["__meta__"]).decode("utf-8"))
         if meta.get("version") != CHECKPOINT_VERSION:
             raise ValidationError(f"unsupported checkpoint version {meta.get('version')!r}")
+        if meta.get("normalize_balanced"):  # older checkpoints record this key; false needs nothing extra
+            raise ValidationError("checkpoint has normalize_balanced: true, a cosine-normalized balanced head "
+                                  "this version does not support")
         layers = [(blob[f"backbone_{i}_W"], blob[f"backbone_{i}_b"]) for i in range(meta["n_backbone"])]
         layers += [(blob[f"head_{h}_W"], blob[f"head_{h}_b"]) for h in ("regular", "balanced")]
         params = ModelParams.pack(
             layers,
             resid_span=tuple(meta["resid_span"]) if meta["resid_span"] else None,
-            normalize_balanced=meta["normalize_balanced"],
             trained_heads=tuple(meta["trained_heads"]) if meta["trained_heads"] else None,
         )
         stats = NormStats(

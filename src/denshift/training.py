@@ -50,7 +50,6 @@ _FIELD_TYPES = {
     "int": (_is_int, "an integer"),
     "float": (_is_real, "a finite number"),
     "float | None": (lambda v: v is None or _is_real(v), "a finite number or null"),
-    "bool": (lambda v: isinstance(v, bool), "true or false"),
 }
 
 
@@ -72,7 +71,6 @@ class TrainConfig:
     lambda_cost: float = 1.0
     q_regular: float = 1.0
     q_balanced: float = 0.0
-    normalize_balanced: bool = False
 
     def __post_init__(self):
         for f in fields(self):
@@ -217,7 +215,7 @@ def _val_metrics(params: ModelParams, val: Dataset) -> tuple[float, float]:
     if val.n_classes == 2:
         scored = ScoredSet(probs[:, 1], val.labels)
         return auc_roc(scored), auc_prc(scored)
-    return macro_auc(probs, np.eye(val.n_classes)[val.labels]), float("nan")
+    return macro_auc(probs, val.labels), float("nan")
 
 
 def train(cfg: TrainConfig, splits: tuple[Dataset, Dataset]) -> tuple[ModelParams, TrainHistory]:
@@ -230,10 +228,7 @@ def train(cfg: TrainConfig, splits: tuple[Dataset, Dataset]) -> tuple[ModelParam
         raise UnsupportedTaskError("cost-matrix variants support binary tasks only")
 
     t0 = time.perf_counter()
-    init = init_mlp(
-        train_ds.dim, cfg.hidden, cfg.depth, train_ds.n_classes,
-        seed=cfg.seed, normalize_balanced=cfg.normalize_balanced,
-    )
+    init = init_mlp(train_ds.dim, cfg.hidden, cfg.depth, train_ds.n_classes, seed=cfg.seed)
     # the optimizer updates one vector: the parameters, then log C_FP when the cost term trains
     n = init.layout.size
     state = np.append(init.vector, 0.0) if spec.uses_cost else init.vector
@@ -350,6 +345,10 @@ def _grid(cfg: TrainConfig, splits: tuple[Dataset, Dataset, Dataset], field: str
     Maps each value to its run count and, for each test metric, the mean,
     the 95% CI half-width and the per-seed values.
     """
+    seeds = list(seeds)
+    repeated = next((s for i, s in enumerate(seeds) if s in seeds[:i]), None)
+    if repeated is not None:
+        raise ValidationError(f"seeds must not repeat: seed {repeated} appears more than once in {seeds}")
     train_ds, val_ds, test_ds = splits
     jobs = [(replace(cfg, **{field: v, "seed": s}), train_ds, val_ds, test_ds) for v in values for s in seeds]
     results = _run_jobs(jobs, max_workers)

@@ -176,13 +176,7 @@ def ref_forward(params, x):
         act.append(a)
     hidden = act[-1]
     logits_regular = hidden @ params.head_regular.W + params.head_regular.b
-    w_bal = params.head_balanced.W
-    if params.normalize_balanced:
-        r = np.maximum(np.sqrt((hidden**2).sum(axis=1, keepdims=True)), 1e-12)
-        s = np.maximum(np.sqrt((w_bal**2).sum(axis=0, keepdims=True)), 1e-12)
-        logits_balanced = (hidden / r) @ (w_bal / s) + params.head_balanced.b
-    else:
-        logits_balanced = hidden @ w_bal + params.head_balanced.b
+    logits_balanced = hidden @ params.head_balanced.W + params.head_balanced.b
     return pre, act, logits_regular, logits_balanced
 
 
@@ -192,20 +186,8 @@ def ref_gradients(params, x, d_regular, d_balanced):
     pre, act, _, _ = ref_forward(params, x)
     hidden = act[-1]
     head_r = [hidden.T @ d_regular, d_regular.sum(axis=0)]
-    d_hidden = d_regular @ params.head_regular.W.T
-    w_bal = params.head_balanced.W
-    if params.normalize_balanced:
-        r = np.maximum(np.sqrt((hidden**2).sum(axis=1, keepdims=True)), 1e-12)
-        s = np.maximum(np.sqrt((w_bal**2).sum(axis=0, keepdims=True)), 1e-12)
-        h_unit, w_unit = hidden / r, w_bal / s
-        d_w_unit = h_unit.T @ d_balanced
-        d_w = (d_w_unit - w_unit * (w_unit * d_w_unit).sum(axis=0, keepdims=True)) / s
-        d_h_unit = d_balanced @ w_unit.T
-        d_hidden = d_hidden + (d_h_unit - h_unit * (h_unit * d_h_unit).sum(axis=1, keepdims=True)) / r
-    else:
-        d_w = hidden.T @ d_balanced
-        d_hidden = d_hidden + d_balanced @ w_bal.T
-    head_b = [d_w, d_balanced.sum(axis=0)]
+    d_hidden = d_regular @ params.head_regular.W.T + d_balanced @ params.head_balanced.W.T
+    head_b = [hidden.T @ d_balanced, d_balanced.sum(axis=0)]
 
     n = len(params.backbone)
     span = params.resid_span

@@ -104,7 +104,7 @@ class TestConfig:
 
     def test_default_config_hash_is_pinned(self):
         # reports embed this hash, so the defaults' keys and values are part of the output contract
-        assert config_hash(load_config()) == "f6835e391cc8bb94"
+        assert config_hash(load_config()) == "f180c9aa2efd6ab7"
 
 
 class TestGenData:
@@ -218,6 +218,30 @@ class TestEval:
         scored = ScoredSet(scores, labels)
         assert auc_roc(scored) == report["metrics"]["auc_roc"]
         assert bss(scored) == pytest.approx(report["metrics"]["bss"], abs=1e-15)
+
+    def test_checkpoint_with_a_normalized_balanced_head_is_rejected(self, tmp_path, capsys):
+        # checkpoints of older versions record normalize_balanced; false loads as before, true is refused
+        run, gen = tmp_path / "run", tmp_path / "gen"
+        path = write_cfg(tmp_path, {"output_dir": str(run)})
+        assert main(["train", "--config", str(path)]) == 0
+        assert main(["gen-data", "--config", str(path), "--out", str(gen)]) == 0
+        with np.load(run / "checkpoint.npz") as blob:
+            arrays = {k: blob[k] for k in blob.files}
+        meta = json.loads(bytes(arrays["__meta__"]).decode("utf-8"))
+        preds = {}
+        for flag in (None, False, True):
+            if flag is not None:
+                meta["normalize_balanced"] = flag
+            arrays["__meta__"] = np.frombuffer(json.dumps(meta).encode("utf-8"), dtype=np.uint8)
+            np.savez(tmp_path / f"{flag}.npz", **arrays)
+            out = tmp_path / f"eval_{flag}"
+            code = main(["eval", "--checkpoint", str(tmp_path / f"{flag}.npz"), "--csv", str(gen / "test.csv"),
+                         "--out", str(out)])
+            assert code == (1 if flag else 0)
+            preds[flag] = (out / "predictions.csv").read_bytes() if code == 0 else None
+        assert preds[False] == preds[None]
+        assert "normalize_balanced" in capsys.readouterr().err
+        assert not (tmp_path / "eval_True").exists()
 
     def test_eval_on_separable_toy_training_split(self, tmp_path):
         cfg = {
@@ -374,6 +398,26 @@ class TestOtherCommands:
         assert f"{section}.{key}" in captured.err and captured.out == ""
         assert not out.exists()
 
+    @pytest.mark.parametrize("command, section, seeds", [("ablate", "ablation", [0, 0]),
+                                                        ("sweep-theta", "sweep", [0, 1, 0])])
+    def test_repeated_seed_is_exit_one_and_writes_nothing(self, tmp_path, capsys, command, section, seeds):
+        out = tmp_path / "repeat"
+        path = write_cfg(tmp_path, {"train": {"epochs": 1, "variant": "cost"}, section: {"seeds": seeds},
+                                    "output_dir": str(out)})
+        assert main([command, "--config", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert "seed 0 appears more than once" in captured.err and captured.out == ""
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["train", "ablate", "sweep-theta"])
+    def test_removed_normalize_balanced_key_is_exit_one(self, tmp_path, capsys, command):
+        out = tmp_path / "norm"
+        path = write_cfg(tmp_path, {"train": {"epochs": 1, "variant": "cost", "normalize_balanced": False},
+                                    "output_dir": str(out)})
+        assert main([command, "--config", str(path)]) == 1
+        assert "normalize_balanced" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_grad_check_exits_zero(self, capsys):
         assert main(["grad-check"]) == 0
         out = capsys.readouterr().out
@@ -467,7 +511,6 @@ _BAD_TRAIN_FIELDS = st.one_of(
     *[st.tuples(st.just(f), st.one_of(_WRONG_TYPE, st.booleans(), st.none(), _NON_FINITE,
                                       st.floats(max_value=-1e-300), st.floats(min_value=1.0 + 1e-12)))
       for f in _PROBABILITIES],
-    st.tuples(st.just("normalize_balanced"), st.one_of(_WRONG_TYPE, st.none(), st.integers(), st.floats())),
     *[st.tuples(st.just(f), st.one_of(st.none(), st.booleans(), st.integers(), st.floats(),
                                       st.text(max_size=6).filter(lambda v: v not in ok)))
       for f, ok in (("variant", VARIANTS), ("optimizer", ("sgd", "adam")))],

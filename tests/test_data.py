@@ -22,8 +22,7 @@ from denshift.data import (
 )
 from denshift.errors import ParseError, SchemaError, ValidationError
 from denshift.losses import CostParams, ce, cost_loss, dah_softmax, focal
-from denshift.metrics import ScoredSet, nll, split_report, temperature_fit
-from denshift.nn import export_embeddings, init_mlp
+from denshift.metrics import ScoredSet, macro_auc, nll, split_report, temperature_fit
 
 from oracles import logistic_regression_auc
 
@@ -139,7 +138,7 @@ LABEL_READERS = {
     "temperature_fit": (2, lambda y: temperature_fit(np.zeros((3, 2)), y)),
     "split_report binary": (2, lambda y: split_report(np.full((3, 2), 0.5), y)),
     "split_report 3-class": (3, lambda y: split_report(np.full((3, 3), 1 / 3), y)),
-    "export_embeddings": (2, lambda y: export_embeddings(init_mlp(2, hidden=4), np.zeros((3, 2)), y)),
+    "macro_auc": (3, lambda y: macro_auc(np.full((3, 3), 1 / 3), y)),
 }
 BAD_LABELS = {"fractional": lambda c: [0.5, 1.7, 0.0], "negative": lambda c: [0, 1, -1],
               "n_classes": lambda c: [0, 1, c]}

@@ -282,8 +282,7 @@ class TestMacroMicro:
     def test_binary_macro_equals_positive_auc(self):
         s = _random_scored(23)
         scores = np.column_stack([1.0 - s.scores, s.scores])
-        onehot = np.eye(2)[s.labels]
-        macro, micro = macro_micro_auc(scores, onehot)
+        macro, micro = macro_micro_auc(scores, s.labels)
         assert macro == pytest.approx(auc_roc(s), abs=1e-12)
 
     def test_equal_per_class_aucs(self):
@@ -296,8 +295,7 @@ class TestMacroMicro:
             [0.1, 0.1, 0.8],
             [0.1, 0.2, 0.7],
         ])
-        onehot = np.eye(3)[np.array([0, 0, 1, 1, 2, 2])]
-        macro, micro = macro_micro_auc(scores, onehot)
+        macro, micro = macro_micro_auc(scores, [0, 0, 1, 1, 2, 2])
         assert macro == 1.0
         assert micro == 1.0
 
@@ -307,7 +305,7 @@ class TestMacroMicro:
         scores = softmax(raw)
         y = rng.integers(0, 3, size=40)
         onehot = np.eye(3)[y]
-        macro, micro = macro_micro_auc(scores, onehot)
+        macro, micro = macro_micro_auc(scores, y)
         per_class = [pairwise_auc(scores[:, c], onehot[:, c]) for c in range(3)]
         assert macro == pytest.approx(np.mean(per_class), abs=1e-12)
         assert micro == pytest.approx(
@@ -316,17 +314,17 @@ class TestMacroMicro:
 
     def test_absent_class_rejected(self):
         scores = softmax(np.random.default_rng(0).normal(size=(5, 3)))
-        onehot = np.eye(3)[np.array([0, 0, 1, 1, 0])]  # class 2 unseen
+        labels = [0, 0, 1, 1, 0]  # class 2 unseen
         with pytest.raises(ValidationError):
-            macro_micro_auc(scores, onehot)
+            macro_micro_auc(scores, labels)
         with pytest.raises(ValidationError):
-            macro_auc(scores, onehot)
+            macro_auc(scores, labels)
 
     def test_macro_auc_is_the_macro_half(self):
         rng = np.random.default_rng(11)
         scores = np.round(softmax(rng.normal(size=(300, 4))), 2)
-        onehot = np.eye(4)[rng.integers(0, 4, size=300)]
-        assert macro_auc(scores, onehot) == macro_micro_auc(scores, onehot)[0]
+        labels = rng.integers(0, 4, size=300)
+        assert macro_auc(scores, labels) == macro_micro_auc(scores, labels)[0]
 
 
 class TestTemperature:
@@ -377,3 +375,12 @@ class TestTemperature:
     def test_degenerate_labels_rejected(self):
         with pytest.raises(ValidationError):
             temperature_fit(np.zeros((4, 2)), [1, 1, 1, 1])
+
+
+@pytest.mark.parametrize("read", [nll, temperature_fit, macro_auc, macro_micro_auc],
+                         ids=lambda f: f.__name__)
+@pytest.mark.parametrize("labels", [[1, 0], [1, 0, 2, 1]], ids=["2 labels", "4 labels"])
+def test_label_count_must_match_rows(read, labels):
+    z = np.array([[0.2, 0.5, 0.3], [0.6, 0.1, 0.3], [0.1, 0.2, 0.7]])
+    with pytest.raises(ValidationError, match="one per logit row"):
+        read(z, labels)

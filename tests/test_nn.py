@@ -10,7 +10,6 @@ from denshift.nn import (
     Gradients,
     OptState,
     backward,
-    export_embeddings,
     forward,
     grad_check,
     init_mlp,
@@ -112,10 +111,10 @@ class TestForward:
 class TestFoldedBiasAgainstUnfoldedOracle:
     @settings(max_examples=60, deadline=None)
     @given(rows=st.integers(1, 130), hidden=st.integers(1, 40), depth=st.integers(2, 6),
-           normalize=st.booleans(), seed=st.integers(0, 2**16), data=st.data())
-    def test_logits_and_gradients_match(self, rows, hidden, depth, normalize, seed, data):
+           seed=st.integers(0, 2**16), data=st.data())
+    def test_logits_and_gradients_match(self, rows, hidden, depth, seed, data):
         rng = np.random.default_rng(seed)
-        p = init_mlp(5, hidden=hidden, depth=depth, n_classes=3, seed=seed, normalize_balanced=normalize)
+        p = init_mlp(5, hidden=hidden, depth=depth, n_classes=3, seed=seed)
         p.vector[:] = rng.normal(scale=0.5, size=p.vector.size)  # nonzero biases, so the fold is exercised
         x = rng.normal(size=(rows, 5))
         _, _, ref_r, ref_b = ref_forward(p, x)
@@ -222,13 +221,12 @@ class TestBackward:
         for g, gr, gb in zip(both.flat(), only_r.flat(), only_b.flat()):
             assert np.abs(g - (gr + gb)).max() < 1e-12
 
-    @pytest.mark.parametrize("normalize", [False, True])
     @pytest.mark.parametrize("n_reg, n_bal", [(5, None), (None, 7), (4, 5), (8, 8)])
-    def test_uncovered_rows_contribute_exact_zeros(self, monkeypatch, normalize, n_reg, n_bal):
+    def test_uncovered_rows_contribute_exact_zeros(self, monkeypatch, n_reg, n_bal):
         # blocks shorter than the 12-row trace (alone, with a gap between them, or overlapping)
         # give the gradients of the same upstream zero-padded to full height
         rng = np.random.default_rng(n_reg or 0)
-        p = init_mlp(5, hidden=9, depth=5, n_classes=3, seed=2, normalize_balanced=normalize)
+        p = init_mlp(5, hidden=9, depth=5, n_classes=3, seed=2)
         trace = forward(p, rng.normal(size=(12, 5)))
         d_r = None if n_reg is None else rng.normal(size=(n_reg, 3))
         d_b = None if n_bal is None else rng.normal(size=(n_bal, 3))
@@ -239,10 +237,9 @@ class TestBackward:
         got = backward(p, trace, d_r, d_b).vector
         assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
 
-    @pytest.mark.parametrize("normalize", [False, True])
-    def test_overlapping_full_height_blocks_add(self, monkeypatch, normalize):
+    def test_overlapping_full_height_blocks_add(self, monkeypatch):
         rng = np.random.default_rng(5)
-        p = init_mlp(5, hidden=9, depth=5, n_classes=2, seed=5, normalize_balanced=normalize)
+        p = init_mlp(5, hidden=9, depth=5, n_classes=2, seed=5)
         trace = forward(p, rng.normal(size=(10, 5)))
         dr, db = rng.normal(size=(10, 2)), rng.normal(size=(10, 2))
         summed = backward(p, trace, d_logits_regular=dr).vector + backward(p, trace, d_logits_balanced=db).vector
@@ -260,20 +257,6 @@ class TestBackward:
 
             def fn(vector, batch, _p=p, _d=deltas):
                 loss, grads = model_loss(_p, batch[0], batch[1], head="balanced", deltas=_d)
-                return loss, grads.vector
-
-            err = grad_check(fn, p.vector, (x, y), eps=1e-5, n_samples=200, seed=seed)
-            assert err < 1e-4
-
-    def test_gradcheck_with_normalized_balanced_head(self):
-        for seed in range(3):
-            rng = np.random.default_rng(100 + seed)
-            p = init_mlp(6, hidden=10, depth=4, n_classes=2, seed=seed, normalize_balanced=True)
-            x = rng.normal(size=(8, 6)) + 0.5
-            y = rng.integers(0, 2, size=8)
-
-            def fn(vector, batch, _p=p):
-                loss, grads = model_loss(_p, batch[0], batch[1], head="balanced")
                 return loss, grads.vector
 
             err = grad_check(fn, p.vector, (x, y), eps=1e-5, n_samples=200, seed=seed)
@@ -456,23 +439,7 @@ class TestParameterVector:
         assert_views_of_vector(trained)
 
 
-class TestEmbeddingsAndCheckpoints:
-    def test_embedding_shape_and_determinism(self, tmp_path):
-        p = init_mlp(6, hidden=28, seed=0)
-        x = np.random.default_rng(0).normal(size=(100, 6))
-        labels = np.random.default_rng(1).integers(0, 2, size=100)
-        f1, f2 = tmp_path / "a.csv", tmp_path / "b.csv"
-        emb = export_embeddings(p, x, labels, f1)
-        export_embeddings(p, x, labels, f2)
-        assert emb.shape == (100, 28)
-        assert f1.read_bytes() == f2.read_bytes()
-        assert f1.read_text().splitlines()[0].endswith(",label")
-
-    def test_zero_model_zero_embeddings(self):
-        p = zero_params(init_mlp(4, seed=0))
-        emb = export_embeddings(p, np.ones((3, 4)), [0, 1, 0])
-        assert np.array_equal(emb, np.zeros((3, p.backbone[-1].W.shape[1])))
-
+class TestCheckpoints:
     def test_checkpoint_round_trip_bit_exact(self, tmp_path):
         p = init_mlp(5, seed=9)
         p.trained_heads = ("regular", "balanced")

@@ -64,7 +64,7 @@ class TestConfigValidation:
 
     @pytest.mark.parametrize("field, value", [
         ("hidden", "28"), ("hidden", 28.0), ("epochs", 2.5), ("seed", True), ("batch_size", None),
-        ("normalize_balanced", "no"), ("normalize_balanced", 1), ("theta", "5"), ("theta", True),
+        ("theta", "5"), ("theta", True),
         ("theta", float("inf")), ("learning_rate", 10**400), ("gamma", [2.0]), ("margin_scale", "1"), ("variant", 3),
         ("seed", -1), ("optimizer", "rmsprop"),
     ])
@@ -290,8 +290,7 @@ def two_pass_step(params, pair, spec, cfg, deltas, cost_params):
 
 def step_inputs(cfg, train_ds):
     spec = variant_losses(cfg.variant)
-    params = init_mlp(train_ds.dim, cfg.hidden, cfg.depth, train_ds.n_classes, seed=cfg.seed,
-                      normalize_balanced=cfg.normalize_balanced)
+    params = init_mlp(train_ds.dim, cfg.hidden, cfg.depth, train_ds.n_classes, seed=cfg.seed)
     sampler = SamplerState(train_ds, cfg.batch_size, seed=cfg.seed,
                            q_regular=cfg.q_regular, q_balanced=cfg.q_balanced)
     deltas = delta_margins(train_ds.class_counts, cfg.margin_scale)
@@ -331,10 +330,9 @@ def reference_train(cfg, train_ds, epochs):
 
 
 class TestStackedStep:
-    @pytest.mark.parametrize("normalize", [False, True])
     @pytest.mark.parametrize("variant", ["decoupling", "full"])
-    def test_dual_stream_gradient_matches_two_pass_reference(self, splits, variant, normalize):
-        cfg = TrainConfig(variant=variant, normalize_balanced=normalize, seed=3)
+    def test_dual_stream_gradient_matches_two_pass_reference(self, splits, variant):
+        cfg = TrainConfig(variant=variant, seed=3)
         spec, params, sampler, deltas, cost_params = step_inputs(cfg, splits[0])
         if cost_params:
             cost_params.log_cfp = 0.3
@@ -368,10 +366,9 @@ class TestStackedStep:
         assert trace.logits_regular.shape[0] == rows.size
         assert (trace.logits_balanced is None) == (not spec.dual_stream)
 
-    @pytest.mark.parametrize("normalize", [False, True])
-    def test_each_head_ignores_the_other_block_exactly(self, splits, normalize):
+    def test_each_head_ignores_the_other_block_exactly(self, splits):
         tr = splits[0]
-        params = init_mlp(tr.dim, n_classes=2, seed=4, normalize_balanced=normalize)
+        params = init_mlp(tr.dim, n_classes=2, seed=4)
         pair = next_batch_pair(SamplerState(tr, batch_size=32, seed=4), tr)
         n = pair.n_regular
         rng = np.random.default_rng(0)
@@ -395,10 +392,9 @@ class TestStackedStep:
         assert np.array_equal(other_r.head_balanced.W, fused.head_balanced.W)
         assert np.array_equal(other_r.head_balanced.b, fused.head_balanced.b)
 
-    @pytest.mark.parametrize("normalize", [False, True])
-    def test_backward_into_reused_buffer_equals_fresh(self, normalize):
+    def test_backward_into_reused_buffer_equals_fresh(self):
         rng = np.random.default_rng(1)
-        params = init_mlp(5, hidden=9, depth=5, n_classes=3, seed=1, normalize_balanced=normalize)
+        params = init_mlp(5, hidden=9, depth=5, n_classes=3, seed=1)
         trace = forward(params, rng.normal(size=(12, 5)))
         buffer = Gradients(np.empty(params.layout.size), params.layout)
         for d_r, d_b in [(rng.normal(size=(12, 3)), None), (None, rng.normal(size=(12, 3))),
@@ -407,7 +403,7 @@ class TestStackedStep:
             assert backward(params, trace, d_r, d_b, buffer) is buffer
             assert np.array_equal(buffer.vector, backward(params, trace, d_r, d_b).vector)
 
-    @pytest.mark.parametrize("extra", [{}, {"normalize_balanced": True}, {"optimizer": "sgd", "learning_rate": 0.05}])
+    @pytest.mark.parametrize("extra", [{}, {"optimizer": "sgd", "learning_rate": 0.05}])
     @pytest.mark.parametrize("variant", ["base", "dah", "focal", "cost"])
     def test_single_stream_training_equals_two_pass_reference(self, splits, variant, extra):
         cfg = TrainConfig(variant=variant, epochs=30, early_stop_patience=30, seed=2, **extra)
