@@ -107,6 +107,22 @@ class TestForward:
         assert np.array_equal(a.logits_regular, b.logits_regular)
         assert np.array_equal(a.logits_balanced, b.logits_balanced)
 
+    def test_hidden_is_both_heads_input(self):
+        # trace.hidden is the representation read out for embedding plots: each head is one affine map of it
+        p = init_mlp(6, hidden=28, depth=4, n_classes=3, seed=0)
+        p.vector[:] = np.random.default_rng(7).normal(scale=0.3, size=p.vector.size)
+        x = np.random.default_rng(0).normal(size=(100, 6))
+        trace = forward(p, x)
+        assert trace.hidden.shape == (100, 28)
+        assert np.array_equal(trace.hidden, forward(p, x).hidden)
+        for head, logits in ((p.head_regular, trace.logits_regular), (p.head_balanced, trace.logits_balanced)):
+            assert np.abs(trace.hidden @ head.W + head.b - logits).max() < 1e-12
+
+    def test_zero_weights_give_zero_hidden(self):
+        p = zero_params(init_mlp(4, seed=0))
+        trace = forward(p, np.ones((3, 4)))
+        assert np.array_equal(trace.hidden, np.zeros((3, p.backbone[-1].W.shape[1])))
+
 
 class TestFoldedBiasAgainstUnfoldedOracle:
     @settings(max_examples=60, deadline=None)
@@ -257,6 +273,20 @@ class TestBackward:
 
             def fn(vector, batch, _p=p, _d=deltas):
                 loss, grads = model_loss(_p, batch[0], batch[1], head="balanced", deltas=_d)
+                return loss, grads.vector
+
+            err = grad_check(fn, p.vector, (x, y), eps=1e-5, n_samples=200, seed=seed)
+            assert err < 1e-4
+
+    def test_gradcheck_through_regular_head(self):
+        for seed in range(3):
+            rng = np.random.default_rng(100 + seed)
+            p = init_mlp(6, hidden=10, depth=4, n_classes=2, seed=seed)
+            x = rng.normal(size=(8, 6)) + 0.5
+            y = rng.integers(0, 2, size=8)
+
+            def fn(vector, batch, _p=p):
+                loss, grads = model_loss(_p, batch[0], batch[1], head="regular")
                 return loss, grads.vector
 
             err = grad_check(fn, p.vector, (x, y), eps=1e-5, n_samples=200, seed=seed)
@@ -468,3 +498,27 @@ class TestCheckpoints:
         np.savez(path, __meta__=meta)
         with pytest.raises(ValidationError):
             load_checkpoint(path)
+
+    @pytest.mark.parametrize("flag", [None, False, True])
+    def test_normalize_balanced_meta_key(self, tmp_path, flag):
+        # older checkpoints record normalize_balanced: absent or false loads as saved, true is refused
+        import json
+
+        p = init_mlp(5, seed=9)
+        stats = NormStats(mean=np.zeros(5), std=np.ones(5), impute=np.zeros(5),
+                          constant_mask=np.zeros(5, dtype=bool))
+        path = tmp_path / "ckpt.npz"
+        save_checkpoint(path, p, stats, ("no", "yes"), tuple("abcde"))
+        with np.load(path) as blob:
+            arrays = {k: blob[k] for k in blob.files}
+        meta = json.loads(bytes(arrays["__meta__"]).decode("utf-8"))
+        assert "normalize_balanced" not in meta
+        if flag is not None:
+            meta["normalize_balanced"] = flag
+        arrays["__meta__"] = np.frombuffer(json.dumps(meta).encode("utf-8"), dtype=np.uint8)
+        np.savez(path, **arrays)
+        if flag:
+            with pytest.raises(ValidationError, match="normalize_balanced"):
+                load_checkpoint(path)
+        else:
+            assert np.array_equal(load_checkpoint(path)[0].vector, p.vector)
