@@ -167,7 +167,10 @@ def _write_scores(out: Path, suffix: str, probs: np.ndarray, labels: np.ndarray,
 
 
 def _max_workers() -> int:
-    raw = os.environ.get("DENSHIFT_THREADS", "1")
+    """Worker processes for grid commands: DENSHIFT_THREADS, else the CPUs this process may run on."""
+    raw = os.environ.get("DENSHIFT_THREADS")
+    if raw is None:
+        return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
     try:
         return max(1, int(raw))
     except ValueError:

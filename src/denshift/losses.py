@@ -38,8 +38,22 @@ from .data import class_labels
 from .errors import UnsupportedTaskError, ValidationError
 
 
+def _row_max(logits: np.ndarray) -> np.ndarray:
+    """Each row's largest entry, folding np.maximum over the columns: exact for any class count."""
+    top = logits[:, 0]
+    for j in range(1, logits.shape[1]):
+        top = np.maximum(top, logits[:, j], out=None if j == 1 else top)
+    return top
+
+
+def _true_entries(logits: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Where each row's column-y entry sits in the row-major flattening (`ravel()`) of a (B x C) array."""
+    c = logits.shape[1]
+    return np.arange(0, logits.shape[0] * c, c) + y
+
+
 def _log_softmax(logits: np.ndarray) -> np.ndarray:
-    shifted = logits - np.maximum.reduce(logits, axis=1, keepdims=True)
+    shifted = logits - _row_max(logits)[:, None]
     exp = np.exp(shifted)  # floating even when the logits are integers
     total = np.add.reduce(exp, axis=1, keepdims=True)
     return np.subtract(shifted, np.log(total, out=total), out=exp)
@@ -68,14 +82,14 @@ def _check_margins(logits: np.ndarray, deltas) -> np.ndarray:
 def _softmax_ce(logits: np.ndarray, y: np.ndarray, deltas: np.ndarray | None = None):
     """Mean CE with each true logit lowered by deltas[y] (unshifted when None), and d/dlogits."""
     b = logits.shape[0]
-    rows = np.arange(b)
+    true = _true_entries(logits, y)
     if deltas is not None:
         logits = np.array(logits, dtype=np.float64)
-        logits[rows, y] -= deltas[y]
+        logits.ravel()[true] -= deltas[y]
     logp = _log_softmax(logits)
-    loss = float(-np.add.reduce(logp[rows, y]) / b)
+    loss = float(-np.add.reduce(logp.ravel()[true]) / b)
     grad = np.exp(logp, out=logp)
-    grad[rows, y] -= 1.0
+    grad.ravel()[true] -= 1.0
     grad /= b
     return loss, grad
 
@@ -141,11 +155,11 @@ def focal(logits: np.ndarray, y, gamma: float = 2.0) -> tuple[float, np.ndarray]
     if gamma == 0.0:
         return _softmax_ce(logits, y)
     b = logits.shape[0]
-    rows = np.arange(b)
+    true = _true_entries(logits, y)
     logp = _log_softmax(logits)
-    ce_i = -logp[rows, y]
+    ce_i = -logp.ravel()[true]
     p = np.exp(logp, out=logp)
-    p_true = p[rows, y]
+    p_true = p.ravel()[true]
     w = 1.0 - p_true
     wg = w**gamma
     loss = float(np.add.reduce(wg * ce_i) / b)
@@ -155,7 +169,7 @@ def focal(logits: np.ndarray, y, gamma: float = 2.0) -> tuple[float, np.ndarray]
     with np.errstate(divide="ignore", invalid="ignore"):
         fac = gamma * w ** (gamma - 1.0) * p_true * ce_i
     fac = np.where(w > 0.0, fac, 0.0)
-    p[rows, y] -= 1.0
+    p.ravel()[true] -= 1.0
     p *= (fac + wg)[:, None]
     p /= b
     return loss, p
@@ -174,14 +188,12 @@ def dah_hinge(logits: np.ndarray, y, deltas) -> float:
     """Hinge form max(max_{j != y} z_j - z_y + delta_y, 0), mean over the batch."""
     y = _check_labels(logits, y)
     deltas = _check_margins(logits, deltas)
-    b, c = logits.shape
-    if c < 2:
+    if logits.shape[1] < 2:
         raise ValidationError("hinge needs at least 2 classes")
-    rows = np.arange(b)
+    true = _true_entries(logits, y)
     masked = np.array(logits, dtype=np.float64)
-    masked[rows, y] = -np.inf
-    rival = masked.max(axis=1)
-    margins = rival - logits[rows, y] + deltas[y]
+    masked.ravel()[true] = -np.inf
+    margins = _row_max(masked) - logits.ravel()[true] + deltas[y]
     return float(np.maximum(margins, 0.0).mean())
 
 
@@ -196,10 +208,9 @@ def cost_loss(logits: np.ndarray, y, cp: CostParams) -> tuple[float, np.ndarray,
     if logits.shape[1] != 2:
         raise UnsupportedTaskError("cost matrix loss applies to binary prediction only")
     b = logits.shape[0]
-    rows = np.arange(b)
     c_fp, c_fn = current_costs(cp)
-    amax = logits.argmax(axis=1)
-    z = logits[rows, amax]
+    top = _true_entries(logits, logits.argmax(axis=1))
+    z = logits.ravel()[top]
 
     # only each row's own branch: softplus(u), u = a*z with a = -c_fn on positives, c_fp on negatives,
     # d/dz = a*sigmoid(u), d/da = z*sigmoid(u); one e = exp(-|u|) serves softplus and sigmoid
@@ -210,7 +221,7 @@ def cost_loss(logits: np.ndarray, y, cp: CostParams) -> tuple[float, np.ndarray,
     loss = float(np.add.reduce(np.maximum(u, 0.0) + np.log1p(e)) / b)
     sig = np.where(u >= 0.0, 1.0, e) / (1.0 + e)
     grad = np.zeros(logits.shape)
-    grad[rows, amax] = a * sig / b
+    grad.ravel()[top] = a * sig / b
     # d/dlog_cfp = c_fp * (d/dc_fp + theta * d/dc_fn); + 0.0 turns an all-zero -0.0 into 0.0
     d_cost = np.where(pos, -cp.theta, 1.0) * (z * sig)
     return loss, grad, float(np.add.reduce(d_cost) / b * c_fp) + 0.0

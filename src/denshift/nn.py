@@ -109,17 +109,29 @@ class ModelParams(_LayerVector):
         return ModelParams(self.vector.copy(), self.layout, self.resid_span, self.trained_heads)
 
 
-@dataclass
 class ForwardTrace:
-    """Cached activations from one forward pass, enough for an exact backward pass.
+    """Activations of one forward pass, enough for an exact backward pass, in buffers that later passes reuse.
 
     `act[l]` is backbone layer l's input (act[0] the batch) with a trailing
-    column of ones. A head's logits are None when the pass did not compute them.
+    column of ones, written once when the buffer is made. A head's logits
+    are None when the last pass did not compute them. `masks` and `d_act`
+    hold backward's ReLU masks and upstream gradients, one per backbone
+    layer's output; a trace made with `for_backward=False` has none, and
+    each backward pass over it allocates its own. A trace fits one row
+    count and the layer widths of the parameters it was made for.
     """
 
-    act: list[np.ndarray]
-    logits_regular: np.ndarray | None
-    logits_balanced: np.ndarray | None
+    def __init__(self, params: ModelParams, rows: int, for_backward: bool = True):
+        widths = [params.input_dim] + [layer.W.shape[1] for layer in params.backbone]
+        self.act = [_with_ones(rows, width) for width in widths]
+        self.logits_regular: np.ndarray | None = None
+        self.logits_balanced: np.ndarray | None = None
+        self.logit_buffers = (np.empty((rows, params.n_classes)), np.empty((rows, params.n_classes)))
+        self.masks, self.d_act = _backward_buffers(self.act) if for_backward else (None, None)
+
+    @property
+    def rows(self) -> int:
+        return self.act[0].shape[0]
 
     @property
     def hidden(self) -> np.ndarray:
@@ -165,10 +177,26 @@ def _with_ones(rows: int, width: int) -> np.ndarray:
     return buf
 
 
-def forward(params: ModelParams, x: np.ndarray, head: str | None = None) -> ForwardTrace:
+def _backward_buffers(act: list[np.ndarray]) -> tuple[list[np.ndarray], list[np.ndarray]]:
+    """ReLU masks and upstream-gradient buffers laid out like each backbone layer's output buffer.
+
+    Whole contiguous rows keep numpy's elementwise calls unbuffered; each
+    gradient buffer's last column stays 0 and no GEMM reads it.
+    """
+    masks, d_act = [], []
+    for a in act[1:]:
+        masks.append(np.empty(a.shape, dtype=bool))
+        d_act.append(np.empty_like(a))
+        d_act[-1][:, -1] = 0.0
+    return masks, d_act
+
+
+def forward(params: ModelParams, x: np.ndarray, head: str | None = None,
+            trace: ForwardTrace | None = None) -> ForwardTrace:
     """Run a batch through the backbone and one head ("regular"/"balanced") or both (None), caching activations.
 
-    Each affine map is one GEMM: a layer writes `a @ [W; b]` into the first
+    Writes into `trace` and returns it, or into a new trace when None. Each
+    affine map is one GEMM: a layer writes `a @ [W; b]` into the first
     columns of a buffer whose last column is 1, and ReLU in place keeps the ones.
     """
     if head not in (None, "regular", "balanced"):
@@ -176,19 +204,23 @@ def forward(params: ModelParams, x: np.ndarray, head: str | None = None) -> Forw
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != params.input_dim:
         raise ValidationError(f"input shape {x.shape} does not match input_dim {params.input_dim}")
-    rows, span = x.shape[0], params.resid_span
-    a = _with_ones(rows, x.shape[1])
-    a[:, :-1] = x
-    act = [a]
+    if trace is None:
+        trace = ForwardTrace(params, x.shape[0], for_backward=False)
+    elif trace.rows != x.shape[0]:
+        raise ValidationError(f"trace holds {trace.rows} rows, the batch has {x.shape[0]}")
+    act, span = trace.act, params.resid_span
+    act[0][:, :-1] = x
     for l, layer in enumerate(params.backbone):
-        a = _with_ones(rows, layer.W.shape[1])
-        z = np.matmul(act[-1], layer.Wb, out=a[:, :-1])
+        a = act[l + 1]
+        np.matmul(act[l], layer.Wb, out=a[:, :-1])
         if span is not None and l == span[1]:
-            z += act[span[0]][:, :-1]
+            a += act[span[0]]  # whole rows, one contiguous add; then the ones column is restored
+            a[:, -1] = 1.0
         np.maximum(a, 0.0, out=a)
-        act.append(a)
-    return ForwardTrace(act, a @ params.head_regular.Wb if head != "balanced" else None,
-                        a @ params.head_balanced.Wb if head != "regular" else None)
+    out_regular, out_balanced = trace.logit_buffers
+    trace.logits_regular = np.matmul(a, params.head_regular.Wb, out=out_regular) if head != "balanced" else None
+    trace.logits_balanced = np.matmul(a, params.head_balanced.Wb, out=out_balanced) if head != "regular" else None
+    return trace
 
 
 def backward(
@@ -202,29 +234,36 @@ def backward(
 
     Each head's upstream gradient covers a block of the trace's rows (the
     regular head's the first rows, the balanced head's the last), so one
-    stacked pass trains each head on its own batch; None masks a head. The
-    backbone gets the sum over both blocks; rows neither covers add nothing.
-    Each layer's dW and db come from one GEMM, `[a_in, 1].T @ dz`, written
-    into the gradient's [W; b] view.
+    stacked pass trains each head on its own batch; None masks a head,
+    whose gradient is then zero. In a reused `out`, a masked head that the
+    forward pass did not compute keeps its block as it was, so a run that
+    never computes a head zeroes its block once. The backbone gets the sum
+    over both blocks; rows neither covers add nothing. Each layer's dW and
+    db come from one GEMM, `[a_in, 1].T @ dz`, written into the gradient's
+    [W; b] view. The masks and upstream gradients go into the trace's
+    buffers when it has them.
     """
     hidden = trace.act[-1]  # with its ones column
     n_rows = hidden.shape[0]
     grads = Gradients(np.empty(params.layout.size), params.layout) if out is None else out
+    masks, d_act = (trace.masks, trace.d_act) if trace.masks is not None else _backward_buffers(trace.act)
     # each head writes its own rows of d_hidden; uncovered rows get 0, an overlapping block adds
     n_reg = 0 if d_logits_regular is None else d_logits_regular.shape[0]
     start_bal = n_rows if d_logits_balanced is None else n_rows - d_logits_balanced.shape[0]
     overlap = start_bal < n_reg
-    d_hidden = np.empty_like(trace.hidden)
-    d_hidden[n_reg:n_rows if overlap else start_bal] = 0.0
+    d_hidden = d_act[-1][:, :-1]
+    d_act[-1][n_reg:n_rows if overlap else start_bal] = 0.0
 
     if d_logits_regular is None:
-        grads.head_regular.Wb.fill(0.0)
+        if out is None or trace.logits_regular is not None:
+            grads.head_regular.Wb.fill(0.0)
     else:
         np.matmul(hidden[:n_reg].T, d_logits_regular, out=grads.head_regular.Wb)
         np.matmul(d_logits_regular, params.head_regular.W.T, out=d_hidden[:n_reg])
 
     if d_logits_balanced is None:
-        grads.head_balanced.Wb.fill(0.0)
+        if out is None or trace.logits_balanced is not None:
+            grads.head_balanced.Wb.fill(0.0)
     else:
         rows = slice(start_bal, n_rows)
         block = np.empty((n_rows - start_bal, d_hidden.shape[1])) if overlap else d_hidden[rows]
@@ -236,16 +275,17 @@ def backward(
     n_backbone = len(params.backbone)
     skip_extra: list[np.ndarray | None] = [None] * n_backbone
     span = params.resid_span
-    da = d_hidden
     for l in range(n_backbone - 1, -1, -1):
+        da = d_act[l]  # whole rows: the last column is 0 and the ones column's mask is open
         if skip_extra[l] is not None:
-            da += skip_extra[l]  # da is this pass's own array
-        dz = np.multiply(da, trace.act[l + 1][:, :-1] > 0, out=da)
+            da += skip_extra[l]
+        np.multiply(da, np.greater(trace.act[l + 1], 0.0, out=masks[l]), out=da)
+        dz = da[:, :-1]
         np.matmul(trace.act[l].T, dz, out=grads.backbone[l].Wb)
         if l > 0:  # the input's own gradient is never needed
-            da = dz @ params.backbone[l].W.T
+            np.matmul(dz, params.backbone[l].W.T, out=d_act[l - 1][:, :-1])
         if span is not None and l == span[1]:
-            skip_extra[span[0] - 1] = dz
+            skip_extra[span[0] - 1] = da
     return grads
 
 
@@ -353,8 +393,41 @@ def save_checkpoint(path, params: ModelParams, norm_stats: NormStats,
     np.savez(path, __meta__=np.frombuffer(json.dumps(meta).encode("utf-8"), dtype=np.uint8), **arrays)
 
 
+_CHECKPOINT_META_KEYS = ("n_backbone", "resid_span", "trained_heads", "class_names", "feature_names")
+
+
+def _check_checkpoint_layers(where: str, names: list[str], layers, meta: dict) -> None:
+    """Every layer's W rows match the width before it, every b its W's columns, the heads agree, the skip fits."""
+    widths = [len(meta["feature_names"])]  # widths[l]: backbone layer l's input width; the heads read widths[-1]
+    for name, (W, b) in zip(names, layers):
+        if W.ndim != 2 or W.shape[0] != widths[-1]:
+            raise ValidationError(f"{where}: {name}_W has shape {W.shape}, its input width is {widths[-1]}")
+        if b.shape != (W.shape[1],):
+            raise ValidationError(f"{where}: {name}_b has shape {b.shape}, {name}_W has {W.shape[1]} columns")
+        if name.startswith("backbone"):
+            widths.append(W.shape[1])
+    n_classes = len(meta["class_names"])
+    for name, (W, _) in zip(names[-2:], layers[-2:]):
+        if W.shape[1] != n_classes:
+            raise ValidationError(f"{where}: {name}_W has {W.shape[1]} columns, the checkpoint names {n_classes} classes")
+    span, n_backbone = meta["resid_span"], len(names) - 2
+    if span is not None:
+        if not (isinstance(span, list) and len(span) == 2 and all(type(i) is int for i in span)
+                and 1 <= span[0] <= span[1] < n_backbone):
+            raise ValidationError(f"{where}: resid_span {span!r} does not lie inside the "
+                                  f"{n_backbone}-layer backbone (need 1 <= start <= end < {n_backbone})")
+        if widths[span[0]] != widths[span[1] + 1]:
+            raise ValidationError(f"{where}: resid_span {span!r} adds a width-{widths[span[0]]} activation "
+                                  f"to a width-{widths[span[1] + 1]} layer output")
+
+
 def load_checkpoint(path) -> tuple[ModelParams, NormStats, dict]:
-    """Inverse of save_checkpoint; logits reproduce bit-exactly on the same platform."""
+    """Inverse of save_checkpoint; logits reproduce bit-exactly on the same platform.
+
+    A missing metadata key or array, or layer shapes that do not chain,
+    raise ValidationError naming the file and what is wrong.
+    """
+    where = f"checkpoint {path}"
     with np.load(path) as blob:
         meta = json.loads(bytes(blob["__meta__"]).decode("utf-8"))
         if meta.get("version") != CHECKPOINT_VERSION:
@@ -362,8 +435,20 @@ def load_checkpoint(path) -> tuple[ModelParams, NormStats, dict]:
         if meta.get("normalize_balanced"):  # older checkpoints record this key; false needs nothing extra
             raise ValidationError("checkpoint has normalize_balanced: true, a cosine-normalized balanced head "
                                   "this version does not support")
-        layers = [(blob[f"backbone_{i}_W"], blob[f"backbone_{i}_b"]) for i in range(meta["n_backbone"])]
-        layers += [(blob[f"head_{h}_W"], blob[f"head_{h}_b"]) for h in ("regular", "balanced")]
+        missing = [key for key in _CHECKPOINT_META_KEYS if key not in meta]
+        if missing:
+            raise ValidationError(f"{where}: metadata lacks the key {missing[0]!r}")
+        n_backbone = meta["n_backbone"]
+        if type(n_backbone) is not int or n_backbone < 1:
+            raise ValidationError(f"{where}: n_backbone must be a positive integer, got {n_backbone!r}")
+        names = [f"backbone_{i}" for i in range(n_backbone)] + ["head_regular", "head_balanced"]
+        arrays = [f"{name}_{k}" for name in names for k in ("W", "b")]
+        arrays += ["norm_mean", "norm_std", "norm_impute", "norm_constant"]
+        absent = [key for key in arrays if key not in blob.files]
+        if absent:
+            raise ValidationError(f"{where}: missing the array {absent[0]!r}")
+        layers = [(blob[f"{name}_W"], blob[f"{name}_b"]) for name in names]
+        _check_checkpoint_layers(where, names, layers, meta)
         params = ModelParams.pack(
             layers,
             resid_span=tuple(meta["resid_span"]) if meta["resid_span"] else None,

@@ -7,9 +7,10 @@ regular head's loss reads only its logits on the regular rows and the
 balanced head's only its logits on the balanced rows, so each head is
 optimized on its own batch alone while the backbone gets the sum of both
 gradients. Single-stream variants run the regular rows alone. The
-gradient buffer is allocated once per run, and one optimizer step
-updates one vector: the parameters, then log C_FP when the cost term
-trains. Model selection is by validation AUC-ROC of the inference head
+gradient buffer and the step's activation, ReLU-mask and
+upstream-gradient buffers (one `nn.ForwardTrace`) are allocated once per
+run, and one optimizer step updates one vector: the parameters, then
+log C_FP when the cost term trains. Model selection is by validation AUC-ROC of the inference head
 (the balanced one when it is trained), with early stopping after
 `early_stop_patience` epochs without improvement.
 """
@@ -29,7 +30,7 @@ from .data import Dataset
 from .errors import NumericalError, UnsupportedTaskError, ValidationError
 from .losses import CostParams, ce, cost_loss, current_costs, dah_softmax, delta_margins, focal, softmax
 from .metrics import ScoredSet, auc_prc, auc_roc, macro_auc, split_report
-from .nn import Gradients, ModelParams, OptState, backward, forward, init_mlp, opt_step
+from .nn import ForwardTrace, Gradients, ModelParams, OptState, backward, forward, init_mlp, opt_step
 from .sampling import BatchPair, SamplerState, epoch_batches
 
 VARIANTS = ("base", "decoupling", "dah", "focal", "cost", "full")
@@ -184,19 +185,21 @@ def _head_loss(terms, z, y, cfg, deltas, cost_params):
 
 def train_step(params: ModelParams, pair: BatchPair, spec: VariantSpec, cfg: TrainConfig,
                deltas: np.ndarray, cost_params: CostParams | None,
-               out: Gradients | None = None) -> tuple[float, float, np.ndarray, float]:
+               out: Gradients | None = None,
+               trace: ForwardTrace | None = None) -> tuple[float, float, np.ndarray, float]:
     """Losses and gradients of one decoupled step; parameters are not updated.
 
     One gather, forward and backward pass: over the stacked regular and
     balanced rows for dual-stream variants, over the regular rows and the
     regular head alone otherwise. Each head's loss reads its own head's
-    logits on its own rows. Returns (loss_regular, loss_balanced (NaN when
+    logits on its own rows. The forward and backward passes reuse the
+    buffers of `trace` when given (see `nn.ForwardTrace`). Returns (loss_regular, loss_balanced (NaN when
     single stream), gradient laid out like `params.vector` (the vector of
     `out` when given), d/dlog_cfp).
     """
     n_reg = pair.n_regular
     x, y = pair.rows(None if spec.dual_stream else n_reg)
-    trace = forward(params, x, None if spec.dual_stream else "regular")
+    trace = forward(params, x, None if spec.dual_stream else "regular", trace)
     loss_r, d_r, d_cost = _head_loss(
         spec.regular_terms, trace.logits_regular[:n_reg], y[:n_reg], cfg, deltas, cost_params
     )
@@ -234,8 +237,10 @@ def train(cfg: TrainConfig, splits: tuple[Dataset, Dataset]) -> tuple[ModelParam
     state = np.append(init.vector, 0.0) if spec.uses_cost else init.vector
     params = replace(init, vector=state[:n],
                      trained_heads=("regular", "balanced") if spec.dual_stream else ("regular",))
-    grad = np.empty_like(state)
+    # a single-stream step never writes the balanced head's block: it stays zero for the run
+    grad = np.zeros_like(state)
     grads = Gradients(grad[:n], init.layout)
+    trace = ForwardTrace(params, 2 * cfg.batch_size if spec.dual_stream else cfg.batch_size)
     sampler = SamplerState(
         train_ds, cfg.batch_size, seed=cfg.seed,
         q_regular=cfg.q_regular, q_balanced=cfg.q_balanced,
@@ -254,7 +259,7 @@ def train(cfg: TrainConfig, splits: tuple[Dataset, Dataset]) -> tuple[ModelParam
             for epoch in range(cfg.epochs):
                 sum_r = sum_b = 0.0
                 for step, pair in enumerate(epoch_batches(sampler, train_ds)):
-                    loss_r, loss_b, _, d_cost = train_step(params, pair, spec, cfg, deltas, cost_params, grads)
+                    loss_r, loss_b, _, d_cost = train_step(params, pair, spec, cfg, deltas, cost_params, grads, trace)
                     if not math.isfinite(loss_r) or (spec.dual_stream and not math.isfinite(loss_b)):
                         costs = current_costs(cost_params) if cost_params else None
                         raise NumericalError(

@@ -243,6 +243,30 @@ class TestEval:
         assert "normalize_balanced" in capsys.readouterr().err
         assert not (tmp_path / "eval_True").exists()
 
+    def test_checkpoint_with_a_missing_key_or_unchained_layers_exits_one(self, tmp_path, capsys):
+        run, gen = tmp_path / "run", tmp_path / "gen"
+        path = write_cfg(tmp_path, {"output_dir": str(run)})
+        assert main(["train", "--config", str(path)]) == 0
+        assert main(["gen-data", "--config", str(path), "--out", str(gen)]) == 0
+        with np.load(run / "checkpoint.npz") as blob:
+            arrays = {k: blob[k] for k in blob.files}
+        meta = json.loads(bytes(arrays["__meta__"]).decode("utf-8"))
+        del meta["resid_span"]
+        no_span = dict(arrays, __meta__=np.frombuffer(json.dumps(meta).encode("utf-8"), dtype=np.uint8))
+        np.savez(tmp_path / "no_span.npz", **no_span)
+        unchained = dict(arrays, backbone_1_W=arrays["backbone_1_W"][:-1])
+        np.savez(tmp_path / "unchained.npz", **unchained)
+        for name, message in (("no_span", "metadata lacks the key 'resid_span'"),
+                              ("unchained", "backbone_1_W has shape")):
+            out = tmp_path / f"eval_{name}"
+            code = main(["eval", "--checkpoint", str(tmp_path / f"{name}.npz"), "--csv", str(gen / "test.csv"),
+                         "--out", str(out)])
+            assert code == 1
+            err = capsys.readouterr().err
+            assert f"checkpoint {tmp_path / name}.npz: {message}" in err
+            assert "Traceback" not in err
+            assert not out.exists()
+
     def test_eval_on_separable_toy_training_split(self, tmp_path):
         cfg = {
             "dataset": {"synthetic": {"n_majority": 270, "n_minority": 30, "n_minority_modes": 1,
@@ -472,6 +496,28 @@ class TestOtherCommands:
                                     "output_dir": str(tmp_path / "abl")})
         assert main(["ablate", "--config", str(path)]) == 1
         assert "DENSHIFT_THREADS" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("env, expected", [(None, "cpus"), ("3", 3), ("0", 1)])
+    def test_thread_count_defaults_to_usable_cpus(self, tmp_path, monkeypatch, env, expected):
+        import os
+
+        import denshift.cli as cli
+
+        if env is None:
+            monkeypatch.delenv("DENSHIFT_THREADS", raising=False)
+            expected = len(os.sched_getaffinity(0))
+        else:
+            monkeypatch.setenv("DENSHIFT_THREADS", env)
+        seen = []
+
+        def recording(*args, max_workers=1, **kwargs):
+            seen.append(max_workers)
+            return {}
+
+        monkeypatch.setattr(cli, "run_ablation", recording)
+        path = write_cfg(tmp_path, {"ablation": {"seeds": [0]}, "output_dir": str(tmp_path / "abl")})
+        assert main(["ablate", "--config", str(path)]) == 0
+        assert seen == [expected]
 
     def test_label_column_flag_for_csv(self, tmp_path):
         src = tmp_path / "d.csv"

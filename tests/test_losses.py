@@ -304,7 +304,7 @@ REFERENCES = {
 @st.composite
 def loss_batches(draw):
     b = draw(st.integers(1, 130))
-    c = draw(st.sampled_from([2, 3, 5]))
+    c = draw(st.sampled_from([2, 3, 5, 8, 9, 16]))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     z = rng.normal(0.0, draw(st.floats(1e-2, 400.0)), size=(b, c))
     if draw(st.booleans()):  # rows whose largest logit is tied

@@ -7,7 +7,9 @@ from denshift.data import NormStats
 from denshift.errors import ValidationError
 from denshift.losses import ce, dah_softmax
 from denshift.nn import (
+    ForwardTrace,
     Gradients,
+    ModelParams,
     OptState,
     backward,
     forward,
@@ -106,6 +108,23 @@ class TestForward:
         b = forward(p, x)
         assert np.array_equal(a.logits_regular, b.logits_regular)
         assert np.array_equal(a.logits_balanced, b.logits_balanced)
+
+    def test_forward_into_reused_trace_equals_fresh(self):
+        rng = np.random.default_rng(3)
+        p = init_mlp(5, hidden=9, depth=5, n_classes=3, seed=3)
+        trace = ForwardTrace(p, 12)
+        buffers = [id(a) for a in trace.act]
+        for head in (None, "regular", "balanced", None):
+            x = rng.normal(size=(12, 5))
+            fresh = forward(p, x, head)
+            assert forward(p, x, head, trace) is trace
+            assert [id(a) for a in trace.act] == buffers
+            assert np.array_equal(trace.hidden, fresh.hidden)
+            for name in ("logits_regular", "logits_balanced"):
+                got, want = getattr(trace, name), getattr(fresh, name)
+                assert (got is None and want is None) or np.array_equal(got, want)
+        with pytest.raises(ValidationError, match="trace holds 12 rows, the batch has 4"):
+            forward(p, rng.normal(size=(4, 5)), None, trace)
 
     def test_hidden_is_both_heads_input(self):
         # trace.hidden is the representation read out for embedding plots: each head is one affine map of it
@@ -252,6 +271,18 @@ class TestBackward:
         poison_empty_like(monkeypatch)
         got = backward(p, trace, d_r, d_b).vector
         assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
+
+    def test_backward_through_reused_trace_buffers_equals_fresh(self):
+        # consecutive passes leave stale masks and upstream gradients in the trace; none shows
+        rng = np.random.default_rng(6)
+        p = init_mlp(5, hidden=9, depth=5, n_classes=3, seed=6)
+        trace = ForwardTrace(p, 12)
+        for n_reg, n_bal in [(12, 12), (5, None), (None, 7), (4, 5), (8, 8), (6, 6)]:
+            x = rng.normal(size=(12, 5))
+            d_r = None if n_reg is None else rng.normal(size=(n_reg, 3))
+            d_b = None if n_bal is None else rng.normal(size=(n_bal, 3))
+            got = backward(p, forward(p, x, None, trace), d_r, d_b).vector
+            assert np.array_equal(got, backward(p, forward(p, x), d_r, d_b).vector)
 
     def test_overlapping_full_height_blocks_add(self, monkeypatch):
         rng = np.random.default_rng(5)
@@ -522,3 +553,87 @@ class TestCheckpoints:
                 load_checkpoint(path)
         else:
             assert np.array_equal(load_checkpoint(path)[0].vector, p.vector)
+
+
+def rewrite_checkpoint(path, meta_edit=None, **arrays_edit):
+    """Rewrite a saved checkpoint with `meta_edit(meta)` applied and arrays replaced (None drops one)."""
+    import json
+
+    with np.load(path) as blob:
+        arrays = {k: blob[k] for k in blob.files}
+    meta = json.loads(bytes(arrays["__meta__"]).decode("utf-8"))
+    if meta_edit is not None:
+        meta_edit(meta)
+    arrays["__meta__"] = np.frombuffer(json.dumps(meta).encode("utf-8"), dtype=np.uint8)
+    for key, value in arrays_edit.items():
+        if value is None:
+            del arrays[key]
+        else:
+            arrays[key] = value
+    np.savez(path, **arrays)
+
+
+class TestCheckpointValidation:
+    @pytest.fixture
+    def saved(self, tmp_path):
+        p = init_mlp(5, hidden=7, depth=5, n_classes=3, seed=2)  # 4 backbone layers, resid_span (1, 2)
+        stats = NormStats(mean=np.zeros(5), std=np.ones(5), impute=np.zeros(5),
+                          constant_mask=np.zeros(5, dtype=bool))
+        path = tmp_path / "ckpt.npz"
+        save_checkpoint(path, p, stats, ("a", "b", "c"), tuple("vwxyz"))
+        return path, p
+
+    def test_saved_checkpoint_loads(self, saved):
+        path, p = saved
+        loaded = load_checkpoint(path)[0]
+        assert np.array_equal(loaded.vector, p.vector) and loaded.resid_span == (1, 2)
+
+    @pytest.mark.parametrize("key", ["n_backbone", "resid_span", "trained_heads", "class_names", "feature_names"])
+    def test_missing_meta_key_names_file_and_key(self, saved, key):
+        path, _ = saved
+        rewrite_checkpoint(path, lambda meta: meta.pop(key))
+        with pytest.raises(ValidationError, match=rf"ckpt\.npz.*'{key}'"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("arrays, message", [
+        ({"backbone_2_W": np.zeros((8, 7))}, r"backbone_2_W has shape \(8, 7\), its input width is 7"),
+        ({"backbone_0_W": np.zeros((4, 7))}, r"backbone_0_W has shape \(4, 7\), its input width is 5"),
+        ({"backbone_1_b": np.zeros(6)}, r"backbone_1_b has shape \(6,\), backbone_1_W has 7 columns"),
+        ({"head_balanced_W": np.zeros((6, 3))}, r"head_balanced_W has shape \(6, 3\), its input width is 7"),
+        ({"head_balanced_W": np.zeros((7, 2)), "head_balanced_b": np.zeros(2)},
+         r"head_balanced_W has 2 columns, the checkpoint names 3 classes"),
+        ({"backbone_3_b": None}, r"missing the array 'backbone_3_b'"),
+    ])
+    def test_layers_that_do_not_chain_are_refused(self, saved, arrays, message):
+        path, _ = saved
+        rewrite_checkpoint(path, **arrays)
+        with pytest.raises(ValidationError, match=r"ckpt\.npz: " + message):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("meta_edit, message", [
+        (lambda m: m.update(resid_span=[0, 1]), "does not lie inside the 4-layer backbone"),
+        (lambda m: m.update(resid_span=[2, 4]), "does not lie inside the 4-layer backbone"),
+        (lambda m: m.update(resid_span=[2, 1]), "does not lie inside the 4-layer backbone"),
+        (lambda m: m.update(resid_span="1-2"), "does not lie inside the 4-layer backbone"),
+        (lambda m: m.update(n_backbone="4"), "n_backbone must be a positive integer"),
+        (lambda m: m.update(n_backbone=5), "missing the array 'backbone_4_W'"),
+        (lambda m: m.update(feature_names=["v", "w"]), r"backbone_0_W has shape \(5, 7\), its input width is 2"),
+    ])
+    def test_bad_metadata_is_refused(self, saved, meta_edit, message):
+        path, _ = saved
+        rewrite_checkpoint(path, meta_edit)
+        with pytest.raises(ValidationError, match=message):
+            load_checkpoint(path)
+
+    def test_skip_between_unequal_widths_is_refused(self, tmp_path):
+        # backbone widths 5 -> 7 -> 7 -> 4: a skip from act[1] (width 7) onto layer 2's output (width 4)
+        rng = np.random.default_rng(0)
+        layers = [(rng.normal(size=(5, 7)), np.zeros(7)), (rng.normal(size=(7, 7)), np.zeros(7)),
+                  (rng.normal(size=(7, 4)), np.zeros(4)), (rng.normal(size=(4, 2)), np.zeros(2)),
+                  (rng.normal(size=(4, 2)), np.zeros(2))]
+        p = ModelParams.pack(layers, resid_span=(1, 2))
+        stats = NormStats(mean=np.zeros(5), std=np.ones(5), impute=np.zeros(5),
+                          constant_mask=np.zeros(5, dtype=bool))
+        save_checkpoint(tmp_path / "c.npz", p, stats, ("a", "b"), tuple("vwxyz"))
+        with pytest.raises(ValidationError, match="adds a width-7 activation to a width-4 layer output"):
+            load_checkpoint(tmp_path / "c.npz")

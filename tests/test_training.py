@@ -8,7 +8,7 @@ from denshift.data import SynthConfig, apply_preprocess, fit_preprocess, gen_syn
 from denshift.diagnostics import gradient_report
 from denshift.errors import NumericalError, UnsupportedTaskError, ValidationError
 from denshift.losses import CostParams, delta_margins
-from denshift.nn import Gradients, backward, forward, init_mlp
+from denshift.nn import ForwardTrace, Gradients, OptState, backward, forward, init_mlp, opt_step
 from denshift.sampling import SamplerState, epoch_batches, next_batch_pair
 from denshift.training import (
     TrainConfig,
@@ -354,8 +354,8 @@ class TestStackedStep:
         pair = next_batch_pair(sampler, splits[0])
         seen = []
 
-        def recording_forward(params, x, head=None, _real=training.forward):
-            seen.append((x, _real(params, x, head)))
+        def recording_forward(params, x, head=None, trace=None, _real=training.forward):
+            seen.append((x, _real(params, x, head, trace)))
             return seen[-1][1]
 
         monkeypatch.setattr(training, "forward", recording_forward)
@@ -402,6 +402,68 @@ class TestStackedStep:
             buffer.vector[:] = rng.normal(size=buffer.vector.size)  # stale values from an earlier step
             assert backward(params, trace, d_r, d_b, buffer) is buffer
             assert np.array_equal(buffer.vector, backward(params, trace, d_r, d_b).vector)
+
+    @pytest.mark.parametrize("variant, n_classes", [(v, 2) for v in VARIANTS] + [
+        (v, 3) for v in VARIANTS if not variant_losses(v).uses_cost])
+    def test_reused_step_buffers_equal_fresh(self, splits, variant, n_classes):
+        # consecutive steps through one run's trace and gradient buffer equal fresh steps bit for bit
+        if n_classes == 2:
+            ds = splits[0]
+        else:
+            from denshift.data import Dataset
+
+            rng = np.random.default_rng(7)
+            labels = np.repeat([0, 1, 2], [90, 40, 20])
+            feats = rng.normal(size=(labels.size, 4)) + labels[:, None]
+            ds = Dataset(feats, labels, tuple("abcd"), ("x", "y", "z"))
+        cfg = TrainConfig(variant=variant, batch_size=16, seed=5)
+        spec, params, sampler, deltas, cost_params = step_inputs(cfg, ds)
+        if cost_params:
+            cost_params.log_cfp = 0.3
+        trace = ForwardTrace(params, 2 * cfg.batch_size if spec.dual_stream else cfg.batch_size)
+        out = Gradients(np.random.default_rng(0).normal(size=params.layout.size), params.layout)
+        if not spec.dual_stream:
+            out.head_balanced.Wb.fill(0.0)  # a single-stream run zeroes the head it never computes once
+        for _ in range(4):
+            pair = next_batch_pair(sampler, ds)
+            loss_r, loss_b, grad, d_cost = train_step(params, pair, spec, cfg, deltas, cost_params, out, trace)
+            fresh_r, fresh_b, fresh_grad, fresh_cost = train_step(params, pair, spec, cfg, deltas, cost_params)
+            assert grad is out.vector
+            assert loss_r == fresh_r
+            assert loss_b == fresh_b or (math.isnan(loss_b) and math.isnan(fresh_b) and not spec.dual_stream)
+            assert np.array_equal(grad, fresh_grad)
+            assert d_cost == fresh_cost
+            params.vector -= 1e-2 * fresh_grad  # move off the current point between steps
+
+    def test_steady_state_step_allocates_less_than_one_activation(self):
+        # dual stream, hidden 128, batch 256: after warm-up, K steps of sample, train_step and Adam
+        # through the run's buffers raise the traced peak by less than one (256 x 129) activation
+        import tracemalloc
+
+        tr = prepared_splits(n_maj=900, n_min=100, dim=20)[0]
+        cfg = TrainConfig(variant="full", hidden=128, batch_size=256, seed=0)
+        spec, params, sampler, deltas, cost_params = step_inputs(cfg, tr)
+        trace = ForwardTrace(params, 2 * cfg.batch_size)
+        out = Gradients(np.zeros(params.layout.size), params.layout)
+        opt = OptState.for_vector(params.vector, cfg.optimizer, cfg.learning_rate)
+        budget = 256 * 129 * 8
+
+        def peak_rise(steps, *buffers):
+            tracemalloc.start()
+            try:
+                base = tracemalloc.get_traced_memory()[0]
+                for _ in range(steps):
+                    pair = next_batch_pair(sampler, tr)
+                    _, _, grad, _ = train_step(params, pair, spec, cfg, deltas, cost_params, *buffers)
+                    opt_step(params.vector, grad, opt)
+                return tracemalloc.get_traced_memory()[1] - base
+            finally:
+                tracemalloc.stop()
+
+        for _ in range(2):  # warm-up
+            train_step(params, next_batch_pair(sampler, tr), spec, cfg, deltas, cost_params, out, trace)
+        assert peak_rise(5, out, trace) < budget
+        assert peak_rise(5) > budget  # the same steps with fresh buffers exceed it
 
     @pytest.mark.parametrize("extra", [{}, {"optimizer": "sgd", "learning_rate": 0.05}])
     @pytest.mark.parametrize("variant", ["base", "dah", "focal", "cost"])
