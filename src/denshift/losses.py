@@ -38,8 +38,16 @@ from .data import class_labels
 from .errors import UnsupportedTaskError, ValidationError
 
 
+# Up to this many columns, folding np.maximum over the columns beats one np.maximum.reduce
+# over the rows (1.1 against 3.6 us at 64 x 2 on a 2-vCPU x86_64); from 16 columns on at
+# 64 rows it is slower.
+_FOLD_MAX_COLUMNS = 8
+
+
 def _row_max(logits: np.ndarray) -> np.ndarray:
-    """Each row's largest entry, folding np.maximum over the columns: exact for any class count."""
+    """Each row's largest entry; both ways of finding it are exact for any class count."""
+    if logits.shape[1] > _FOLD_MAX_COLUMNS:
+        return np.maximum.reduce(logits, axis=1)
     top = logits[:, 0]
     for j in range(1, logits.shape[1]):
         top = np.maximum(top, logits[:, j], out=None if j == 1 else top)
@@ -47,13 +55,17 @@ def _row_max(logits: np.ndarray) -> np.ndarray:
 
 
 def _true_entries(logits: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Where each row's column-y entry sits in the row-major flattening (`ravel()`) of a (B x C) array."""
+    """Where each row's column-y entry sits in the row-major flattening (`ravel()`) of a (B x C) array.
+
+    Writes through `a.ravel()[...]` reach `a` only when it is C-contiguous
+    (otherwise ravel copies), so every array written this way is made C-ordered.
+    """
     c = logits.shape[1]
     return np.arange(0, logits.shape[0] * c, c) + y
 
 
 def _log_softmax(logits: np.ndarray) -> np.ndarray:
-    shifted = logits - _row_max(logits)[:, None]
+    shifted = np.subtract(logits, _row_max(logits)[:, None], order="C")  # C-ordered for the flat writes
     exp = np.exp(shifted)  # floating even when the logits are integers
     total = np.add.reduce(exp, axis=1, keepdims=True)
     return np.subtract(shifted, np.log(total, out=total), out=exp)
@@ -84,7 +96,7 @@ def _softmax_ce(logits: np.ndarray, y: np.ndarray, deltas: np.ndarray | None = N
     b = logits.shape[0]
     true = _true_entries(logits, y)
     if deltas is not None:
-        logits = np.array(logits, dtype=np.float64)
+        logits = np.array(logits, dtype=np.float64, order="C")
         logits.ravel()[true] -= deltas[y]
     logp = _log_softmax(logits)
     loss = float(-np.add.reduce(logp.ravel()[true]) / b)
@@ -191,7 +203,7 @@ def dah_hinge(logits: np.ndarray, y, deltas) -> float:
     if logits.shape[1] < 2:
         raise ValidationError("hinge needs at least 2 classes")
     true = _true_entries(logits, y)
-    masked = np.array(logits, dtype=np.float64)
+    masked = np.array(logits, dtype=np.float64, order="C")
     masked.ravel()[true] = -np.inf
     margins = _row_max(masked) - logits.ravel()[true] + deltas[y]
     return float(np.maximum(margins, 0.0).mean())

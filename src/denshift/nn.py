@@ -116,18 +116,19 @@ class ForwardTrace:
     column of ones, written once when the buffer is made. A head's logits
     are None when the last pass did not compute them. `masks` and `d_act`
     hold backward's ReLU masks and upstream gradients, one per backbone
-    layer's output; a trace made with `for_backward=False` has none, and
-    each backward pass over it allocates its own. A trace fits one row
-    count and the layer widths of the parameters it was made for.
+    layer's output; the first backward pass over the trace allocates them,
+    so a trace that only predicts never does. A trace fits one row count
+    and the layer widths of the parameters it was made for.
     """
 
-    def __init__(self, params: ModelParams, rows: int, for_backward: bool = True):
+    def __init__(self, params: ModelParams, rows: int):
         widths = [params.input_dim] + [layer.W.shape[1] for layer in params.backbone]
         self.act = [_with_ones(rows, width) for width in widths]
         self.logits_regular: np.ndarray | None = None
         self.logits_balanced: np.ndarray | None = None
         self.logit_buffers = (np.empty((rows, params.n_classes)), np.empty((rows, params.n_classes)))
-        self.masks, self.d_act = _backward_buffers(self.act) if for_backward else (None, None)
+        self.masks: list[np.ndarray] | None = None
+        self.d_act: list[np.ndarray] | None = None
 
     @property
     def rows(self) -> int:
@@ -205,7 +206,7 @@ def forward(params: ModelParams, x: np.ndarray, head: str | None = None,
     if x.ndim != 2 or x.shape[1] != params.input_dim:
         raise ValidationError(f"input shape {x.shape} does not match input_dim {params.input_dim}")
     if trace is None:
-        trace = ForwardTrace(params, x.shape[0], for_backward=False)
+        trace = ForwardTrace(params, x.shape[0])
     elif trace.rows != x.shape[0]:
         raise ValidationError(f"trace holds {trace.rows} rows, the batch has {x.shape[0]}")
     act, span = trace.act, params.resid_span
@@ -235,18 +236,18 @@ def backward(
     Each head's upstream gradient covers a block of the trace's rows (the
     regular head's the first rows, the balanced head's the last), so one
     stacked pass trains each head on its own batch; None masks a head,
-    whose gradient is then zero. In a reused `out`, a masked head that the
-    forward pass did not compute keeps its block as it was, so a run that
-    never computes a head zeroes its block once. The backbone gets the sum
-    over both blocks; rows neither covers add nothing. Each layer's dW and
-    db come from one GEMM, `[a_in, 1].T @ dz`, written into the gradient's
-    [W; b] view. The masks and upstream gradients go into the trace's
-    buffers when it has them.
+    whose gradient is then zero. The backbone gets the sum over both
+    blocks; rows neither covers add nothing. Each layer's dW and db come
+    from one GEMM, `[a_in, 1].T @ dz`, written into the gradient's [W; b]
+    view. The ReLU masks and upstream gradients go into the trace's
+    buffers, allocated on its first backward pass.
     """
     hidden = trace.act[-1]  # with its ones column
     n_rows = hidden.shape[0]
     grads = Gradients(np.empty(params.layout.size), params.layout) if out is None else out
-    masks, d_act = (trace.masks, trace.d_act) if trace.masks is not None else _backward_buffers(trace.act)
+    if trace.masks is None:
+        trace.masks, trace.d_act = _backward_buffers(trace.act)
+    masks, d_act = trace.masks, trace.d_act
     # each head writes its own rows of d_hidden; uncovered rows get 0, an overlapping block adds
     n_reg = 0 if d_logits_regular is None else d_logits_regular.shape[0]
     start_bal = n_rows if d_logits_balanced is None else n_rows - d_logits_balanced.shape[0]
@@ -255,15 +256,13 @@ def backward(
     d_act[-1][n_reg:n_rows if overlap else start_bal] = 0.0
 
     if d_logits_regular is None:
-        if out is None or trace.logits_regular is not None:
-            grads.head_regular.Wb.fill(0.0)
+        grads.head_regular.Wb.fill(0.0)
     else:
         np.matmul(hidden[:n_reg].T, d_logits_regular, out=grads.head_regular.Wb)
         np.matmul(d_logits_regular, params.head_regular.W.T, out=d_hidden[:n_reg])
 
     if d_logits_balanced is None:
-        if out is None or trace.logits_balanced is not None:
-            grads.head_balanced.Wb.fill(0.0)
+        grads.head_balanced.Wb.fill(0.0)
     else:
         rows = slice(start_bal, n_rows)
         block = np.empty((n_rows - start_bal, d_hidden.shape[1])) if overlap else d_hidden[rows]

@@ -237,8 +237,7 @@ def train(cfg: TrainConfig, splits: tuple[Dataset, Dataset]) -> tuple[ModelParam
     state = np.append(init.vector, 0.0) if spec.uses_cost else init.vector
     params = replace(init, vector=state[:n],
                      trained_heads=("regular", "balanced") if spec.dual_stream else ("regular",))
-    # a single-stream step never writes the balanced head's block: it stays zero for the run
-    grad = np.zeros_like(state)
+    grad = np.empty_like(state)
     grads = Gradients(grad[:n], init.layout)
     trace = ForwardTrace(params, 2 * cfg.batch_size if spec.dual_stream else cfg.batch_size)
     sampler = SamplerState(

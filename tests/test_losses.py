@@ -341,6 +341,21 @@ def test_losses_equal_reference_copies(batch):
 
 @given(loss_batches())
 @settings(max_examples=100, deadline=None)
+def test_column_major_logits_give_the_row_major_results(batch):
+    # logits laid out column-major (z.T, DataFrame.to_numpy()) give the same bits as a C-ordered copy
+    z, y, deltas, cp, cfg = batch
+    for zc in (z, np.round(z).astype(np.int64)):
+        zf = np.asfortranarray(zc)
+        assert_same(ce(zf, y), ce(zc, y))
+        assert_same(focal(zf, y, cfg.gamma), focal(zc, y, cfg.gamma))
+        assert_same(dah_softmax(zf, y, deltas), dah_softmax(zc, y, deltas))
+        assert dah_hinge(zf, y, deltas) == dah_hinge(zc, y, deltas)
+        if z.shape[1] == 2:
+            assert_same(cost_loss(zf, y, cp), cost_loss(zc, y, cp))
+
+
+@given(loss_batches())
+@settings(max_examples=100, deadline=None)
 def test_head_loss_equals_summed_references(batch):
     z, y, deltas, cp, cfg = batch
     for variant in VARIANTS:

@@ -284,6 +284,19 @@ class TestBackward:
             got = backward(p, forward(p, x, None, trace), d_r, d_b).vector
             assert np.array_equal(got, backward(p, forward(p, x), d_r, d_b).vector)
 
+    @pytest.mark.parametrize("head", ["regular", "balanced"])
+    def test_single_head_pass_overwrites_a_stale_buffer(self, head):
+        # the head the forward pass skipped gets an exact zero gradient, whatever the buffer held
+        rng = np.random.default_rng(8)
+        p = init_mlp(5, hidden=9, depth=5, n_classes=3, seed=8)
+        x, d = rng.normal(size=(12, 5)), rng.normal(size=(12, 3))
+        d_r, d_b = (d, None) if head == "regular" else (None, d)
+        buffer = Gradients(rng.normal(size=p.layout.size), p.layout)
+        got = backward(p, forward(p, x, head), d_r, d_b, buffer)
+        assert np.array_equal(got.vector, backward(p, forward(p, x), d_r, d_b).vector)
+        other = got.head_balanced if head == "regular" else got.head_regular
+        assert not other.Wb.any()
+
     def test_overlapping_full_height_blocks_add(self, monkeypatch):
         rng = np.random.default_rng(5)
         p = init_mlp(5, hidden=9, depth=5, n_classes=2, seed=5)

@@ -422,8 +422,6 @@ class TestStackedStep:
             cost_params.log_cfp = 0.3
         trace = ForwardTrace(params, 2 * cfg.batch_size if spec.dual_stream else cfg.batch_size)
         out = Gradients(np.random.default_rng(0).normal(size=params.layout.size), params.layout)
-        if not spec.dual_stream:
-            out.head_balanced.Wb.fill(0.0)  # a single-stream run zeroes the head it never computes once
         for _ in range(4):
             pair = next_batch_pair(sampler, ds)
             loss_r, loss_b, grad, d_cost = train_step(params, pair, spec, cfg, deltas, cost_params, out, trace)
