@@ -23,39 +23,14 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import (
-    Dataset,
-    SynthConfig,
-    apply_preprocess,
-    fit_preprocess,
-    gen_synthetic,
-    imbalance_ratio,
-    load_csv,
-    save_csv,
-    stratified_split,
-    write_table,
-)
+from .data import (CONFIG_RULES, Dataset, SynthConfig, apply_preprocess, check_config, fit_preprocess,
+                   gen_synthetic, imbalance_ratio, load_csv, save_csv, stratified_split, write_table)
 from .diagnostics import gradient_report
 from .errors import DenshiftError, NumericalError, SchemaError, ValidationError
-from .metrics import (
-    ScoredSet,
-    calibration_bins,
-    nll,
-    score_report,
-    split_report,
-    temperature_apply,
-    temperature_fit,
-)
+from .metrics import (ScoredSet, calibration_bins, nll, score_report, split_report, temperature_apply,
+                      temperature_fit)
 from .nn import load_checkpoint, save_checkpoint
-from .training import (
-    TrainConfig,
-    logits,
-    predict,
-    run_ablation,
-    sweep_theta,
-    table_metrics,
-    train,
-)
+from .training import TrainConfig, logits, predict, run_ablation, sweep_theta, table_metrics, train
 
 # the synthetic benchmark: the config classes' defaults with the benchmark's spread, scale and budget
 DEFAULT_CONFIG = {
@@ -80,7 +55,7 @@ def _deep_merge(base: dict, override: dict) -> dict:
 
 
 def load_config(path=None, overrides: dict | None = None) -> dict:
-    """Merge defaults <- config file <- flag overrides."""
+    """Merge defaults <- config file <- flag overrides, each key and value checked by `data.CONFIG_RULES`."""
     cfg = copy.deepcopy(DEFAULT_CONFIG)
     if path is not None:
         with open(path, encoding="utf-8") as fh:
@@ -88,6 +63,7 @@ def load_config(path=None, overrides: dict | None = None) -> dict:
                 user = json.load(fh)
             except json.JSONDecodeError as exc:
                 raise ValidationError(f"{path}: invalid JSON config: {exc}") from None
+        check_config(user)
         if "csv" in user.get("dataset", {}):
             cfg["dataset"].pop("synthetic", None)  # file picks the source
         cfg = _deep_merge(cfg, user)
@@ -100,7 +76,7 @@ def load_config(path=None, overrides: dict | None = None) -> dict:
         *parents, leaf = dotted.split(".")
         for part in parents:
             node = node.setdefault(part, {})
-        node[leaf] = value
+        node[leaf] = CONFIG_RULES[dotted].check(dotted, value)
     sources = [k for k in ("synthetic", "csv") if k in cfg["dataset"]]
     if len(sources) != 1:
         raise ValidationError(f"config must name exactly one dataset source, found {sources}")
@@ -119,6 +95,8 @@ def _load_dataset(cfg: dict) -> Dataset:
     if "synthetic" in source:
         return gen_synthetic(SynthConfig(**source["synthetic"]))
     spec = source["csv"]
+    if "path" not in spec:
+        raise ValidationError("dataset.csv needs a path")
     return load_csv(spec["path"], spec.get("label_column", "label"))
 
 
@@ -180,9 +158,9 @@ def _max_workers() -> int:
 def cmd_gen_data(cfg: dict, args) -> int:
     if "synthetic" not in cfg["dataset"]:
         raise ValidationError("gen-data needs a synthetic dataset source")
-    out = _out_dir(cfg)
     ds = _load_dataset(cfg)
     tr, va, te = stratified_split(ds, tuple(cfg["split"]["fractions"]), cfg["split"]["seed"])
+    out = _out_dir(cfg)
     for name, split in (("train", tr), ("val", va), ("test", te)):
         save_csv(split, out / f"{name}.csv")
     manifest = {
@@ -203,7 +181,6 @@ HISTORY_COLUMNS = ("epoch", "loss_regular", "loss_balanced", "val_auc_roc", "val
 
 def cmd_train(cfg: dict, args) -> int:
     tcfg = TrainConfig(**cfg["train"])
-    out = _out_dir(cfg)
     raw, (tr, va, te), stats = _splits(cfg)
     params, history = train(tcfg, (tr, va))
     test_probs = predict(params, te.features)
@@ -237,6 +214,7 @@ def cmd_train(cfg: dict, args) -> int:
 
     extra = {"config_hash": chash, "variant": tcfg.variant, "theta": tcfg.theta, "offset": tcfg.offset,
              "cost_at_best": cost_at_best}
+    out = _out_dir(cfg)
     save_checkpoint(out / "checkpoint.npz", params, stats, raw.class_names,
                     raw.feature_names, raw.label_column, extra=extra)
     write_table(out / "history.csv", HISTORY_COLUMNS,
@@ -385,7 +363,7 @@ def main(argv=None) -> int:
     except NumericalError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (DenshiftError, OSError, KeyError, TypeError) as exc:
+    except (DenshiftError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -10,15 +10,105 @@ from __future__ import annotations
 
 import csv
 import io
+import json
 import math
+import numbers
+import sys
 from array import array
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from .errors import ParseError, SchemaError, ValidationError
 
 MAX_LABEL_VALUES = 64
+VARIANTS = ("base", "decoupling", "dah", "focal", "cost", "full")
+
+
+def _number(v) -> bool:
+    """A finite number that a float64 can hold, not a bool (NaN fails the comparison)."""
+    return isinstance(v, numbers.Real) and not isinstance(v, bool) and abs(v) <= sys.float_info.max
+
+
+class Rule(NamedTuple):
+    """What a value must be: `test(value)` says whether it is, `expected` says so in an error message."""
+
+    test: Callable[[object], bool]
+    expected: str
+
+    def check(self, name: str, value):
+        """Return `value`; raise ValidationError naming `name` when the value breaks the rule."""
+        if not self.test(value):
+            raise ValidationError(f"{name} must be {self.expected}, got {value!r}")
+        return value
+
+
+POSITIVE = Rule(lambda v: _number(v) and v > 0, "a finite number > 0")
+NON_NEGATIVE = Rule(lambda v: _number(v) and v >= 0, "a finite number >= 0")
+PROBABILITY = Rule(lambda v: _number(v) and 0 <= v <= 1, "a probability in [0, 1]")
+
+
+def at_least(n: int) -> Rule:
+    return Rule(lambda v: isinstance(v, numbers.Integral) and not isinstance(v, bool) and v >= n,
+                f"an integer >= {n}")
+
+
+def one_of(*choices) -> Rule:
+    """One of `choices`, of the same type as the choice it equals (so 1 is not True)."""
+    return Rule(lambda v: any(type(v) is type(c) and v == c for c in choices), f"one of {json.dumps(choices)}")
+
+
+def list_of(item: Rule, length: int | None = None) -> Rule:
+    """A non-empty list, of exactly `length` items when given, whose every item keeps `item`."""
+    size = f"a list of {length} items" if length else "a non-empty list"
+    return Rule(lambda v: isinstance(v, list) and len(v) > 0 and len(v) == (length or len(v))
+                and all(map(item.test, v)), f"{size}, each {item.expected}")
+
+
+_COUNT, _SEED = at_least(1), at_least(0)
+_TEXT = Rule(lambda v: isinstance(v, str), "a string")
+_ANY = Rule(lambda v: True, "anything")
+
+# every config key, by its dotted path -> the rule its value keeps; gen-data's manifest keys load unchecked
+CONFIG_RULES = {
+    "dataset.synthetic.n_majority": _COUNT, "dataset.synthetic.n_minority": _COUNT,
+    "dataset.synthetic.n_minority_modes": _COUNT, "dataset.synthetic.dim": _COUNT,
+    "dataset.synthetic.mode_spread": POSITIVE, "dataset.synthetic.noise_scale": POSITIVE,
+    "dataset.synthetic.minority_scale": POSITIVE, "dataset.synthetic.seed": _SEED,
+    "dataset.csv.path": _TEXT, "dataset.csv.label_column": _TEXT,
+    "split.fractions": list_of(NON_NEGATIVE, 3), "split.seed": _SEED,
+    "train.variant": one_of(*VARIANTS), "train.epochs": _COUNT, "train.batch_size": _COUNT,
+    "train.learning_rate": POSITIVE, "train.optimizer": one_of("sgd", "adam"), "train.seed": _SEED,
+    "train.early_stop_patience": _SEED, "train.hidden": _COUNT, "train.depth": at_least(2),
+    "train.margin_scale": Rule(lambda v: v is None or POSITIVE.test(v), f"{POSITIVE.expected} or null"),
+    "train.gamma": NON_NEGATIVE, "train.theta": POSITIVE, "train.offset": NON_NEGATIVE,
+    "train.lambda_cost": NON_NEGATIVE, "train.q_regular": PROBABILITY, "train.q_balanced": PROBABILITY,
+    "metrics.n_bins": _COUNT, "metrics.temperature_scaling": one_of(False, True),
+    "sweep.theta_grid": list_of(POSITIVE), "sweep.seeds": list_of(_SEED), "ablation.seeds": list_of(_SEED),
+    "output_dir": _TEXT, "config_hash": _ANY, "rows": _ANY, "label_mapping": _ANY,
+}
+_SECTIONS = {key[:i] for key in CONFIG_RULES for i, ch in enumerate(key) if ch == "."}
+
+
+def check_config(cfg, path: str = "") -> None:
+    """Check a nested config by each key's dotted path: a section is an object, a key keeps its rule."""
+    if not isinstance(cfg, dict):
+        raise ValidationError(f"{path or 'a config'} must be an object, got {cfg!r}")
+    for key, value in cfg.items():
+        dotted = f"{path}.{key}" if path else key
+        if "." in key or (dotted not in CONFIG_RULES and dotted not in _SECTIONS):
+            raise ValidationError(f"unknown config key {dotted!r}")
+        if dotted in CONFIG_RULES:
+            CONFIG_RULES[dotted].check(dotted, value)
+        else:
+            check_config(value, dotted)
+
+
+def check_fields(obj, section: str) -> None:
+    """Check each field of the dataclass `obj` by the rule of the config key `section.<field>`."""
+    for f in fields(obj):
+        CONFIG_RULES[f"{section}.{f.name}"].check(f.name, getattr(obj, f.name))
 
 
 def class_labels(labels, n_classes: int) -> np.ndarray:
@@ -152,12 +242,9 @@ class SynthConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if not (self.n_majority >= self.n_minority >= self.n_minority_modes >= 1):
-            raise ValidationError("need n_majority >= n_minority >= n_minority_modes >= 1")
-        if self.dim < 1:
-            raise ValidationError("dim must be >= 1")
-        if self.mode_spread <= 0 or self.noise_scale <= 0 or self.minority_scale <= 0:
-            raise ValidationError("mode_spread, noise_scale and minority_scale must be positive")
+        check_fields(self, "dataset.synthetic")
+        if not self.n_majority >= self.n_minority >= self.n_minority_modes:
+            raise ValidationError("need n_majority >= n_minority >= n_minority_modes")
 
     @property
     def imbalance_ratio(self) -> float:
@@ -317,9 +404,9 @@ def stratified_split(
     Per class, indices are shuffled with the seeded generator and allocated by
     largest remainder, so each split count is within +-1 of count*fraction.
     """
-    fracs = tuple(float(f) for f in fractions)
-    if len(fracs) != 3 or any(f < 0 for f in fracs) or abs(sum(fracs) - 1.0) > 1e-9:
-        raise ValidationError(f"fractions must be 3 non-negatives summing to 1, got {fracs}")
+    fracs = tuple(float(f) for f in list_of(NON_NEGATIVE, 3).check("fractions", list(fractions)))
+    if abs(sum(fracs) - 1.0) > 1e-9:
+        raise ValidationError(f"fractions must sum to 1, got {fracs}")
     too_small = [ds.class_names[c] for c in range(ds.n_classes) if ds.class_counts[c] < len(fracs)]
     if too_small:
         raise ValidationError(f"classes too small to stratify (< {len(fracs)} instances): {too_small}")

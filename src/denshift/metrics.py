@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import class_labels, write_table
+from .data import POSITIVE, at_least, class_labels, write_table
 from .errors import ValidationError
 from .losses import _check_labels, _log_softmax, softmax
 
@@ -144,8 +144,7 @@ def split_report(probs: np.ndarray, labels) -> dict:
 
 def calibration_bins(s: ScoredSet, n_bins: int = 10) -> CalibrationTable:
     """Equal-width bins on [0,1]; the last bin is right-closed; empty bins keep NaN fractions."""
-    if n_bins < 1:
-        raise ValidationError("n_bins must be >= 1")
+    at_least(1).check("n_bins", n_bins)
     idx = np.minimum((s.scores * n_bins).astype(np.int64), n_bins - 1)
     count = np.bincount(idx, minlength=n_bins).astype(np.int64)
     sum_pred = np.bincount(idx, weights=s.scores, minlength=n_bins)
@@ -184,11 +183,9 @@ def macro_micro_auc(score_matrix: np.ndarray, labels) -> tuple[float, float]:
 
 def nll(logits: np.ndarray, labels, temperature: float = 1.0) -> float:
     """Mean negative log-likelihood of softmax(logits / T)."""
-    if temperature <= 0:
-        raise ValidationError("temperature must be positive")
     logits = np.asarray(logits, dtype=np.float64)
     labels = _check_labels(logits, labels)
-    logp = _log_softmax(logits / temperature)
+    logp = _log_softmax(logits / POSITIVE.check("temperature", temperature))
     return float(-logp[np.arange(labels.size), labels].mean())
 
 
@@ -225,6 +222,4 @@ def temperature_fit(logits: np.ndarray, labels, lo: float = 0.05, hi: float = 20
 
 def temperature_apply(logits: np.ndarray, temperature: float) -> np.ndarray:
     """softmax(logits / T); T=1 leaves probabilities unchanged."""
-    if temperature <= 0:
-        raise ValidationError("temperature must be positive")
-    return softmax(np.asarray(logits, dtype=np.float64) / temperature)
+    return softmax(np.asarray(logits, dtype=np.float64) / POSITIVE.check("temperature", temperature))

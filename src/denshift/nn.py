@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import NormStats
+from .data import CONFIG_RULES, NormStats
 from .errors import NumericalError, ValidationError
 
 CHECKPOINT_VERSION = "denshift-checkpoint-1"
@@ -304,8 +304,7 @@ class OptState:
 
     @classmethod
     def for_vector(cls, vector: np.ndarray, kind: str = "adam", lr: float = 1e-3) -> "OptState":
-        if kind not in ("sgd", "adam"):
-            raise ValidationError(f"unknown optimizer {kind!r}")
+        CONFIG_RULES["train.optimizer"].check("optimizer", kind)
         state = cls(kind=kind, lr=lr, scratch=(np.empty_like(vector), np.empty_like(vector)))
         if kind == "adam":
             state.m, state.v = np.zeros_like(vector), np.zeros_like(vector)
@@ -392,7 +391,8 @@ def save_checkpoint(path, params: ModelParams, norm_stats: NormStats,
     np.savez(path, __meta__=np.frombuffer(json.dumps(meta).encode("utf-8"), dtype=np.uint8), **arrays)
 
 
-_CHECKPOINT_META_KEYS = ("n_backbone", "resid_span", "trained_heads", "class_names", "feature_names")
+_CHECKPOINT_META_KEYS = ("n_backbone", "resid_span", "trained_heads", "class_names", "feature_names",
+                         "label_column", "extra")
 
 
 def _check_checkpoint_layers(where: str, names: list[str], layers, meta: dict) -> None:
@@ -428,6 +428,8 @@ def load_checkpoint(path) -> tuple[ModelParams, NormStats, dict]:
     """
     where = f"checkpoint {path}"
     with np.load(path) as blob:
+        if "__meta__" not in blob.files:
+            raise ValidationError(f"{where}: missing the array '__meta__'")
         meta = json.loads(bytes(blob["__meta__"]).decode("utf-8"))
         if meta.get("version") != CHECKPOINT_VERSION:
             raise ValidationError(f"unsupported checkpoint version {meta.get('version')!r}")

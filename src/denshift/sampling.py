@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import Dataset
+from .data import PROBABILITY, Dataset, at_least
 from .errors import ValidationError
 
 
@@ -45,9 +45,7 @@ def class_probs(class_counts, q: float) -> np.ndarray:
         raise ValidationError("empty class count vector")
     if (counts <= 0).any():
         raise ValidationError("class counts must be positive")
-    if not 0.0 <= q <= 1.0:
-        raise ValidationError(f"q must be in [0, 1], got {q}")
-    weights = counts**q
+    weights = counts ** PROBABILITY.check("q", q)
     return weights / weights.sum()
 
 
@@ -69,8 +67,7 @@ class SamplerState:
         q_regular: float = 1.0,
         q_balanced: float = 0.0,
     ):
-        if batch_size < 1:
-            raise ValidationError("batch_size must be >= 1")
+        at_least(1).check("batch_size", batch_size)
         if (ds.class_counts == 0).any():
             missing = [ds.class_names[c] for c in np.flatnonzero(ds.class_counts == 0)]
             raise ValidationError(f"training split is missing classes: {missing}")

@@ -18,44 +18,24 @@ log C_FP when the cost term trains. Model selection is by validation AUC-ROC of 
 from __future__ import annotations
 
 import math
-import numbers
-import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .data import Dataset
+from .data import CONFIG_RULES, POSITIVE, VARIANTS, Dataset, at_least, check_fields, list_of, one_of
 from .errors import NumericalError, UnsupportedTaskError, ValidationError
 from .losses import CostParams, ce, cost_loss, current_costs, dah_softmax, delta_margins, focal, softmax
 from .metrics import ScoredSet, auc_prc, auc_roc, macro_auc, split_report
 from .nn import ForwardTrace, Gradients, ModelParams, OptState, backward, forward, init_mlp, opt_step
 from .sampling import BatchPair, SamplerState, epoch_batches
 
-VARIANTS = ("base", "decoupling", "dah", "focal", "cost", "full")
-
-
-def _is_int(v) -> bool:
-    return isinstance(v, numbers.Integral) and not isinstance(v, bool)
-
-
-def _is_real(v) -> bool:
-    """A finite number that a float64 can hold (NaN fails the comparison)."""
-    return isinstance(v, numbers.Real) and not isinstance(v, bool) and abs(v) <= sys.float_info.max
-
-
-# TrainConfig field annotation -> (does a value have that type, how an error message names it)
-_FIELD_TYPES = {
-    "str": (lambda v: isinstance(v, str), "a string"),
-    "int": (_is_int, "an integer"),
-    "float": (_is_real, "a finite number"),
-    "float | None": (lambda v: v is None or _is_real(v), "a finite number or null"),
-}
-
 
 @dataclass(frozen=True)
 class TrainConfig:
+    """One training job's settings; each field keeps the rule of its `train.<field>` config key."""
+
     variant: str = "full"
     epochs: int = 100
     batch_size: int = 64
@@ -74,42 +54,7 @@ class TrainConfig:
     q_balanced: float = 0.0
 
     def __post_init__(self):
-        for f in fields(self):
-            value = getattr(self, f.name)
-            has_type, expected = _FIELD_TYPES[f.type]
-            if not has_type(value):
-                raise ValidationError(f"{f.name} must be {expected}, got {value!r}")
-        if self.variant not in VARIANTS:
-            raise ValidationError(f"variant must be one of {VARIANTS}, got {self.variant!r}")
-        if self.seed < 0:
-            raise ValidationError(f"seed must be >= 0, got {self.seed}")
-        if self.epochs < 1:
-            raise ValidationError(f"epochs must be >= 1, got {self.epochs}")
-        if self.early_stop_patience < 0:
-            raise ValidationError(f"early_stop_patience must be >= 0, got {self.early_stop_patience}")
-        if self.batch_size < 1:
-            raise ValidationError(f"batch_size must be >= 1, got {self.batch_size}")
-        if not self.learning_rate > 0:
-            raise ValidationError(f"learning_rate must be > 0, got {self.learning_rate}")
-        if not self.lambda_cost >= 0:
-            raise ValidationError(f"lambda_cost must be >= 0, got {self.lambda_cost}")
-        if not self.theta > 0:
-            raise ValidationError(f"theta must be > 0, got {self.theta}")
-        if not self.offset >= 0:
-            raise ValidationError(f"offset must be >= 0, got {self.offset}")
-        if not self.gamma >= 0:
-            raise ValidationError(f"gamma must be >= 0, got {self.gamma}")
-        for name in ("q_regular", "q_balanced"):
-            if not 0 <= getattr(self, name) <= 1:
-                raise ValidationError(f"{name} must be in [0, 1], got {getattr(self, name)}")
-        if self.hidden < 1:
-            raise ValidationError(f"hidden must be >= 1, got {self.hidden}")
-        if self.depth < 2:
-            raise ValidationError(f"depth must be >= 2, got {self.depth}")
-        if self.margin_scale is not None and not self.margin_scale > 0:
-            raise ValidationError(f"margin_scale must be > 0 or null, got {self.margin_scale}")
-        if self.optimizer not in ("sgd", "adam"):
-            raise ValidationError(f"optimizer must be 'sgd' or 'adam', got {self.optimizer!r}")
+        check_fields(self, "train")
 
 
 @dataclass(frozen=True)
@@ -137,10 +82,7 @@ _VARIANT_SPECS = {
 
 def variant_losses(variant: str) -> VariantSpec:
     """Loss/stream wiring for one ablation variant."""
-    try:
-        return _VARIANT_SPECS[variant]
-    except KeyError:
-        raise ValidationError(f"unknown variant {variant!r}") from None
+    return _VARIANT_SPECS[CONFIG_RULES["train.variant"].check("variant", variant)]
 
 
 @dataclass
@@ -304,9 +246,7 @@ def logits(params: ModelParams, x: np.ndarray, head: str | None = None) -> np.nd
     available = params.trained_heads if params.trained_heads is not None else ("regular", "balanced")
     if head is None:
         head = "balanced" if "balanced" in available else "regular"
-    if head not in ("regular", "balanced"):
-        raise ValidationError(f"unknown head {head!r}")
-    if head not in available:
+    if one_of("regular", "balanced").check("head", head) not in available:
         raise ValidationError(f"head {head!r} was not trained for this variant")
     trace = forward(params, x, head)
     return trace.logits_balanced if head == "balanced" else trace.logits_regular
@@ -349,7 +289,7 @@ def _grid(cfg: TrainConfig, splits: tuple[Dataset, Dataset, Dataset], field: str
     Maps each value to its run count and, for each test metric, the mean,
     the 95% CI half-width and the per-seed values.
     """
-    seeds = list(seeds)
+    seeds = list_of(at_least(0)).check("seeds", list(seeds))
     repeated = next((s for i, s in enumerate(seeds) if s in seeds[:i]), None)
     if repeated is not None:
         raise ValidationError(f"seeds must not repeat: seed {repeated} appears more than once in {seeds}")
@@ -379,9 +319,7 @@ def sweep_theta(
         raise ValidationError("theta sweep requires a cost-matrix variant")
     if len(seeds) < 3:
         raise ValidationError("theta sweep needs at least 3 seeds for confidence intervals")
-    grid = sorted({float(t) for t in theta_grid})
-    if not grid:
-        raise ValidationError("sweep.theta_grid must not be empty")
+    grid = sorted({float(t) for t in list_of(POSITIVE).check("theta_grid", list(theta_grid))})
     table = _grid(cfg, splits, "theta", grid, seeds, ("auc_roc", "auc_prc"), max_workers)
     return [{"theta": t, **{k: v for k, v in row.items() if not k.endswith("_per_seed")}}
             for t, row in table.items()]
@@ -403,8 +341,6 @@ def run_ablation(
 
     On multi-class data the binary-only cost variants are skipped.
     """
-    if not seeds:
-        raise ValidationError("ablation.seeds must not be empty")
     n_classes = splits[0].n_classes
     if n_classes != 2:
         variants = tuple(v for v in variants if not variant_losses(v).uses_cost)

@@ -6,10 +6,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from denshift.cli import DEFAULT_CONFIG, build_parser, config_hash, load_config, main
+from denshift.data import CONFIG_RULES, check_config
 from denshift.metrics import ScoredSet, auc_prc, auc_roc, bss, split_report
 from denshift.training import VARIANTS
 
@@ -105,6 +106,27 @@ class TestConfig:
     def test_default_config_hash_is_pinned(self):
         # reports embed this hash, so the defaults' keys and values are part of the output contract
         assert config_hash(load_config()) == "f180c9aa2efd6ab7"
+
+    def test_rule_table_names_exactly_the_config_keys(self):
+        def leaves(node, prefix=""):
+            for key, value in node.items():
+                yield from leaves(value, f"{prefix}{key}.") if isinstance(value, dict) else [prefix + key]
+
+        manifest = {"config_hash", "rows", "label_mapping"}
+        expected = set(leaves(DEFAULT_CONFIG)) | {"dataset.csv.path", "dataset.csv.label_column"} | manifest
+        assert set(CONFIG_RULES) == expected
+        check_config(DEFAULT_CONFIG)
+
+    @pytest.mark.parametrize("error", [KeyError, TypeError])
+    def test_a_bug_inside_a_command_is_a_traceback_not_exit_one(self, tmp_path, monkeypatch, error):
+        import denshift.cli as cli
+
+        def broken(*args, **kwargs):
+            raise error("bug")
+
+        monkeypatch.setattr(cli, "train", broken)
+        with pytest.raises(error, match="bug"):
+            main(["train", "--config", str(write_cfg(tmp_path)), "--out", str(tmp_path / "o")])
 
 
 class TestGenData:
@@ -439,7 +461,7 @@ class TestOtherCommands:
         path = write_cfg(tmp_path, {"train": {"epochs": 1, "variant": "cost", "normalize_balanced": False},
                                     "output_dir": str(out)})
         assert main([command, "--config", str(path)]) == 1
-        assert "normalize_balanced" in capsys.readouterr().err
+        assert "unknown config key 'train.normalize_balanced'" in capsys.readouterr().err
         assert not out.exists()
 
     def test_grad_check_exits_zero(self, capsys):
@@ -535,50 +557,105 @@ class TestOtherCommands:
         assert main(["train", "--config", str(path), "--label-column", "outcome"]) == 0
 
 
-# (field, a value of the wrong type or out of range) for every `train` field
-_INTS = {"epochs": 1, "batch_size": 1, "early_stop_patience": 0, "hidden": 1, "depth": 2, "seed": 0}
-_POSITIVE = ("learning_rate", "theta", "margin_scale")
-_NON_NEGATIVE = ("offset", "gamma", "lambda_cost")
-_PROBABILITIES = ("q_regular", "q_balanced")
+# the values each config key refuses, key by key, as its rule is documented; the manifest keys refuse nothing
+_INTS = {"dataset.synthetic.n_majority": 1, "dataset.synthetic.n_minority": 1, "dataset.synthetic.n_minority_modes": 1,
+         "dataset.synthetic.dim": 1, "dataset.synthetic.seed": 0, "split.seed": 0, "train.epochs": 1,
+         "train.batch_size": 1, "train.early_stop_patience": 0, "train.hidden": 1, "train.depth": 2, "train.seed": 0,
+         "metrics.n_bins": 1}
+_POSITIVE = ("dataset.synthetic.mode_spread", "dataset.synthetic.noise_scale", "dataset.synthetic.minority_scale",
+             "train.learning_rate", "train.theta", "train.margin_scale")
+_NON_NEGATIVE = ("train.offset", "train.gamma", "train.lambda_cost")
+_PROBABILITIES = ("train.q_regular", "train.q_balanced")
+_CHOICES = {"train.variant": VARIANTS, "train.optimizer": ("sgd", "adam"), "metrics.temperature_scaling": (False, True)}
+_STRINGS = ("output_dir", "dataset.csv.path", "dataset.csv.label_column")
+_SECTIONS = ("dataset", "dataset.synthetic", "dataset.csv", "split", "train", "metrics", "sweep", "ablation")
 _WRONG_TYPE = st.one_of(st.text(max_size=4), st.lists(st.integers(), max_size=2),
                         st.dictionaries(st.text(max_size=2), st.integers(), max_size=1))
 _NON_FINITE = st.one_of(st.sampled_from([float("nan"), float("inf"), float("-inf")]),
                         st.integers(min_value=2**1024))  # an integer no float64 can hold
-_BAD_TRAIN_FIELDS = st.one_of(
-    *[st.tuples(st.just(f), st.one_of(_WRONG_TYPE, st.booleans(), st.none(),
-                                      st.floats().filter(lambda v: v != int(v) if np.isfinite(v) else True),
-                                      st.integers(max_value=low - 1)))
-      for f, low in _INTS.items()],
-    *[st.tuples(st.just(f), st.one_of(_WRONG_TYPE, st.booleans(), st.floats(max_value=0.0), _NON_FINITE))
-      for f in _POSITIVE],
-    *[st.tuples(st.just(f), st.one_of(_WRONG_TYPE, st.booleans(), st.none(),
-                                      st.floats(max_value=-1e-300), st.just(float("nan"))))
-      for f in _NON_NEGATIVE],
-    *[st.tuples(st.just(f), st.one_of(_WRONG_TYPE, st.booleans(), st.none(), _NON_FINITE,
-                                      st.floats(max_value=-1e-300), st.floats(min_value=1.0 + 1e-12)))
-      for f in _PROBABILITIES],
-    *[st.tuples(st.just(f), st.one_of(st.none(), st.booleans(), st.integers(), st.floats(),
-                                      st.text(max_size=6).filter(lambda v: v not in ok)))
-      for f, ok in (("variant", VARIANTS), ("optimizer", ("sgd", "adam")))],
+_NOT_INT = st.one_of(_WRONG_TYPE, st.booleans(), st.none(), st.floats())
+_NEGATIVE = st.one_of(_WRONG_TYPE, st.booleans(), st.none(), st.floats(max_value=-1e-300), _NON_FINITE)
+_NOT_POSITIVE = st.one_of(_WRONG_TYPE, st.booleans(), st.floats(max_value=0.0), _NON_FINITE)
+_NOT_A_LIST = st.one_of(st.none(), st.booleans(), st.integers(), st.floats(), st.text(max_size=4),
+                        st.dictionaries(st.text(max_size=2), st.integers(), max_size=1))
+
+
+def _bad(keys, values):
+    return st.tuples(st.sampled_from([tuple(k.split(".")) for k in keys]), values, st.just("{} must be"))
+
+
+def _lookup(cfg: dict, dotted: str):
+    for part in dotted.split("."):
+        cfg = cfg[part]
+    return cfg
+
+
+def _unknown_key(section: str):
+    known = {"": set(DEFAULT_CONFIG) | {"config_hash", "rows", "label_mapping"}, "dataset": {"synthetic", "csv"},
+             "dataset.csv": {"path", "label_column"}}.get(section) or set(_lookup(DEFAULT_CONFIG, section))
+    return st.text("abcdefghijklmnopqrstuvwxyz_.", min_size=1, max_size=8).filter(lambda k: k not in known).map(
+        lambda k: ((*section.split("."), k) if section else (k,), 1, "unknown config key {!r}"))
+
+
+_BAD_CONFIG = st.one_of(
+    *[_bad([key], st.one_of(_NOT_INT, st.integers(max_value=low - 1))) for key, low in _INTS.items()],
+    _bad(_POSITIVE, _NOT_POSITIVE),
+    _bad(_NON_NEGATIVE, _NEGATIVE),
+    _bad(_PROBABILITIES, st.one_of(_NEGATIVE, st.floats(min_value=1.0 + 1e-12))),
+    *[_bad([key], st.one_of(st.none(), st.integers(), st.floats(), st.text(max_size=6), st.booleans()).filter(
+        lambda v: not any(type(v) is type(c) and v == c for c in ok))) for key, ok in _CHOICES.items()],
+    _bad(_STRINGS, st.one_of(st.none(), st.booleans(), st.integers(), st.floats(), st.lists(st.text(), max_size=2))),
+    _bad(["split.fractions"], st.one_of(
+        _NOT_A_LIST, st.lists(st.just(0.5), min_size=0, max_size=5).filter(lambda v: len(v) != 3),
+        st.tuples(_NEGATIVE, st.just(0.5), st.just(0.5)).map(list))),
+    _bad(["sweep.theta_grid"], st.one_of(_NOT_A_LIST, st.just([]), st.lists(_NOT_POSITIVE, min_size=1, max_size=3))),
+    _bad(["sweep.seeds", "ablation.seeds"], st.one_of(
+        _NOT_A_LIST, st.just([]), st.lists(st.one_of(_NOT_INT, st.integers(max_value=-1)), min_size=1, max_size=3))),
+    _bad(_SECTIONS, st.one_of(st.none(), st.booleans(), st.integers(), st.text(max_size=4), st.lists(st.integers()))),
+    st.sampled_from(("",) + _SECTIONS).flatmap(_unknown_key),
 )
 
 
-@settings(max_examples=150, deadline=None)
-@given(_BAD_TRAIN_FIELDS)
-def test_bad_train_field_of_any_kind_exits_one_naming_it(bad):
-    field, value = bad
+@settings(max_examples=300, deadline=None)
+@given(_BAD_CONFIG)
+@example((("trian",), {"epochs": 1}, "unknown config key {!r}"))
+@example((("metrics", "bins"), 3, "unknown config key {!r}"))
+@example((("split", "sed"), 4, "unknown config key {!r}"))
+@example((("dataset", "synthetic", "n_rows"), 300, "unknown config key {!r}"))
+@example(((), {"train.epochs": 1}, "unknown config key 'train.epochs'"))  # the file nests sections, keys hold no dots
+@example((("metrics", "temperature_scaling"), "yes", "{} must be"))
+@example((("split", "seed"), -1, "{} must be"))
+@example((("dataset", "synthetic", "dim"), "20", "{} must be"))
+@example((("dataset", "synthetic", "mode_spread"), float("nan"), "{} must be"))
+@example((("metrics", "n_bins"), 0, "{} must be"))
+@example((("metrics", "n_bins"), 2.5, "{} must be"))
+@example((("ablation", "seeds"), 3, "{} must be"))
+@example((("split", "fractions"), ["a", 0.5, 0.5], "{} must be"))
+@example((("sweep", "theta_grid"), ["a"], "{} must be"))
+@example((("dataset",), 5, "{} must be an object"))
+@example((("train",), 5, "{} must be an object"))
+@example(((), [1, 2], "a config must be an object"))
+def test_bad_config_key_or_value_exits_one_naming_its_path(bad):
+    parts, value, message = bad  # the key's path, one part per nested object
     with tempfile.TemporaryDirectory() as tmp:
         out = Path(tmp) / "out"
         cfg = json.loads(json.dumps(TINY))
-        cfg["train"][field] = value
         cfg["output_dir"] = str(out)
-        path = Path(tmp) / "cfg.json"
-        path.write_text(json.dumps(cfg), encoding="utf-8")
+        if not parts:
+            cfg = value
+        else:
+            *parents, leaf = parts
+            node = cfg
+            for part in parents:
+                node = node.setdefault(part, {})
+            node[leaf] = value
+        config = Path(tmp) / "cfg.json"
+        config.write_text(json.dumps(cfg), encoding="utf-8")
         err = io.StringIO()
         with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
-            code = main(["train", "--config", str(path)])
-        assert code == 1, (field, value)
-        assert field in err.getvalue(), (field, value, err.getvalue())
+            code = main(["train", "--config", str(config)])
+        assert code == 1, (parts, value)
+        assert message.format(".".join(parts)) in err.getvalue(), (parts, value, err.getvalue())
         assert not out.exists()
 
 

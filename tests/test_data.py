@@ -329,6 +329,10 @@ class TestSynthetic:
             SynthConfig(n_majority=10, n_minority=20)
         with pytest.raises(ValidationError):
             SynthConfig(mode_spread=0.0)
+        with pytest.raises(ValidationError, match="mode_spread"):
+            SynthConfig(mode_spread=float("nan"))
+        with pytest.raises(ValidationError, match="dim"):
+            SynthConfig(dim="20")
 
 
 class TestImbalanceRatio:

@@ -59,6 +59,8 @@ class TestDeltaMargins:
             delta_margins([0, 5], 1.0)
         with pytest.raises(ValidationError):
             delta_margins([5], 0.0)
+        with pytest.raises(ValidationError, match="margin_scale"):
+            delta_margins([5], float("nan"))
 
 
 class TestDahHinge:
@@ -161,8 +163,9 @@ class TestCeAndFocal:
     def test_label_out_of_range(self):
         with pytest.raises(ValidationError):
             ce(np.zeros((1, 2)), [2])
-        with pytest.raises(ValidationError):
-            focal(np.zeros((1, 2)), [0], -1.0)
+        for gamma in (-1.0, float("nan"), float("inf")):
+            with pytest.raises(ValidationError, match="gamma"):
+                focal(np.zeros((1, 2)), [0], gamma)
 
 
 class TestLabelChecks:
@@ -214,6 +217,10 @@ class TestCostParams:
             CostParams(0.0, 0.0, 0.01)
         with pytest.raises(ValidationError):
             CostParams(0.0, 5.0, -0.1)
+        with pytest.raises(ValidationError, match="theta"):
+            CostParams(theta=float("nan"))
+        with pytest.raises(ValidationError, match="offset"):
+            CostParams(offset=float("nan"))
 
 
 class TestCostLoss:

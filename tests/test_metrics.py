@@ -254,8 +254,9 @@ class TestCalibration:
         assert np.abs(table.mean_pred[mask] - table.frac_pos[mask]).max() < 0.01
 
     def test_bad_bins(self):
-        with pytest.raises(ValidationError):
-            calibration_bins(_random_scored(0), 0)
+        for n_bins in (0, 2.5):
+            with pytest.raises(ValidationError, match="n_bins"):
+                calibration_bins(_random_scored(0), n_bins)
 
     def test_csv_has_header_and_rows(self, tmp_path):
         table = calibration_bins(_random_scored(5), 10)
@@ -375,6 +376,12 @@ class TestTemperature:
     def test_degenerate_labels_rejected(self):
         with pytest.raises(ValidationError):
             temperature_fit(np.zeros((4, 2)), [1, 1, 1, 1])
+
+    @pytest.mark.parametrize("temperature", [0.0, -1.0, float("nan"), float("inf"), "1"])
+    @pytest.mark.parametrize("scale", [lambda z, t: nll(z, [0, 1], t), temperature_apply], ids=["nll", "apply"])
+    def test_temperature_must_be_a_finite_positive_number(self, scale, temperature):
+        with pytest.raises(ValidationError, match="temperature"):
+            scale(np.zeros((2, 2)), temperature)
 
 
 @pytest.mark.parametrize("read", [nll, temperature_fit, macro_auc, macro_micro_auc],

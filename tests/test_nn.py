@@ -601,7 +601,8 @@ class TestCheckpointValidation:
         loaded = load_checkpoint(path)[0]
         assert np.array_equal(loaded.vector, p.vector) and loaded.resid_span == (1, 2)
 
-    @pytest.mark.parametrize("key", ["n_backbone", "resid_span", "trained_heads", "class_names", "feature_names"])
+    @pytest.mark.parametrize("key", ["n_backbone", "resid_span", "trained_heads", "class_names", "feature_names",
+                                     "label_column", "extra"])
     def test_missing_meta_key_names_file_and_key(self, saved, key):
         path, _ = saved
         rewrite_checkpoint(path, lambda meta: meta.pop(key))
@@ -616,6 +617,7 @@ class TestCheckpointValidation:
         ({"head_balanced_W": np.zeros((7, 2)), "head_balanced_b": np.zeros(2)},
          r"head_balanced_W has 2 columns, the checkpoint names 3 classes"),
         ({"backbone_3_b": None}, r"missing the array 'backbone_3_b'"),
+        ({"__meta__": None}, r"missing the array '__meta__'"),
     ])
     def test_layers_that_do_not_chain_are_refused(self, saved, arrays, message):
         path, _ = saved
