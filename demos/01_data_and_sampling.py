@@ -45,7 +45,7 @@ for q in (1.0, 0.5, 0.25, 0.0):
     print(f"  q={q:.2f} -> majority {p[0]:.3f}, minority {p[1]:.3f}")
 
 sampler = SamplerState(train_p, batch_size=64, seed=0)
-pair = next_batch_pair(sampler, train_p)
+pair = next_batch_pair(sampler)
 labels, n_reg = pair.rows()[1], pair.n_regular
 print("\none batch pair (batch size 64):")
 print(f"  regular stream  (q=1): {int((labels[:n_reg] == 1).sum())} minority rows")
@@ -53,7 +53,7 @@ print(f"  balanced stream (q=0): {int((labels[n_reg:] == 1).sum())} minority row
 
 
 def balanced_minority_fraction():
-    pair = next_batch_pair(sampler, train_p)
+    pair = next_batch_pair(sampler)
     return (pair.rows()[1][pair.n_regular:] == 1).mean()
 
 

@@ -35,7 +35,8 @@ cfg = TrainConfig(variant="full", epochs=400, batch_size=64, learning_rate=1e-3,
                   seed=0, early_stop_patience=60, theta=5.0)
 params, history = train(cfg, (tr, va))
 print(f"trained {history.epochs_run} epochs, best validation epoch {history.best_epoch}")
-print(f"learned costs at best epoch: C_FP={history.best_cost[0]:.3f}, C_FN={history.best_cost[1]:.3f}")
+best = history.epochs[history.best_epoch]
+print(f"learned costs at best epoch: C_FP={best.cost_fp:.3f}, C_FN={best.cost_fn:.3f}")
 
 probs = predict(params, te.features)  # balanced head by default for dual-stream variants
 report = score_report(ScoredSet(probs[:, 1], te.labels))

@@ -69,6 +69,7 @@ from .nn import (
 )
 from .sampling import BatchPair, SamplerState, class_probs, epoch_batches, next_batch_pair
 from .training import (
+    EpochRecord,
     TrainConfig,
     TrainHistory,
     VariantSpec,

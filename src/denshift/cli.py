@@ -30,7 +30,8 @@ from .errors import DenshiftError, NumericalError, SchemaError, ValidationError
 from .metrics import (ScoredSet, calibration_bins, nll, score_report, split_report, temperature_apply,
                       temperature_fit)
 from .nn import load_checkpoint, save_checkpoint
-from .training import TrainConfig, logits, predict, run_ablation, sweep_theta, table_metrics, train
+from .training import (EpochRecord, TrainConfig, logits, predict, run_ablation, sweep_theta, table_metrics, train,
+                       variant_losses)
 
 # the synthetic benchmark: the config classes' defaults with the benchmark's spread, scale and budget
 DEFAULT_CONFIG = {
@@ -176,16 +177,14 @@ def cmd_gen_data(cfg: dict, args) -> int:
     return 0
 
 
-HISTORY_COLUMNS = ("epoch", "loss_regular", "loss_balanced", "val_auc_roc", "val_auc_prc", "cost_fp", "cost_fn")
-
-
 def cmd_train(cfg: dict, args) -> int:
     tcfg = TrainConfig(**cfg["train"])
     raw, (tr, va, te), stats = _splits(cfg)
     params, history = train(tcfg, (tr, va))
     test_probs = predict(params, te.features)
     chash = config_hash(cfg)
-    cost_at_best = list(history.best_cost) if history.best_cost else None
+    best = history.epochs[history.best_epoch]
+    cost_at_best = [best.cost_fp, best.cost_fn] if variant_losses(tcfg.variant).uses_cost else None
     report = {
         "command": "train",
         "config_hash": chash,
@@ -217,8 +216,8 @@ def cmd_train(cfg: dict, args) -> int:
     out = _out_dir(cfg)
     save_checkpoint(out / "checkpoint.npz", params, stats, raw.class_names,
                     raw.feature_names, raw.label_column, extra=extra)
-    write_table(out / "history.csv", HISTORY_COLUMNS,
-                zip(range(history.epochs_run), *(getattr(history, c) for c in HISTORY_COLUMNS[1:])))
+    write_table(out / "history.csv", ("epoch", *EpochRecord._fields),
+                ((epoch, *record) for epoch, record in enumerate(history.epochs)))
     if te.n_classes == 2:
         _write_scores(out, "_test", test_probs, te.labels, cfg["metrics"]["n_bins"])
     _write_json(out / "report.json", report)

@@ -66,7 +66,7 @@ def list_of(item: Rule, length: int | None = None) -> Rule:
                 and all(map(item.test, v)), f"{size}, each {item.expected}")
 
 
-_COUNT, _SEED = at_least(1), at_least(0)
+_COUNT, _SEED, _FRACTIONS = at_least(1), at_least(0), list_of(NON_NEGATIVE, 3)
 _TEXT = Rule(lambda v: isinstance(v, str), "a string")
 _ANY = Rule(lambda v: True, "anything")
 
@@ -77,7 +77,8 @@ CONFIG_RULES = {
     "dataset.synthetic.mode_spread": POSITIVE, "dataset.synthetic.noise_scale": POSITIVE,
     "dataset.synthetic.minority_scale": POSITIVE, "dataset.synthetic.seed": _SEED,
     "dataset.csv.path": _TEXT, "dataset.csv.label_column": _TEXT,
-    "split.fractions": list_of(NON_NEGATIVE, 3), "split.seed": _SEED,
+    "split.fractions": Rule(lambda v: _FRACTIONS.test(v) and abs(sum(map(float, v)) - 1.0) <= 1e-9,
+                            f"{_FRACTIONS.expected}, summing to 1"), "split.seed": _SEED,
     "train.variant": one_of(*VARIANTS), "train.epochs": _COUNT, "train.batch_size": _COUNT,
     "train.learning_rate": POSITIVE, "train.optimizer": one_of("sgd", "adam"), "train.seed": _SEED,
     "train.early_stop_patience": _SEED, "train.hidden": _COUNT, "train.depth": at_least(2),
@@ -244,7 +245,8 @@ class SynthConfig:
     def __post_init__(self):
         check_fields(self, "dataset.synthetic")
         if not self.n_majority >= self.n_minority >= self.n_minority_modes:
-            raise ValidationError("need n_majority >= n_minority >= n_minority_modes")
+            raise ValidationError("dataset.synthetic needs n_majority >= n_minority >= n_minority_modes, got "
+                                  f"{self.n_majority}, {self.n_minority}, {self.n_minority_modes}")
 
     @property
     def imbalance_ratio(self) -> float:
@@ -404,9 +406,7 @@ def stratified_split(
     Per class, indices are shuffled with the seeded generator and allocated by
     largest remainder, so each split count is within +-1 of count*fraction.
     """
-    fracs = tuple(float(f) for f in list_of(NON_NEGATIVE, 3).check("fractions", list(fractions)))
-    if abs(sum(fracs) - 1.0) > 1e-9:
-        raise ValidationError(f"fractions must sum to 1, got {fracs}")
+    fracs = tuple(map(float, CONFIG_RULES["split.fractions"].check("fractions", list(fractions))))
     too_small = [ds.class_names[c] for c in range(ds.n_classes) if ds.class_counts[c] < len(fracs)]
     if too_small:
         raise ValidationError(f"classes too small to stratify (< {len(fracs)} instances): {too_small}")
@@ -427,11 +427,7 @@ def stratified_split(
             split_indices[s].extend(idx[start : start + alloc[s]].tolist())
             start += alloc[s]
 
-    parts = []
-    for s in range(3):
-        order = np.sort(np.array(split_indices[s], dtype=np.int64))
-        parts.append(ds.subset(order))
-    return parts[0], parts[1], parts[2]
+    return tuple(ds.subset(np.sort(np.array(idx, dtype=np.int64))) for idx in split_indices)
 
 
 def gen_synthetic(cfg: SynthConfig) -> Dataset:

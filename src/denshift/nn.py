@@ -14,6 +14,7 @@ each head on its own batch. Everything is float64.
 from __future__ import annotations
 
 import json
+import zipfile
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -367,6 +368,12 @@ def grad_check(loss_fn, vector: np.ndarray, batch, eps: float = 1e-5,
     return float(worst)
 
 
+_CHECKPOINT_META_KEYS = ("n_backbone", "resid_span", "trained_heads", "class_names", "feature_names",
+                         "label_column", "extra")
+# each checkpoint array of the preprocessing stats -> its NormStats field
+_NORM_ARRAYS = {"norm_mean": "mean", "norm_std": "std", "norm_impute": "impute", "norm_constant": "constant_mask"}
+
+
 def save_checkpoint(path, params: ModelParams, norm_stats: NormStats,
                     class_names: tuple[str, ...], feature_names: tuple[str, ...],
                     label_column: str = "label", extra: dict | None = None) -> None:
@@ -374,10 +381,7 @@ def save_checkpoint(path, params: ModelParams, norm_stats: NormStats,
     named = [(f"backbone_{i}", layer) for i, layer in enumerate(params.backbone)]
     named += [("head_regular", params.head_regular), ("head_balanced", params.head_balanced)]
     arrays = {f"{name}_{k}": getattr(layer, k) for name, layer in named for k in ("W", "b")}
-    arrays["norm_mean"] = norm_stats.mean
-    arrays["norm_std"] = norm_stats.std
-    arrays["norm_impute"] = norm_stats.impute
-    arrays["norm_constant"] = norm_stats.constant_mask
+    arrays.update((key, getattr(norm_stats, f)) for key, f in _NORM_ARRAYS.items())
     meta = {
         "version": CHECKPOINT_VERSION,
         "n_backbone": len(params.backbone),
@@ -389,10 +393,6 @@ def save_checkpoint(path, params: ModelParams, norm_stats: NormStats,
         "extra": extra or {},
     }
     np.savez(path, __meta__=np.frombuffer(json.dumps(meta).encode("utf-8"), dtype=np.uint8), **arrays)
-
-
-_CHECKPOINT_META_KEYS = ("n_backbone", "resid_span", "trained_heads", "class_names", "feature_names",
-                         "label_column", "extra")
 
 
 def _check_checkpoint_layers(where: str, names: list[str], layers, meta: dict) -> None:
@@ -423,42 +423,47 @@ def _check_checkpoint_layers(where: str, names: list[str], layers, meta: dict) -
 def load_checkpoint(path) -> tuple[ModelParams, NormStats, dict]:
     """Inverse of save_checkpoint; logits reproduce bit-exactly on the same platform.
 
-    A missing metadata key or array, or layer shapes that do not chain,
-    raise ValidationError naming the file and what is wrong.
+    A file that is no readable .npz archive, metadata that is no JSON
+    object, a missing metadata key or array, or layer shapes that do not
+    chain raise ValidationError naming the file and what is wrong.
     """
     where = f"checkpoint {path}"
-    with np.load(path) as blob:
-        if "__meta__" not in blob.files:
-            raise ValidationError(f"{where}: missing the array '__meta__'")
+    try:  # any file but a zip archive, or a damaged one, raises BadZipFile; a member numpy cannot read, ValueError
+        with open(path, "rb") as fh, np.lib.npyio.NpzFile(fh) as npz:
+            blob = {key: npz[key] for key in npz.files}
+    except (ValueError, zipfile.BadZipFile) as exc:
+        raise ValidationError(f"{where}: not a readable .npz archive ({exc})") from None
+    if "__meta__" not in blob:
+        raise ValidationError(f"{where}: missing the array '__meta__'")
+    try:
         meta = json.loads(bytes(blob["__meta__"]).decode("utf-8"))
-        if meta.get("version") != CHECKPOINT_VERSION:
-            raise ValidationError(f"unsupported checkpoint version {meta.get('version')!r}")
-        if meta.get("normalize_balanced"):  # older checkpoints record this key; false needs nothing extra
-            raise ValidationError("checkpoint has normalize_balanced: true, a cosine-normalized balanced head "
-                                  "this version does not support")
-        missing = [key for key in _CHECKPOINT_META_KEYS if key not in meta]
-        if missing:
-            raise ValidationError(f"{where}: metadata lacks the key {missing[0]!r}")
-        n_backbone = meta["n_backbone"]
-        if type(n_backbone) is not int or n_backbone < 1:
-            raise ValidationError(f"{where}: n_backbone must be a positive integer, got {n_backbone!r}")
-        names = [f"backbone_{i}" for i in range(n_backbone)] + ["head_regular", "head_balanced"]
-        arrays = [f"{name}_{k}" for name in names for k in ("W", "b")]
-        arrays += ["norm_mean", "norm_std", "norm_impute", "norm_constant"]
-        absent = [key for key in arrays if key not in blob.files]
-        if absent:
-            raise ValidationError(f"{where}: missing the array {absent[0]!r}")
-        layers = [(blob[f"{name}_W"], blob[f"{name}_b"]) for name in names]
-        _check_checkpoint_layers(where, names, layers, meta)
-        params = ModelParams.pack(
-            layers,
-            resid_span=tuple(meta["resid_span"]) if meta["resid_span"] else None,
-            trained_heads=tuple(meta["trained_heads"]) if meta["trained_heads"] else None,
-        )
-        stats = NormStats(
-            mean=blob["norm_mean"].copy(),
-            std=blob["norm_std"].copy(),
-            impute=blob["norm_impute"].copy(),
-            constant_mask=blob["norm_constant"].copy(),
-        )
+    except ValueError:  # also a JSONDecodeError or a UnicodeDecodeError
+        meta = None
+    if not isinstance(meta, dict):
+        raise ValidationError(f"{where}: the array '__meta__' is not a JSON object")
+    if meta.get("version") != CHECKPOINT_VERSION:
+        raise ValidationError(f"{where}: unsupported checkpoint version {meta.get('version')!r}")
+    if meta.get("normalize_balanced"):  # older checkpoints record this key; false needs nothing extra
+        raise ValidationError(f"{where}: normalize_balanced is true, a cosine-normalized balanced head "
+                              "this version does not support")
+    missing = [key for key in _CHECKPOINT_META_KEYS if key not in meta]
+    if missing:
+        raise ValidationError(f"{where}: metadata lacks the key {missing[0]!r}")
+    n_backbone = meta["n_backbone"]
+    if type(n_backbone) is not int or n_backbone < 1:
+        raise ValidationError(f"{where}: n_backbone must be a positive integer, got {n_backbone!r}")
+    names = [f"backbone_{i}" for i in range(n_backbone)] + ["head_regular", "head_balanced"]
+    arrays = [f"{name}_{k}" for name in names for k in ("W", "b")]
+    arrays += list(_NORM_ARRAYS)
+    absent = [key for key in arrays if key not in blob]
+    if absent:
+        raise ValidationError(f"{where}: missing the array {absent[0]!r}")
+    layers = [(blob[f"{name}_W"], blob[f"{name}_b"]) for name in names]
+    _check_checkpoint_layers(where, names, layers, meta)
+    params = ModelParams.pack(
+        layers,
+        resid_span=tuple(meta["resid_span"]) if meta["resid_span"] else None,
+        trained_heads=tuple(meta["trained_heads"]) if meta["trained_heads"] else None,
+    )
+    stats = NormStats(**{f: blob[key] for key, f in _NORM_ARRAYS.items()})
     return params, stats, meta

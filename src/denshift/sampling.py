@@ -57,7 +57,7 @@ def _class_cdf(class_counts, q: float) -> np.ndarray:
 
 
 class SamplerState:
-    """Owns the random stream for one training loop; not safe for concurrent mutation."""
+    """Owns the random stream for one training loop over the split `ds`; not safe for concurrent mutation."""
 
     def __init__(
         self,
@@ -71,7 +71,7 @@ class SamplerState:
         if (ds.class_counts == 0).any():
             missing = [ds.class_names[c] for c in np.flatnonzero(ds.class_counts == 0)]
             raise ValidationError(f"training split is missing classes: {missing}")
-        self.n = ds.n
+        self.ds = ds
         self.batch_size = batch_size
         self.cdf_regular = _class_cdf(ds.class_counts, q_regular)
         self.cdf_balanced = _class_cdf(ds.class_counts, q_balanced)
@@ -88,16 +88,15 @@ class SamplerState:
         return self.order[self.starts[classes] + within]
 
 
-def next_batch_pair(sampler: SamplerState, ds: Dataset) -> BatchPair:
-    """Draw one regular batch and one balanced batch of row indices, with replacement."""
-    if ds.n != sampler.n:
-        raise ValidationError("sampler is bound to a different split")
+def next_batch_pair(sampler: SamplerState) -> BatchPair:
+    """Draw one regular batch and one balanced batch of the sampler's split, with replacement."""
     reg_idx = sampler._draw(sampler.cdf_regular)
     bal_idx = sampler._draw(sampler.cdf_balanced)
+    ds = sampler.ds
     return BatchPair(ds.features, ds.labels, np.concatenate((reg_idx, bal_idx)), reg_idx.size)
 
 
-def epoch_batches(sampler: SamplerState, ds: Dataset):
+def epoch_batches(sampler: SamplerState):
     """Yield ceil(N / batch_size) batch pairs, one epoch of regular draws."""
-    for _ in range(math.ceil(sampler.n / sampler.batch_size)):
-        yield next_batch_pair(sampler, ds)
+    for _ in range(math.ceil(sampler.ds.n / sampler.batch_size)):
+        yield next_batch_pair(sampler)

@@ -21,6 +21,7 @@ import math
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -85,23 +86,28 @@ def variant_losses(variant: str) -> VariantSpec:
     return _VARIANT_SPECS[CONFIG_RULES["train.variant"].check("variant", variant)]
 
 
+class EpochRecord(NamedTuple):
+    """One epoch of the trajectory: the `history.csv` columns after `epoch`; NaN where a variant or task has none."""
+
+    loss_regular: float
+    loss_balanced: float
+    val_auc_roc: float
+    val_auc_prc: float
+    cost_fp: float
+    cost_fn: float
+
+
 @dataclass
 class TrainHistory:
     """Per-epoch trajectory; wall time is kept here and never written to report files."""
 
-    loss_regular: list[float] = field(default_factory=list)
-    loss_balanced: list[float] = field(default_factory=list)
-    val_auc_roc: list[float] = field(default_factory=list)
-    val_auc_prc: list[float] = field(default_factory=list)
-    cost_fp: list[float] = field(default_factory=list)
-    cost_fn: list[float] = field(default_factory=list)
+    epochs: list[EpochRecord] = field(default_factory=list)
     best_epoch: int = -1
     wall_time_s: float = 0.0
-    best_cost: tuple[float, float] | None = None
 
     @property
     def epochs_run(self) -> int:
-        return len(self.val_auc_roc)
+        return len(self.epochs)
 
 
 def _head_loss(terms, z, y, cfg, deltas, cost_params):
@@ -199,7 +205,7 @@ def train(cfg: TrainConfig, splits: tuple[Dataset, Dataset]) -> tuple[ModelParam
         with np.errstate(over="raise"):  # ReLU can hide an overflow from every finite-loss check
             for epoch in range(cfg.epochs):
                 sum_r = sum_b = 0.0
-                for step, pair in enumerate(epoch_batches(sampler, train_ds)):
+                for step, pair in enumerate(epoch_batches(sampler)):
                     loss_r, loss_b, _, d_cost = train_step(params, pair, spec, cfg, deltas, cost_params, grads, trace)
                     if not math.isfinite(loss_r) or (spec.dual_stream and not math.isfinite(loss_b)):
                         costs = current_costs(cost_params) if cost_params else None
@@ -215,20 +221,14 @@ def train(cfg: TrainConfig, splits: tuple[Dataset, Dataset]) -> tuple[ModelParam
                     sum_r += loss_r
                     sum_b += loss_b
 
-                val_auc, val_ap = _val_metrics(params, val_ds)
-                history.loss_regular.append(sum_r / (step + 1))
-                history.loss_balanced.append(sum_b / (step + 1))
-                history.val_auc_roc.append(val_auc)
-                history.val_auc_prc.append(val_ap)
-                c_fp, c_fn = current_costs(cost_params) if cost_params else (float("nan"), float("nan"))
-                history.cost_fp.append(c_fp)
-                history.cost_fn.append(c_fn)
+                costs = current_costs(cost_params) if spec.uses_cost else (float("nan"), float("nan"))
+                record = EpochRecord(sum_r / (step + 1), sum_b / (step + 1), *_val_metrics(params, val_ds), *costs)
+                history.epochs.append(record)
 
-                if val_auc > best_auc:
-                    best_auc = val_auc
+                if record.val_auc_roc > best_auc:
+                    best_auc = record.val_auc_roc
                     history.best_epoch = epoch
                     best_params = params.copy()
-                    history.best_cost = current_costs(cost_params) if cost_params else None
                     streak = 0
                 else:
                     streak += 1

@@ -101,7 +101,7 @@ def test_03_sampler_correctness():
     passes, statistics = 0, []
     for seed in (0, 1, 2):
         sampler = SamplerState(ds, batch_size=10_000, seed=seed)
-        pair = next_batch_pair(sampler, ds)
+        pair = next_batch_pair(sampler)
         drawn = pair.rows()[1][pair.n_regular:]
         observed = np.bincount(drawn, minlength=4)
         statistic = float(((observed - 2500.0) ** 2 / 2500.0).sum())
@@ -141,10 +141,10 @@ def test_05_constraint_safety(bench_splits):
                       seed=0, early_stop_patience=200, theta=5.0, offset=0.01)
     _, history = train(cfg, (tr, va))
     floor = min(
-        c_fn - (5.0 * c_fp + 0.01 * (1 - 1e-12))
-        for c_fp, c_fn in zip(history.cost_fp, history.cost_fn)
+        e.cost_fn - (5.0 * e.cost_fp + 0.01 * (1 - 1e-12))
+        for e in history.epochs
     )
-    positive = min(min(history.cost_fp), min(history.cost_fn))
+    positive = min(min(e.cost_fp, e.cost_fn) for e in history.epochs)
     ok = history.epochs_run == 200 and positive > 0.0 and floor >= 0.0
     announce(5, ok, f"{history.epochs_run} recorded epochs: min(C_FP, C_FN) = {positive:.4f} > 0, "
                     f"min(C_FN - theta*C_FP - D*(1-1e-12)) = {floor:.2e} >= 0")
@@ -158,7 +158,7 @@ def test_06_decoupling_isolation(bench_splits):
     worst_balanced = worst_regular = 0.0
     backbone_gap = 0.0
     for _ in range(10):
-        pair = next_batch_pair(sampler, tr)
+        pair = next_batch_pair(sampler)
         x, y = pair.rows()
         xr, yr = x[:pair.n_regular], y[:pair.n_regular]
         trace = forward(params, xr)

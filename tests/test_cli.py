@@ -278,8 +278,11 @@ class TestEval:
         np.savez(tmp_path / "no_span.npz", **no_span)
         unchained = dict(arrays, backbone_1_W=arrays["backbone_1_W"][:-1])
         np.savez(tmp_path / "unchained.npz", **unchained)
+        (tmp_path / "text.npz").write_text("hello\n")  # 6 bytes, no archive
+        np.savez(tmp_path / "meta_not_json.npz", **dict(arrays, __meta__=np.frombuffer(b"{oops", dtype=np.uint8)))
         for name, message in (("no_span", "metadata lacks the key 'resid_span'"),
-                              ("unchained", "backbone_1_W has shape")):
+                              ("unchained", "backbone_1_W has shape"), ("text", "not a readable .npz archive"),
+                              ("meta_not_json", "the array '__meta__' is not a JSON object")):
             out = tmp_path / f"eval_{name}"
             code = main(["eval", "--checkpoint", str(tmp_path / f"{name}.npz"), "--csv", str(gen / "test.csv"),
                          "--out", str(out)])
@@ -351,7 +354,8 @@ class TestEval:
 
 class TestResultFiles:
     def test_binary_history_and_predictions_read_back_as_the_report(self, tmp_path):
-        for variant, empty in (("base", [False, True, False, False, True, True]), ("full", [False] * 6)):
+        for variant, empty in (("base", [False, True, False, False, True, True]),
+                               ("cost", [False, True, False, False, False, False]), ("full", [False] * 6)):
             out = tmp_path / variant
             path = write_cfg(tmp_path, {"output_dir": str(out)})
             assert main(["train", "--config", str(path), "--variant", variant]) == 0
@@ -360,7 +364,9 @@ class TestResultFiles:
             assert header == HISTORY_HEADER
             assert [row[0] for row in rows] == [str(e) for e in range(report["epochs_run"])]
             assert all([cell == "" for cell in row[1:]] == empty for row in rows), variant
-            if variant == "full":
+            if variant == "base":
+                assert report["cost_at_best"] is None
+            else:
                 best = rows[report["best_epoch"]]
                 assert [float(c).hex() for c in best[5:]] == [c.hex() for c in report["cost_at_best"]]
 
@@ -453,6 +459,21 @@ class TestOtherCommands:
         assert main([command, "--config", str(path)]) == 1
         captured = capsys.readouterr()
         assert "seed 0 appears more than once" in captured.err and captured.out == ""
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["train", "gen-data", "ablate", "sweep-theta"])
+    @pytest.mark.parametrize("section, value, message", [
+        ("split", {"fractions": [0.5, 0.5, 0.5]}, "split.fractions must be a list of 3 items"),
+        ("dataset", {"synthetic": {"n_majority": 10, "n_minority": 20}},
+         "dataset.synthetic needs n_majority >= n_minority >= n_minority_modes, got 10, 20, 3")])
+    def test_keys_that_conflict_are_exit_one_naming_their_key(self, tmp_path, capsys, command, section, value,
+                                                                message):
+        out = tmp_path / "conflict"
+        path = write_cfg(tmp_path, {"train": {"epochs": 1, "variant": "cost"}, section: value,
+                                    "output_dir": str(out)})
+        assert main([command, "--config", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert message in captured.err and captured.out == ""
         assert not out.exists()
 
     @pytest.mark.parametrize("command", ["train", "ablate", "sweep-theta"])
@@ -607,7 +628,8 @@ _BAD_CONFIG = st.one_of(
     _bad(_STRINGS, st.one_of(st.none(), st.booleans(), st.integers(), st.floats(), st.lists(st.text(), max_size=2))),
     _bad(["split.fractions"], st.one_of(
         _NOT_A_LIST, st.lists(st.just(0.5), min_size=0, max_size=5).filter(lambda v: len(v) != 3),
-        st.tuples(_NEGATIVE, st.just(0.5), st.just(0.5)).map(list))),
+        st.tuples(_NEGATIVE, st.just(0.5), st.just(0.5)).map(list),
+        st.lists(st.floats(0.0, 1.0), min_size=3, max_size=3).filter(lambda v: abs(sum(v) - 1.0) > 1e-9))),
     _bad(["sweep.theta_grid"], st.one_of(_NOT_A_LIST, st.just([]), st.lists(_NOT_POSITIVE, min_size=1, max_size=3))),
     _bad(["sweep.seeds", "ablation.seeds"], st.one_of(
         _NOT_A_LIST, st.just([]), st.lists(st.one_of(_NOT_INT, st.integers(max_value=-1)), min_size=1, max_size=3))),
@@ -631,6 +653,9 @@ _BAD_CONFIG = st.one_of(
 @example((("metrics", "n_bins"), 2.5, "{} must be"))
 @example((("ablation", "seeds"), 3, "{} must be"))
 @example((("split", "fractions"), ["a", 0.5, 0.5], "{} must be"))
+@example((("split", "fractions"), [0.5, 0.5, 0.5], "{} must be"))
+@example((("dataset", "synthetic"), {"n_majority": 10, "n_minority": 20},
+          "{} needs n_majority >= n_minority >= n_minority_modes, got 10, 20, 3"))
 @example((("sweep", "theta_grid"), ["a"], "{} must be"))
 @example((("dataset",), 5, "{} must be an object"))
 @example((("train",), 5, "{} must be an object"))

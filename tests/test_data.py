@@ -125,6 +125,12 @@ class TestDataset:
         ds = Dataset(np.zeros((4, 1)), [0.0, 1.0, 0.0, 1.0], ("a",), ("x", "y"))
         assert ds.labels.dtype == np.int64 and ds.labels.tolist() == [0, 1, 0, 1]
 
+    def test_a_class_with_no_instances_is_refused_unless_allowed(self):
+        with pytest.raises(ValidationError, match=r"classes with no instances: \['z'\]"):
+            Dataset(np.zeros((4, 1)), [0, 1, 0, 1], ("a",), ("x", "y", "z"))
+        ds = Dataset(np.zeros((4, 1)), [0, 1, 0, 1], ("a",), ("x", "y", "z"), allow_empty_classes=True)
+        assert ds.class_counts.tolist() == [2, 2, 0]
+
 
 # every function that reads class labels, with its class count: each validates them through `class_labels`
 LABEL_READERS = {
@@ -278,6 +284,11 @@ class TestStratifiedSplit:
             assert np.array_equal(x.features, y.features)
             assert np.array_equal(x.labels, y.labels)
 
+    @pytest.mark.parametrize("fractions", [(0.5, 0.5, 0.5), (0.8, 0.1, 0.0999), (1.0, 0.0)])
+    def test_fractions_that_are_not_three_summing_to_one_are_refused(self, fractions):
+        with pytest.raises(ValidationError, match=r"fractions must be a list of 3 items, .*, summing to 1"):
+            stratified_split(self.make([10, 10]), fractions)
+
     def test_class_of_two_rejected(self):
         with pytest.raises(ValidationError):
             stratified_split(self.make([10, 2]))
@@ -325,7 +336,8 @@ class TestSynthetic:
         assert logistic_regression_auc(ds.features, ds.labels) > 0.99
 
     def test_bad_config_rejected(self):
-        with pytest.raises(ValidationError):
+        with pytest.raises(ValidationError, match=r"dataset\.synthetic needs n_majority >= n_minority >= "
+                                                  r"n_minority_modes, got 10, 20, 3"):
             SynthConfig(n_majority=10, n_minority=20)
         with pytest.raises(ValidationError):
             SynthConfig(mode_spread=0.0)

@@ -540,7 +540,7 @@ class TestCheckpoints:
 
         meta = np.frombuffer(json.dumps({"version": "other"}).encode(), dtype=np.uint8)
         np.savez(path, __meta__=meta)
-        with pytest.raises(ValidationError):
+        with pytest.raises(ValidationError, match=r"bad\.npz: unsupported checkpoint version 'other'"):
             load_checkpoint(path)
 
     @pytest.mark.parametrize("flag", [None, False, True])
@@ -562,7 +562,7 @@ class TestCheckpoints:
         arrays["__meta__"] = np.frombuffer(json.dumps(meta).encode("utf-8"), dtype=np.uint8)
         np.savez(path, **arrays)
         if flag:
-            with pytest.raises(ValidationError, match="normalize_balanced"):
+            with pytest.raises(ValidationError, match=r"ckpt\.npz: normalize_balanced is true"):
                 load_checkpoint(path)
         else:
             assert np.array_equal(load_checkpoint(path)[0].vector, p.vector)
@@ -618,11 +618,34 @@ class TestCheckpointValidation:
          r"head_balanced_W has 2 columns, the checkpoint names 3 classes"),
         ({"backbone_3_b": None}, r"missing the array 'backbone_3_b'"),
         ({"__meta__": None}, r"missing the array '__meta__'"),
+        ({"__meta__": np.frombuffer(b"{oops", dtype=np.uint8)}, r"the array '__meta__' is not a JSON object"),
+        ({"__meta__": np.frombuffer(b"\xff", dtype=np.uint8)}, r"the array '__meta__' is not a JSON object"),
+        ({"__meta__": np.frombuffer(b"[1]", dtype=np.uint8)}, r"the array '__meta__' is not a JSON object"),
     ])
     def test_layers_that_do_not_chain_are_refused(self, saved, arrays, message):
         path, _ = saved
         rewrite_checkpoint(path, **arrays)
         with pytest.raises(ValidationError, match=r"ckpt\.npz: " + message):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("content", [b"", b"hello\n", b"PK\x03\x04 truncated", b"\x93NUMPY"])
+    def test_a_file_that_is_no_npz_archive_is_refused(self, tmp_path, content):
+        path = tmp_path / "ckpt.npz"
+        path.write_bytes(content)
+        with pytest.raises(ValidationError, match=r"ckpt\.npz: not a readable \.npz archive"):
+            load_checkpoint(path)
+
+    def test_a_single_npy_array_is_refused(self, tmp_path):
+        np.save(tmp_path / "ckpt.npy", np.zeros(3))
+        with pytest.raises(ValidationError, match=r"ckpt\.npy: not a readable \.npz archive"):
+            load_checkpoint(tmp_path / "ckpt.npy")
+
+    def test_a_damaged_member_is_refused(self, saved):
+        path, _ = saved
+        raw = bytearray(path.read_bytes())
+        raw[raw.find(b"head_regular_W.npy") + 200] ^= 0xFF  # a byte of the stored array, after its header
+        path.write_bytes(bytes(raw))
+        with pytest.raises(ValidationError, match=r"ckpt\.npz: not a readable \.npz archive \(Bad CRC-32"):
             load_checkpoint(path)
 
     @pytest.mark.parametrize("meta_edit, message", [

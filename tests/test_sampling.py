@@ -55,21 +55,21 @@ class TestBatchPairs:
     def test_balanced_minority_fraction(self):
         ds = make_ds([900, 100])
         sampler = SamplerState(ds, batch_size=10_000, seed=0)
-        pair = next_batch_pair(sampler, ds)
+        pair = next_batch_pair(sampler)
         frac = (pair.rows()[1][pair.n_regular:] == 1).mean()
         assert abs(frac - 0.5) <= 0.015  # 3 sigma of binomial(10000, 0.5)
 
     def test_regular_minority_fraction(self):
         ds = make_ds([900, 100])
         sampler = SamplerState(ds, batch_size=10_000, seed=1)
-        pair = next_batch_pair(sampler, ds)
+        pair = next_batch_pair(sampler)
         frac = (pair.rows()[1][:pair.n_regular] == 1).mean()
         assert abs(frac - 0.1) <= 0.009  # 3 sigma of binomial(10000, 0.1)
 
     def test_within_class_selection_uniform(self):
         ds = make_ds([10, 10])
         sampler = SamplerState(ds, batch_size=20_000, seed=2)
-        pair = next_batch_pair(sampler, ds)
+        pair = next_batch_pair(sampler)
         idx = pair.idx[pair.n_regular:]
         first_class = idx[idx < 10]  # ~10000 draws land in the 10-instance class
         hits = np.bincount(first_class, minlength=10)
@@ -78,18 +78,16 @@ class TestBatchPairs:
     def test_batches_index_the_bound_split(self):
         ds = make_ds([30, 10])
         sampler = SamplerState(ds, batch_size=8, seed=3)
-        pair = next_batch_pair(sampler, ds)
+        pair = next_batch_pair(sampler)
         x_reg = pair.rows()[0][:pair.n_regular]
         assert x_reg.shape == (8, 1)
         assert np.array_equal(x_reg[:, 0], pair.idx[:pair.n_regular].astype(float))
-        other = make_ds([5, 5])
-        with pytest.raises(ValidationError):
-            next_batch_pair(sampler, other)
+        assert pair.features is ds.features and pair.labels is ds.labels  # the sampler's own split
 
     def test_one_stacked_draw_gathered_whole_or_regular_only(self):
         ds = make_ds([30, 10])
         sampler = SamplerState(ds, batch_size=8, seed=5)
-        pair = next_batch_pair(sampler, ds)
+        pair = next_batch_pair(sampler)
         ref = SamplerState(ds, batch_size=8, seed=5)
         reg_idx, bal_idx = ref._draw(ref.cdf_regular), ref._draw(ref.cdf_balanced)
         assert pair.n_regular == 8
@@ -132,12 +130,12 @@ class TestEpochBatches:
     def test_pair_count_is_ceil(self):
         ds = make_ds([800, 200])
         sampler = SamplerState(ds, batch_size=128, seed=0)
-        assert sum(1 for _ in epoch_batches(sampler, ds)) == 8
+        assert sum(1 for _ in epoch_batches(sampler)) == 8
 
     def test_single_pair_when_batch_covers_n(self):
         ds = make_ds([100, 28])
         sampler = SamplerState(ds, batch_size=128, seed=0)
-        assert sum(1 for _ in epoch_batches(sampler, ds)) == 1
+        assert sum(1 for _ in epoch_batches(sampler)) == 1
 
     def test_same_seed_identical_sequence(self):
         ds = make_ds([50, 20])
@@ -147,6 +145,6 @@ class TestEpochBatches:
             seqs.append([
                 (p.idx[:p.n_regular].tolist(), p.idx[p.n_regular:].tolist())
                 for _ in range(2)
-                for p in epoch_batches(sampler, ds)
+                for p in epoch_batches(sampler)
             ])
         assert seqs[0] == seqs[1]

@@ -32,6 +32,11 @@ def prepared_splits(n_maj=300, n_min=60, dim=6, modes=2, spread=3.0, seed=0):
     return tuple(apply_preprocess(s, stats) for s in (tr, va, te))
 
 
+def same_records(a, b):
+    """Two lists of epoch records equal field by field, a NaN equal to a NaN (`==` on records says NaN != NaN)."""
+    return len(a) == len(b) and all(np.array_equal(x, y, equal_nan=True) for x, y in zip(a, b))
+
+
 @pytest.fixture(scope="module")
 def splits():
     return prepared_splits()
@@ -118,7 +123,7 @@ class TestTrainLoop:
         tr, va, _ = splits
         params, history = train(TrainConfig(variant="base", epochs=3, seed=0), (tr, va))
         assert params.trained_heads == ("regular",)
-        assert np.isnan(history.loss_balanced).all()
+        assert history.epochs_run == 3 and all(math.isnan(e.loss_balanced) for e in history.epochs)
         with pytest.raises(ValidationError):
             predict(params, va.features, head="balanced")
 
@@ -126,16 +131,14 @@ class TestTrainLoop:
         tr, va, _ = splits
         params, history = train(TrainConfig(variant="full", epochs=3, seed=0), (tr, va))
         assert params.trained_heads == ("regular", "balanced")
-        assert np.isfinite(history.loss_balanced).all()
+        assert history.epochs_run == 3 and all(math.isfinite(e.loss_balanced) for e in history.epochs)
 
     def test_determinism(self, splits):
         tr, va, _ = splits
         cfg = TrainConfig(variant="full", epochs=4, seed=11)
         p1, h1 = train(cfg, (tr, va))
         p2, h2 = train(cfg, (tr, va))
-        assert h1.val_auc_roc == h2.val_auc_roc
-        assert h1.loss_regular == h2.loss_regular
-        assert h1.cost_fp == h2.cost_fp
+        assert same_records(h1.epochs, h2.epochs) and h1.best_epoch == h2.best_epoch
         for a, b in zip(p1.flat(), p2.flat()):
             assert np.array_equal(a, b)
 
@@ -143,13 +146,14 @@ class TestTrainLoop:
         tr, va, _ = splits
         _, history = train(TrainConfig(variant="decoupling", epochs=10, seed=3,
                                        early_stop_patience=10), (tr, va))
-        assert history.val_auc_roc[history.best_epoch] == max(history.val_auc_roc)
+        aucs = [e.val_auc_roc for e in history.epochs]
+        assert aucs[history.best_epoch] == max(aucs)
 
     def test_patience_zero_stops_at_first_plateau(self, splits):
         tr, va, _ = splits
         _, history = train(TrainConfig(variant="base", epochs=50, seed=4,
                                        early_stop_patience=0), (tr, va))
-        aucs = history.val_auc_roc
+        aucs = [e.val_auc_roc for e in history.epochs]
         best = -np.inf
         expected = len(aucs)
         for i, a in enumerate(aucs):
@@ -165,7 +169,7 @@ class TestTrainLoop:
         _, history = train(TrainConfig(variant="base", epochs=60, seed=4,
                                        early_stop_patience=3), (tr, va))
         if history.epochs_run < 60:  # stopped early: the last 4 epochs gained nothing
-            tail = history.val_auc_roc[history.best_epoch + 1 :]
+            tail = history.epochs[history.best_epoch + 1 :]
             assert len(tail) >= 4
 
     def test_cost_constraints_every_epoch(self, splits):
@@ -173,9 +177,9 @@ class TestTrainLoop:
         cfg = TrainConfig(variant="cost", epochs=12, seed=5, theta=5.0, offset=0.01,
                           early_stop_patience=12)
         _, history = train(cfg, (tr, va))
-        for c_fp, c_fn in zip(history.cost_fp, history.cost_fn):
-            assert c_fp > 0.0 and c_fn > 0.0
-            assert c_fn >= 5.0 * c_fp + 0.01 * (1 - 1e-12)
+        for e in history.epochs:
+            assert e.cost_fp > 0.0 and e.cost_fn > 0.0
+            assert e.cost_fn >= 5.0 * e.cost_fp + 0.01 * (1 - 1e-12)
 
     def test_cost_variant_needs_binary(self):
         from denshift.data import Dataset
@@ -201,7 +205,7 @@ class TestTrainLoop:
                                             early_stop_patience=20), (tr, va))
         probs = predict(params, va.features)
         assert probs.shape == (va.n, 3)
-        assert max(history.val_auc_roc) > 0.9
+        assert max(e.val_auc_roc for e in history.epochs) > 0.9
 
     def test_multiclass_validation_ranks_each_class_once(self, monkeypatch):
         import denshift.metrics as metrics
@@ -261,7 +265,7 @@ class TestTrainLoop:
             cfg = TrainConfig(variant=variant, epochs=200, batch_size=32, seed=0,
                               early_stop_patience=200)
             _, history = train(cfg, (tr, va))
-            floor = min(history.loss_regular)
+            floor = min(e.loss_regular for e in history.epochs)
             assert floor < 0.1, f"{variant} stalled at train loss {floor:.3f}"
 
 
@@ -312,7 +316,7 @@ def reference_train(cfg, train_ds, epochs):
     losses, t = [], 0
     for _ in range(epochs):
         total = 0.0
-        for step, pair in enumerate(epoch_batches(sampler, train_ds)):
+        for step, pair in enumerate(epoch_batches(sampler)):
             loss_r, _, grad, d_cost = two_pass_step(params, pair, spec, cfg, deltas, cost_params)
             t += 1
             for p, g, (m, v) in zip(arrays, [grad, np.array([d_cost])], moments):
@@ -337,7 +341,7 @@ class TestStackedStep:
         if cost_params:
             cost_params.log_cfp = 0.3
         for _ in range(5):
-            pair = next_batch_pair(sampler, splits[0])
+            pair = next_batch_pair(sampler)
             loss_r, loss_b, grad, d_cost = train_step(params, pair, spec, cfg, deltas, cost_params)
             ref_r, ref_b, ref_grad, ref_cost = two_pass_step(params, pair, spec, cfg, deltas, cost_params)
             assert loss_r == pytest.approx(ref_r, rel=1e-12)
@@ -351,7 +355,7 @@ class TestStackedStep:
         # single-stream steps gather the regular draw's rows alone and compute no balanced logits
         cfg = TrainConfig(variant=variant)
         spec, params, sampler, deltas, cost_params = step_inputs(cfg, splits[0])
-        pair = next_batch_pair(sampler, splits[0])
+        pair = next_batch_pair(sampler)
         seen = []
 
         def recording_forward(params, x, head=None, trace=None, _real=training.forward):
@@ -369,7 +373,7 @@ class TestStackedStep:
     def test_each_head_ignores_the_other_block_exactly(self, splits):
         tr = splits[0]
         params = init_mlp(tr.dim, n_classes=2, seed=4)
-        pair = next_batch_pair(SamplerState(tr, batch_size=32, seed=4), tr)
+        pair = next_batch_pair(SamplerState(tr, batch_size=32, seed=4))
         n = pair.n_regular
         rng = np.random.default_rng(0)
         pair_x = pair.rows()[0]
@@ -423,7 +427,7 @@ class TestStackedStep:
         trace = ForwardTrace(params, 2 * cfg.batch_size if spec.dual_stream else cfg.batch_size)
         out = Gradients(np.random.default_rng(0).normal(size=params.layout.size), params.layout)
         for _ in range(4):
-            pair = next_batch_pair(sampler, ds)
+            pair = next_batch_pair(sampler)
             loss_r, loss_b, grad, d_cost = train_step(params, pair, spec, cfg, deltas, cost_params, out, trace)
             fresh_r, fresh_b, fresh_grad, fresh_cost = train_step(params, pair, spec, cfg, deltas, cost_params)
             assert grad is out.vector
@@ -451,7 +455,7 @@ class TestStackedStep:
             try:
                 base = tracemalloc.get_traced_memory()[0]
                 for _ in range(steps):
-                    pair = next_batch_pair(sampler, tr)
+                    pair = next_batch_pair(sampler)
                     _, _, grad, _ = train_step(params, pair, spec, cfg, deltas, cost_params, *buffers)
                     opt_step(params.vector, grad, opt)
                 return tracemalloc.get_traced_memory()[1] - base
@@ -459,7 +463,7 @@ class TestStackedStep:
                 tracemalloc.stop()
 
         for _ in range(2):  # warm-up
-            train_step(params, next_batch_pair(sampler, tr), spec, cfg, deltas, cost_params, out, trace)
+            train_step(params, next_batch_pair(sampler), spec, cfg, deltas, cost_params, out, trace)
         assert peak_rise(5, out, trace) < budget
         assert peak_rise(5) > budget  # the same steps with fresh buffers exceed it
 
@@ -470,7 +474,7 @@ class TestStackedStep:
         params, history = train(cfg, splits[:2])
         ref_params, ref_losses = reference_train(cfg, splits[0], history.best_epoch + 1)
         assert np.array_equal(params.vector, ref_params.vector)
-        assert history.loss_regular[:history.best_epoch + 1] == ref_losses
+        assert [e.loss_regular for e in history.epochs[:history.best_epoch + 1]] == ref_losses
 
     def test_one_forward_backward_and_adam_array_per_step(self, splits, monkeypatch):
         tr, va, _ = splits
