@@ -47,6 +47,7 @@ class Rule(NamedTuple):
 POSITIVE = Rule(lambda v: _number(v) and v > 0, "a finite number > 0")
 NON_NEGATIVE = Rule(lambda v: _number(v) and v >= 0, "a finite number >= 0")
 PROBABILITY = Rule(lambda v: _number(v) and 0 <= v <= 1, "a probability in [0, 1]")
+TEXT = Rule(lambda v: isinstance(v, str), "a string")
 
 
 def at_least(n: int) -> Rule:
@@ -67,7 +68,6 @@ def list_of(item: Rule, length: int | None = None) -> Rule:
 
 
 _COUNT, _SEED, _FRACTIONS = at_least(1), at_least(0), list_of(NON_NEGATIVE, 3)
-_TEXT = Rule(lambda v: isinstance(v, str), "a string")
 _ANY = Rule(lambda v: True, "anything")
 
 # every config key, by its dotted path -> the rule its value keeps; gen-data's manifest keys load unchecked
@@ -76,7 +76,7 @@ CONFIG_RULES = {
     "dataset.synthetic.n_minority_modes": _COUNT, "dataset.synthetic.dim": _COUNT,
     "dataset.synthetic.mode_spread": POSITIVE, "dataset.synthetic.noise_scale": POSITIVE,
     "dataset.synthetic.minority_scale": POSITIVE, "dataset.synthetic.seed": _SEED,
-    "dataset.csv.path": _TEXT, "dataset.csv.label_column": _TEXT,
+    "dataset.csv.path": TEXT, "dataset.csv.label_column": TEXT,
     "split.fractions": Rule(lambda v: _FRACTIONS.test(v) and abs(sum(map(float, v)) - 1.0) <= 1e-9,
                             f"{_FRACTIONS.expected}, summing to 1"), "split.seed": _SEED,
     "train.variant": one_of(*VARIANTS), "train.epochs": _COUNT, "train.batch_size": _COUNT,
@@ -87,7 +87,7 @@ CONFIG_RULES = {
     "train.lambda_cost": NON_NEGATIVE, "train.q_regular": PROBABILITY, "train.q_balanced": PROBABILITY,
     "metrics.n_bins": _COUNT, "metrics.temperature_scaling": one_of(False, True),
     "sweep.theta_grid": list_of(POSITIVE), "sweep.seeds": list_of(_SEED), "ablation.seeds": list_of(_SEED),
-    "output_dir": _TEXT, "config_hash": _ANY, "rows": _ANY, "label_mapping": _ANY,
+    "output_dir": TEXT, "config_hash": _ANY, "rows": _ANY, "label_mapping": _ANY,
 }
 _SECTIONS = {key[:i] for key in CONFIG_RULES for i, ch in enumerate(key) if ch == "."}
 

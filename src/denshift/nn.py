@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import CONFIG_RULES, NormStats
+from .data import CONFIG_RULES, TEXT, NormStats, Rule, list_of
 from .errors import NumericalError, ValidationError
 
 CHECKPOINT_VERSION = "denshift-checkpoint-1"
@@ -368,8 +368,12 @@ def grad_check(loss_fn, vector: np.ndarray, batch, eps: float = 1e-5,
     return float(worst)
 
 
-_CHECKPOINT_META_KEYS = ("n_backbone", "resid_span", "trained_heads", "class_names", "feature_names",
-                         "label_column", "extra")
+# every metadata key -> the rule its value keeps; None where the key is checked against the arrays
+_CHECKPOINT_META = {
+    "n_backbone": None, "resid_span": None, "trained_heads": None,
+    "class_names": list_of(TEXT), "feature_names": list_of(TEXT), "label_column": TEXT,
+    "extra": Rule(lambda v: isinstance(v, dict), "a JSON object"),
+}
 # each checkpoint array of the preprocessing stats -> its NormStats field
 _NORM_ARRAYS = {"norm_mean": "mean", "norm_std": "std", "norm_impute": "impute", "norm_constant": "constant_mask"}
 
@@ -424,8 +428,9 @@ def load_checkpoint(path) -> tuple[ModelParams, NormStats, dict]:
     """Inverse of save_checkpoint; logits reproduce bit-exactly on the same platform.
 
     A file that is no readable .npz archive, metadata that is no JSON
-    object, a missing metadata key or array, or layer shapes that do not
-    chain raise ValidationError naming the file and what is wrong.
+    object, a missing metadata key or array, a metadata value of the wrong
+    type, or layer shapes that do not chain raise ValidationError naming
+    the file and what is wrong.
     """
     where = f"checkpoint {path}"
     try:  # any file but a zip archive, or a damaged one, raises BadZipFile; a member numpy cannot read, ValueError
@@ -446,9 +451,12 @@ def load_checkpoint(path) -> tuple[ModelParams, NormStats, dict]:
     if meta.get("normalize_balanced"):  # older checkpoints record this key; false needs nothing extra
         raise ValidationError(f"{where}: normalize_balanced is true, a cosine-normalized balanced head "
                               "this version does not support")
-    missing = [key for key in _CHECKPOINT_META_KEYS if key not in meta]
+    missing = [key for key in _CHECKPOINT_META if key not in meta]
     if missing:
         raise ValidationError(f"{where}: metadata lacks the key {missing[0]!r}")
+    for key, rule in _CHECKPOINT_META.items():
+        if rule is not None:
+            rule.check(f"{where}: metadata key {key!r}", meta[key])
     n_backbone = meta["n_backbone"]
     if type(n_backbone) is not int or n_backbone < 1:
         raise ValidationError(f"{where}: n_backbone must be a positive integer, got {n_backbone!r}")

@@ -5,6 +5,13 @@ uniformly within the class, with replacement. q=1 reproduces regular
 random sampling (instance-uniform), q=0 class-balanced sampling. A
 SamplerState pairs one regular stream with one balanced stream so the
 decoupled trainer gets both batches per step, stacked in one index array.
+
+The sampler draws one block of pairs ahead (an epoch of them, capped at
+`_BLOCK_DRAWS` row draws) in a few array operations, and
+`next_batch_pair` hands them out in order. The pairs are those of
+drawing each batch in turn with `Generator.random` and
+`Generator.integers`, so the sequence depends on the seed alone, not on
+the call pattern; `sampler.rng` runs ahead of the pairs handed out.
 """
 
 from __future__ import annotations
@@ -56,6 +63,87 @@ def _class_cdf(class_counts, q: float) -> np.ndarray:
     return cdf
 
 
+# Row draws (regular plus balanced) decoded in one block; bounds a block's arrays for any split size.
+_BLOCK_DRAWS = 1 << 16
+_U32 = 1 << 32
+
+
+class _BlockDraws:
+    """Draws blocks of (class, row within the class) for one or more class cdfs over the same class counts.
+
+    `draw(rng, n_pairs, batch)` gives bit for bit the stream of `n_pairs` rounds of, per cdf
+    in turn, `classes = cdf.searchsorted(rng.random(batch), side="right")` then
+    `rng.integers(0, counts[classes])`, and leaves `rng` in the same state. For an even batch
+    it decodes those draws from `random_raw` PCG64 words: a double is `(w >> 11) * 2**-53`, and
+    a bounded int is numpy's 32-bit Lemire draw on half-words, low half first, with the bit
+    generator's buffered half carried in and out. An odd batch, counts of 1 or of at least
+    2**32, and a Lemire rejection take the per-draw path for that block.
+    """
+
+    def __init__(self, cdfs, counts):
+        self.cdfs = tuple(cdfs)
+        self.counts = np.asarray(counts)
+        n_streams, n_classes = len(self.cdfs), self.counts.size
+        n = self.counts.astype(np.uint64)
+        self.decodable = bool(n.max() < _U32)
+        if not self.decodable:
+            return
+        self.n = n
+        # u >= cdf[j] exactly when the 53-bit integer w >> 11 >= ceil(cdf[j] * 2**53); stream s
+        # adds s * 2**53 to its keys and its class bounds, so one search classifies every stream
+        self.stream_keys = (np.arange(n_streams, dtype=np.uint64) << np.uint64(53))[:, None]
+        self.stream_classes = (np.arange(n_streams) * n_classes)[:, None]
+        self.bounds = np.concatenate([
+            np.ceil(np.append(cdf[:-1], 1.0) * 2.0**53).astype(np.uint64) + key
+            for cdf, key in zip(self.cdfs, self.stream_keys[:, 0])
+        ])[:-1]
+        # numpy redraws when the low half falls below (2**32 - n) % n; n == 1 draws no half at all
+        self.threshold = np.where(n == 1, _U32, (_U32 - n) % n)
+        self.max_threshold = self.threshold.max()
+
+    def draw(self, rng: np.random.Generator, n_pairs: int, batch: int) -> tuple[np.ndarray, np.ndarray]:
+        """Classes and within-class rows, each shaped (n_pairs, number of cdfs, batch)."""
+        bits = rng.bit_generator
+        if self.decodable and batch % 2 == 0:
+            saved = bits.state
+            decoded = self._decode(bits, saved, n_pairs, batch)
+            if decoded is not None:
+                return decoded
+            bits.state = saved
+        classes = np.empty((n_pairs, len(self.cdfs), batch), dtype=np.int64)
+        within = np.empty_like(classes)
+        for pair in range(n_pairs):
+            for s, cdf in enumerate(self.cdfs):
+                classes[pair, s] = cdf.searchsorted(rng.random(batch), side="right")
+                within[pair, s] = rng.integers(0, self.counts[classes[pair, s]])
+        return classes, within
+
+    def _decode(self, bits, state: dict, n_pairs: int, batch: int):
+        """The raw-word path of `draw`; None when a Lemire redraw or a count of 1 shifts the words later draws read."""
+        # words per stream and pair: `batch` doubles, then `batch // 2` words of two bounded-int halves
+        raw = bits.random_raw(n_pairs * len(self.cdfs) * 3 * batch // 2).reshape(n_pairs, len(self.cdfs), -1)
+        keys = raw[..., :batch] >> np.uint64(11)
+        keys += self.stream_keys
+        classes = self.bounds.searchsorted(keys, side="right")
+        classes -= self.stream_classes
+        halves = raw[..., batch:].astype("<u8", copy=False).view("<u4")
+        if state["has_uint32"]:
+            shifted = np.empty(halves.size + 1, dtype=np.uint32)
+            shifted[0] = state["uinteger"]
+            shifted[1:].reshape(halves.shape)[...] = halves
+            halves, last = shifted[:-1].reshape(halves.shape), shifted[-1]
+        else:
+            last = halves[-1, -1, -1]
+        m = halves * self.n[classes]
+        low = m.astype(np.uint32)
+        if low.min() < self.max_threshold and (low < self.threshold[classes]).any():
+            return None
+        after = bits.state
+        after["uinteger"] = int(last)
+        bits.state = after
+        return classes, (m >> np.uint64(32)).view(np.int64)
+
+
 class SamplerState:
     """Owns the random stream for one training loop over the split `ds`; not safe for concurrent mutation."""
 
@@ -80,20 +168,25 @@ class SamplerState:
         self.order = np.argsort(ds.labels, kind="stable")
         self.starts = np.cumsum(self.counts) - self.counts
         self.rng = np.random.default_rng(seed)
+        self.block_pairs = max(1, min(math.ceil(ds.n / batch_size), _BLOCK_DRAWS // (2 * batch_size)))
+        self._draws = _BlockDraws((self.cdf_regular, self.cdf_balanced), self.counts)
+        self._block = np.empty((0, 2 * batch_size), dtype=np.int64)
+        self._next = 0
 
-    def _draw(self, cdf: np.ndarray) -> np.ndarray:
-        """Same draws as rng.choice(n_classes, p=probs) then a uniform row within each class."""
-        classes = cdf.searchsorted(self.rng.random(self.batch_size), side="right")
-        within = self.rng.integers(0, self.counts[classes])
-        return self.order[self.starts[classes] + within]
+    def _draw_block(self) -> np.ndarray:
+        """Row indices of the next `block_pairs` pairs, one pair (regular, then balanced) per row."""
+        classes, within = self._draws.draw(self.rng, self.block_pairs, self.batch_size)
+        return self.order[self.starts[classes] + within].reshape(self.block_pairs, -1)
 
 
 def next_batch_pair(sampler: SamplerState) -> BatchPair:
-    """Draw one regular batch and one balanced batch of the sampler's split, with replacement."""
-    reg_idx = sampler._draw(sampler.cdf_regular)
-    bal_idx = sampler._draw(sampler.cdf_balanced)
+    """Hand out the sampler's next regular + balanced batch pair, drawing a new block when one is spent."""
+    if sampler._next == len(sampler._block):
+        sampler._block, sampler._next = sampler._draw_block(), 0
+    idx = sampler._block[sampler._next]
+    sampler._next += 1
     ds = sampler.ds
-    return BatchPair(ds.features, ds.labels, np.concatenate((reg_idx, bal_idx)), reg_idx.size)
+    return BatchPair(ds.features, ds.labels, idx, sampler.batch_size)
 
 
 def epoch_batches(sampler: SamplerState):

@@ -204,3 +204,31 @@ def ref_gradients(params, x, d_regular, d_balanced):
         if span is not None and l == span[1]:
             skip[span[0] - 1] = dz
     return [g for pair in backbone for g in pair] + head_r + head_b
+
+
+# The sampler's draw as first written: per batch, the classes from
+# `Generator.random` and then a row within each class from
+# `Generator.integers`, regular stream before balanced on every step. This
+# is the stream reference the block sampler must reproduce bit for bit.
+
+
+def ref_class_draw(rng, cdf, counts, batch):
+    """(classes, within-class rows) of one batch drawn through `Generator.random` and `Generator.integers`."""
+    classes = cdf.searchsorted(rng.random(batch), side="right")
+    return classes, rng.integers(0, counts[classes])
+
+
+def ref_draw(sampler, cdf):
+    """Row indices of one batch of `sampler`'s split, drawn from `sampler.rng` with the cdf's class weights."""
+    classes, within = ref_class_draw(sampler.rng, cdf, sampler.counts, sampler.batch_size)
+    return sampler.order[sampler.starts[classes] + within]
+
+
+def ref_pair(sampler):
+    """One step's stacked regular + balanced row indices, drawn batch by batch."""
+    return np.concatenate((ref_draw(sampler, sampler.cdf_regular), ref_draw(sampler, sampler.cdf_balanced)))
+
+
+def ref_draw_block(sampler):
+    """Stand-in for `SamplerState._draw_block` that draws each pair through `ref_pair`."""
+    return np.stack([ref_pair(sampler) for _ in range(sampler.block_pairs)])

@@ -280,9 +280,13 @@ class TestEval:
         np.savez(tmp_path / "unchained.npz", **unchained)
         (tmp_path / "text.npz").write_text("hello\n")  # 6 bytes, no archive
         np.savez(tmp_path / "meta_not_json.npz", **dict(arrays, __meta__=np.frombuffer(b"{oops", dtype=np.uint8)))
+        meta = dict(meta, resid_span=None, extra=["variant"])
+        np.savez(tmp_path / "extra_list.npz",
+                 **dict(arrays, __meta__=np.frombuffer(json.dumps(meta).encode("utf-8"), dtype=np.uint8)))
         for name, message in (("no_span", "metadata lacks the key 'resid_span'"),
                               ("unchained", "backbone_1_W has shape"), ("text", "not a readable .npz archive"),
-                              ("meta_not_json", "the array '__meta__' is not a JSON object")):
+                              ("meta_not_json", "the array '__meta__' is not a JSON object"),
+                              ("extra_list", "metadata key 'extra' must be a JSON object, got ['variant']")):
             out = tmp_path / f"eval_{name}"
             code = main(["eval", "--checkpoint", str(tmp_path / f"{name}.npz"), "--csv", str(gen / "test.csv"),
                          "--out", str(out)])

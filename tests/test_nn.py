@@ -609,6 +609,18 @@ class TestCheckpointValidation:
         with pytest.raises(ValidationError, match=rf"ckpt\.npz.*'{key}'"):
             load_checkpoint(path)
 
+    @pytest.mark.parametrize("key, value, expected", [
+        ("extra", ["config_hash"], "a JSON object"),
+        ("class_names", "abc", "a non-empty list, each a string"),
+        ("feature_names", ["v", "w", 3, "y", "z"], "a non-empty list, each a string"),
+        ("label_column", 7, "a string"),
+    ])
+    def test_meta_value_of_wrong_type_names_file_and_key(self, saved, key, value, expected):
+        path, _ = saved
+        rewrite_checkpoint(path, lambda meta: meta.update({key: value}))
+        with pytest.raises(ValidationError, match=rf"ckpt\.npz: metadata key '{key}' must be {expected}, got"):
+            load_checkpoint(path)
+
     @pytest.mark.parametrize("arrays, message", [
         ({"backbone_2_W": np.zeros((8, 7))}, r"backbone_2_W has shape \(8, 7\), its input width is 7"),
         ({"backbone_0_W": np.zeros((4, 7))}, r"backbone_0_W has shape \(4, 7\), its input width is 5"),

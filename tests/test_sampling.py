@@ -1,11 +1,16 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import denshift.sampling as sampling
 from denshift.data import Dataset
 from denshift.errors import ValidationError
-from denshift.sampling import SamplerState, class_probs, epoch_batches, next_batch_pair
+from denshift.sampling import SamplerState, _BlockDraws, class_probs, epoch_batches, next_batch_pair
+
+from oracles import ref_class_draw, ref_draw, ref_pair
 
 
 def make_ds(counts):
@@ -89,7 +94,7 @@ class TestBatchPairs:
         sampler = SamplerState(ds, batch_size=8, seed=5)
         pair = next_batch_pair(sampler)
         ref = SamplerState(ds, batch_size=8, seed=5)
-        reg_idx, bal_idx = ref._draw(ref.cdf_regular), ref._draw(ref.cdf_balanced)
+        reg_idx, bal_idx = ref_draw(ref, ref.cdf_regular), ref_draw(ref, ref.cdf_balanced)
         assert pair.n_regular == 8
         assert np.array_equal(pair.idx, np.concatenate((reg_idx, bal_idx)))
         x, y = pair.rows()
@@ -108,6 +113,8 @@ class TestBatchPairs:
 
 
 class TestDrawReference:
+    """The stream reference in `oracles` is `rng.choice` of a class, then a uniform row within it."""
+
     @pytest.mark.parametrize("q", [0.0, 0.5, 1.0])
     @pytest.mark.parametrize("counts", [[37, 9], [20, 5, 13]])
     def test_matches_one_element_at_a_time_reference(self, q, counts):
@@ -121,7 +128,7 @@ class TestDrawReference:
             classes = ref_rng.choice(len(counts), size=33, p=probs)
             within = ref_rng.integers(0, ds.class_counts[classes])
             expected = np.array([class_indices[c][w] for c, w in zip(classes, within)], dtype=np.int64)
-            drawn = sampler._draw(sampler.cdf_regular)
+            drawn = ref_draw(sampler, sampler.cdf_regular)
             assert drawn.dtype == np.int64
             assert np.array_equal(drawn, expected)
 
@@ -148,3 +155,158 @@ class TestEpochBatches:
                 for p in epoch_batches(sampler)
             ])
         assert seqs[0] == seqs[1]
+
+
+def shuffled_ds(counts, seed=7):
+    labels = np.random.default_rng(seed).permutation(np.repeat(np.arange(len(counts)), counts))
+    return Dataset(np.zeros((labels.size, 1)), labels, ("a",), tuple(f"c{i}" for i in range(len(counts))))
+
+
+def buffer_half_word(rng, half):
+    """Leave `half` in the bit generator's one-half-word buffer, as an odd run of bounded draws does."""
+    state = rng.bit_generator.state
+    state["has_uint32"], state["uinteger"] = 1, half
+    rng.bit_generator.state = state
+
+
+class TestBlockStream:
+    """The block sampler hands out the pairs of the per-draw reference, bit for bit, however it is called."""
+
+    @pytest.mark.parametrize("counts", [[37, 9], [20, 5, 13], [30, 12, 7, 5, 3]])
+    @pytest.mark.parametrize("q", [0.0, 0.5, 1.0])
+    @pytest.mark.parametrize("batch", [8, 7])
+    def test_pairs_and_state_match_reference_every_epoch(self, counts, q, batch):
+        ds = shuffled_ds(counts)
+        sampler = SamplerState(ds, batch_size=batch, seed=3, q_regular=q, q_balanced=1.0 - q)
+        ref = SamplerState(ds, batch_size=batch, seed=3, q_regular=q, q_balanced=1.0 - q)
+        for _ in range(4):
+            for pair in epoch_batches(sampler):
+                assert pair.n_regular == batch
+                assert pair.idx.dtype == np.int64
+                assert np.array_equal(pair.idx, ref_pair(ref))
+            assert sampler.rng.bit_generator.state == ref.rng.bit_generator.state
+
+    def test_sequence_independent_of_call_pattern_and_block_size(self, monkeypatch):
+        ds = shuffled_ds([41, 11, 6])
+        n_pairs = 5 * math.ceil(ds.n / 6)
+        ref = SamplerState(ds, batch_size=6, seed=8)
+        expected = [ref_pair(ref) for _ in range(n_pairs)]
+        one_at_a_time = SamplerState(ds, batch_size=6, seed=8)
+        by_epoch = SamplerState(ds, batch_size=6, seed=8)
+        monkeypatch.setattr(sampling, "_BLOCK_DRAWS", 4 * 2 * 6)
+        straddling = SamplerState(ds, batch_size=6, seed=8)  # 4-pair blocks straddle the 10-pair epochs
+        assert (one_at_a_time.block_pairs, straddling.block_pairs) == (10, 4)
+        sequences = [
+            [next_batch_pair(one_at_a_time).idx for _ in range(n_pairs)],
+            [p.idx for _ in range(5) for p in epoch_batches(by_epoch)],
+            [next_batch_pair(straddling).idx for _ in range(n_pairs)],
+        ]
+        for seq in sequences:
+            assert len(seq) == n_pairs
+            assert all(np.array_equal(a, b) for a, b in zip(seq, expected))
+
+    def test_block_is_one_epoch_capped_at_block_draws(self):
+        assert SamplerState(shuffled_ds([800, 200]), batch_size=128).block_pairs == 8
+        assert SamplerState(shuffled_ds([800, 200]), batch_size=40_000).block_pairs == 1
+        big = SamplerState(shuffled_ds([90_000, 10_000]), batch_size=64)
+        assert big.block_pairs == sampling._BLOCK_DRAWS // 128
+
+    def test_handed_out_pairs_survive_the_next_block(self):
+        sampler = SamplerState(shuffled_ds([9, 5]), batch_size=4, seed=1)
+        first = next_batch_pair(sampler)
+        kept = first.idx.copy()
+        for _ in range(10):
+            next_batch_pair(sampler)
+        assert np.array_equal(first.idx, kept)
+
+
+class TestRarePaths:
+    """Blocks the raw-word decode cannot cover go through the per-draw path with the same stream."""
+
+    def test_class_of_count_one(self):
+        ds = shuffled_ds([20, 1, 6])
+        sampler = SamplerState(ds, batch_size=8, seed=4)
+        ref = SamplerState(ds, batch_size=8, seed=4)
+        for _ in range(4):
+            for pair in epoch_batches(sampler):
+                assert np.array_equal(pair.idx, ref_pair(ref))
+            assert sampler.rng.bit_generator.state == ref.rng.bit_generator.state
+
+    @pytest.mark.parametrize("batch", [8, 7])
+    def test_bit_generator_starting_with_a_buffered_half_word(self, batch):
+        ds = shuffled_ds([37, 9, 4])
+        sampler = SamplerState(ds, batch_size=batch, seed=5, q_regular=0.5)
+        ref = SamplerState(ds, batch_size=batch, seed=5, q_regular=0.5)
+        for rng in (sampler.rng, ref.rng):
+            buffer_half_word(rng, 0x9E3779B9)
+        for _ in range(4):
+            for pair in epoch_batches(sampler):
+                assert np.array_equal(pair.idx, ref_pair(ref))
+            assert sampler.rng.bit_generator.state == ref.rng.bit_generator.state
+
+    @pytest.mark.parametrize("buffered", [False, True])
+    def test_lemire_rejection_restores_the_block(self, buffered):
+        # counts above 2**31 make numpy redraw about half of the bounded ints
+        counts = np.array([2**31 + 12345, 7, 2**31 + 1])
+        cdfs = (np.array([0.25, 0.5, 1.0]), np.array([1 / 3, 2 / 3, 1.0]))
+        draws = _BlockDraws(cdfs, counts)
+        rng, ref_rng = np.random.default_rng(6), np.random.default_rng(6)
+        if buffered:
+            buffer_half_word(rng, 12345)
+            buffer_half_word(ref_rng, 12345)
+        probe = np.random.default_rng()
+        probe.bit_generator.state = rng.bit_generator.state
+        assert draws._decode(probe.bit_generator, probe.bit_generator.state, 3, 8) is None
+        for _ in range(3):
+            classes, within = draws.draw(rng, 3, 8)
+            for pair in range(3):
+                for s, cdf in enumerate(cdfs):
+                    ref_classes, ref_within = ref_class_draw(ref_rng, cdf, counts, 8)
+                    assert np.array_equal(classes[pair, s], ref_classes)
+                    assert np.array_equal(within[pair, s], ref_within)
+            assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+    @pytest.mark.parametrize("step", [-1, 0, 1])
+    def test_class_bounds_next_to_a_drawn_double(self, step):
+        # seed 3's first double is below 1/2, where doubles are finer than the 2**-53 grid of
+        # `random()`: a bound half a grid step above it must keep it in the lower class
+        u = np.random.default_rng(3).random()
+        bound = {-1: np.nextafter(u, 0.0), 0: u, 1: np.nextafter(u, 1.0)}[step]
+        cdfs = (np.array([bound, 1.0]), np.array([0.5, 1.0]))
+        counts = np.array([10, 12])
+        classes, within = _BlockDraws(cdfs, counts).draw(np.random.default_rng(3), 1, 2)
+        ref_rng = np.random.default_rng(3)
+        for s, cdf in enumerate(cdfs):
+            ref_classes, ref_within = ref_class_draw(ref_rng, cdf, counts, 2)
+            assert np.array_equal(classes[0, s], ref_classes)
+            assert np.array_equal(within[0, s], ref_within)
+        assert classes[0, 0, 0] == (0 if step == 1 else 1)
+
+    @given(
+        counts=st.lists(st.integers(1, 5000), min_size=2, max_size=6),
+        weights=st.lists(st.floats(0.01, 1.0), min_size=12, max_size=12),
+        batch=st.integers(1, 24),
+        n_pairs=st.integers(1, 5),
+        half=st.one_of(st.none(), st.integers(0, 2**32 - 1)),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_any_counts_cdfs_and_batch(self, counts, weights, batch, n_pairs, half, seed):
+        c = len(counts)
+        cdfs = tuple(np.cumsum(w) / np.sum(w) for w in (weights[:c], weights[6:6 + c]))
+        for cdf in cdfs:
+            cdf /= cdf[-1]
+        counts = np.array(counts)
+        rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        if half is not None:
+            buffer_half_word(rng, half)
+            buffer_half_word(ref_rng, half)
+        draws = _BlockDraws(cdfs, counts)
+        for _ in range(2):
+            classes, within = draws.draw(rng, n_pairs, batch)
+            for pair in range(n_pairs):
+                for s, cdf in enumerate(cdfs):
+                    ref_classes, ref_within = ref_class_draw(ref_rng, cdf, counts, batch)
+                    assert np.array_equal(classes[pair, s], ref_classes)
+                    assert np.array_equal(within[pair, s], ref_within)
+            assert rng.bit_generator.state == ref_rng.bit_generator.state

@@ -21,6 +21,9 @@ from denshift.training import (
     variant_losses,
 )
 
+from oracles import ref_draw_block
+from test_acceptance import BENCH_SYNTH, BENCH_TRAIN
+
 
 def prepared_splits(n_maj=300, n_min=60, dim=6, modes=2, spread=3.0, seed=0):
     ds = gen_synthetic(SynthConfig(
@@ -570,6 +573,45 @@ class TestPredict:
         params = init_mlp(4, seed=3)
         with pytest.raises(ValidationError):
             predict(params, np.ones((1, 4)), head="middle")
+
+
+class TestBlockSamplerPin:
+    """`train()` with the block sampler equals `train()` with every pair drawn through the per-draw oracle."""
+
+    @staticmethod
+    def both_ways(cfg, splits, monkeypatch):
+        block = train(cfg, splits)
+        with monkeypatch.context() as m:
+            m.setattr(SamplerState, "_draw_block", ref_draw_block)
+            reference = train(cfg, splits)
+        return block, reference
+
+    @staticmethod
+    def assert_same_run(got, expected):
+        (params, history), (ref_params, ref_history) = got, expected
+        assert np.array_equal(params.vector, ref_params.vector)
+        assert repr(history.epochs) == repr(ref_history.epochs)  # NaN cost columns are not ==
+        assert history.best_epoch == ref_history.best_epoch
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_acceptance_splits_every_variant(self, variant, monkeypatch):
+        ds = gen_synthetic(BENCH_SYNTH)
+        tr, va, _ = stratified_split(ds, (0.8, 0.1, 0.1), seed=0)
+        norm = fit_preprocess(tr)
+        splits = (apply_preprocess(tr, norm), apply_preprocess(va, norm))
+        cfg = TrainConfig(variant=variant, seed=0, **dict(BENCH_TRAIN, epochs=100))
+        self.assert_same_run(*self.both_ways(cfg, splits, monkeypatch))
+
+    def test_five_class_decoupling(self, monkeypatch):
+        from denshift.data import Dataset
+
+        rng = np.random.default_rng(5)
+        labels = np.repeat(np.arange(5), [300, 120, 60, 30, 14])
+        ds = Dataset(rng.normal(size=(labels.size, 4)) + labels[:, None], labels, tuple("abcd"),
+                     tuple(f"k{i}" for i in range(5)))
+        tr, va, _ = stratified_split(ds, seed=0)
+        cfg = TrainConfig(variant="decoupling", epochs=15, early_stop_patience=15, batch_size=32, seed=1)
+        self.assert_same_run(*self.both_ways(cfg, (tr, va), monkeypatch))
 
 
 class TestSweepAndAblation:
