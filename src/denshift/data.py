@@ -67,6 +67,10 @@ def list_of(item: Rule, length: int | None = None) -> Rule:
                 and all(map(item.test, v)), f"{size}, each {item.expected}")
 
 
+def or_null(rule: Rule) -> Rule:
+    return Rule(lambda v: v is None or rule.test(v), f"{rule.expected} or null")
+
+
 _COUNT, _SEED, _FRACTIONS = at_least(1), at_least(0), list_of(NON_NEGATIVE, 3)
 _ANY = Rule(lambda v: True, "anything")
 
@@ -82,7 +86,7 @@ CONFIG_RULES = {
     "train.variant": one_of(*VARIANTS), "train.epochs": _COUNT, "train.batch_size": _COUNT,
     "train.learning_rate": POSITIVE, "train.optimizer": one_of("sgd", "adam"), "train.seed": _SEED,
     "train.early_stop_patience": _SEED, "train.hidden": _COUNT, "train.depth": at_least(2),
-    "train.margin_scale": Rule(lambda v: v is None or POSITIVE.test(v), f"{POSITIVE.expected} or null"),
+    "train.margin_scale": or_null(POSITIVE),
     "train.gamma": NON_NEGATIVE, "train.theta": POSITIVE, "train.offset": NON_NEGATIVE,
     "train.lambda_cost": NON_NEGATIVE, "train.q_regular": PROBABILITY, "train.q_balanced": PROBABILITY,
     "metrics.n_bins": _COUNT, "metrics.temperature_scaling": one_of(False, True),
@@ -247,10 +251,6 @@ class SynthConfig:
         if not self.n_majority >= self.n_minority >= self.n_minority_modes:
             raise ValidationError("dataset.synthetic needs n_majority >= n_minority >= n_minority_modes, got "
                                   f"{self.n_majority}, {self.n_minority}, {self.n_minority_modes}")
-
-    @property
-    def imbalance_ratio(self) -> float:
-        return self.n_majority / self.n_minority
 
 
 def _parse_cells(path, rownum: int, cells: list[str], names: tuple[str, ...]) -> list[float]:

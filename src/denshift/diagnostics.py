@@ -22,21 +22,15 @@ _PROBES = {
 }
 
 
-def gradient_report(
-    input_dim: int = 12,
-    n_classes: int = 2,
-    batch_size: int = 24,
-    seed: int = 0,
-    eps: float = 1e-5,
-    n_samples: int = 200,
-) -> dict[str, float]:
-    """Max relative FD error of `training.train_step` for each probed wiring.
+def gradient_report(n_classes: int = 2, seed: int = 0) -> dict[str, float]:
+    """Max relative FD error of `training.train_step` for each probed wiring (see `nn.grad_check`).
 
     Each probe differentiates the summed step loss with respect to one flat
     vector: the model parameters, followed by the trainable log cost when
     the wiring uses the cost term. Loss settings are the `TrainConfig`
     defaults. Cost probes are skipped for multi-class tasks.
     """
+    input_dim, batch_size = 12, 24  # each stream's random batch: 24 rows of 12 features
     rng = np.random.default_rng(seed)
     x_reg = rng.normal(size=(batch_size, input_dim))
     y_reg = rng.integers(0, n_classes, size=batch_size)
@@ -62,7 +56,7 @@ def gradient_report(
             return loss, (np.append(grad, d_cost) if cost_params is not None else grad)
 
         probed = vector if spec.uses_cost else vector[:n]
-        return grad_check(loss_fn, probed, pair, eps, n_samples, seed)
+        return grad_check(loss_fn, probed, pair, seed)
 
     return {
         name: probe(spec) for name, spec in _PROBES.items()

@@ -24,8 +24,9 @@ positive instances and a false-positive cost on negatives,
     L = -y log sigmoid(c_fn * z_max) - (1 - y) log(1 - sigmoid(c_fp * z_max)),
 
 with the constraint set {c_fp > 0, c_fn > 0, c_fn > theta * c_fp}
-satisfied by construction through c_fp = exp(log_cfp) and
-c_fn = theta * c_fp + offset; training moves log_cfp, not c_fp.
+satisfied through c_fp = exp(log_cfp) and c_fn = theta * c_fp + offset
+while both are positive finite floats (`current_costs` raises
+NumericalError once they are not); training moves log_cfp, not c_fp.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import NON_NEGATIVE, POSITIVE, class_labels
-from .errors import UnsupportedTaskError, ValidationError
+from .errors import NumericalError, UnsupportedTaskError, ValidationError
 
 
 # Up to this many columns, folding np.maximum over the columns beats one np.maximum.reduce
@@ -120,10 +121,10 @@ def delta_margins(class_counts, margin_scale: float | None = None) -> np.ndarray
     return POSITIVE.check("margin_scale", margin_scale) / counts**0.25
 
 
-def default_margin_scale(class_counts, max_margin: float = 0.5) -> float:
-    """Scale chosen so the rarest class gets margin max_margin."""
+def default_margin_scale(class_counts) -> float:
+    """Scale chosen so the rarest class gets margin 0.5."""
     counts = np.asarray(class_counts, dtype=np.float64)
-    return float(max_margin * counts.min() ** 0.25)
+    return float(0.5 * counts.min() ** 0.25)
 
 
 @dataclass
@@ -133,7 +134,7 @@ class CostParams:
     log_cfp is the single trainable degree of freedom; theta and offset are
     fixed hyperparameters. The parameterization keeps both costs positive
     and the false-negative cost at least theta times the false-positive
-    cost for any real log_cfp.
+    cost while exp(log_cfp) neither underflows to 0.0 nor overflows c_fn.
     """
 
     log_cfp: float = 0.0
@@ -146,9 +147,12 @@ class CostParams:
 
 
 def current_costs(cp: CostParams) -> tuple[float, float]:
-    """Materialize (false-positive cost, false-negative cost) from the parameters."""
+    """(false-positive cost, false-negative cost); NumericalError unless both are positive finite floats."""
     c_fp = float(np.exp(cp.log_cfp))
-    return c_fp, cp.theta * c_fp + cp.offset
+    c_fn = cp.theta * c_fp + cp.offset
+    if not (c_fp > 0.0 and c_fn <= _FLOAT_MAX):  # also false for NaN
+        raise NumericalError(f"log_cfp={cp.log_cfp!r} gives costs c_fp={c_fp!r}, c_fn={c_fn!r}, not positive finite")
+    return c_fp, c_fn
 
 
 def ce(logits: np.ndarray, y) -> tuple[float, np.ndarray]:

@@ -189,9 +189,8 @@ def nll(logits: np.ndarray, labels, temperature: float = 1.0) -> float:
     return float(-logp[np.arange(labels.size), labels].mean())
 
 
-def temperature_fit(logits: np.ndarray, labels, lo: float = 0.05, hi: float = 20.0,
-                    tol: float = 1e-4) -> float:
-    """Temperature minimizing validation NLL, by golden-section search on [lo, hi].
+def temperature_fit(logits: np.ndarray, labels) -> float:
+    """Temperature minimizing validation NLL, by golden-section search on [0.05, 20] to a width of 1e-4.
 
     Never returns a temperature worse than 1.0: if the search cannot beat
     the unscaled NLL, 1.0 is returned, so applying the fit weakly improves
@@ -201,11 +200,11 @@ def temperature_fit(logits: np.ndarray, labels, lo: float = 0.05, hi: float = 20
     if np.unique(labels).size < 2:
         raise ValidationError("temperature fit needs at least two classes in the labels")
     invphi = (np.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
+    a, b = 0.05, 20.0
     c = b - invphi * (b - a)
     d = a + invphi * (b - a)
     fc, fd = nll(logits, labels, c), nll(logits, labels, d)
-    while b - a > tol:
+    while b - a > 1e-4:
         if fc < fd:
             b, d, fd = d, c, fc
             c = b - invphi * (b - a)

@@ -19,10 +19,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import CONFIG_RULES, TEXT, NormStats, Rule, list_of
+from .data import CONFIG_RULES, TEXT, NormStats, Rule, at_least, list_of, one_of, or_null
 from .errors import NumericalError, ValidationError
 
 CHECKPOINT_VERSION = "denshift-checkpoint-1"
+# Adam's moment decay rates and denominator guard, the defaults of Kingma & Ba (arXiv:1412.6980)
+_ADAM_BETA1, _ADAM_BETA2, _ADAM_EPS = 0.9, 0.999, 1e-8
+# grad_check's central-difference step and the most entries it probes
+_FD_EPS, _FD_SAMPLES = 1e-5, 200
 
 
 class DenseLayer:
@@ -298,9 +302,6 @@ class OptState:
     step: int = 0
     m: np.ndarray | None = None
     v: np.ndarray | None = None
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     scratch: tuple[np.ndarray, np.ndarray] | None = field(default=None, repr=False)
 
     @classmethod
@@ -322,26 +323,25 @@ def opt_step(vector: np.ndarray, grad: np.ndarray, opt: OptState) -> np.ndarray:
         return vector
     opt.step += 1
     m, v = opt.m, opt.v
-    m *= opt.beta1
-    m += np.multiply(grad, 1.0 - opt.beta1, out=s)  # m = b1*m + (1-b1)*g
-    v *= opt.beta2
-    v += np.multiply(np.multiply(grad, 1.0 - opt.beta2, out=s), grad, out=s)  # v = b2*v + (1-b2)*g*g
-    np.divide(m, 1.0 - opt.beta1**opt.step, out=s)
+    m *= _ADAM_BETA1
+    m += np.multiply(grad, 1.0 - _ADAM_BETA1, out=s)  # m = b1*m + (1-b1)*g
+    v *= _ADAM_BETA2
+    v += np.multiply(np.multiply(grad, 1.0 - _ADAM_BETA2, out=s), grad, out=s)  # v = b2*v + (1-b2)*g*g
+    np.divide(m, 1.0 - _ADAM_BETA1**opt.step, out=s)
     s *= opt.lr
-    np.divide(v, 1.0 - opt.beta2**opt.step, out=t)
+    np.divide(v, 1.0 - _ADAM_BETA2**opt.step, out=t)
     np.sqrt(t, out=t)
-    t += opt.eps
+    t += _ADAM_EPS
     vector -= np.divide(s, t, out=s)  # p -= lr*m_hat / (sqrt(v_hat) + eps)
     return vector
 
 
-def grad_check(loss_fn, vector: np.ndarray, batch, eps: float = 1e-5,
-               n_samples: int = 200, seed: int = 0) -> float:
-    """Max relative error of analytic gradients vs central finite differences.
+def grad_check(loss_fn, vector: np.ndarray, batch, seed: int = 0) -> float:
+    """Max relative error of analytic gradients vs central finite differences with step 1e-5.
 
     loss_fn(vector, batch) must return (scalar loss, gradient shaped like
     the 1-D `vector`). Each probed entry is perturbed in place and then
-    restored. Probes a random subsample of n_samples entries (all of them
+    restored. Probes a random subsample of 200 entries (all of them
     if fewer exist); error is |g - g_fd| / max(|g_fd|, 1e-8).
     """
     if vector.ndim != 1:
@@ -351,26 +351,27 @@ def grad_check(loss_fn, vector: np.ndarray, batch, eps: float = 1e-5,
         raise NumericalError(f"non-finite loss {loss} in gradient check")
     rng = np.random.default_rng(seed)
     total = vector.size
-    picks = np.arange(total) if total <= n_samples else rng.choice(total, size=n_samples, replace=False)
+    picks = np.arange(total) if total <= _FD_SAMPLES else rng.choice(total, size=_FD_SAMPLES, replace=False)
 
     worst = 0.0
     for i in picks:
         orig = vector[i]
-        vector[i] = orig + eps
+        vector[i] = orig + _FD_EPS
         lp, _ = loss_fn(vector, batch)
-        vector[i] = orig - eps
+        vector[i] = orig - _FD_EPS
         lm, _ = loss_fn(vector, batch)
         vector[i] = orig
         if not (np.isfinite(lp) and np.isfinite(lm)):
             raise NumericalError("non-finite loss while probing finite differences")
-        g_fd = (lp - lm) / (2.0 * eps)
+        g_fd = (lp - lm) / (2.0 * _FD_EPS)
         worst = max(worst, abs(grad[i] - g_fd) / max(abs(g_fd), 1e-8))
     return float(worst)
 
 
-# every metadata key -> the rule its value keeps; None where the key is checked against the arrays
+# every metadata key -> the rule its value keeps; `_check_checkpoint_layers` checks the span against the arrays
 _CHECKPOINT_META = {
-    "n_backbone": None, "resid_span": None, "trained_heads": None,
+    "n_backbone": at_least(1), "resid_span": or_null(list_of(Rule(lambda v: type(v) is int, "an integer"), 2)),
+    "trained_heads": or_null(one_of(["regular"], ["balanced"], ["regular", "balanced"], ["balanced", "regular"])),
     "class_names": list_of(TEXT), "feature_names": list_of(TEXT), "label_column": TEXT,
     "extra": Rule(lambda v: isinstance(v, dict), "a JSON object"),
 }
@@ -415,8 +416,7 @@ def _check_checkpoint_layers(where: str, names: list[str], layers, meta: dict) -
             raise ValidationError(f"{where}: {name}_W has {W.shape[1]} columns, the checkpoint names {n_classes} classes")
     span, n_backbone = meta["resid_span"], len(names) - 2
     if span is not None:
-        if not (isinstance(span, list) and len(span) == 2 and all(type(i) is int for i in span)
-                and 1 <= span[0] <= span[1] < n_backbone):
+        if not 1 <= span[0] <= span[1] < n_backbone:
             raise ValidationError(f"{where}: resid_span {span!r} does not lie inside the "
                                   f"{n_backbone}-layer backbone (need 1 <= start <= end < {n_backbone})")
         if widths[span[0]] != widths[span[1] + 1]:
@@ -428,9 +428,9 @@ def load_checkpoint(path) -> tuple[ModelParams, NormStats, dict]:
     """Inverse of save_checkpoint; logits reproduce bit-exactly on the same platform.
 
     A file that is no readable .npz archive, metadata that is no JSON
-    object, a missing metadata key or array, a metadata value of the wrong
-    type, or layer shapes that do not chain raise ValidationError naming
-    the file and what is wrong.
+    object, a missing metadata key or array, a metadata value that breaks
+    its `_CHECKPOINT_META` rule, or layer shapes that do not chain raise
+    ValidationError naming the file and what is wrong.
     """
     where = f"checkpoint {path}"
     try:  # any file but a zip archive, or a damaged one, raises BadZipFile; a member numpy cannot read, ValueError
@@ -455,12 +455,8 @@ def load_checkpoint(path) -> tuple[ModelParams, NormStats, dict]:
     if missing:
         raise ValidationError(f"{where}: metadata lacks the key {missing[0]!r}")
     for key, rule in _CHECKPOINT_META.items():
-        if rule is not None:
-            rule.check(f"{where}: metadata key {key!r}", meta[key])
-    n_backbone = meta["n_backbone"]
-    if type(n_backbone) is not int or n_backbone < 1:
-        raise ValidationError(f"{where}: n_backbone must be a positive integer, got {n_backbone!r}")
-    names = [f"backbone_{i}" for i in range(n_backbone)] + ["head_regular", "head_balanced"]
+        rule.check(f"{where}: metadata key {key!r}", meta[key])
+    names = [f"backbone_{i}" for i in range(meta["n_backbone"])] + ["head_regular", "head_balanced"]
     arrays = [f"{name}_{k}" for name in names for k in ("W", "b")]
     arrays += list(_NORM_ARRAYS)
     absent = [key for key in arrays if key not in blob]

@@ -18,7 +18,6 @@ log C_FP when the cost term trains. Model selection is by validation AUC-ROC of 
 from __future__ import annotations
 
 import math
-import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from typing import NamedTuple
@@ -99,11 +98,10 @@ class EpochRecord(NamedTuple):
 
 @dataclass
 class TrainHistory:
-    """Per-epoch trajectory; wall time is kept here and never written to report files."""
+    """Per-epoch trajectory and the epoch whose parameters `train` returns."""
 
     epochs: list[EpochRecord] = field(default_factory=list)
     best_epoch: int = -1
-    wall_time_s: float = 0.0
 
     @property
     def epochs_run(self) -> int:
@@ -178,7 +176,6 @@ def train(cfg: TrainConfig, splits: tuple[Dataset, Dataset]) -> tuple[ModelParam
     if spec.uses_cost and train_ds.n_classes != 2:
         raise UnsupportedTaskError("cost-matrix variants support binary tasks only")
 
-    t0 = time.perf_counter()
     init = init_mlp(train_ds.dim, cfg.hidden, cfg.depth, train_ds.n_classes, seed=cfg.seed)
     # the optimizer updates one vector: the parameters, then log C_FP when the cost term trains
     n = init.layout.size
@@ -237,7 +234,6 @@ def train(cfg: TrainConfig, splits: tuple[Dataset, Dataset]) -> tuple[ModelParam
     except FloatingPointError as exc:
         raise NumericalError(f"numeric blow-up at epoch {epoch}: {exc}") from None
 
-    history.wall_time_s = time.perf_counter() - t0
     return best_params, history
 
 
@@ -333,7 +329,6 @@ def table_metrics(n_classes: int) -> tuple[str, ...]:
 def run_ablation(
     cfg: TrainConfig,
     splits: tuple[Dataset, Dataset, Dataset],
-    variants=VARIANTS,
     seeds=(0, 1, 2, 3, 4),
     max_workers: int = 1,
 ) -> dict:
@@ -342,6 +337,5 @@ def run_ablation(
     On multi-class data the binary-only cost variants are skipped.
     """
     n_classes = splits[0].n_classes
-    if n_classes != 2:
-        variants = tuple(v for v in variants if not variant_losses(v).uses_cost)
+    variants = tuple(v for v in VARIANTS if n_classes == 2 or not variant_losses(v).uses_cost)
     return _grid(cfg, splits, "variant", variants, seeds, table_metrics(n_classes), max_workers)

@@ -71,6 +71,16 @@ def write_cfg(tmp_path, extra=None, name="cfg.json"):
     return path
 
 
+@pytest.fixture(scope="module")
+def trained_run(tmp_path_factory):
+    """A `full` checkpoint trained on TINY, and the test split that gen-data writes for the same config."""
+    tmp = tmp_path_factory.mktemp("trained")
+    path = write_cfg(tmp)
+    assert main(["train", "--config", str(path), "--out", str(tmp / "run")]) == 0
+    assert main(["gen-data", "--config", str(path), "--out", str(tmp / "gen")]) == 0
+    return tmp / "run" / "checkpoint.npz", tmp / "gen" / "test.csv"
+
+
 class TestConfig:
     def test_defaults_then_file_then_flags(self, tmp_path):
         path = write_cfg(tmp_path)
@@ -295,6 +305,25 @@ class TestEval:
             assert f"checkpoint {tmp_path / name}.npz: {message}" in err
             assert "Traceback" not in err
             assert not out.exists()
+
+    @pytest.mark.parametrize("key, value", [
+        ("trained_heads", 5), ("trained_heads", "balanced"), ("trained_heads", ["regular", "oops"]),
+        ("trained_heads", ["regular", "regular"]), ("trained_heads", []),
+        ("n_backbone", 0), ("n_backbone", True), ("resid_span", [1.5, 2]),
+    ])
+    def test_bad_metadata_value_exits_one_naming_file_and_key(self, trained_run, tmp_path, capsys, key, value):
+        checkpoint, csv = trained_run
+        with np.load(checkpoint) as blob:
+            arrays = {k: blob[k] for k in blob.files}
+        meta = dict(json.loads(bytes(arrays["__meta__"]).decode("utf-8")), **{key: value})
+        arrays["__meta__"] = np.frombuffer(json.dumps(meta).encode("utf-8"), dtype=np.uint8)
+        bad, out = tmp_path / "bad.npz", tmp_path / "eval"
+        np.savez(bad, **arrays)
+        assert main(["eval", "--checkpoint", str(bad), "--csv", str(csv), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert f"checkpoint {bad}: metadata key '{key}' must be " in err
+        assert "Traceback" not in err
+        assert not out.exists()
 
     def test_eval_on_separable_toy_training_split(self, tmp_path):
         cfg = {
@@ -535,6 +564,15 @@ class TestOtherCommands:
         assert main(["train", "--config", str(path), "--variant", "full"]) == 2
         err = capsys.readouterr().err
         assert "overflow" in err and "epoch" in err
+        assert not (out / "report.json").exists()
+
+    def test_cost_underflow_is_exit_two(self, tmp_path, capsys):
+        # plain SGD at learning rate 30 drives log_cfp below -745, where exp(log_cfp) is 0.0
+        out = tmp_path / "underflow"
+        path = write_cfg(tmp_path, {"train": {"optimizer": "sgd", "learning_rate": 30}, "output_dir": str(out)})
+        assert main(["train", "--config", str(path), "--variant", "full"]) == 2
+        err = capsys.readouterr().err
+        assert "log_cfp=" in err and "c_fp=0.0" in err
         assert not (out / "report.json").exists()
 
     def test_invalid_thread_count_is_exit_one(self, tmp_path, capsys, monkeypatch):

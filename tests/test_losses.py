@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from denshift.errors import UnsupportedTaskError, ValidationError
+from denshift.errors import NumericalError, UnsupportedTaskError, ValidationError
 from denshift.losses import (
     CostParams,
     ce,
@@ -211,6 +211,12 @@ class TestCostParams:
             assert c_fp > 0.0
             assert c_fn > 0.0
             assert c_fn >= 5.0 * c_fp + 0.01 * (1 - 1e-12)
+
+    @pytest.mark.parametrize("log_cfp", [-746.0, 709.0, 800.0, float("nan")])
+    def test_costs_outside_the_positive_finite_floats_raise(self, log_cfp):
+        # exp(-746) underflows to 0.0; 5 * exp(709) and exp(800) overflow to inf
+        with np.errstate(over="ignore"), pytest.raises(NumericalError, match="log_cfp"):
+            current_costs(CostParams(log_cfp, 5.0, 0.01))
 
     def test_hyperparameter_validation(self):
         with pytest.raises(ValidationError):

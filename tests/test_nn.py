@@ -11,6 +11,7 @@ from denshift.nn import (
     Gradients,
     ModelParams,
     OptState,
+    _CHECKPOINT_META,
     backward,
     forward,
     grad_check,
@@ -319,7 +320,7 @@ class TestBackward:
                 loss, grads = model_loss(_p, batch[0], batch[1], head="balanced", deltas=_d)
                 return loss, grads.vector
 
-            err = grad_check(fn, p.vector, (x, y), eps=1e-5, n_samples=200, seed=seed)
+            err = grad_check(fn, p.vector, (x, y), seed=seed)
             assert err < 1e-4
 
     def test_gradcheck_through_regular_head(self):
@@ -333,7 +334,7 @@ class TestBackward:
                 loss, grads = model_loss(_p, batch[0], batch[1], head="regular")
                 return loss, grads.vector
 
-            err = grad_check(fn, p.vector, (x, y), eps=1e-5, n_samples=200, seed=seed)
+            err = grad_check(fn, p.vector, (x, y), seed=seed)
             assert err < 1e-4
 
     def test_linear_model_squared_loss_is_exact(self):
@@ -347,7 +348,7 @@ class TestBackward:
             resid = pred - batch[1]
             return float((resid**2).sum()), 2.0 * batch[0].T @ resid
 
-        err = grad_check(fn, w, (x, t), eps=1e-5, n_samples=200, seed=0)
+        err = grad_check(fn, w, (x, t), seed=0)
         assert err < 1e-9
         with pytest.raises(ValidationError, match="1-D"):
             grad_check(fn, w.reshape(4, 1), (x, t))
@@ -664,8 +665,8 @@ class TestCheckpointValidation:
         (lambda m: m.update(resid_span=[0, 1]), "does not lie inside the 4-layer backbone"),
         (lambda m: m.update(resid_span=[2, 4]), "does not lie inside the 4-layer backbone"),
         (lambda m: m.update(resid_span=[2, 1]), "does not lie inside the 4-layer backbone"),
-        (lambda m: m.update(resid_span="1-2"), "does not lie inside the 4-layer backbone"),
-        (lambda m: m.update(n_backbone="4"), "n_backbone must be a positive integer"),
+        (lambda m: m.update(resid_span="1-2"), r"ckpt\.npz: metadata key 'resid_span' must be a list of 2 items"),
+        (lambda m: m.update(n_backbone="4"), r"ckpt\.npz: metadata key 'n_backbone' must be an integer >= 1"),
         (lambda m: m.update(n_backbone=5), "missing the array 'backbone_4_W'"),
         (lambda m: m.update(feature_names=["v", "w"]), r"backbone_0_W has shape \(5, 7\), its input width is 2"),
     ])
@@ -674,6 +675,20 @@ class TestCheckpointValidation:
         rewrite_checkpoint(path, meta_edit)
         with pytest.raises(ValidationError, match=message):
             load_checkpoint(path)
+
+    def test_every_written_metadata_key_has_a_rule_it_keeps(self, saved):
+        import json
+
+        path, p = saved
+        stats = load_checkpoint(path)[1]
+        for heads in (None, ("regular",), ("regular", "balanced")):
+            p.trained_heads = heads
+            save_checkpoint(path, p, stats, ("a", "b", "c"), tuple("vwxyz"))
+            with np.load(path) as blob:
+                written = json.loads(bytes(blob["__meta__"]).decode("utf-8"))
+            assert set(written) - {"version"} == set(_CHECKPOINT_META)
+            for key, rule in _CHECKPOINT_META.items():
+                assert rule is not None and rule.test(written[key]), key
 
     def test_skip_between_unequal_widths_is_refused(self, tmp_path):
         # backbone widths 5 -> 7 -> 7 -> 4: a skip from act[1] (width 7) onto layer 2's output (width 4)
