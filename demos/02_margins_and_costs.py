@@ -17,7 +17,6 @@ from denshift import (
     ce,
     cost_loss,
     current_costs,
-    dah_hinge,
     dah_softmax,
     delta_margins,
     focal,
@@ -31,7 +30,10 @@ deltas = delta_margins([720, 80], 1.0)
 rng = np.random.default_rng(0)
 z = rng.normal(0.0, 1.0, size=(6, 2))
 y = rng.integers(0, 2, size=6)
-print(f"\nhinge loss on a random batch:           {dah_hinge(z, y, deltas):.4f}")
+# the hinge max(max_{j != y} z_j - z_y + delta_y, 0); with two classes the rival is the other logit
+rows = np.arange(len(y))
+hinge = np.maximum(z[rows, 1 - y] - z[rows, y] + deltas[y], 0.0).mean()
+print(f"\nhinge loss on a random batch:           {hinge:.4f}")
 for t in (1.0, 10.0, 100.0):
     relaxed, _ = dah_softmax(t * z, y, t * deltas)
     print(f"relaxed form, logits and margins x{t:>5.0f}: {relaxed / t:.4f}")
@@ -42,7 +44,7 @@ for label, logits in (("easy", np.array([[6.0, -6.0]])), ("hard", np.array([[0.2
     focal_val = focal(logits, [0], 2.0)[0]
     print(f"  {label}: ce={ce_val:.5f}  focal(gamma=2)={focal_val:.5f}")
 
-print("\ncost parameterization keeps the constraint set satisfied for any log_cfp:")
+print("\ncost parameterization keeps the constraint set satisfied while both costs are positive finite floats:")
 cp = CostParams(log_cfp=0.0, theta=5.0, offset=0.01)
 walk = np.random.default_rng(1)
 for step in range(5):

@@ -32,9 +32,7 @@ from .losses import (
     ce,
     cost_loss,
     current_costs,
-    dah_hinge,
     dah_softmax,
-    default_margin_scale,
     delta_margins,
     focal,
     softmax,

@@ -245,8 +245,7 @@ def cmd_eval(cfg: dict, args) -> int:
         raise SchemaError(f"{args.csv}: label values unknown to checkpoint: {unknown}")
     remap = np.array([ckpt_classes.index(c) for c in ds.class_names], dtype=np.int64)
     labels = remap[ds.labels]
-    ds = Dataset(ds.features, labels, ds.feature_names, tuple(ckpt_classes),
-                 label_column=label_column, allow_empty_classes=True)
+    ds = Dataset(ds.features, labels, ds.feature_names, tuple(ckpt_classes), label_column=label_column)
 
     prepared = apply_preprocess(ds, stats)
     probs = predict(params, prepared.features)

@@ -132,7 +132,9 @@ class Dataset:
     """Immutable feature matrix + labels + class bookkeeping.
 
     features may contain NaN (missing) before preprocessing but never Inf.
-    labels are contiguous class indices aligned with class_names.
+    labels are contiguous class indices aligned with class_names. A class
+    may have no rows (a split or an eval file can lack one); `SamplerState`
+    and `stratified_split` refuse such a class, naming it.
     """
 
     features: np.ndarray
@@ -140,7 +142,6 @@ class Dataset:
     feature_names: tuple[str, ...]
     class_names: tuple[str, ...]
     label_column: str = "label"
-    allow_empty_classes: bool = False
     class_counts: np.ndarray = field(init=False)
 
     def __post_init__(self):
@@ -159,9 +160,6 @@ class Dataset:
         if np.isinf(feats).any():
             raise ValidationError("features contain Inf")
         counts = np.bincount(labels, minlength=n_classes).astype(np.int64)
-        if not self.allow_empty_classes and (counts == 0).any():
-            empty = [self.class_names[c] for c in np.flatnonzero(counts == 0)]
-            raise ValidationError(f"classes with no instances: {empty}")
         feats.flags.writeable = False
         labels.flags.writeable = False
         counts.flags.writeable = False
@@ -190,14 +188,8 @@ class Dataset:
     def subset(self, indices: np.ndarray) -> "Dataset":
         """Row subset preserving the class index space (splits may lose a class)."""
         idx = np.asarray(indices, dtype=np.int64)
-        return Dataset(
-            self.features[idx],
-            self.labels[idx],
-            self.feature_names,
-            self.class_names,
-            label_column=self.label_column,
-            allow_empty_classes=True,
-        )
+        return Dataset(self.features[idx], self.labels[idx], self.feature_names, self.class_names,
+                       label_column=self.label_column)
 
 
 @dataclass(frozen=True)
@@ -390,10 +382,7 @@ def apply_preprocess(ds: Dataset, stats: NormStats) -> Dataset:
     missing = np.isnan(feats)
     feats[missing] = np.broadcast_to(stats.impute, feats.shape)[missing]
     feats = (feats - stats.mean) / stats.std
-    return Dataset(
-        feats, ds.labels, ds.feature_names, ds.class_names,
-        label_column=ds.label_column, allow_empty_classes=True,
-    )
+    return Dataset(feats, ds.labels, ds.feature_names, ds.class_names, label_column=ds.label_column)
 
 
 def stratified_split(

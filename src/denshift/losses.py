@@ -6,8 +6,8 @@ the 1/B batch reduction already folded into the gradient. The cost-matrix
 loss also returns the derivative with respect to its trainable log
 false-positive cost.
 
-`ce` and `dah_softmax` share one log-softmax cross-entropy core (`ce` is
-its zero-margin case, as in LDAM, arXiv:1906.07413).
+`ce`, `dah_softmax` and `metrics.nll` share one log-softmax cross-entropy
+core (`ce` is its zero-margin case, as in LDAM, arXiv:1906.07413).
 
 The density-aware hinge assigns class c the margin
 
@@ -86,13 +86,6 @@ def _check_labels(logits: np.ndarray, y) -> np.ndarray:
     return y
 
 
-def _check_margins(logits: np.ndarray, deltas) -> np.ndarray:
-    deltas = np.asarray(deltas, dtype=np.float64)
-    if deltas.shape != (logits.shape[1],):
-        raise ValidationError("need one margin per class")
-    return deltas
-
-
 def _softmax_ce(logits: np.ndarray, y: np.ndarray, deltas: np.ndarray | None = None):
     """Mean CE with each true logit lowered by deltas[y] (unshifted when None), and d/dlogits."""
     b = logits.shape[0]
@@ -111,20 +104,14 @@ def _softmax_ce(logits: np.ndarray, y: np.ndarray, deltas: np.ndarray | None = N
 def delta_margins(class_counts, margin_scale: float | None = None) -> np.ndarray:
     """Per-class margins margin_scale / count**(1/4); smaller classes get larger margins.
 
-    A None scale is `default_margin_scale`, so the rarest class gets margin 0.5.
+    A None scale is 0.5 * min(count)**(1/4), so the rarest class gets margin 0.5.
     """
     counts = np.asarray(class_counts, dtype=np.float64)
     if (counts < 1).any():
         raise ValidationError("class counts must be >= 1")
     if margin_scale is None:
-        margin_scale = default_margin_scale(counts)
+        margin_scale = float(0.5 * counts.min() ** 0.25)
     return POSITIVE.check("margin_scale", margin_scale) / counts**0.25
-
-
-def default_margin_scale(class_counts) -> float:
-    """Scale chosen so the rarest class gets margin 0.5."""
-    counts = np.asarray(class_counts, dtype=np.float64)
-    return float(0.5 * counts.min() ** 0.25)
 
 
 @dataclass
@@ -196,20 +183,10 @@ def dah_softmax(logits: np.ndarray, y, deltas) -> tuple[float, np.ndarray]:
     The gradient is the softmax of the shifted logits minus the one-hot target.
     """
     y = _check_labels(logits, y)
-    return _softmax_ce(logits, y, _check_margins(logits, deltas))
-
-
-def dah_hinge(logits: np.ndarray, y, deltas) -> float:
-    """Hinge form max(max_{j != y} z_j - z_y + delta_y, 0), mean over the batch."""
-    y = _check_labels(logits, y)
-    deltas = _check_margins(logits, deltas)
-    if logits.shape[1] < 2:
-        raise ValidationError("hinge needs at least 2 classes")
-    true = _true_entries(logits, y)
-    masked = np.array(logits, dtype=np.float64, order="C")
-    masked.ravel()[true] = -np.inf
-    margins = _row_max(masked) - logits.ravel()[true] + deltas[y]
-    return float(np.maximum(margins, 0.0).mean())
+    deltas = np.asarray(deltas, dtype=np.float64)
+    if deltas.shape != (logits.shape[1],):
+        raise ValidationError("need one margin per class")
+    return _softmax_ce(logits, y, deltas)
 
 
 def cost_loss(logits: np.ndarray, y, cp: CostParams) -> tuple[float, np.ndarray, float]:

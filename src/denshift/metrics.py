@@ -17,7 +17,7 @@ import numpy as np
 
 from .data import POSITIVE, at_least, class_labels, write_table
 from .errors import ValidationError
-from .losses import _check_labels, _log_softmax, softmax
+from .losses import _check_labels, _softmax_ce, softmax
 
 
 @dataclass(frozen=True)
@@ -182,11 +182,10 @@ def macro_micro_auc(score_matrix: np.ndarray, labels) -> tuple[float, float]:
 
 
 def nll(logits: np.ndarray, labels, temperature: float = 1.0) -> float:
-    """Mean negative log-likelihood of softmax(logits / T)."""
+    """Mean negative log-likelihood of softmax(logits / T): the cross-entropy of the scaled logits."""
     logits = np.asarray(logits, dtype=np.float64)
     labels = _check_labels(logits, labels)
-    logp = _log_softmax(logits / POSITIVE.check("temperature", temperature))
-    return float(-logp[np.arange(labels.size), labels].mean())
+    return _softmax_ce(logits / POSITIVE.check("temperature", temperature), labels)[0]
 
 
 def temperature_fit(logits: np.ndarray, labels) -> float:

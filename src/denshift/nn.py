@@ -368,7 +368,7 @@ def grad_check(loss_fn, vector: np.ndarray, batch, seed: int = 0) -> float:
     return float(worst)
 
 
-# every metadata key -> the rule its value keeps; `_check_checkpoint_layers` checks the span against the arrays
+# every metadata key -> the rule its value keeps; `load_checkpoint` checks the span against the arrays
 _CHECKPOINT_META = {
     "n_backbone": at_least(1), "resid_span": or_null(list_of(Rule(lambda v: type(v) is int, "an integer"), 2)),
     "trained_heads": or_null(one_of(["regular"], ["balanced"], ["regular", "balanced"], ["balanced", "regular"])),
@@ -400,30 +400,6 @@ def save_checkpoint(path, params: ModelParams, norm_stats: NormStats,
     np.savez(path, __meta__=np.frombuffer(json.dumps(meta).encode("utf-8"), dtype=np.uint8), **arrays)
 
 
-def _check_checkpoint_layers(where: str, names: list[str], layers, meta: dict) -> None:
-    """Every layer's W rows match the width before it, every b its W's columns, the heads agree, the skip fits."""
-    widths = [len(meta["feature_names"])]  # widths[l]: backbone layer l's input width; the heads read widths[-1]
-    for name, (W, b) in zip(names, layers):
-        if W.ndim != 2 or W.shape[0] != widths[-1]:
-            raise ValidationError(f"{where}: {name}_W has shape {W.shape}, its input width is {widths[-1]}")
-        if b.shape != (W.shape[1],):
-            raise ValidationError(f"{where}: {name}_b has shape {b.shape}, {name}_W has {W.shape[1]} columns")
-        if name.startswith("backbone"):
-            widths.append(W.shape[1])
-    n_classes = len(meta["class_names"])
-    for name, (W, _) in zip(names[-2:], layers[-2:]):
-        if W.shape[1] != n_classes:
-            raise ValidationError(f"{where}: {name}_W has {W.shape[1]} columns, the checkpoint names {n_classes} classes")
-    span, n_backbone = meta["resid_span"], len(names) - 2
-    if span is not None:
-        if not 1 <= span[0] <= span[1] < n_backbone:
-            raise ValidationError(f"{where}: resid_span {span!r} does not lie inside the "
-                                  f"{n_backbone}-layer backbone (need 1 <= start <= end < {n_backbone})")
-        if widths[span[0]] != widths[span[1] + 1]:
-            raise ValidationError(f"{where}: resid_span {span!r} adds a width-{widths[span[0]]} activation "
-                                  f"to a width-{widths[span[1] + 1]} layer output")
-
-
 def load_checkpoint(path) -> tuple[ModelParams, NormStats, dict]:
     """Inverse of save_checkpoint; logits reproduce bit-exactly on the same platform.
 
@@ -438,10 +414,14 @@ def load_checkpoint(path) -> tuple[ModelParams, NormStats, dict]:
             blob = {key: npz[key] for key in npz.files}
     except (ValueError, zipfile.BadZipFile) as exc:
         raise ValidationError(f"{where}: not a readable .npz archive ({exc})") from None
-    if "__meta__" not in blob:
-        raise ValidationError(f"{where}: missing the array '__meta__'")
+
+    def array(key: str) -> np.ndarray:
+        if key not in blob:
+            raise ValidationError(f"{where}: missing the array {key!r}")
+        return blob[key]
+
     try:
-        meta = json.loads(bytes(blob["__meta__"]).decode("utf-8"))
+        meta = json.loads(bytes(array("__meta__")).decode("utf-8"))
     except ValueError:  # also a JSONDecodeError or a UnicodeDecodeError
         meta = None
     if not isinstance(meta, dict):
@@ -456,18 +436,33 @@ def load_checkpoint(path) -> tuple[ModelParams, NormStats, dict]:
         raise ValidationError(f"{where}: metadata lacks the key {missing[0]!r}")
     for key, rule in _CHECKPOINT_META.items():
         rule.check(f"{where}: metadata key {key!r}", meta[key])
-    names = [f"backbone_{i}" for i in range(meta["n_backbone"])] + ["head_regular", "head_balanced"]
-    arrays = [f"{name}_{k}" for name in names for k in ("W", "b")]
-    arrays += list(_NORM_ARRAYS)
-    absent = [key for key in arrays if key not in blob]
-    if absent:
-        raise ValidationError(f"{where}: missing the array {absent[0]!r}")
-    layers = [(blob[f"{name}_W"], blob[f"{name}_b"]) for name in names]
-    _check_checkpoint_layers(where, names, layers, meta)
-    params = ModelParams.pack(
-        layers,
-        resid_span=tuple(meta["resid_span"]) if meta["resid_span"] else None,
-        trained_heads=tuple(meta["trained_heads"]) if meta["trained_heads"] else None,
-    )
-    stats = NormStats(**{f: blob[key] for key, f in _NORM_ARRAYS.items()})
+
+    # one layer at a time, so a missing array stops the read before the next layer's name is built:
+    # every W's rows match the width before it, every b its W's columns, the heads name the classes
+    n_backbone, n_classes = meta["n_backbone"], len(meta["class_names"])
+    widths = [len(meta["feature_names"])]  # widths[l]: backbone layer l's input width; the heads read widths[-1]
+    layers = []
+    for i in range(n_backbone + 2):
+        name = f"backbone_{i}" if i < n_backbone else ("head_regular", "head_balanced")[i - n_backbone]
+        W, b = array(f"{name}_W"), array(f"{name}_b")
+        if W.ndim != 2 or W.shape[0] != widths[-1]:
+            raise ValidationError(f"{where}: {name}_W has shape {W.shape}, its input width is {widths[-1]}")
+        if b.shape != (W.shape[1],):
+            raise ValidationError(f"{where}: {name}_b has shape {b.shape}, {name}_W has {W.shape[1]} columns")
+        if i < n_backbone:
+            widths.append(W.shape[1])
+        elif W.shape[1] != n_classes:
+            raise ValidationError(f"{where}: {name}_W has {W.shape[1]} columns, the checkpoint names {n_classes} classes")
+        layers.append((W, b))
+    span = meta["resid_span"]
+    if span is not None:
+        if not 1 <= span[0] <= span[1] < n_backbone:
+            raise ValidationError(f"{where}: resid_span {span!r} does not lie inside the "
+                                  f"{n_backbone}-layer backbone (need 1 <= start <= end < {n_backbone})")
+        if widths[span[0]] != widths[span[1] + 1]:
+            raise ValidationError(f"{where}: resid_span {span!r} adds a width-{widths[span[0]]} activation "
+                                  f"to a width-{widths[span[1] + 1]} layer output")
+    stats = NormStats(**{f: array(key) for key, f in _NORM_ARRAYS.items()})
+    params = ModelParams.pack(layers, resid_span=tuple(span) if span else None,
+                              trained_heads=tuple(meta["trained_heads"]) if meta["trained_heads"] else None)
     return params, stats, meta

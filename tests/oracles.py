@@ -157,6 +157,20 @@ def ref_cost_loss(logits, y, cp):
     return loss, grad, d_log_cfp
 
 
+def ref_dah_hinge(logits, y, deltas):
+    """The non-smooth density-aware hinge max(max_{j != y} z_j - z_y + delta_y, 0), mean over the batch.
+
+    `dah_softmax` relaxes it: dah_softmax(t * z, y, t * deltas) / t tends to it as t grows.
+    """
+    y = np.asarray(y, dtype=np.int64)
+    deltas = np.asarray(deltas, dtype=np.float64)
+    rows = np.arange(logits.shape[0])
+    rivals = np.array(logits, dtype=np.float64)
+    rivals[rows, y] = -np.inf
+    margins = rivals.max(axis=1) - logits[rows, y] + deltas[y]
+    return float(np.maximum(margins, 0.0).mean())
+
+
 # The backbone and heads as they were before each bias was folded into its
 # layer's matmul: `a @ W + b`, then a separate bias reduction in the
 # backward pass. The arithmetic follows the unfolded code; the backward pass

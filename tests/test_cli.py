@@ -1,7 +1,9 @@
 import contextlib
 import io
 import json
+import re
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -11,7 +13,9 @@ from hypothesis import strategies as st
 
 from denshift.cli import DEFAULT_CONFIG, build_parser, config_hash, load_config, main
 from denshift.data import CONFIG_RULES, check_config
+from denshift.errors import ValidationError
 from denshift.metrics import ScoredSet, auc_prc, auc_roc, bss, split_report
+from denshift.nn import load_checkpoint
 from denshift.training import VARIANTS
 
 TINY = {
@@ -94,8 +98,6 @@ class TestConfig:
     def test_exactly_one_source(self, tmp_path):
         path = tmp_path / "two.json"
         path.write_text(json.dumps({"dataset": {"synthetic": {}, "csv": {"path": "x"}}}))
-        from denshift.errors import ValidationError
-
         with pytest.raises(ValidationError):
             load_config(path)
 
@@ -323,6 +325,28 @@ class TestEval:
         err = capsys.readouterr().err
         assert f"checkpoint {bad}: metadata key '{key}' must be " in err
         assert "Traceback" not in err
+        assert not out.exists()
+
+    def test_a_huge_layer_count_is_refused_at_the_first_missing_array(self, trained_run, tmp_path, capsys):
+        # the TINY checkpoint has 3 backbone layers; the read stops at backbone_3_W, not after 2,000,000 names
+        checkpoint, csv = trained_run
+        with np.load(checkpoint) as blob:
+            arrays = {k: blob[k] for k in blob.files}
+        meta = dict(json.loads(bytes(arrays["__meta__"]).decode("utf-8")), n_backbone=2_000_000)
+        arrays["__meta__"] = np.frombuffer(json.dumps(meta).encode("utf-8"), dtype=np.uint8)
+        bad, out = tmp_path / "bad.npz", tmp_path / "eval"
+        np.savez(bad, **arrays)
+        message = f"checkpoint {bad}: missing the array 'backbone_3_W'"
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValidationError, match=re.escape(message)):
+                load_checkpoint(bad)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 20e6
+        assert main(["eval", "--checkpoint", str(bad), "--csv", str(csv), "--out", str(out)]) == 1
+        assert message in capsys.readouterr().err
         assert not out.exists()
 
     def test_eval_on_separable_toy_training_split(self, tmp_path):

@@ -23,6 +23,7 @@ from denshift.data import (
 from denshift.errors import ParseError, SchemaError, ValidationError
 from denshift.losses import CostParams, ce, cost_loss, dah_softmax, focal
 from denshift.metrics import ScoredSet, macro_auc, nll, split_report, temperature_fit
+from denshift.training import TrainConfig, train
 
 from oracles import logistic_regression_auc
 
@@ -125,11 +126,12 @@ class TestDataset:
         ds = Dataset(np.zeros((4, 1)), [0.0, 1.0, 0.0, 1.0], ("a",), ("x", "y"))
         assert ds.labels.dtype == np.int64 and ds.labels.tolist() == [0, 1, 0, 1]
 
-    def test_a_class_with_no_instances_is_refused_unless_allowed(self):
-        with pytest.raises(ValidationError, match=r"classes with no instances: \['z'\]"):
-            Dataset(np.zeros((4, 1)), [0, 1, 0, 1], ("a",), ("x", "y", "z"))
-        ds = Dataset(np.zeros((4, 1)), [0, 1, 0, 1], ("a",), ("x", "y", "z"), allow_empty_classes=True)
+    def test_a_class_with_no_instances_is_refused_by_training(self):
+        # a split or an eval file may lack a class; training on one refuses it, naming the class
+        ds = Dataset(np.zeros((4, 1)), [0, 1, 0, 1], ("a",), ("x", "y", "z"))
         assert ds.class_counts.tolist() == [2, 2, 0]
+        with pytest.raises(ValidationError, match=r"training split is missing classes: \['z'\]"):
+            train(TrainConfig(variant="base", epochs=1, batch_size=2), (ds, ds))
 
 
 # every function that reads class labels, with its class count: each validates them through `class_labels`

@@ -9,16 +9,15 @@ from denshift.losses import (
     ce,
     cost_loss,
     current_costs,
-    dah_hinge,
     dah_softmax,
-    default_margin_scale,
     delta_margins,
     focal,
 )
 
 from denshift import training
+from denshift.metrics import nll
 from denshift.training import TrainConfig, variant_losses, VARIANTS
-from oracles import central_difference, ref_ce, ref_cost_loss, ref_dah_softmax, ref_focal
+from oracles import central_difference, ref_ce, ref_cost_loss, ref_dah_hinge, ref_dah_softmax, ref_focal
 
 
 def rand_logits(rng, b=16, c=3, scale=3.0):
@@ -52,7 +51,7 @@ class TestDeltaMargins:
         counts = [900, 100]
         deltas = delta_margins(counts)
         assert deltas.max() == pytest.approx(0.5)
-        np.testing.assert_array_equal(deltas, delta_margins(counts, default_margin_scale(counts)))
+        np.testing.assert_array_equal(deltas, delta_margins(counts, 0.5 * min(counts) ** 0.25))
 
     def test_validation(self):
         with pytest.raises(ValidationError):
@@ -64,18 +63,19 @@ class TestDeltaMargins:
 
 
 class TestDahHinge:
+    # hand values of the hinge oracle that `test_limit_recovers_hinge` holds `dah_softmax` to
     def test_zero_when_margin_satisfied(self):
-        assert dah_hinge(np.array([[2.0, 1.0]]), [0], [0.5, 0.5]) == 0.0
+        assert ref_dah_hinge(np.array([[2.0, 1.0]]), [0], [0.5, 0.5]) == 0.0
 
     def test_violated_margin(self):
-        assert dah_hinge(np.array([[1.0, 2.0]]), [0], [0.5, 0.5]) == pytest.approx(1.5)
+        assert ref_dah_hinge(np.array([[1.0, 2.0]]), [0], [0.5, 0.5]) == pytest.approx(1.5)
 
     def test_all_equal_logits(self):
-        assert dah_hinge(np.array([[0.0, 0.0, 0.0]]), [2], [0.1, 0.2, 0.3]) == pytest.approx(0.3)
+        assert ref_dah_hinge(np.array([[0.0, 0.0, 0.0]]), [2], [0.1, 0.2, 0.3]) == pytest.approx(0.3)
 
     def test_batch_mean(self):
         z = np.array([[2.0, 1.0], [1.0, 2.0]])
-        assert dah_hinge(z, [0, 0], [0.5, 0.5]) == pytest.approx(0.75)
+        assert ref_dah_hinge(z, [0, 0], [0.5, 0.5]) == pytest.approx(0.75)
 
 
 class TestDahSoftmax:
@@ -128,7 +128,7 @@ class TestDahSoftmax:
         d = rng.uniform(0.2, 0.8, size=3)
         t = 100.0
         relaxed, _ = dah_softmax(t * z, y, t * d)
-        hinge = dah_hinge(z, y, d)
+        hinge = ref_dah_hinge(z, y, d)
         assert relaxed / t == pytest.approx(hinge, rel=0.05)
 
 
@@ -296,7 +296,7 @@ def test_all_losses_finite_on_random_inputs(b, c, seed):
         ce(z, y)[0],
         focal(z, y, 2.0)[0],
         dah_softmax(z, y, d)[0],
-        dah_hinge(z, y, d),
+        ref_dah_hinge(z, y, d),
     ):
         assert np.isfinite(value)
     if c == 2:
@@ -362,7 +362,9 @@ def test_column_major_logits_give_the_row_major_results(batch):
         assert_same(ce(zf, y), ce(zc, y))
         assert_same(focal(zf, y, cfg.gamma), focal(zc, y, cfg.gamma))
         assert_same(dah_softmax(zf, y, deltas), dah_softmax(zc, y, deltas))
-        assert dah_hinge(zf, y, deltas) == dah_hinge(zc, y, deltas)
+        assert ref_dah_hinge(zf, y, deltas) == ref_dah_hinge(zc, y, deltas)
+        for t in (1.0, cp.theta):  # nll is the cross-entropy of the scaled logits, bit for bit
+            assert nll(zf, y, t) == ce(zc / t, y)[0]
         if z.shape[1] == 2:
             assert_same(cost_loss(zf, y, cp), cost_loss(zc, y, cp))
 
