@@ -71,7 +71,7 @@ def or_null(rule: Rule) -> Rule:
     return Rule(lambda v: v is None or rule.test(v), f"{rule.expected} or null")
 
 
-_COUNT, _SEED, _FRACTIONS = at_least(1), at_least(0), list_of(NON_NEGATIVE, 3)
+_COUNT, _SEED, _FRACTIONS = at_least(1), at_least(0), list_of(POSITIVE, 3)
 _ANY = Rule(lambda v: True, "anything")
 
 # every config key, by its dotted path -> the rule its value keeps; gen-data's manifest keys load unchecked

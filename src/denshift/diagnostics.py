@@ -39,7 +39,7 @@ def gradient_report(n_classes: int = 2, seed: int = 0) -> dict[str, float]:
     pair = BatchPair(np.concatenate((x_reg, x_bal)), np.concatenate((y_reg, y_bal)),
                      np.arange(2 * batch_size), batch_size)
     init = init_mlp(input_dim, hidden=28, depth=4, n_classes=n_classes, seed=seed + 1)
-    n = init.layout.size
+    n = init.vector.size
     vector = np.append(init.vector, 0.3)  # log cost away from 0 so its gradient is exercised off-init
     params = replace(init, vector=vector[:n])
     cfg = TrainConfig()

@@ -149,22 +149,18 @@ def ce(logits: np.ndarray, y) -> tuple[float, np.ndarray]:
 
 def focal(logits: np.ndarray, y, gamma: float = 2.0) -> tuple[float, np.ndarray]:
     """Focal loss (1 - p_y)^gamma * CE; gamma=0 reduces to cross-entropy."""
-    # focal runs every training step: one chained comparison, no dearer than `gamma < 0`, lets the
-    # finite values >= 0 through, and the rule words the error for the rest
-    if not 0.0 <= gamma <= _FLOAT_MAX:
-        NON_NEGATIVE.check("gamma", gamma)
+    NON_NEGATIVE.check("gamma", gamma)
     y = _check_labels(logits, y)
-    if gamma == 0.0:
-        return _softmax_ce(logits, y)
     b = logits.shape[0]
     true = _true_entries(logits, y)
     logp = _log_softmax(logits)
-    ce_i = -logp.ravel()[true]
+    logp_true = logp.ravel()[true]
+    ce_i = -logp_true
     p = np.exp(logp, out=logp)
     p_true = p.ravel()[true]
     w = 1.0 - p_true
     wg = w**gamma
-    loss = float(np.add.reduce(wg * ce_i) / b)
+    loss = float(-np.add.reduce(wg * logp_true) / b)  # negated as in `_softmax_ce`, so gamma=0 is ce bit for bit
 
     # d/dz_j [(1-p)^g * CE] = (p_j - onehot_j) * (g (1-p)^(g-1) p CE + (1-p)^g);
     # when p_y == 1 both terms vanish faster than (1-p)^(g-1) diverges.

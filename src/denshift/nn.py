@@ -16,6 +16,7 @@ from __future__ import annotations
 import json
 import zipfile
 from dataclasses import dataclass, field
+from itertools import accumulate
 
 import numpy as np
 
@@ -36,42 +37,20 @@ class DenseLayer:
         self.Wb, self.W, self.b = Wb, Wb[:-1], Wb[-1]
 
 
-@dataclass(frozen=True)
-class Layout:
-    """Where each layer's [W; b] matrix sits in a flat vector: W row-major, then b, layer by layer."""
-
-    slots: tuple[tuple[int, int, tuple[int, int]], ...]  # (start, stop, (d_in + 1, d_out)) per layer
-
-    @classmethod
-    def of(cls, weight_shapes) -> "Layout":
-        slots, start = [], 0
-        for d_in, d_out in weight_shapes:
-            slots.append((start, start + (d_in + 1) * d_out, (d_in + 1, d_out)))
-            start = slots[-1][1]
-        return cls(tuple(slots))
-
-    @property
-    def size(self) -> int:
-        return self.slots[-1][1]
-
-    def bind(self, vector: np.ndarray) -> tuple[list[DenseLayer], DenseLayer, DenseLayer]:
-        """Views into `vector`: the backbone layers, the regular head, the balanced head."""
-        layers = [DenseLayer(vector[start:stop].reshape(shape)) for start, stop, shape in self.slots]
-        return layers[:-2], layers[-2], layers[-1]
-
-
 @dataclass
 class _LayerVector:
     """Backbone layers and two heads whose arrays are views into one contiguous float64 vector."""
 
     vector: np.ndarray
-    layout: Layout
+    layout: tuple[tuple[int, int], ...]  # each layer's [W; b] shape (d_in + 1, d_out): W row-major, then b
     backbone: list[DenseLayer] = field(init=False, repr=False)
     head_regular: DenseLayer = field(init=False, repr=False)
     head_balanced: DenseLayer = field(init=False, repr=False)
 
     def __post_init__(self):
-        self.backbone, self.head_regular, self.head_balanced = self.layout.bind(self.vector)
+        starts = accumulate((r * c for r, c in self.layout), initial=0)
+        layers = [DenseLayer(self.vector[s:s + r * c].reshape(r, c)) for (r, c), s in zip(self.layout, starts)]
+        self.backbone, self.head_regular, self.head_balanced = layers[:-2], layers[-2], layers[-1]
 
     # pickle and deepcopy would copy each view apart from `vector`; store the vector, rebind on load
     def __getstate__(self):
@@ -100,7 +79,7 @@ class ModelParams(_LayerVector):
              trained_heads: tuple[str, ...] | None = None) -> "ModelParams":
         """Copy (W, b) pairs (the backbone, then the regular head, then the balanced head) into one new vector."""
         vector = np.concatenate([a.ravel() for W, b in layers for a in (W, b)], dtype=np.float64)
-        return cls(vector, Layout.of(W.shape for W, _ in layers), resid_span, trained_heads)
+        return cls(vector, tuple((W.shape[0] + 1, W.shape[1]) for W, _ in layers), resid_span, trained_heads)
 
     @property
     def input_dim(self) -> int:
@@ -249,7 +228,7 @@ def backward(
     """
     hidden = trace.act[-1]  # with its ones column
     n_rows = hidden.shape[0]
-    grads = Gradients(np.empty(params.layout.size), params.layout) if out is None else out
+    grads = Gradients(np.empty(params.vector.size), params.layout) if out is None else out
     if trace.masks is None:
         trace.masks, trace.d_act = _backward_buffers(trace.act)
     masks, d_act = trace.masks, trace.d_act
@@ -276,20 +255,19 @@ def backward(
         if overlap:
             d_hidden[rows] += block
 
-    n_backbone = len(params.backbone)
-    skip_extra: list[np.ndarray | None] = [None] * n_backbone
     span = params.resid_span
-    for l in range(n_backbone - 1, -1, -1):
+    skip = None  # the residual's upstream gradient, taken at layer span[1] and added at layer span[0] - 1
+    for l in range(len(params.backbone) - 1, -1, -1):
         da = d_act[l]  # whole rows: the last column is 0 and the ones column's mask is open
-        if skip_extra[l] is not None:
-            da += skip_extra[l]
+        if span is not None and l == span[0] - 1:
+            da += skip
         np.multiply(da, np.greater(trace.act[l + 1], 0.0, out=masks[l]), out=da)
         dz = da[:, :-1]
         np.matmul(trace.act[l].T, dz, out=grads.backbone[l].Wb)
         if l > 0:  # the input's own gradient is never needed
             np.matmul(dz, params.backbone[l].W.T, out=d_act[l - 1][:, :-1])
         if span is not None and l == span[1]:
-            skip_extra[span[0] - 1] = da
+            skip = da
     return grads
 
 
@@ -405,20 +383,35 @@ def load_checkpoint(path) -> tuple[ModelParams, NormStats, dict]:
 
     A file that is no readable .npz archive, metadata that is no JSON
     object, a missing metadata key or array, a metadata value that breaks
-    its `_CHECKPOINT_META` rule, or layer shapes that do not chain raise
-    ValidationError naming the file and what is wrong.
+    its `_CHECKPOINT_META` rule, layer shapes that do not chain, an array
+    that is not bool, integer or float, or an array that no key names
+    raise ValidationError naming the file and what is wrong. Only the
+    arrays a check names are ever decompressed.
     """
     where = f"checkpoint {path}"
-    try:  # any file but a zip archive, or a damaged one, raises BadZipFile; a member numpy cannot read, ValueError
-        with open(path, "rb") as fh, np.lib.npyio.NpzFile(fh) as npz:
-            blob = {key: npz[key] for key in npz.files}
-    except (ValueError, zipfile.BadZipFile) as exc:
-        raise ValidationError(f"{where}: not a readable .npz archive ({exc})") from None
+    with open(path, "rb") as fh:
+        try:  # any file but a zip archive raises BadZipFile
+            npz = np.lib.npyio.NpzFile(fh)
+        except (ValueError, zipfile.BadZipFile) as exc:
+            raise ValidationError(f"{where}: not a readable .npz archive ({exc})") from None
+        with npz:
+            return _read_checkpoint(where, npz)
+
+
+def _read_checkpoint(where: str, npz) -> tuple[ModelParams, NormStats, dict]:
+    read = set()
 
     def array(key: str) -> np.ndarray:
-        if key not in blob:
+        if key not in npz.files:
             raise ValidationError(f"{where}: missing the array {key!r}")
-        return blob[key]
+        try:  # a damaged member raises BadZipFile; a member numpy cannot read, ValueError
+            value = np.asarray(npz[key])
+        except (ValueError, zipfile.BadZipFile) as exc:
+            raise ValidationError(f"{where}: not a readable .npz archive ({exc})") from None
+        if value.dtype.kind not in "biuf":
+            raise ValidationError(f"{where}: the array {key!r} holds {value.dtype}, not bool, integer or float")
+        read.add(key)
+        return value
 
     try:
         meta = json.loads(bytes(array("__meta__")).decode("utf-8"))
@@ -431,10 +424,9 @@ def load_checkpoint(path) -> tuple[ModelParams, NormStats, dict]:
     if meta.get("normalize_balanced"):  # older checkpoints record this key; false needs nothing extra
         raise ValidationError(f"{where}: normalize_balanced is true, a cosine-normalized balanced head "
                               "this version does not support")
-    missing = [key for key in _CHECKPOINT_META if key not in meta]
-    if missing:
-        raise ValidationError(f"{where}: metadata lacks the key {missing[0]!r}")
     for key, rule in _CHECKPOINT_META.items():
+        if key not in meta:
+            raise ValidationError(f"{where}: metadata lacks the key {key!r}")
         rule.check(f"{where}: metadata key {key!r}", meta[key])
 
     # one layer at a time, so a missing array stops the read before the next layer's name is built:
@@ -463,6 +455,9 @@ def load_checkpoint(path) -> tuple[ModelParams, NormStats, dict]:
             raise ValidationError(f"{where}: resid_span {span!r} adds a width-{widths[span[0]]} activation "
                                   f"to a width-{widths[span[1] + 1]} layer output")
     stats = NormStats(**{f: array(key) for key, f in _NORM_ARRAYS.items()})
+    unknown = [key for key in npz.files if key not in read]
+    if unknown:
+        raise ValidationError(f"{where}: unknown array {unknown[0]!r}")
     params = ModelParams.pack(layers, resid_span=tuple(span) if span else None,
                               trained_heads=tuple(meta["trained_heads"]) if meta["trained_heads"] else None)
     return params, stats, meta

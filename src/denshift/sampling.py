@@ -163,7 +163,7 @@ class SamplerState:
         self.batch_size = batch_size
         self.cdf_regular = _class_cdf(ds.class_counts, q_regular)
         self.cdf_balanced = _class_cdf(ds.class_counts, q_balanced)
-        self.counts = ds.class_counts.copy()
+        self.counts = ds.class_counts
         # row indices grouped by class (ascending within a class); class c starts at starts[c]
         self.order = np.argsort(ds.labels, kind="stable")
         self.starts = np.cumsum(self.counts) - self.counts

@@ -178,7 +178,7 @@ def train(cfg: TrainConfig, splits: tuple[Dataset, Dataset]) -> tuple[ModelParam
 
     init = init_mlp(train_ds.dim, cfg.hidden, cfg.depth, train_ds.n_classes, seed=cfg.seed)
     # the optimizer updates one vector: the parameters, then log C_FP when the cost term trains
-    n = init.layout.size
+    n = init.vector.size
     state = np.append(init.vector, 0.0) if spec.uses_cost else init.vector
     params = replace(init, vector=state[:n],
                      trained_heads=("regular", "balanced") if spec.dual_stream else ("regular",))
@@ -194,9 +194,7 @@ def train(cfg: TrainConfig, splits: tuple[Dataset, Dataset]) -> tuple[ModelParam
     opt = OptState.for_vector(state, cfg.optimizer, cfg.learning_rate)
 
     history = TrainHistory()
-    best_auc = -np.inf
     best_params = None
-    streak = 0
 
     try:
         with np.errstate(over="raise"):  # ReLU can hide an overflow from every finite-loss check
@@ -222,15 +220,11 @@ def train(cfg: TrainConfig, splits: tuple[Dataset, Dataset]) -> tuple[ModelParam
                 record = EpochRecord(sum_r / (step + 1), sum_b / (step + 1), *_val_metrics(params, val_ds), *costs)
                 history.epochs.append(record)
 
-                if record.val_auc_roc > best_auc:
-                    best_auc = record.val_auc_roc
+                if history.best_epoch < 0 or record.val_auc_roc > history.epochs[history.best_epoch].val_auc_roc:
                     history.best_epoch = epoch
                     best_params = params.copy()
-                    streak = 0
-                else:
-                    streak += 1
-                    if streak > cfg.early_stop_patience:
-                        break
+                elif epoch - history.best_epoch > cfg.early_stop_patience:
+                    break
     except FloatingPointError as exc:
         raise NumericalError(f"numeric blow-up at epoch {epoch}: {exc}") from None
 

@@ -205,6 +205,15 @@ class TestTrain:
         entry = json.loads((out / "report.json").read_text())["temperature_scaling"]
         assert entry["val_nll_after"] <= entry["val_nll_before"] + 1e-12
 
+    def test_a_zero_split_fraction_exits_one_before_training(self, tmp_path, capsys, monkeypatch):
+        # an empty test split used to train every epoch and then fail on its empty scored set, naming no key
+        monkeypatch.setattr("denshift.cli.train", lambda *args: pytest.fail("training ran"))
+        out = tmp_path / "zero"
+        path = write_cfg(tmp_path, {"split": {"fractions": [0.9, 0.1, 0.0]}, "output_dir": str(out)})
+        assert main(["train", "--config", str(path)]) == 1
+        assert "split.fractions must be a list of 3 items, each a finite number > 0" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_csv_source_end_to_end(self, tmp_path):
         gen = tmp_path / "gen"
         gen_cfg = write_cfg(tmp_path, {"output_dir": str(gen)})
@@ -295,10 +304,14 @@ class TestEval:
         meta = dict(meta, resid_span=None, extra=["variant"])
         np.savez(tmp_path / "extra_list.npz",
                  **dict(arrays, __meta__=np.frombuffer(json.dumps(meta).encode("utf-8"), dtype=np.uint8)))
+        np.savez(tmp_path / "complex_W.npz", **dict(arrays, backbone_0_W=arrays["backbone_0_W"] + 0j))
+        np.savez(tmp_path / "text_std.npz", **dict(arrays, norm_std=arrays["norm_std"].astype(str)))
         for name, message in (("no_span", "metadata lacks the key 'resid_span'"),
                               ("unchained", "backbone_1_W has shape"), ("text", "not a readable .npz archive"),
                               ("meta_not_json", "the array '__meta__' is not a JSON object"),
-                              ("extra_list", "metadata key 'extra' must be a JSON object, got ['variant']")):
+                              ("extra_list", "metadata key 'extra' must be a JSON object, got ['variant']"),
+                              ("complex_W", "the array 'backbone_0_W' holds complex128"),
+                              ("text_std", "the array 'norm_std' holds <U")):
             out = tmp_path / f"eval_{name}"
             code = main(["eval", "--checkpoint", str(tmp_path / f"{name}.npz"), "--csv", str(gen / "test.csv"),
                          "--out", str(out)])
@@ -345,6 +358,27 @@ class TestEval:
         finally:
             tracemalloc.stop()
         assert peak < 20e6
+        assert main(["eval", "--checkpoint", str(bad), "--csv", str(csv), "--out", str(out)]) == 1
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_an_unknown_member_is_refused_unread(self, trained_run, tmp_path, capsys):
+        # 100 MB of zeros deflate to about 100 KB; the reader must refuse the member without inflating it
+        checkpoint, csv = trained_run
+        with np.load(checkpoint) as blob:
+            arrays = {k: blob[k] for k in blob.files}
+        bad, out = tmp_path / "bad.npz", tmp_path / "eval"
+        np.savez_compressed(bad, junk=np.zeros(100_000_000, dtype=np.uint8), **arrays)
+        assert bad.stat().st_size < 200_000
+        message = f"checkpoint {bad}: unknown array 'junk'"
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValidationError, match=re.escape(message)):
+                load_checkpoint(bad)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 5e6
         assert main(["eval", "--checkpoint", str(bad), "--csv", str(csv), "--out", str(out)]) == 1
         assert message in capsys.readouterr().err
         assert not out.exists()
@@ -720,6 +754,7 @@ _BAD_CONFIG = st.one_of(
 @example((("ablation", "seeds"), 3, "{} must be"))
 @example((("split", "fractions"), ["a", 0.5, 0.5], "{} must be"))
 @example((("split", "fractions"), [0.5, 0.5, 0.5], "{} must be"))
+@example((("split", "fractions"), [0.0, 0.5, 0.5], "{} must be"))
 @example((("dataset", "synthetic"), {"n_majority": 10, "n_minority": 20},
           "{} needs n_majority >= n_minority >= n_minority_modes, got 10, 20, 3"))
 @example((("sweep", "theta_grid"), ["a"], "{} must be"))

@@ -286,7 +286,7 @@ class TestStratifiedSplit:
             assert np.array_equal(x.features, y.features)
             assert np.array_equal(x.labels, y.labels)
 
-    @pytest.mark.parametrize("fractions", [(0.5, 0.5, 0.5), (0.8, 0.1, 0.0999), (1.0, 0.0)])
+    @pytest.mark.parametrize("fractions", [(0.5, 0.5, 0.5), (0.8, 0.1, 0.0999), (1.0, 0.0), (0.9, 0.1, 0.0)])
     def test_fractions_that_are_not_three_summing_to_one_are_refused(self, fractions):
         with pytest.raises(ValidationError, match=r"fractions must be a list of 3 items, .*, summing to 1"):
             stratified_split(self.make([10, 10]), fractions)

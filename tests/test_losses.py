@@ -138,14 +138,17 @@ class TestCeAndFocal:
         assert loss == pytest.approx(np.log(2.0), abs=1e-12)
 
     def test_focal_gamma_zero_is_ce(self):
+        # bit for bit, zero signs included, for float, integer and column-major logits
         rng = np.random.default_rng(5)
-        for _ in range(1000):
-            z = rand_logits(rng, b=3, c=4)
+        bits = lambda v: np.asarray(v, dtype=np.float64).tobytes()
+        for i in range(1000):
+            z = rand_logits(rng, b=3, c=4, scale=(3.0, 800.0)[i % 2])
+            z = (z, z.round().astype(np.int64), np.asfortranarray(z))[i % 3]
             y = rng.integers(0, 4, size=3)
             lf, gf = focal(z, y, 0.0)
             lc, gc = ce(z, y)
-            assert abs(lf - lc) < 1e-12
-            assert np.abs(gf - gc).max() < 1e-12
+            assert bits(lf) == bits(lc)
+            assert bits(gf) == bits(gc)
 
     def test_focal_vanishes_on_easy_examples(self):
         loss, _ = focal(np.array([[10.0, -10.0]]), [0], 2.0)
@@ -163,7 +166,7 @@ class TestCeAndFocal:
     def test_label_out_of_range(self):
         with pytest.raises(ValidationError):
             ce(np.zeros((1, 2)), [2])
-        for gamma in (-1.0, float("nan"), float("inf")):
+        for gamma in (-1.0, float("nan"), float("inf"), True):
             with pytest.raises(ValidationError, match="gamma"):
                 focal(np.zeros((1, 2)), [0], gamma)
 

@@ -197,7 +197,7 @@ def test_affine_views_write_through_after_every_construction(tmp_path):
     save_checkpoint(tmp_path / "c.npz", p, stats, ("a", "b", "c"), tuple("wxyz"))
     loaded, _, _ = load_checkpoint(tmp_path / "c.npz")
     for model in (p, p.copy(), loaded, pickle.loads(pickle.dumps(p)),
-                  Gradients(np.zeros(p.layout.size), p.layout)):
+                  Gradients(np.zeros(p.vector.size), p.layout)):
         assert_affine_views_write_through(model)
 
 
@@ -292,7 +292,7 @@ class TestBackward:
         p = init_mlp(5, hidden=9, depth=5, n_classes=3, seed=8)
         x, d = rng.normal(size=(12, 5)), rng.normal(size=(12, 3))
         d_r, d_b = (d, None) if head == "regular" else (None, d)
-        buffer = Gradients(rng.normal(size=p.layout.size), p.layout)
+        buffer = Gradients(rng.normal(size=p.vector.size), p.layout)
         got = backward(p, forward(p, x, head), d_r, d_b, buffer)
         assert np.array_equal(got.vector, backward(p, forward(p, x), d_r, d_b).vector)
         other = got.head_balanced if head == "regular" else got.head_regular
@@ -634,6 +634,9 @@ class TestCheckpointValidation:
         ({"__meta__": np.frombuffer(b"{oops", dtype=np.uint8)}, r"the array '__meta__' is not a JSON object"),
         ({"__meta__": np.frombuffer(b"\xff", dtype=np.uint8)}, r"the array '__meta__' is not a JSON object"),
         ({"__meta__": np.frombuffer(b"[1]", dtype=np.uint8)}, r"the array '__meta__' is not a JSON object"),
+        ({"backbone_0_W": np.zeros((5, 7), dtype=complex)}, r"the array 'backbone_0_W' holds complex128, not bool"),
+        ({"norm_std": np.array(["1"] * 5)}, r"the array 'norm_std' holds <U1, not bool, integer or float"),
+        ({"junk": np.zeros(3)}, r"unknown array 'junk'"),
     ])
     def test_layers_that_do_not_chain_are_refused(self, saved, arrays, message):
         path, _ = saved

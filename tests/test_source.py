@@ -1,0 +1,36 @@
+"""Checks on the package source itself, run under pytest alone (no lint tool is required)."""
+
+import ast
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "denshift"
+
+
+def _private_binds(node: ast.stmt) -> set[str]:
+    """Names with one leading underscore that a top-level statement binds: a def, a class or an assignment."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        names = {node.name}
+    elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+        targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+        names = {n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)}
+    else:
+        names = set()
+    return {n for n in names if n.startswith("_") and not n.startswith("__")}
+
+
+def _reads(node: ast.AST) -> set[str]:
+    """Every name a statement loads, bare (`_x`) or as an attribute (`module._x`)."""
+    return {n.id if isinstance(n, ast.Name) else n.attr for n in ast.walk(node)
+            if isinstance(n, (ast.Name, ast.Attribute)) and isinstance(n.ctx, ast.Load)}
+
+
+def test_every_private_module_level_name_is_read_beyond_its_definition():
+    # a deletion can leave behind a helper, constant or table that nothing in src/ reads any more
+    statements = [(path.name, node) for path in sorted(SRC.glob("*.py"))
+                  for node in ast.parse(path.read_text(encoding="utf-8")).body]
+    reads = [_reads(node) for _, node in statements]
+    defined = [(module, name, i) for i, (module, node) in enumerate(statements) for name in _private_binds(node)]
+    dead = [f"{module}: {name}" for module, name, i in defined
+            if not any(name in r for j, r in enumerate(reads) if j != i)]
+    assert len(defined) >= 40  # the walk found the package's private names
+    assert not dead, f"private module-level names that no other statement in src/ reads: {dead}"
