@@ -127,6 +127,14 @@ def class_labels(labels, n_classes: int) -> np.ndarray:
     return y
 
 
+def freeze(obj, **values) -> None:
+    """Set fields of the frozen dataclass `obj` (from its `__post_init__`), making each numpy array read-only."""
+    for name, value in values.items():
+        if isinstance(value, np.ndarray):
+            value.flags.writeable = False
+        object.__setattr__(obj, name, value)
+
+
 @dataclass(frozen=True)
 class Dataset:
     """Immutable feature matrix + labels + class bookkeeping.
@@ -160,14 +168,8 @@ class Dataset:
         if np.isinf(feats).any():
             raise ValidationError("features contain Inf")
         counts = np.bincount(labels, minlength=n_classes).astype(np.int64)
-        feats.flags.writeable = False
-        labels.flags.writeable = False
-        counts.flags.writeable = False
-        object.__setattr__(self, "features", feats)
-        object.__setattr__(self, "labels", labels)
-        object.__setattr__(self, "feature_names", tuple(self.feature_names))
-        object.__setattr__(self, "class_names", tuple(self.class_names))
-        object.__setattr__(self, "class_counts", counts)
+        freeze(self, features=feats, labels=labels, feature_names=tuple(self.feature_names),
+               class_names=tuple(self.class_names), class_counts=counts)
 
     @property
     def n(self) -> int:
@@ -207,10 +209,7 @@ class NormStats:
     constant_mask: np.ndarray
 
     def __post_init__(self):
-        for name in ("mean", "std", "impute", "constant_mask"):
-            arr = np.asarray(getattr(self, name))
-            arr.flags.writeable = False
-            object.__setattr__(self, name, arr)
+        freeze(self, **{f.name: np.asarray(getattr(self, f.name)) for f in fields(self)})
         if (self.std <= 0).any():
             raise ValidationError("stddev entries must be > 0")
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import POSITIVE, at_least, class_labels, write_table
+from .data import POSITIVE, at_least, class_labels, freeze, write_table
 from .errors import ValidationError
 from .losses import _check_labels, _softmax_ce, softmax
 
@@ -36,10 +36,7 @@ class ScoredSet:
             raise ValidationError("empty scored set")
         if not np.isfinite(scores).all() or scores.min() < 0.0 or scores.max() > 1.0:
             raise ValidationError("scores must be finite and in [0, 1]")
-        scores.flags.writeable = False
-        labels.flags.writeable = False
-        object.__setattr__(self, "scores", scores)
-        object.__setattr__(self, "labels", labels)
+        freeze(self, scores=scores, labels=labels)
 
     @property
     def n(self) -> int:

@@ -381,12 +381,12 @@ def save_checkpoint(path, params: ModelParams, norm_stats: NormStats,
 def load_checkpoint(path) -> tuple[ModelParams, NormStats, dict]:
     """Inverse of save_checkpoint; logits reproduce bit-exactly on the same platform.
 
-    A file that is no readable .npz archive, metadata that is no JSON
-    object, a missing metadata key or array, a metadata value that breaks
-    its `_CHECKPOINT_META` rule, layer shapes that do not chain, an array
-    that is not bool, integer or float, or an array that no key names
-    raise ValidationError naming the file and what is wrong. Only the
-    arrays a check names are ever decompressed.
+    A file that is no readable .npz archive, metadata that is no JSON object,
+    a missing key or array, a metadata value that breaks its `_CHECKPOINT_META`
+    rule, layer shapes that do not chain, norm_* arrays not of one entry per
+    feature (bool for norm_constant), an array not bool, integer or float or
+    holding a NaN or an inf, or an unknown array raise ValidationError naming
+    the file and what is wrong. Only arrays a check names are decompressed.
     """
     where = f"checkpoint {path}"
     with open(path, "rb") as fh:
@@ -410,6 +410,8 @@ def _read_checkpoint(where: str, npz) -> tuple[ModelParams, NormStats, dict]:
             raise ValidationError(f"{where}: not a readable .npz archive ({exc})") from None
         if value.dtype.kind not in "biuf":
             raise ValidationError(f"{where}: the array {key!r} holds {value.dtype}, not bool, integer or float")
+        if value.dtype.kind == "f" and not np.isfinite(value).all():
+            raise ValidationError(f"{where}: the array {key!r} holds a NaN or an inf")
         read.add(key)
         return value
 
@@ -454,7 +456,15 @@ def _read_checkpoint(where: str, npz) -> tuple[ModelParams, NormStats, dict]:
         if widths[span[0]] != widths[span[1] + 1]:
             raise ValidationError(f"{where}: resid_span {span!r} adds a width-{widths[span[0]]} activation "
                                   f"to a width-{widths[span[1] + 1]} layer output")
-    stats = NormStats(**{f: array(key) for key, f in _NORM_ARRAYS.items()})
+    norm = {f: array(key) for key, f in _NORM_ARRAYS.items()}
+    for key, f in _NORM_ARRAYS.items():
+        if norm[f].shape != (widths[0],) or (f == "constant_mask" and norm[f].dtype != bool):
+            raise ValidationError(f"{where}: the array {key!r} holds {norm[f].dtype} of shape {norm[f].shape}, "
+                                  f"need shape ({widths[0]},){' of bool' if f == 'constant_mask' else ''}")
+    try:
+        stats = NormStats(**norm)
+    except ValidationError as exc:  # NormStats refuses a std entry <= 0 alone
+        raise ValidationError(f"{where}: the array 'norm_std': {exc}") from None
     unknown = [key for key in npz.files if key not in read]
     if unknown:
         raise ValidationError(f"{where}: unknown array {unknown[0]!r}")

@@ -83,20 +83,12 @@ class _BlockDraws:
     def __init__(self, cdfs, counts):
         self.cdfs = tuple(cdfs)
         self.counts = np.asarray(counts)
-        n_streams, n_classes = len(self.cdfs), self.counts.size
-        n = self.counts.astype(np.uint64)
+        self.n = n = self.counts.astype(np.uint64)
         self.decodable = bool(n.max() < _U32)
         if not self.decodable:
             return
-        self.n = n
-        # u >= cdf[j] exactly when the 53-bit integer w >> 11 >= ceil(cdf[j] * 2**53); stream s
-        # adds s * 2**53 to its keys and its class bounds, so one search classifies every stream
-        self.stream_keys = (np.arange(n_streams, dtype=np.uint64) << np.uint64(53))[:, None]
-        self.stream_classes = (np.arange(n_streams) * n_classes)[:, None]
-        self.bounds = np.concatenate([
-            np.ceil(np.append(cdf[:-1], 1.0) * 2.0**53).astype(np.uint64) + key
-            for cdf, key in zip(self.cdfs, self.stream_keys[:, 0])
-        ])[:-1]
+        # u >= cdf[j] exactly when the 53-bit integer w >> 11 >= ceil(cdf[j] * 2**53)
+        self.bounds = [np.ceil(cdf[:-1] * 2.0**53).astype(np.uint64) for cdf in self.cdfs]
         # numpy redraws when the low half falls below (2**32 - n) % n; n == 1 draws no half at all
         self.threshold = np.where(n == 1, _U32, (_U32 - n) % n)
         self.max_threshold = self.threshold.max()
@@ -123,9 +115,7 @@ class _BlockDraws:
         # words per stream and pair: `batch` doubles, then `batch // 2` words of two bounded-int halves
         raw = bits.random_raw(n_pairs * len(self.cdfs) * 3 * batch // 2).reshape(n_pairs, len(self.cdfs), -1)
         keys = raw[..., :batch] >> np.uint64(11)
-        keys += self.stream_keys
-        classes = self.bounds.searchsorted(keys, side="right")
-        classes -= self.stream_classes
+        classes = np.stack([b.searchsorted(keys[:, s], side="right") for s, b in enumerate(self.bounds)], axis=1)
         halves = raw[..., batch:].astype("<u8", copy=False).view("<u4")
         if state["has_uint32"]:
             shifted = np.empty(halves.size + 1, dtype=np.uint32)

@@ -159,12 +159,13 @@ def train_step(params: ModelParams, pair: BatchPair, spec: VariantSpec, cfg: Tra
     return loss_r, loss_b, grads.vector, d_cost
 
 
-def _val_metrics(params: ModelParams, val: Dataset) -> tuple[float, float]:
+def _val_metrics(params: ModelParams, val: Dataset) -> tuple[float, float, bool]:
     probs = predict(params, val.features)
+    saturated = bool(probs.max(axis=1).min() == 1.0)  # every row's top class probability is exactly 1
     if val.n_classes == 2:
         scored = ScoredSet(probs[:, 1], val.labels)
-        return auc_roc(scored), auc_prc(scored)
-    return macro_auc(probs, val.labels), float("nan")
+        return auc_roc(scored), auc_prc(scored), saturated
+    return macro_auc(probs, val.labels), float("nan"), saturated
 
 
 def train(cfg: TrainConfig, splits: tuple[Dataset, Dataset]) -> tuple[ModelParams, TrainHistory]:
@@ -194,7 +195,7 @@ def train(cfg: TrainConfig, splits: tuple[Dataset, Dataset]) -> tuple[ModelParam
     opt = OptState.for_vector(state, cfg.optimizer, cfg.learning_rate)
 
     history = TrainHistory()
-    best_params = None
+    best_params = best_saturated = None
 
     try:
         with np.errstate(over="raise"):  # ReLU can hide an overflow from every finite-loss check
@@ -217,16 +218,19 @@ def train(cfg: TrainConfig, splits: tuple[Dataset, Dataset]) -> tuple[ModelParam
                     sum_b += loss_b
 
                 costs = current_costs(cost_params) if spec.uses_cost else (float("nan"), float("nan"))
-                record = EpochRecord(sum_r / (step + 1), sum_b / (step + 1), *_val_metrics(params, val_ds), *costs)
+                *val, saturated = _val_metrics(params, val_ds)
+                record = EpochRecord(sum_r / (step + 1), sum_b / (step + 1), *val, *costs)
                 history.epochs.append(record)
 
                 if history.best_epoch < 0 or record.val_auc_roc > history.epochs[history.best_epoch].val_auc_roc:
                     history.best_epoch = epoch
-                    best_params = params.copy()
+                    best_params, best_saturated = params.copy(), saturated
                 elif epoch - history.best_epoch > cfg.early_stop_patience:
                     break
     except FloatingPointError as exc:
         raise NumericalError(f"numeric blow-up at epoch {epoch}: {exc}") from None
+    if best_saturated:  # finite, yet broken: a finite blow-up leaves the model certain of every row
+        raise NumericalError(f"best epoch {history.best_epoch} saturates every validation row: a top probability of 1")
 
     return best_params, history
 

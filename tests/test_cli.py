@@ -306,7 +306,29 @@ class TestEval:
                  **dict(arrays, __meta__=np.frombuffer(json.dumps(meta).encode("utf-8"), dtype=np.uint8)))
         np.savez(tmp_path / "complex_W.npz", **dict(arrays, backbone_0_W=arrays["backbone_0_W"] + 0j))
         np.savez(tmp_path / "text_std.npz", **dict(arrays, norm_std=arrays["norm_std"].astype(str)))
-        for name, message in (("no_span", "metadata lacks the key 'resid_span'"),
+        first = np.arange(arrays["norm_std"].size) == 0  # the first of 6 features
+        bad_norm = {  # name -> (the arrays it replaces, the message that refuses it)
+            "std_3": ({"norm_std": arrays["norm_std"][:3]}, "the array 'norm_std' holds float64 of shape (3,), "
+                      "need shape (6,)"),
+            "impute_5": ({"norm_impute": arrays["norm_impute"][:5]}, "the array 'norm_impute' holds float64 of "
+                         "shape (5,), need shape (6,)"),
+            "mean_2d": ({"norm_mean": arrays["norm_mean"][None]}, "the array 'norm_mean' holds float64 of shape "
+                        "(1, 6), need shape (6,)"),
+            "constant_float": ({"norm_constant": np.full(6, 0.5)}, "the array 'norm_constant' holds float64 of "
+                               "shape (6,), need shape (6,) of bool"),
+            "std_nan": ({"norm_std": np.where(first, np.nan, arrays["norm_std"])},
+                        "the array 'norm_std' holds a NaN or an inf"),
+            "W_nan": ({"backbone_0_W": np.full_like(arrays["backbone_0_W"], np.nan)},
+                      "the array 'backbone_0_W' holds a NaN or an inf"),
+            "mean_inf": ({"norm_mean": np.where(first, np.inf, arrays["norm_mean"])},
+                         "the array 'norm_mean' holds a NaN or an inf"),
+            "std_zero": ({"norm_std": np.where(first, 0.0, arrays["norm_std"])},
+                         "the array 'norm_std': stddev entries must be > 0"),
+        }
+        for name, (edit, _) in bad_norm.items():
+            np.savez(tmp_path / f"{name}.npz", **dict(arrays, **edit))
+        for name, message in (*((name, message) for name, (_, message) in bad_norm.items()),
+                              ("no_span", "metadata lacks the key 'resid_span'"),
                               ("unchained", "backbone_1_W has shape"), ("text", "not a readable .npz archive"),
                               ("meta_not_json", "the array '__meta__' is not a JSON object"),
                               ("extra_list", "metadata key 'extra' must be a JSON object, got ['variant']"),
@@ -623,6 +645,17 @@ class TestOtherCommands:
         err = capsys.readouterr().err
         assert "overflow" in err and "epoch" in err
         assert not (out / "report.json").exists()
+
+    @pytest.mark.parametrize("learning_rate, code", [(10, 2), (1, 0)])
+    def test_a_model_that_saturates_every_validation_row_is_exit_two(self, tmp_path, capsys, learning_rate, code):
+        # adam at learning rate 10 is certain of every validation row at its best epoch; at 1 only of some
+        out = tmp_path / "run"
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"train": {"epochs": 30, "early_stop_patience": 5, "learning_rate": learning_rate},
+                                    "output_dir": str(out)}))
+        assert main(["train", "--config", str(path)]) == code
+        assert ("saturates every validation row: a top probability of 1" in capsys.readouterr().err) == (code == 2)
+        assert (out / "report.json").exists() == (code == 0)
 
     def test_cost_underflow_is_exit_two(self, tmp_path, capsys):
         # plain SGD at learning rate 30 drives log_cfp below -745, where exp(log_cfp) is 0.0

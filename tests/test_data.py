@@ -1,6 +1,7 @@
 import math
 import re
 import tempfile
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 
 from denshift.data import (
     Dataset,
+    NormStats,
     SynthConfig,
     apply_preprocess,
     fit_preprocess,
@@ -132,6 +134,26 @@ class TestDataset:
         assert ds.class_counts.tolist() == [2, 2, 0]
         with pytest.raises(ValidationError, match=r"training split is missing classes: \['z'\]"):
             train(TrainConfig(variant="base", epochs=1, batch_size=2), (ds, ds))
+
+
+FROZEN_HOLDERS = {
+    "Dataset": lambda: Dataset(np.zeros((4, 2)), [0, 1, 0, 1], ["a", "b"], ["x", "y"]),
+    "NormStats": lambda: NormStats(np.zeros(2), np.ones(2), np.zeros(2), np.zeros(2, dtype=bool)),
+    "ScoredSet": lambda: ScoredSet([0.2, 0.9], [0, 1]),
+}
+
+
+@pytest.mark.parametrize("holder", FROZEN_HOLDERS)
+def test_frozen_holders_refuse_writes_to_every_array(holder):
+    obj = FROZEN_HOLDERS[holder]()
+    arrays = {f.name: getattr(obj, f.name) for f in fields(obj) if isinstance(getattr(obj, f.name), np.ndarray)}
+    assert len(arrays) == {"Dataset": 3, "NormStats": 4, "ScoredSet": 2}[holder]
+    for arr in arrays.values():
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = arr[0]
+    if holder == "Dataset":  # the names given as lists are kept as tuples; the counts as int64
+        assert obj.feature_names == ("a", "b") and obj.class_names == ("x", "y")
+        assert obj.class_counts.dtype == np.int64 and obj.class_counts.tolist() == [2, 2]
 
 
 # every function that reads class labels, with its class count: each validates them through `class_labels`

@@ -637,6 +637,15 @@ class TestCheckpointValidation:
         ({"backbone_0_W": np.zeros((5, 7), dtype=complex)}, r"the array 'backbone_0_W' holds complex128, not bool"),
         ({"norm_std": np.array(["1"] * 5)}, r"the array 'norm_std' holds <U1, not bool, integer or float"),
         ({"junk": np.zeros(3)}, r"unknown array 'junk'"),
+        ({"norm_std": np.ones(3)}, r"the array 'norm_std' holds float64 of shape \(3,\), need shape \(5,\)"),
+        ({"norm_impute": np.zeros(6)}, r"the array 'norm_impute' holds float64 of shape \(6,\), need shape \(5,\)"),
+        ({"norm_mean": np.zeros((1, 5))}, r"the array 'norm_mean' holds float64 of shape \(1, 5\), need shape"),
+        ({"norm_constant": np.full(5, 0.5)}, r"the array 'norm_constant' holds float64 of shape \(5,\), "
+                                             r"need shape \(5,\) of bool"),
+        ({"norm_std": np.array([1.0, np.nan, 1.0, 1.0, 1.0])}, r"the array 'norm_std' holds a NaN or an inf"),
+        ({"backbone_0_W": np.full((5, 7), np.nan)}, r"the array 'backbone_0_W' holds a NaN or an inf"),
+        ({"norm_mean": np.array([0.0, 0.0, -np.inf, 0.0, 0.0])}, r"the array 'norm_mean' holds a NaN or an inf"),
+        ({"norm_std": np.array([1.0, 0.0, 1.0, 1.0, 1.0])}, r"the array 'norm_std': stddev entries must be > 0"),
     ])
     def test_layers_that_do_not_chain_are_refused(self, saved, arrays, message):
         path, _ = saved

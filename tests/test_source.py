@@ -34,3 +34,15 @@ def test_every_private_module_level_name_is_read_beyond_its_definition():
             if not any(name in r for j, r in enumerate(reads) if j != i)]
     assert len(defined) >= 40  # the walk found the package's private names
     assert not dead, f"private module-level names that no other statement in src/ reads: {dead}"
+
+
+def test_only_data_freeze_sets_frozen_fields_or_marks_arrays_read_only():
+    # frozen dataclasses set their fields, and make their arrays read-only, through the one helper
+    tree = ast.parse((SRC / "data.py").read_text(encoding="utf-8"))
+    freeze = [node for node in tree.body if isinstance(node, ast.FunctionDef) and node.name == "freeze"]
+    inside = {("data.py", i) for node in freeze for i in range(node.lineno, node.end_lineno + 1)}
+    sites = {(path.name, i) for path in sorted(SRC.glob("*.py"))
+             for i, line in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1)
+             if "object.__setattr__" in line or ".flags.writeable" in line}
+    assert len(sites & inside) == 2, "data.freeze sets each field and marks each array read-only"
+    assert not sites - inside, f"outside data.freeze: {sorted(sites - inside)}"
