@@ -210,8 +210,11 @@ class NormStats:
 
     def __post_init__(self):
         freeze(self, **{f.name: np.asarray(getattr(self, f.name)) for f in fields(self)})
+        for name in ("mean", "std", "impute"):
+            if not np.isfinite(getattr(self, name)).all():
+                raise ValidationError(f"{name}: entries must be finite")
         if (self.std <= 0).any():
-            raise ValidationError("stddev entries must be > 0")
+            raise ValidationError("std: stddev entries must be > 0")
 
     @property
     def dim(self) -> int:

@@ -2,7 +2,8 @@
 
 AUC-ROC is the Mann-Whitney statistic computed exactly from rank sums
 (ties get half credit). AUC-PRC is non-interpolated average precision
-with tied scores processed as one cutoff. The Brier Skill Score
+with tied scores processed as one cutoff. Both read only tie groups, so they rank
+with numpy's default sort and refuse non-finite scores. The Brier Skill Score
 normalizes the Brier score against the prevalence predictor:
 BSS = 1 - BS / BS_max where BS_max always predicts the event rate of the
 evaluated set, so the prevalence predictor itself scores exactly 0 and
@@ -77,7 +78,7 @@ def _rank_auc(scores: np.ndarray, positives: np.ndarray) -> float:
     n_neg = positives.size - n_pos
     if n_pos == 0 or n_neg == 0:
         raise ValidationError("AUC-ROC needs both classes present")
-    order = np.argsort(scores, kind="stable")
+    order = np.argsort(scores)
     bounds = _tie_bounds(scores[order])
     ranks = np.empty(scores.size, dtype=np.float64)
     # the tie group [start, stop) gets the average of the 1-based ranks start+1..stop
@@ -97,7 +98,7 @@ def auc_prc(s: ScoredSet) -> float:
     n_pos = int(s.labels.sum())
     if n_pos == 0:
         raise ValidationError("AUC-PRC needs at least one positive")
-    order = np.argsort(-s.scores, kind="stable")
+    order = np.argsort(-s.scores)
     bounds = _tie_bounds(s.scores[order])
     tp_group = np.add.reduceat(s.labels[order], bounds[:-1])
     terms = (tp_group / n_pos) * (np.cumsum(tp_group) / bounds[1:])
@@ -157,6 +158,8 @@ def macro_auc(score_matrix: np.ndarray, labels) -> float:
     """Unweighted mean of the one-vs-rest AUC-ROC of each class of N x C scores with N class labels."""
     scores = np.asarray(score_matrix, dtype=np.float64)
     labels = _check_labels(scores, labels)
+    if not np.isfinite(scores).all():
+        raise ValidationError("scores must be finite")
     per_class = []
     for c in range(scores.shape[1]):
         pos = labels == c

@@ -463,8 +463,10 @@ def _read_checkpoint(where: str, npz) -> tuple[ModelParams, NormStats, dict]:
                                   f"need shape ({widths[0]},){' of bool' if f == 'constant_mask' else ''}")
     try:
         stats = NormStats(**norm)
-    except ValidationError as exc:  # NormStats refuses a std entry <= 0 alone
-        raise ValidationError(f"{where}: the array 'norm_std': {exc}") from None
+    except ValidationError as exc:  # NormStats's message starts with the field it refuses
+        field, _, why = str(exc).partition(": ")
+        key = next(k for k, f in _NORM_ARRAYS.items() if f == field)
+        raise ValidationError(f"{where}: the array {key!r}: {why}") from None
     unknown = [key for key in npz.files if key not in read]
     if unknown:
         raise ValidationError(f"{where}: unknown array {unknown[0]!r}")

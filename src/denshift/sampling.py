@@ -154,7 +154,7 @@ class SamplerState:
         self.cdf_regular = _class_cdf(ds.class_counts, q_regular)
         self.cdf_balanced = _class_cdf(ds.class_counts, q_balanced)
         self.counts = ds.class_counts
-        # row indices grouped by class (ascending within a class); class c starts at starts[c]
+        # row indices by class, class c from starts[c]; stable, as a draw picks a position within its class
         self.order = np.argsort(ds.labels, kind="stable")
         self.starts = np.cumsum(self.counts) - self.counts
         self.rng = np.random.default_rng(seed)

@@ -287,6 +287,19 @@ class TestPreprocess:
         with pytest.raises(ValidationError):
             apply_preprocess(two_col, stats)
 
+    @pytest.mark.parametrize("field, bad, message", [
+        ("mean", np.nan, "mean: entries must be finite"), ("mean", -np.inf, "mean: entries must be finite"),
+        ("std", np.nan, "std: entries must be finite"), ("std", np.inf, "std: entries must be finite"),
+        ("impute", np.nan, "impute: entries must be finite"), ("impute", np.inf, "impute: entries must be finite"),
+        ("std", 0.0, "std: stddev entries must be > 0"), ("std", -1.0, "std: stddev entries must be > 0"),
+    ])
+    def test_stats_refuse_bad_entries_naming_the_field(self, field, bad, message):
+        # a NaN std would turn a whole column into NaN, which the preprocessed Dataset reads as missing
+        arrays = {"mean": np.zeros(2), "std": np.ones(2), "impute": np.zeros(2), "constant_mask": np.zeros(2, bool)}
+        arrays[field] = np.array([bad, 1.0])
+        with pytest.raises(ValidationError, match=f"^{message}$"):
+            NormStats(**arrays)
+
 
 class TestStratifiedSplit:
     def make(self, counts):

@@ -77,12 +77,28 @@ def loop_average_precision(s):
     return float(ap)
 
 
-def _large_scored(seed, tied):
+def _large_scored(seed, kind, n):
+    """n scores in [0, 1], positives likelier at high scores; `kind` says how the scores tie.
+
+    "untied" and "tied" (rounded to 2 decimals) at 200k rows take the form of the eval-csv benchmark's two sets.
+    "all-equal" and "signed-zero" (-0.0 among 0.0) are ties whose order an unstable sort is free to change.
+    """
     rng = np.random.default_rng(seed)
-    scores = rng.random(20_000)
-    if tied:
+    scores = rng.random(n)
+    if kind == "tied":
         scores = np.round(scores, 2)
-    return ScoredSet(scores, (rng.random(scores.size) < 0.05 + 0.4 * scores).astype(np.int64))
+    elif kind == "all-equal":
+        scores = np.full(n, 0.5)
+    elif kind == "signed-zero":
+        scores = np.round(scores, 1) * (rng.random(n) < 0.5)  # half the rows score zero
+        scores[(scores == 0) & (rng.random(n) < 0.5)] = -0.0
+    return ScoredSet(scores, (rng.random(n) < 0.05 + 0.4 * scores).astype(np.int64))
+
+
+LARGE_SETS = pytest.mark.parametrize("kind, n", [
+    ("untied", 20_000), ("tied", 20_000), ("all-equal", 20_000), ("signed-zero", 20_000),
+    ("untied", 200_000), ("tied", 200_000),
+], ids=lambda v: f"{v // 1000}k" if isinstance(v, int) else v)
 
 
 class TestScoredSet:
@@ -128,9 +144,9 @@ class TestAucRoc:
     def test_bit_equal_to_loop_reference(self, s):
         assert auc_roc(s) == loop_rank_auc(s.scores, s.labels == 1)
 
-    @pytest.mark.parametrize("tied", [False, True])
-    def test_bit_equal_to_loop_reference_on_large_sets(self, tied):
-        s = _large_scored(3, tied)
+    @LARGE_SETS
+    def test_bit_equal_to_loop_reference_on_large_sets(self, kind, n):
+        s = _large_scored(3, kind, n)
         assert auc_roc(s) == loop_rank_auc(s.scores, s.labels == 1)
 
     @given(scored_sets)
@@ -176,9 +192,9 @@ class TestAucPrc:
     def test_bit_equal_to_loop_reference(self, s):
         assert auc_prc(s) == loop_average_precision(s)
 
-    @pytest.mark.parametrize("tied", [False, True])
-    def test_bit_equal_to_loop_reference_on_large_sets(self, tied):
-        s = _large_scored(4, tied)
+    @LARGE_SETS
+    def test_bit_equal_to_loop_reference_on_large_sets(self, kind, n):
+        s = _large_scored(4, kind, n)
         assert auc_prc(s) == loop_average_precision(s)
 
 
@@ -320,6 +336,24 @@ class TestMacroMicro:
             macro_micro_auc(scores, labels)
         with pytest.raises(ValidationError):
             macro_auc(scores, labels)
+
+    def test_tied_three_class_bit_equal_to_loop_reference(self):
+        rng = np.random.default_rng(13)
+        scores = np.round(softmax(rng.normal(size=(3000, 3))), 1)  # 11 distinct values per class
+        labels = rng.integers(0, 3, size=3000)
+        onehot = labels[:, None] == np.arange(3)
+        macro, micro = macro_micro_auc(scores, labels)
+        assert macro == float(np.mean([loop_rank_auc(scores[:, c], onehot[:, c]) for c in range(3)]))
+        assert micro == loop_rank_auc(scores.reshape(-1), onehot.reshape(-1))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("read", [macro_auc, macro_micro_auc], ids=lambda f: f.__name__)
+    def test_non_finite_scores_are_refused(self, read, bad):
+        # a NaN sorts last but equals nothing, so the order within its ties would leak into the AUC
+        scores = softmax(np.random.default_rng(5).normal(size=(30, 3)))
+        scores[4, 1] = bad
+        with pytest.raises(ValidationError, match="^scores must be finite$"):
+            read(scores, np.arange(30) % 3)
 
     def test_macro_auc_is_the_macro_half(self):
         rng = np.random.default_rng(11)

@@ -646,6 +646,7 @@ class TestCheckpointValidation:
         ({"backbone_0_W": np.full((5, 7), np.nan)}, r"the array 'backbone_0_W' holds a NaN or an inf"),
         ({"norm_mean": np.array([0.0, 0.0, -np.inf, 0.0, 0.0])}, r"the array 'norm_mean' holds a NaN or an inf"),
         ({"norm_std": np.array([1.0, 0.0, 1.0, 1.0, 1.0])}, r"the array 'norm_std': stddev entries must be > 0"),
+        ({"norm_std": np.array([1, 1, -2, 1, 1])}, r"the array 'norm_std': stddev entries must be > 0$"),
     ])
     def test_layers_that_do_not_chain_are_refused(self, saved, arrays, message):
         path, _ = saved

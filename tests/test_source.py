@@ -46,3 +46,17 @@ def test_only_data_freeze_sets_frozen_fields_or_marks_arrays_read_only():
              if "object.__setattr__" in line or ".flags.writeable" in line}
     assert len(sites & inside) == 2, "data.freeze sets each field and marks each array read-only"
     assert not sites - inside, f"outside data.freeze: {sorted(sites - inside)}"
+
+
+def _argsort_kinds(module: str) -> list:
+    """The `kind=` of each `np.argsort` call in a module of src/, None where the call passes none."""
+    calls = [n for n in ast.walk(ast.parse((SRC / module).read_text(encoding="utf-8")))
+             if isinstance(n, ast.Call) and isinstance(n.func, ast.Attribute) and n.func.attr == "argsort"]
+    return [next((ast.literal_eval(k.value) for k in call.keywords if k.arg == "kind"), None) for call in calls]
+
+
+def test_rank_metrics_use_the_default_sort_and_the_sampler_a_stable_one():
+    # both AUCs read only tie groups, and numpy's default sort is the fast (SIMD) one; the sampler's
+    # class order fixes which row each draw picks, so it must keep rows in ascending order within a class
+    assert _argsort_kinds("metrics.py") == [None, None]
+    assert _argsort_kinds("sampling.py") == ["stable"]
