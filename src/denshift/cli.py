@@ -27,8 +27,7 @@ from .data import (CONFIG_RULES, Dataset, SynthConfig, apply_preprocess, check_c
                    gen_synthetic, imbalance_ratio, load_csv, save_csv, stratified_split, write_table)
 from .diagnostics import gradient_report
 from .errors import DenshiftError, NumericalError, SchemaError, ValidationError
-from .metrics import (ScoredSet, calibration_bins, nll, score_report, split_report, temperature_apply,
-                      temperature_fit)
+from .metrics import ScoredSet, calibration_bins, nll, split_report, temperature_apply, temperature_fit
 from .nn import load_checkpoint, save_checkpoint
 from .training import (EpochRecord, TrainConfig, logits, predict, run_ablation, sweep_theta, table_metrics, train,
                        variant_losses)
@@ -202,14 +201,12 @@ def cmd_train(cfg: dict, args) -> int:
         val_logits = logits(params, va.features)
         t_fit = temperature_fit(val_logits, va.labels)
         scaled = temperature_apply(logits(params, te.features), t_fit)
-        entry = {
+        report["temperature_scaling"] = {
             "temperature": t_fit,
             "val_nll_before": nll(val_logits, va.labels, 1.0),
             "val_nll_after": nll(val_logits, va.labels, t_fit),
+            "test": split_report(scaled, te.labels),
         }
-        if te.n_classes == 2:
-            entry["test"] = score_report(ScoredSet(scaled[:, 1], te.labels))
-        report["temperature_scaling"] = entry
 
     extra = {"config_hash": chash, "variant": tcfg.variant, "theta": tcfg.theta, "offset": tcfg.offset,
              "cost_at_best": cost_at_best}

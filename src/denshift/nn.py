@@ -23,7 +23,7 @@ import numpy as np
 from .data import CONFIG_RULES, TEXT, NormStats, Rule, at_least, list_of, one_of, or_null
 from .errors import NumericalError, ValidationError
 
-CHECKPOINT_VERSION = "denshift-checkpoint-1"
+CHECKPOINT_VERSION = "denshift-checkpoint-2"
 # Adam's moment decay rates and denominator guard, the defaults of Kingma & Ba (arXiv:1412.6980)
 _ADAM_BETA1, _ADAM_BETA2, _ADAM_EPS = 0.9, 0.999, 1e-8
 # grad_check's central-difference step and the most entries it probes
@@ -37,19 +37,30 @@ class DenseLayer:
         self.Wb, self.W, self.b = Wb, Wb[:-1], Wb[-1]
 
 
+def _layer_shapes(widths: tuple[int, ...]):
+    """Each layer's [W; b] shape (d_in + 1, d_out), lazily: the backbone's in order, then both heads."""
+    for l in range(len(widths) - 2):
+        yield widths[l] + 1, widths[l + 1]
+    yield from ((widths[-2] + 1, widths[-1]),) * 2
+
+
 @dataclass
 class _LayerVector:
     """Backbone layers and two heads whose arrays are views into one contiguous float64 vector."""
 
     vector: np.ndarray
-    layout: tuple[tuple[int, int], ...]  # each layer's [W; b] shape (d_in + 1, d_out): W row-major, then b
+    widths: tuple[int, ...]  # input, each backbone layer's output, classes; each layer's W row-major, then b
     backbone: list[DenseLayer] = field(init=False, repr=False)
     head_regular: DenseLayer = field(init=False, repr=False)
     head_balanced: DenseLayer = field(init=False, repr=False)
 
     def __post_init__(self):
-        starts = accumulate((r * c for r, c in self.layout), initial=0)
-        layers = [DenseLayer(self.vector[s:s + r * c].reshape(r, c)) for (r, c), s in zip(self.layout, starts)]
+        size = sum(r * c for r, c in _layer_shapes(self.widths))  # lazily, so huge widths allocate nothing
+        if self.vector.shape != (size,):
+            raise ValidationError(f"the vector has shape {self.vector.shape}, the layer widths need ({size},)")
+        shapes = list(_layer_shapes(self.widths))
+        starts = accumulate((r * c for r, c in shapes), initial=0)
+        layers = [DenseLayer(self.vector[s:s + r * c].reshape(r, c)) for (r, c), s in zip(shapes, starts)]
         self.backbone, self.head_regular, self.head_balanced = layers[:-2], layers[-2], layers[-1]
 
     # pickle and deepcopy would copy each view apart from `vector`; store the vector, rebind on load
@@ -74,23 +85,16 @@ class ModelParams(_LayerVector):
     resid_span: tuple[int, int] | None = None
     trained_heads: tuple[str, ...] | None = None
 
-    @classmethod
-    def pack(cls, layers: list[tuple[np.ndarray, np.ndarray]], resid_span,
-             trained_heads: tuple[str, ...] | None = None) -> "ModelParams":
-        """Copy (W, b) pairs (the backbone, then the regular head, then the balanced head) into one new vector."""
-        vector = np.concatenate([a.ravel() for W, b in layers for a in (W, b)], dtype=np.float64)
-        return cls(vector, tuple((W.shape[0] + 1, W.shape[1]) for W, _ in layers), resid_span, trained_heads)
-
     @property
     def input_dim(self) -> int:
-        return self.backbone[0].W.shape[0]
+        return self.widths[0]
 
     @property
     def n_classes(self) -> int:
-        return self.head_regular.W.shape[1]
+        return self.widths[-1]
 
     def copy(self) -> "ModelParams":
-        return ModelParams(self.vector.copy(), self.layout, self.resid_span, self.trained_heads)
+        return ModelParams(self.vector.copy(), self.widths, self.resid_span, self.trained_heads)
 
 
 class ForwardTrace:
@@ -106,8 +110,7 @@ class ForwardTrace:
     """
 
     def __init__(self, params: ModelParams, rows: int):
-        widths = [params.input_dim] + [layer.W.shape[1] for layer in params.backbone]
-        self.act = [_with_ones(rows, width) for width in widths]
+        self.act = [_with_ones(rows, width) for width in params.widths[:-1]]
         self.logits_regular: np.ndarray | None = None
         self.logits_balanced: np.ndarray | None = None
         self.logit_buffers = (np.empty((rows, params.n_classes)), np.empty((rows, params.n_classes)))
@@ -136,23 +139,18 @@ def init_mlp(
     seed: int = 0,
 ) -> ModelParams:
     """Seeded model: depth weight matrices per head path, uniform(+-1/sqrt(fan_in)) weights, zero biases."""
-    if min(input_dim, hidden, n_classes) < 1 or depth < 2:
-        raise ValidationError("dims must be positive and depth >= 2")
+    for name, value, least in (("input_dim", input_dim, 1), ("hidden", hidden, 1), ("n_classes", n_classes, 1),
+                               ("depth", depth, 2)):
+        at_least(least).check(name, value)
+    n_layers = depth - 1
+    span = ((n_layers - 1) // 2, (n_layers - 1) // 2 + 1) if n_layers >= 3 else None
+    widths = (input_dim, *[hidden] * n_layers, n_classes)
+    params = ModelParams(np.zeros(sum(r * c for r, c in _layer_shapes(widths))), widths, span)
     rng = np.random.default_rng(seed)
-    n_backbone = depth - 1
-
-    def dense(d_in, d_out):
-        bound = 1.0 / np.sqrt(d_in)
-        return rng.uniform(-bound, bound, size=(d_in, d_out)), np.zeros(d_out)
-
-    backbone = [dense(input_dim, hidden)]
-    backbone += [dense(hidden, hidden) for _ in range(n_backbone - 1)]
-    span = None
-    if n_backbone >= 3:
-        m = (n_backbone - 1) // 2
-        span = (m, m + 1)
-    heads = [dense(hidden, n_classes), dense(hidden, n_classes)]
-    return ModelParams.pack(backbone + heads, span)
+    for W in params.flat()[::2]:  # each layer's W, in vector order
+        bound = 1.0 / np.sqrt(W.shape[0])
+        W[...] = rng.uniform(-bound, bound, size=W.shape)
+    return params
 
 
 def _with_ones(rows: int, width: int) -> np.ndarray:
@@ -228,7 +226,7 @@ def backward(
     """
     hidden = trace.act[-1]  # with its ones column
     n_rows = hidden.shape[0]
-    grads = Gradients(np.empty(params.vector.size), params.layout) if out is None else out
+    grads = Gradients(np.empty(params.vector.size), params.widths) if out is None else out
     if trace.masks is None:
         trace.masks, trace.d_act = _backward_buffers(trace.act)
     masks, d_act = trace.masks, trace.d_act
@@ -346,9 +344,9 @@ def grad_check(loss_fn, vector: np.ndarray, batch, seed: int = 0) -> float:
     return float(worst)
 
 
-# every metadata key -> the rule its value keeps; `load_checkpoint` checks the span against the arrays
+# every metadata key -> the rule its value keeps; `load_checkpoint` checks widths and span against each other
 _CHECKPOINT_META = {
-    "n_backbone": at_least(1), "resid_span": or_null(list_of(Rule(lambda v: type(v) is int, "an integer"), 2)),
+    "widths": list_of(at_least(1)), "resid_span": or_null(list_of(Rule(lambda v: type(v) is int, "an integer"), 2)),
     "trained_heads": or_null(one_of(["regular"], ["balanced"], ["regular", "balanced"], ["balanced", "regular"])),
     "class_names": list_of(TEXT), "feature_names": list_of(TEXT), "label_column": TEXT,
     "extra": Rule(lambda v: isinstance(v, dict), "a JSON object"),
@@ -360,14 +358,10 @@ _NORM_ARRAYS = {"norm_mean": "mean", "norm_std": "std", "norm_impute": "impute",
 def save_checkpoint(path, params: ModelParams, norm_stats: NormStats,
                     class_names: tuple[str, ...], feature_names: tuple[str, ...],
                     label_column: str = "label", extra: dict | None = None) -> None:
-    """Bit-exact model checkpoint: parameter arrays + preprocessing stats + label mapping."""
-    named = [(f"backbone_{i}", layer) for i, layer in enumerate(params.backbone)]
-    named += [("head_regular", params.head_regular), ("head_balanced", params.head_balanced)]
-    arrays = {f"{name}_{k}": getattr(layer, k) for name, layer in named for k in ("W", "b")}
-    arrays.update((key, getattr(norm_stats, f)) for key, f in _NORM_ARRAYS.items())
+    """Bit-exact model checkpoint: the parameter vector + its layer widths, preprocessing stats, label mapping."""
     meta = {
         "version": CHECKPOINT_VERSION,
-        "n_backbone": len(params.backbone),
+        "widths": list(params.widths),
         "resid_span": list(params.resid_span) if params.resid_span else None,
         "trained_heads": list(params.trained_heads) if params.trained_heads else None,
         "class_names": list(class_names),
@@ -375,18 +369,19 @@ def save_checkpoint(path, params: ModelParams, norm_stats: NormStats,
         "label_column": label_column,
         "extra": extra or {},
     }
-    np.savez(path, __meta__=np.frombuffer(json.dumps(meta).encode("utf-8"), dtype=np.uint8), **arrays)
+    np.savez(path, __meta__=np.frombuffer(json.dumps(meta).encode("utf-8"), dtype=np.uint8), params=params.vector,
+             **{key: getattr(norm_stats, f) for key, f in _NORM_ARRAYS.items()})
 
 
 def load_checkpoint(path) -> tuple[ModelParams, NormStats, dict]:
     """Inverse of save_checkpoint; logits reproduce bit-exactly on the same platform.
 
-    A file that is no readable .npz archive, metadata that is no JSON object,
-    a missing key or array, a metadata value that breaks its `_CHECKPOINT_META`
-    rule, layer shapes that do not chain, norm_* arrays not of one entry per
-    feature (bool for norm_constant), an array not bool, integer or float or
-    holding a NaN or an inf, or an unknown array raise ValidationError naming
-    the file and what is wrong. Only arrays a check names are decompressed.
+    A file that is no readable .npz archive, metadata that is no JSON object or of another version, a missing
+    or unknown key or array, a metadata value that breaks its `_CHECKPOINT_META` rule, widths that do not run
+    from the features to the classes, a `params` vector of another size than the widths need, norm_* arrays
+    not of one entry per feature (bool for norm_constant), or an array not bool, integer or float or holding
+    a NaN or an inf raise ValidationError naming the file and what is wrong. Only arrays a check names are
+    decompressed.
     """
     where = f"checkpoint {path}"
     with open(path, "rb") as fh:
@@ -423,44 +418,30 @@ def _read_checkpoint(where: str, npz) -> tuple[ModelParams, NormStats, dict]:
         raise ValidationError(f"{where}: the array '__meta__' is not a JSON object")
     if meta.get("version") != CHECKPOINT_VERSION:
         raise ValidationError(f"{where}: unsupported checkpoint version {meta.get('version')!r}")
-    if meta.get("normalize_balanced"):  # older checkpoints record this key; false needs nothing extra
-        raise ValidationError(f"{where}: normalize_balanced is true, a cosine-normalized balanced head "
-                              "this version does not support")
+    unknown = [key for key in meta if key != "version" and key not in _CHECKPOINT_META]
+    if unknown:
+        raise ValidationError(f"{where}: unknown metadata key {unknown[0]!r}")
     for key, rule in _CHECKPOINT_META.items():
         if key not in meta:
             raise ValidationError(f"{where}: metadata lacks the key {key!r}")
         rule.check(f"{where}: metadata key {key!r}", meta[key])
-
-    # one layer at a time, so a missing array stops the read before the next layer's name is built:
-    # every W's rows match the width before it, every b its W's columns, the heads name the classes
-    n_backbone, n_classes = meta["n_backbone"], len(meta["class_names"])
-    widths = [len(meta["feature_names"])]  # widths[l]: backbone layer l's input width; the heads read widths[-1]
-    layers = []
-    for i in range(n_backbone + 2):
-        name = f"backbone_{i}" if i < n_backbone else ("head_regular", "head_balanced")[i - n_backbone]
-        W, b = array(f"{name}_W"), array(f"{name}_b")
-        if W.ndim != 2 or W.shape[0] != widths[-1]:
-            raise ValidationError(f"{where}: {name}_W has shape {W.shape}, its input width is {widths[-1]}")
-        if b.shape != (W.shape[1],):
-            raise ValidationError(f"{where}: {name}_b has shape {b.shape}, {name}_W has {W.shape[1]} columns")
-        if i < n_backbone:
-            widths.append(W.shape[1])
-        elif W.shape[1] != n_classes:
-            raise ValidationError(f"{where}: {name}_W has {W.shape[1]} columns, the checkpoint names {n_classes} classes")
-        layers.append((W, b))
-    span = meta["resid_span"]
+    n_in, n_out = len(meta["feature_names"]), len(meta["class_names"])
+    ends = Rule(lambda v: len(v) >= 3 and v[0] == n_in and v[-1] == n_out, f"[{n_in}, one or more widths, {n_out}]")
+    widths = tuple(ends.check(f"{where}: metadata key 'widths'", meta["widths"]))
+    n_layers, span = len(widths) - 2, meta["resid_span"]
     if span is not None:
-        if not 1 <= span[0] <= span[1] < n_backbone:
+        if not 1 <= span[0] <= span[1] < n_layers:
             raise ValidationError(f"{where}: resid_span {span!r} does not lie inside the "
-                                  f"{n_backbone}-layer backbone (need 1 <= start <= end < {n_backbone})")
+                                  f"{n_layers}-layer backbone (need 1 <= start <= end < {n_layers})")
         if widths[span[0]] != widths[span[1] + 1]:
             raise ValidationError(f"{where}: resid_span {span!r} adds a width-{widths[span[0]]} activation "
                                   f"to a width-{widths[span[1] + 1]} layer output")
+    vector = np.asarray(array("params"), dtype=np.float64)
     norm = {f: array(key) for key, f in _NORM_ARRAYS.items()}
     for key, f in _NORM_ARRAYS.items():
-        if norm[f].shape != (widths[0],) or (f == "constant_mask" and norm[f].dtype != bool):
+        if norm[f].shape != (n_in,) or (f == "constant_mask" and norm[f].dtype != bool):
             raise ValidationError(f"{where}: the array {key!r} holds {norm[f].dtype} of shape {norm[f].shape}, "
-                                  f"need shape ({widths[0]},){' of bool' if f == 'constant_mask' else ''}")
+                                  f"need shape ({n_in},){' of bool' if f == 'constant_mask' else ''}")
     try:
         stats = NormStats(**norm)
     except ValidationError as exc:  # NormStats's message starts with the field it refuses
@@ -470,6 +451,9 @@ def _read_checkpoint(where: str, npz) -> tuple[ModelParams, NormStats, dict]:
     unknown = [key for key in npz.files if key not in read]
     if unknown:
         raise ValidationError(f"{where}: unknown array {unknown[0]!r}")
-    params = ModelParams.pack(layers, resid_span=tuple(span) if span else None,
-                              trained_heads=tuple(meta["trained_heads"]) if meta["trained_heads"] else None)
+    try:  # the size check runs by arithmetic on the widths, before any layer is built
+        params = ModelParams(vector, widths, tuple(span) if span else None,
+                             tuple(meta["trained_heads"]) if meta["trained_heads"] else None)
+    except ValidationError as exc:
+        raise ValidationError(f"{where}: the array 'params': {exc}") from None
     return params, stats, meta

@@ -184,7 +184,7 @@ def train(cfg: TrainConfig, splits: tuple[Dataset, Dataset]) -> tuple[ModelParam
     params = replace(init, vector=state[:n],
                      trained_heads=("regular", "balanced") if spec.dual_stream else ("regular",))
     grad = np.empty_like(state)
-    grads = Gradients(grad[:n], init.layout)
+    grads = Gradients(grad[:n], init.widths)
     trace = ForwardTrace(params, 2 * cfg.batch_size if spec.dual_stream else cfg.batch_size)
     sampler = SamplerState(
         train_ds, cfg.batch_size, seed=cfg.seed,

@@ -15,7 +15,7 @@ from denshift.cli import DEFAULT_CONFIG, build_parser, config_hash, load_config,
 from denshift.data import CONFIG_RULES, check_config
 from denshift.errors import ValidationError
 from denshift.metrics import ScoredSet, auc_prc, auc_roc, bss, split_report
-from denshift.nn import load_checkpoint
+from denshift.nn import init_mlp, load_checkpoint
 from denshift.training import VARIANTS
 
 TINY = {
@@ -187,8 +187,8 @@ class TestTrain:
         out1, out2 = tmp_path / "r1", tmp_path / "r2"
         assert main(["train", "--config", str(path), "--out", str(out1)]) == 0
         assert main(["train", "--config", str(path), "--out", str(out2)]) == 0
-        assert (out1 / "report.json").read_bytes() == (out2 / "report.json").read_bytes()
-        assert (out1 / "history.csv").read_bytes() == (out2 / "history.csv").read_bytes()
+        for name in ("report.json", "history.csv", "checkpoint.npz"):
+            assert (out1 / name).read_bytes() == (out2 / name).read_bytes(), name
 
     def test_variant_flag_changes_run(self, tmp_path):
         out = tmp_path / "b"
@@ -202,8 +202,24 @@ class TestTrain:
         out = tmp_path / "t"
         path = write_cfg(tmp_path, {"metrics": {"temperature_scaling": True}, "output_dir": str(out)})
         assert main(["train", "--config", str(path)]) == 0
-        entry = json.loads((out / "report.json").read_text())["temperature_scaling"]
+        report = json.loads((out / "report.json").read_text())
+        entry = report["temperature_scaling"]
         assert entry["val_nll_after"] <= entry["val_nll_before"] + 1e-12
+        assert set(entry["test"]) == set(report["test"]) and "auc_roc" in entry["test"]
+
+    def test_temperature_section_on_multiclass_data_scores_the_test_split(self, tmp_path):
+        # the scaled test probabilities get the same one-vs-rest report as the unscaled ones
+        out = tmp_path / "t"
+        cfg = {"dataset": {"csv": {"path": str(write_multiclass_csv(tmp_path / "d.csv", n_rows=300, dim=4))}},
+               "train": {"epochs": 3, "batch_size": 16, "variant": "decoupling"},
+               "metrics": {"temperature_scaling": True},
+               "output_dir": str(out)}
+        (tmp_path / "c.json").write_text(json.dumps(cfg))
+        assert main(["train", "--config", str(tmp_path / "c.json")]) == 0
+        report = json.loads((out / "report.json").read_text())
+        entry = report["temperature_scaling"]
+        assert set(entry) == {"temperature", "val_nll_before", "val_nll_after", "test"}
+        assert set(entry["test"]) == {"macro_auc", "micro_auc", "n"} and entry["test"]["n"] == report["test"]["n"]
 
     def test_a_zero_split_fraction_exits_one_before_training(self, tmp_path, capsys, monkeypatch):
         # an empty test split used to train every epoch and then fail on its empty scored set, naming no key
@@ -262,31 +278,33 @@ class TestEval:
         assert auc_roc(scored) == report["metrics"]["auc_roc"]
         assert bss(scored) == pytest.approx(report["metrics"]["bss"], abs=1e-15)
 
-    def test_checkpoint_with_a_normalized_balanced_head_is_rejected(self, tmp_path, capsys):
-        # checkpoints of older versions record normalize_balanced; false loads as before, true is refused
-        run, gen = tmp_path / "run", tmp_path / "gen"
-        path = write_cfg(tmp_path, {"output_dir": str(run)})
-        assert main(["train", "--config", str(path)]) == 0
-        assert main(["gen-data", "--config", str(path), "--out", str(gen)]) == 0
-        with np.load(run / "checkpoint.npz") as blob:
+    def test_a_version_1_checkpoint_or_an_unknown_metadata_key_exits_one(self, trained_run, tmp_path, capsys):
+        # format 1 stored one array per layer and recorded n_backbone and normalize_balanced; format 2 reads none
+        checkpoint, csv = trained_run
+        with np.load(checkpoint) as blob:
             arrays = {k: blob[k] for k in blob.files}
         meta = json.loads(bytes(arrays["__meta__"]).decode("utf-8"))
-        preds = {}
-        for flag in (None, False, True):
-            if flag is not None:
-                meta["normalize_balanced"] = flag
-            arrays["__meta__"] = np.frombuffer(json.dumps(meta).encode("utf-8"), dtype=np.uint8)
-            np.savez(tmp_path / f"{flag}.npz", **arrays)
-            out = tmp_path / f"eval_{flag}"
-            code = main(["eval", "--checkpoint", str(tmp_path / f"{flag}.npz"), "--csv", str(gen / "test.csv"),
-                         "--out", str(out)])
-            assert code == (1 if flag else 0)
-            preds[flag] = (out / "predictions.csv").read_bytes() if code == 0 else None
-        assert preds[False] == preds[None]
-        assert "normalize_balanced" in capsys.readouterr().err
-        assert not (tmp_path / "eval_True").exists()
+        views = init_mlp(6, seed=0)  # the TINY layer widths, whose views name format 1's arrays
+        views.vector[:] = arrays.pop("params")
+        layers = [f"backbone_{i}" for i in range(len(views.backbone))] + ["head_regular", "head_balanced"]
+        version_1 = dict(arrays, **dict(zip([f"{layer}_{k}" for layer in layers for k in "Wb"], views.flat())))
+        cases = {  # name -> (metadata, arrays, the message that refuses it)
+            "version_1": ({k: v for k, v in meta.items() if k != "widths"} | {
+                "version": "denshift-checkpoint-1", "n_backbone": 3, "normalize_balanced": False}, version_1,
+                "unsupported checkpoint version 'denshift-checkpoint-1'"),
+            "normalize_balanced": (dict(meta, normalize_balanced=True), dict(arrays, params=views.vector),
+                                   "unknown metadata key 'normalize_balanced'"),
+        }
+        for name, (edited, members, message) in cases.items():
+            bad, out = tmp_path / f"{name}.npz", tmp_path / f"eval_{name}"
+            np.savez(bad, **dict(members, __meta__=np.frombuffer(json.dumps(edited).encode("utf-8"), dtype=np.uint8)))
+            assert main(["eval", "--checkpoint", str(bad), "--csv", str(csv), "--out", str(out)]) == 1
+            err = capsys.readouterr().err
+            assert f"checkpoint {bad}: {message}" in err
+            assert "Traceback" not in err
+            assert not out.exists()
 
-    def test_checkpoint_with_a_missing_key_or_unchained_layers_exits_one(self, tmp_path, capsys):
+    def test_checkpoint_with_a_missing_key_or_a_bad_array_exits_one(self, tmp_path, capsys):
         run, gen = tmp_path / "run", tmp_path / "gen"
         path = write_cfg(tmp_path, {"output_dir": str(run)})
         assert main(["train", "--config", str(path)]) == 0
@@ -297,14 +315,14 @@ class TestEval:
         del meta["resid_span"]
         no_span = dict(arrays, __meta__=np.frombuffer(json.dumps(meta).encode("utf-8"), dtype=np.uint8))
         np.savez(tmp_path / "no_span.npz", **no_span)
-        unchained = dict(arrays, backbone_1_W=arrays["backbone_1_W"][:-1])
-        np.savez(tmp_path / "unchained.npz", **unchained)
+        np.savez(tmp_path / "short_params.npz", **dict(arrays, params=arrays["params"][:-1]))
+        np.savez(tmp_path / "no_params.npz", **{k: v for k, v in arrays.items() if k != "params"})
         (tmp_path / "text.npz").write_text("hello\n")  # 6 bytes, no archive
         np.savez(tmp_path / "meta_not_json.npz", **dict(arrays, __meta__=np.frombuffer(b"{oops", dtype=np.uint8)))
         meta = dict(meta, resid_span=None, extra=["variant"])
         np.savez(tmp_path / "extra_list.npz",
                  **dict(arrays, __meta__=np.frombuffer(json.dumps(meta).encode("utf-8"), dtype=np.uint8)))
-        np.savez(tmp_path / "complex_W.npz", **dict(arrays, backbone_0_W=arrays["backbone_0_W"] + 0j))
+        np.savez(tmp_path / "complex_params.npz", **dict(arrays, params=arrays["params"] + 0j))
         np.savez(tmp_path / "text_std.npz", **dict(arrays, norm_std=arrays["norm_std"].astype(str)))
         first = np.arange(arrays["norm_std"].size) == 0  # the first of 6 features
         bad_norm = {  # name -> (the arrays it replaces, the message that refuses it)
@@ -318,8 +336,10 @@ class TestEval:
                                "shape (6,), need shape (6,) of bool"),
             "std_nan": ({"norm_std": np.where(first, np.nan, arrays["norm_std"])},
                         "the array 'norm_std' holds a NaN or an inf"),
-            "W_nan": ({"backbone_0_W": np.full_like(arrays["backbone_0_W"], np.nan)},
-                      "the array 'backbone_0_W' holds a NaN or an inf"),
+            "params_nan": ({"params": np.full_like(arrays["params"], np.nan)},
+                           "the array 'params' holds a NaN or an inf"),
+            "params_inf": ({"params": np.where(np.arange(arrays["params"].size) == 0, np.inf, arrays["params"])},
+                           "the array 'params' holds a NaN or an inf"),
             "mean_inf": ({"norm_mean": np.where(first, np.inf, arrays["norm_mean"])},
                          "the array 'norm_mean' holds a NaN or an inf"),
             "std_zero": ({"norm_std": np.where(first, 0.0, arrays["norm_std"])},
@@ -329,10 +349,13 @@ class TestEval:
             np.savez(tmp_path / f"{name}.npz", **dict(arrays, **edit))
         for name, message in (*((name, message) for name, (_, message) in bad_norm.items()),
                               ("no_span", "metadata lacks the key 'resid_span'"),
-                              ("unchained", "backbone_1_W has shape"), ("text", "not a readable .npz archive"),
+                              ("short_params", f"the array 'params': the vector has shape "
+                                                f"({arrays['params'].size - 1},), the layer widths need "
+                                                f"({arrays['params'].size},)"),
+                              ("no_params", "missing the array 'params'"), ("text", "not a readable .npz archive"),
                               ("meta_not_json", "the array '__meta__' is not a JSON object"),
                               ("extra_list", "metadata key 'extra' must be a JSON object, got ['variant']"),
-                              ("complex_W", "the array 'backbone_0_W' holds complex128"),
+                              ("complex_params", "the array 'params' holds complex128"),
                               ("text_std", "the array 'norm_std' holds <U")):
             out = tmp_path / f"eval_{name}"
             code = main(["eval", "--checkpoint", str(tmp_path / f"{name}.npz"), "--csv", str(gen / "test.csv"),
@@ -346,7 +369,8 @@ class TestEval:
     @pytest.mark.parametrize("key, value", [
         ("trained_heads", 5), ("trained_heads", "balanced"), ("trained_heads", ["regular", "oops"]),
         ("trained_heads", ["regular", "regular"]), ("trained_heads", []),
-        ("n_backbone", 0), ("n_backbone", True), ("resid_span", [1.5, 2]),
+        ("widths", [6, 28, 0, 28, 2]), ("widths", [6, 28, True, 28, 2]), ("widths", [6, 28, "28", 28, 2]),
+        ("widths", [6, 2]), ("widths", [5, 28, 28, 28, 2]), ("widths", [6, 28, 28, 28, 3]), ("resid_span", [1.5, 2]),
     ])
     def test_bad_metadata_value_exits_one_naming_file_and_key(self, trained_run, tmp_path, capsys, key, value):
         checkpoint, csv = trained_run
@@ -362,16 +386,18 @@ class TestEval:
         assert "Traceback" not in err
         assert not out.exists()
 
-    def test_a_huge_layer_count_is_refused_at_the_first_missing_array(self, trained_run, tmp_path, capsys):
-        # the TINY checkpoint has 3 backbone layers; the read stops at backbone_3_W, not after 2,000,000 names
+    def test_a_huge_layer_width_is_refused_by_arithmetic(self, trained_run, tmp_path, capsys):
+        # a 2**40-wide layer would need terabytes; the size check sums the widths' products and builds no layer
         checkpoint, csv = trained_run
         with np.load(checkpoint) as blob:
             arrays = {k: blob[k] for k in blob.files}
-        meta = dict(json.loads(bytes(arrays["__meta__"]).decode("utf-8")), n_backbone=2_000_000)
+        meta = dict(json.loads(bytes(arrays["__meta__"]).decode("utf-8")), widths=[6, 28, 2**40, 28, 2])
         arrays["__meta__"] = np.frombuffer(json.dumps(meta).encode("utf-8"), dtype=np.uint8)
         bad, out = tmp_path / "bad.npz", tmp_path / "eval"
         np.savez(bad, **arrays)
-        message = f"checkpoint {bad}: missing the array 'backbone_3_W'"
+        need = 7 * 28 + 29 * 2**40 + (2**40 + 1) * 28 + 2 * 29 * 2
+        message = f"checkpoint {bad}: the array 'params': the vector has shape ({arrays['params'].size},), " \
+                  f"the layer widths need ({need},)"
         tracemalloc.start()
         try:
             with pytest.raises(ValidationError, match=re.escape(message)):
@@ -379,7 +405,7 @@ class TestEval:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 20e6
+        assert peak < 5e6
         assert main(["eval", "--checkpoint", str(bad), "--csv", str(csv), "--out", str(out)]) == 1
         assert message in capsys.readouterr().err
         assert not out.exists()

@@ -49,11 +49,41 @@ class TestInit:
         assert np.abs(p.backbone[0].W).max() <= 1.0 / np.sqrt(100)
         assert np.array_equal(p.backbone[0].b, np.zeros(28))
 
-    def test_bad_dims(self):
-        with pytest.raises(ValidationError):
-            init_mlp(0)
-        with pytest.raises(ValidationError):
-            init_mlp(4, depth=1)
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"input_dim": 0}, "input_dim must be an integer >= 1, got 0"),
+        ({"input_dim": True}, "input_dim must be an integer >= 1, got True"),
+        ({"input_dim": 4, "hidden": 0}, "hidden must be an integer >= 1, got 0"),
+        ({"input_dim": 4, "n_classes": 0}, "n_classes must be an integer >= 1, got 0"),
+        ({"input_dim": 4, "depth": 1}, "depth must be an integer >= 2, got 1"),
+        ({"input_dim": 4, "depth": 3.0}, "depth must be an integer >= 2, got 3.0"),
+    ])
+    def test_bad_dims_are_refused_by_name(self, kwargs, message):
+        with pytest.raises(ValidationError, match=f"^{message}$"):
+            init_mlp(**kwargs)
+
+    @pytest.mark.parametrize("input_dim, hidden, depth, n_classes", [
+        (5, 28, 4, 2), (3, 4, 2, 2), (7, 9, 5, 3), (2, 3, 7, 4), (20, 28, 4, 2),
+    ])
+    def test_init_draws_each_weight_matrix_in_layer_order(self, input_dim, hidden, depth, n_classes):
+        # reference: the backbone's W then b, then each head's, concatenated; each W one uniform draw
+        rng = np.random.default_rng(11)
+        shapes = [(input_dim, hidden)] + [(hidden, hidden)] * (depth - 2) + [(hidden, n_classes)] * 2
+        parts = []
+        for d_in, d_out in shapes:
+            bound = 1.0 / np.sqrt(d_in)
+            parts += [rng.uniform(-bound, bound, size=(d_in, d_out)).ravel(), np.zeros(d_out)]
+        p = init_mlp(input_dim, hidden, depth, n_classes, seed=11)
+        assert p.widths == (input_dim, *[hidden] * (depth - 1), n_classes)
+        assert np.array_equal(p.vector, np.concatenate(parts))
+
+    @pytest.mark.parametrize("size", [149, 151])
+    def test_a_vector_of_another_size_than_the_widths_need_is_refused(self, size):
+        # widths 5 -> 7 -> 7 -> 4, then two 2-class heads: 6*7 + 8*7 + 8*4 + 2 * 5*2 = 150 entries
+        assert ModelParams(np.zeros(150), (5, 7, 7, 4, 2)).head_balanced.Wb.shape == (5, 2)
+        with pytest.raises(ValidationError, match=rf"the vector has shape \({size},\), the layer widths need \(150,\)"):
+            ModelParams(np.zeros(size), (5, 7, 7, 4, 2))
+        with pytest.raises(ValidationError, match=r"the vector has shape \(1, 150\)"):
+            Gradients(np.zeros((1, 150)), (5, 7, 7, 4, 2))
 
 
 class TestForward:
@@ -197,7 +227,7 @@ def test_affine_views_write_through_after_every_construction(tmp_path):
     save_checkpoint(tmp_path / "c.npz", p, stats, ("a", "b", "c"), tuple("wxyz"))
     loaded, _, _ = load_checkpoint(tmp_path / "c.npz")
     for model in (p, p.copy(), loaded, pickle.loads(pickle.dumps(p)),
-                  Gradients(np.zeros(p.vector.size), p.layout)):
+                  Gradients(np.zeros(p.vector.size), p.widths)):
         assert_affine_views_write_through(model)
 
 
@@ -292,7 +322,7 @@ class TestBackward:
         p = init_mlp(5, hidden=9, depth=5, n_classes=3, seed=8)
         x, d = rng.normal(size=(12, 5)), rng.normal(size=(12, 3))
         d_r, d_b = (d, None) if head == "regular" else (None, d)
-        buffer = Gradients(rng.normal(size=p.vector.size), p.layout)
+        buffer = Gradients(rng.normal(size=p.vector.size), p.widths)
         got = backward(p, forward(p, x, head), d_r, d_b, buffer)
         assert np.array_equal(got.vector, backward(p, forward(p, x), d_r, d_b).vector)
         other = got.head_balanced if head == "regular" else got.head_regular
@@ -544,29 +574,34 @@ class TestCheckpoints:
         with pytest.raises(ValidationError, match=r"bad\.npz: unsupported checkpoint version 'other'"):
             load_checkpoint(path)
 
-    @pytest.mark.parametrize("flag", [None, False, True])
-    def test_normalize_balanced_meta_key(self, tmp_path, flag):
-        # older checkpoints record normalize_balanced: absent or false loads as saved, true is refused
-        import json
-
+    @pytest.mark.parametrize("flag", [False, True])
+    def test_an_unknown_metadata_key_is_refused_by_name(self, tmp_path, flag):
+        # format 1 recorded normalize_balanced; format 2 has no such key, so even false is refused
         p = init_mlp(5, seed=9)
         stats = NormStats(mean=np.zeros(5), std=np.ones(5), impute=np.zeros(5),
                           constant_mask=np.zeros(5, dtype=bool))
         path = tmp_path / "ckpt.npz"
         save_checkpoint(path, p, stats, ("no", "yes"), tuple("abcde"))
-        with np.load(path) as blob:
-            arrays = {k: blob[k] for k in blob.files}
-        meta = json.loads(bytes(arrays["__meta__"]).decode("utf-8"))
-        assert "normalize_balanced" not in meta
-        if flag is not None:
-            meta["normalize_balanced"] = flag
-        arrays["__meta__"] = np.frombuffer(json.dumps(meta).encode("utf-8"), dtype=np.uint8)
-        np.savez(path, **arrays)
-        if flag:
-            with pytest.raises(ValidationError, match=r"ckpt\.npz: normalize_balanced is true"):
-                load_checkpoint(path)
-        else:
-            assert np.array_equal(load_checkpoint(path)[0].vector, p.vector)
+        rewrite_checkpoint(path, lambda meta: meta.update(normalize_balanced=flag))
+        with pytest.raises(ValidationError, match=r"ckpt\.npz: unknown metadata key 'normalize_balanced'"):
+            load_checkpoint(path)
+
+    def test_a_version_1_checkpoint_is_refused_by_its_version(self, tmp_path):
+        # format 1 stored each layer's W and b as its own array and counted the backbone layers
+        import json
+
+        p = init_mlp(5, seed=9)
+        layers = [f"backbone_{i}" for i in range(len(p.backbone))] + ["head_regular", "head_balanced"]
+        arrays = dict(zip([f"{layer}_{k}" for layer in layers for k in "Wb"], p.flat()))
+        arrays.update(norm_mean=np.zeros(5), norm_std=np.ones(5), norm_impute=np.zeros(5),
+                      norm_constant=np.zeros(5, dtype=bool))
+        meta = {"version": "denshift-checkpoint-1", "n_backbone": len(p.backbone), "resid_span": [1, 2],
+                "trained_heads": None, "class_names": ["no", "yes"], "feature_names": list("abcde"),
+                "label_column": "label", "extra": {}}
+        np.savez(tmp_path / "v1.npz", __meta__=np.frombuffer(json.dumps(meta).encode("utf-8"), dtype=np.uint8),
+                 **arrays)
+        with pytest.raises(ValidationError, match=r"v1\.npz: unsupported checkpoint version 'denshift-checkpoint-1'"):
+            load_checkpoint(tmp_path / "v1.npz")
 
 
 def rewrite_checkpoint(path, meta_edit=None, **arrays_edit):
@@ -602,7 +637,7 @@ class TestCheckpointValidation:
         loaded = load_checkpoint(path)[0]
         assert np.array_equal(loaded.vector, p.vector) and loaded.resid_span == (1, 2)
 
-    @pytest.mark.parametrize("key", ["n_backbone", "resid_span", "trained_heads", "class_names", "feature_names",
+    @pytest.mark.parametrize("key", ["widths", "resid_span", "trained_heads", "class_names", "feature_names",
                                      "label_column", "extra"])
     def test_missing_meta_key_names_file_and_key(self, saved, key):
         path, _ = saved
@@ -623,18 +658,19 @@ class TestCheckpointValidation:
             load_checkpoint(path)
 
     @pytest.mark.parametrize("arrays, message", [
-        ({"backbone_2_W": np.zeros((8, 7))}, r"backbone_2_W has shape \(8, 7\), its input width is 7"),
-        ({"backbone_0_W": np.zeros((4, 7))}, r"backbone_0_W has shape \(4, 7\), its input width is 5"),
-        ({"backbone_1_b": np.zeros(6)}, r"backbone_1_b has shape \(6,\), backbone_1_W has 7 columns"),
-        ({"head_balanced_W": np.zeros((6, 3))}, r"head_balanced_W has shape \(6, 3\), its input width is 7"),
-        ({"head_balanced_W": np.zeros((7, 2)), "head_balanced_b": np.zeros(2)},
-         r"head_balanced_W has 2 columns, the checkpoint names 3 classes"),
-        ({"backbone_3_b": None}, r"missing the array 'backbone_3_b'"),
+        # widths (5, 7, 7, 7, 7, 3): 6*7 + 3 * 8*7 backbone entries, then 2 * 8*3 for the heads
+        ({"params": np.zeros(257)}, r"the array 'params': the vector has shape \(257,\), the layer widths need "
+                                    r"\(258,\)$"),
+        ({"params": np.zeros(259)}, r"the array 'params': the vector has shape \(259,\), the layer widths need "
+                                    r"\(258,\)$"),
+        ({"params": np.zeros((2, 129))}, r"the array 'params': the vector has shape \(2, 129\), the layer widths need"),
+        ({"params": np.zeros(())}, r"the array 'params': the vector has shape \(\), the layer widths need"),
+        ({"params": None}, r"missing the array 'params'"),
         ({"__meta__": None}, r"missing the array '__meta__'"),
         ({"__meta__": np.frombuffer(b"{oops", dtype=np.uint8)}, r"the array '__meta__' is not a JSON object"),
         ({"__meta__": np.frombuffer(b"\xff", dtype=np.uint8)}, r"the array '__meta__' is not a JSON object"),
         ({"__meta__": np.frombuffer(b"[1]", dtype=np.uint8)}, r"the array '__meta__' is not a JSON object"),
-        ({"backbone_0_W": np.zeros((5, 7), dtype=complex)}, r"the array 'backbone_0_W' holds complex128, not bool"),
+        ({"params": np.zeros(258, dtype=complex)}, r"the array 'params' holds complex128, not bool"),
         ({"norm_std": np.array(["1"] * 5)}, r"the array 'norm_std' holds <U1, not bool, integer or float"),
         ({"junk": np.zeros(3)}, r"unknown array 'junk'"),
         ({"norm_std": np.ones(3)}, r"the array 'norm_std' holds float64 of shape \(3,\), need shape \(5,\)"),
@@ -643,12 +679,13 @@ class TestCheckpointValidation:
         ({"norm_constant": np.full(5, 0.5)}, r"the array 'norm_constant' holds float64 of shape \(5,\), "
                                              r"need shape \(5,\) of bool"),
         ({"norm_std": np.array([1.0, np.nan, 1.0, 1.0, 1.0])}, r"the array 'norm_std' holds a NaN or an inf"),
-        ({"backbone_0_W": np.full((5, 7), np.nan)}, r"the array 'backbone_0_W' holds a NaN or an inf"),
+        ({"params": np.full(258, np.nan)}, r"the array 'params' holds a NaN or an inf"),
+        ({"params": np.where(np.arange(258) == 200, -np.inf, 0.0)}, r"the array 'params' holds a NaN or an inf"),
         ({"norm_mean": np.array([0.0, 0.0, -np.inf, 0.0, 0.0])}, r"the array 'norm_mean' holds a NaN or an inf"),
         ({"norm_std": np.array([1.0, 0.0, 1.0, 1.0, 1.0])}, r"the array 'norm_std': stddev entries must be > 0"),
         ({"norm_std": np.array([1, 1, -2, 1, 1])}, r"the array 'norm_std': stddev entries must be > 0$"),
     ])
-    def test_layers_that_do_not_chain_are_refused(self, saved, arrays, message):
+    def test_bad_arrays_are_refused(self, saved, arrays, message):
         path, _ = saved
         rewrite_checkpoint(path, **arrays)
         with pytest.raises(ValidationError, match=r"ckpt\.npz: " + message):
@@ -669,7 +706,7 @@ class TestCheckpointValidation:
     def test_a_damaged_member_is_refused(self, saved):
         path, _ = saved
         raw = bytearray(path.read_bytes())
-        raw[raw.find(b"head_regular_W.npy") + 200] ^= 0xFF  # a byte of the stored array, after its header
+        raw[raw.find(b"params.npy") + 200] ^= 0xFF  # a byte of the stored array, after its header
         path.write_bytes(bytes(raw))
         with pytest.raises(ValidationError, match=r"ckpt\.npz: not a readable \.npz archive \(Bad CRC-32"):
             load_checkpoint(path)
@@ -679,9 +716,18 @@ class TestCheckpointValidation:
         (lambda m: m.update(resid_span=[2, 4]), "does not lie inside the 4-layer backbone"),
         (lambda m: m.update(resid_span=[2, 1]), "does not lie inside the 4-layer backbone"),
         (lambda m: m.update(resid_span="1-2"), r"ckpt\.npz: metadata key 'resid_span' must be a list of 2 items"),
-        (lambda m: m.update(n_backbone="4"), r"ckpt\.npz: metadata key 'n_backbone' must be an integer >= 1"),
-        (lambda m: m.update(n_backbone=5), "missing the array 'backbone_4_W'"),
-        (lambda m: m.update(feature_names=["v", "w"]), r"backbone_0_W has shape \(5, 7\), its input width is 2"),
+        (lambda m: m.update(widths=[5, 7, "7", 7, 7, 3]),
+         r"ckpt\.npz: metadata key 'widths' must be a non-empty list, each an integer >= 1, got \[5, 7, '7'"),
+        (lambda m: m.update(widths=[5, 7, 0, 7, 7, 3]), r"metadata key 'widths' must be a non-empty list, each an int"),
+        (lambda m: m.update(widths=[5, 7, True, 7, 7, 3]), r"metadata key 'widths' must be a non-empty list, each an"),
+        (lambda m: m.update(widths=[]), r"metadata key 'widths' must be a non-empty list"),
+        (lambda m: m.update(widths=[5, 3]), r"ckpt\.npz: metadata key 'widths' must be \[5, one or more widths, 3\], "
+                                            r"got \[5, 3\]$"),
+        (lambda m: m.update(widths=[4, 7, 7, 7, 7, 3]), r"metadata key 'widths' must be \[5, one or more widths, 3\]"),
+        (lambda m: m.update(widths=[5, 7, 7, 7, 7, 2]), r"metadata key 'widths' must be \[5, one or more widths, 3\]"),
+        (lambda m: m.update(widths=[5, 7, 7, 7, 7, 7, 3]), r"the array 'params': the vector has shape \(258,\), "
+                                                            r"the layer widths need \(314,\)"),
+        (lambda m: m.update(feature_names=["v", "w"]), r"metadata key 'widths' must be \[2, one or more widths, 3\]"),
     ])
     def test_bad_metadata_is_refused(self, saved, meta_edit, message):
         path, _ = saved
@@ -705,11 +751,8 @@ class TestCheckpointValidation:
 
     def test_skip_between_unequal_widths_is_refused(self, tmp_path):
         # backbone widths 5 -> 7 -> 7 -> 4: a skip from act[1] (width 7) onto layer 2's output (width 4)
-        rng = np.random.default_rng(0)
-        layers = [(rng.normal(size=(5, 7)), np.zeros(7)), (rng.normal(size=(7, 7)), np.zeros(7)),
-                  (rng.normal(size=(7, 4)), np.zeros(4)), (rng.normal(size=(4, 2)), np.zeros(2)),
-                  (rng.normal(size=(4, 2)), np.zeros(2))]
-        p = ModelParams.pack(layers, resid_span=(1, 2))
+        p = ModelParams(np.random.default_rng(0).normal(size=6 * 7 + 8 * 7 + 8 * 4 + 2 * 5 * 2), (5, 7, 7, 4, 2),
+                        resid_span=(1, 2))
         stats = NormStats(mean=np.zeros(5), std=np.ones(5), impute=np.zeros(5),
                           constant_mask=np.zeros(5, dtype=bool))
         save_checkpoint(tmp_path / "c.npz", p, stats, ("a", "b"), tuple("vwxyz"))

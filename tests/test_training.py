@@ -404,7 +404,7 @@ class TestStackedStep:
         rng = np.random.default_rng(1)
         params = init_mlp(5, hidden=9, depth=5, n_classes=3, seed=1)
         trace = forward(params, rng.normal(size=(12, 5)))
-        buffer = Gradients(np.empty(params.vector.size), params.layout)
+        buffer = Gradients(np.empty(params.vector.size), params.widths)
         for d_r, d_b in [(rng.normal(size=(12, 3)), None), (None, rng.normal(size=(12, 3))),
                          (rng.normal(size=(5, 3)), rng.normal(size=(7, 3)))]:
             buffer.vector[:] = rng.normal(size=buffer.vector.size)  # stale values from an earlier step
@@ -429,7 +429,7 @@ class TestStackedStep:
         if cost_params:
             cost_params.log_cfp = 0.3
         trace = ForwardTrace(params, 2 * cfg.batch_size if spec.dual_stream else cfg.batch_size)
-        out = Gradients(np.random.default_rng(0).normal(size=params.vector.size), params.layout)
+        out = Gradients(np.random.default_rng(0).normal(size=params.vector.size), params.widths)
         for _ in range(4):
             pair = next_batch_pair(sampler)
             loss_r, loss_b, grad, d_cost = train_step(params, pair, spec, cfg, deltas, cost_params, out, trace)
@@ -450,7 +450,7 @@ class TestStackedStep:
         cfg = TrainConfig(variant="full", hidden=128, batch_size=256, seed=0)
         spec, params, sampler, deltas, cost_params = step_inputs(cfg, tr)
         trace = ForwardTrace(params, 2 * cfg.batch_size)
-        out = Gradients(np.zeros(params.vector.size), params.layout)
+        out = Gradients(np.zeros(params.vector.size), params.widths)
         opt = OptState.for_vector(params.vector, cfg.optimizer, cfg.learning_rate)
         budget = 256 * 129 * 8
 
