@@ -48,7 +48,7 @@ print(f"  {'variant':<11} {'auc_roc':>8} {'auc_prc':>8} {'bss':>8}")
 for variant, row in table.items():
     print(f"  {variant:<11} {row['auc_roc_mean']:8.4f} {row['auc_prc_mean']:8.4f} {row['bss_mean']:+8.4f}")
 
-print("\ncost-ratio sweep for the cost variant (3 seeds, mean +- 95% CI):")
+print("\ncost-ratio sweep for the cost variant (3 seeds, mean +- 95% Student t CI):")
 rows = sweep_theta(replace(cfg, variant="cost"), splits,
                    theta_grid=(1, 5, 10, 25, 50, 100), seeds=(0, 1, 2))
 for row in rows:
@@ -57,9 +57,9 @@ for row in rows:
 
 print("\ntemperature scaling on the base variant:")
 params, _ = train(replace(cfg, variant="base"), splits[:2])
-val_logits = forward(params, splits[1].features).logits_regular
+val_logits = forward(params, splits[1].features).logits
 fitted = temperature_fit(val_logits, splits[1].labels)
-test_logits = forward(params, splits[2].features).logits_regular
+test_logits = forward(params, splits[2].features).logits
 raw = ScoredSet(predict(params, splits[2].features)[:, 1], splits[2].labels)
 scaled = ScoredSet(temperature_apply(test_logits, fitted)[:, 1], splits[2].labels)
 print(f"  fitted T = {fitted:.3f}; validation NLL {nll(val_logits, splits[1].labels, 1.0):.4f}"

@@ -23,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import (CONFIG_RULES, Dataset, SynthConfig, apply_preprocess, check_config, fit_preprocess,
+from .data import (CONFIG_RULES, VARIANTS, Dataset, SynthConfig, apply_preprocess, check_config, fit_preprocess,
                    gen_synthetic, imbalance_ratio, load_csv, save_csv, stratified_split, write_table)
 from .diagnostics import gradient_report
 from .errors import DenshiftError, NumericalError, SchemaError, ValidationError
@@ -271,7 +271,8 @@ def cmd_ablate(cfg: dict, args) -> int:
     metrics = table_metrics(splits[0].n_classes)
     columns = ["variant", "n_runs"] + [f"{m}_{stat}" for m in metrics for stat in ("mean", "ci95")]
     write_table(out / "ablation.csv", columns, ([v] + [row[k] for k in columns[1:]] for v, row in table.items()))
-    _write_json(out / "ablation.json", {"config_hash": config_hash(cfg), "table": table})
+    skipped = [v for v in VARIANTS if v not in table]  # the binary-only cost variants, on multi-class data
+    _write_json(out / "ablation.json", {"config_hash": config_hash(cfg), "skipped_variants": skipped, "table": table})
     for v, row in table.items():
         print(f"{v:<11} " + " ".join(f"{m}={row[m + '_mean']:.4f}" for m in metrics))
     return 0

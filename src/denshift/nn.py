@@ -3,12 +3,13 @@
 The architecture is fixed by construction: `depth` weight matrices per
 head path, ReLU hidden layers of equal width, and one residual skip
 block spanning two middle hidden layers (h_out = relu(W2 relu(W1 h) + b2 + h)).
-Two heads share the backbone; `backward` routes each head's upstream
-gradient only to that head, and the backbone accumulates the sum of
-whatever flows from unmasked heads. A head's upstream gradient may cover
-only a block of the batch's rows (the regular head the first rows, the
-balanced head the last), so one pass over two stacked batches trains
-each head on its own batch. Everything is float64.
+Two heads share the backbone, and each row goes through one of them:
+`forward` sends the first `n_regular` rows through the regular head and
+the rest through the balanced head, into one logits array. So one pass
+over two stacked batches trains each head on its own batch: `backward`
+takes one upstream gradient shaped like the logits, gives each head the
+gradient of its own rows only, and the backbone gets all rows' gradient.
+Everything is float64.
 """
 
 from __future__ import annotations
@@ -101,19 +102,19 @@ class ForwardTrace:
     """Activations of one forward pass, enough for an exact backward pass, in buffers that later passes reuse.
 
     `act[l]` is backbone layer l's input (act[0] the batch) with a trailing
-    column of ones, written once when the buffer is made. A head's logits
-    are None when the last pass did not compute them. `masks` and `d_act`
-    hold backward's ReLU masks and upstream gradients, one per backbone
-    layer's output; the first backward pass over the trace allocates them,
-    so a trace that only predicts never does. A trace fits one row count
-    and the layer widths of the parameters it was made for.
+    column of ones, written once when the buffer is made. `logits` holds the
+    last pass's logits: rows `[:n_regular]` from the regular head, the rest
+    from the balanced head. `masks` and `d_act` hold backward's ReLU masks
+    and upstream gradients, one per backbone layer's output; the first
+    backward pass over the trace allocates them, so a trace that only
+    predicts never does. A trace fits one row count and the layer widths of
+    the parameters it was made for.
     """
 
     def __init__(self, params: ModelParams, rows: int):
         self.act = [_with_ones(rows, width) for width in params.widths[:-1]]
-        self.logits_regular: np.ndarray | None = None
-        self.logits_balanced: np.ndarray | None = None
-        self.logit_buffers = (np.empty((rows, params.n_classes)), np.empty((rows, params.n_classes)))
+        self.logits = np.empty((rows, params.n_classes))
+        self.n_regular = rows
         self.masks: list[np.ndarray] | None = None
         self.d_act: list[np.ndarray] | None = None
 
@@ -174,19 +175,21 @@ def _backward_buffers(act: list[np.ndarray]) -> tuple[list[np.ndarray], list[np.
     return masks, d_act
 
 
-def forward(params: ModelParams, x: np.ndarray, head: str | None = None,
+def forward(params: ModelParams, x: np.ndarray, n_regular: int | None = None,
             trace: ForwardTrace | None = None) -> ForwardTrace:
-    """Run a batch through the backbone and one head ("regular"/"balanced") or both (None), caching activations.
+    """Run a batch through the backbone, rows `[:n_regular]` through the regular head and the rest through the
+    balanced head (all rows through the regular head when None), caching activations.
 
     Writes into `trace` and returns it, or into a new trace when None. Each
     affine map is one GEMM: a layer writes `a @ [W; b]` into the first
     columns of a buffer whose last column is 1, and ReLU in place keeps the ones.
     """
-    if head not in (None, "regular", "balanced"):
-        raise ValidationError(f"unknown head {head!r}")
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != params.input_dim:
         raise ValidationError(f"input shape {x.shape} does not match input_dim {params.input_dim}")
+    n = x.shape[0] if n_regular is None else at_least(0).check("n_regular", n_regular)
+    if n > x.shape[0]:
+        raise ValidationError(f"n_regular must be at most the batch's {x.shape[0]} rows, got {n}")
     if trace is None:
         trace = ForwardTrace(params, x.shape[0])
     elif trace.rows != x.shape[0]:
@@ -200,58 +203,37 @@ def forward(params: ModelParams, x: np.ndarray, head: str | None = None,
             a += act[span[0]]  # whole rows, one contiguous add; then the ones column is restored
             a[:, -1] = 1.0
         np.maximum(a, 0.0, out=a)
-    out_regular, out_balanced = trace.logit_buffers
-    trace.logits_regular = np.matmul(a, params.head_regular.Wb, out=out_regular) if head != "balanced" else None
-    trace.logits_balanced = np.matmul(a, params.head_balanced.Wb, out=out_balanced) if head != "regular" else None
+    np.matmul(a[:n], params.head_regular.Wb, out=trace.logits[:n])
+    if n < trace.rows:  # a single-stream step sends no row to the balanced head; skip its empty GEMM
+        np.matmul(a[n:], params.head_balanced.Wb, out=trace.logits[n:])
+    trace.n_regular = n
     return trace
 
 
-def backward(
-    params: ModelParams,
-    trace: ForwardTrace,
-    d_logits_regular: np.ndarray | None = None,
-    d_logits_balanced: np.ndarray | None = None,
-    out: Gradients | None = None,
-) -> Gradients:
-    """Exact parameter gradients, written into `out` (a new buffer when None) and returned.
+def backward(params: ModelParams, trace: ForwardTrace, d_logits: np.ndarray,
+             out: Gradients | None = None) -> Gradients:
+    """Exact parameter gradients from the upstream gradient `d_logits` of `trace.logits`, written into `out`
+    (a new buffer when None) and returned.
 
-    Each head's upstream gradient covers a block of the trace's rows (the
-    regular head's the first rows, the balanced head's the last), so one
-    stacked pass trains each head on its own batch; None masks a head,
-    whose gradient is then zero. The backbone gets the sum over both
-    blocks; rows neither covers add nothing. Each layer's dW and db come
-    from one GEMM, `[a_in, 1].T @ dz`, written into the gradient's [W; b]
-    view. The ReLU masks and upstream gradients go into the trace's
-    buffers, allocated on its first backward pass.
+    Each head's gradient comes from its own rows of the last forward pass
+    alone (a head with no rows gets exact zeros), and the backbone's from
+    all rows. Each layer's dW and db come from one GEMM, `[a_in, 1].T @ dz`,
+    written into the gradient's [W; b] view. The ReLU masks and upstream
+    gradients go into the trace's buffers, allocated on its first backward pass.
     """
+    if d_logits.shape != trace.logits.shape:
+        raise ValidationError(f"d_logits has shape {d_logits.shape}, the trace's logits {trace.logits.shape}")
     hidden = trace.act[-1]  # with its ones column
-    n_rows = hidden.shape[0]
     grads = Gradients(np.empty(params.vector.size), params.widths) if out is None else out
     if trace.masks is None:
         trace.masks, trace.d_act = _backward_buffers(trace.act)
     masks, d_act = trace.masks, trace.d_act
-    # each head writes its own rows of d_hidden; uncovered rows get 0, an overlapping block adds
-    n_reg = 0 if d_logits_regular is None else d_logits_regular.shape[0]
-    start_bal = n_rows if d_logits_balanced is None else n_rows - d_logits_balanced.shape[0]
-    overlap = start_bal < n_reg
-    d_hidden = d_act[-1][:, :-1]
-    d_act[-1][n_reg:n_rows if overlap else start_bal] = 0.0
-
-    if d_logits_regular is None:
-        grads.head_regular.Wb.fill(0.0)
-    else:
-        np.matmul(hidden[:n_reg].T, d_logits_regular, out=grads.head_regular.Wb)
-        np.matmul(d_logits_regular, params.head_regular.W.T, out=d_hidden[:n_reg])
-
-    if d_logits_balanced is None:
-        grads.head_balanced.Wb.fill(0.0)
-    else:
-        rows = slice(start_bal, n_rows)
-        block = np.empty((n_rows - start_bal, d_hidden.shape[1])) if overlap else d_hidden[rows]
-        np.matmul(hidden[rows].T, d_logits_balanced, out=grads.head_balanced.Wb)
-        np.matmul(d_logits_balanced, params.head_balanced.W.T, out=block)
-        if overlap:
-            d_hidden[rows] += block
+    d_hidden, n = d_act[-1][:, :-1], trace.n_regular
+    for head, grad, rows in ((params.head_regular, grads.head_regular, slice(0, n)),
+                             (params.head_balanced, grads.head_balanced, slice(n, trace.rows))):
+        np.matmul(hidden[rows].T, d_logits[rows], out=grad.Wb)  # exact zeros for a head with no rows
+        if rows.start < rows.stop:  # such a head writes no row of d_hidden; skip its empty GEMM
+            np.matmul(d_logits[rows], head.W.T, out=d_hidden[rows])
 
     span = params.resid_span
     skip = None  # the residual's upstream gradient, taken at layer span[1] and added at layer span[0] - 1

@@ -2,15 +2,14 @@
 
 Each step draws a regular batch and a class-balanced batch, stacked in
 one array, regular rows first. Dual-stream variants run the stacked rows
-through the shared backbone in one forward and one backward pass; the
-regular head's loss reads only its logits on the regular rows and the
-balanced head's only its logits on the balanced rows, so each head is
-optimized on its own batch alone while the backbone gets the sum of both
-gradients. Single-stream variants run the regular rows alone. The
-gradient buffer and the step's activation, ReLU-mask and
-upstream-gradient buffers (one `nn.ForwardTrace`) are allocated once per
-run, and one optimizer step updates one vector: the parameters, then
-log C_FP when the cost term trains. Model selection is by validation AUC-ROC of the inference head
+through the shared backbone in one forward and one backward pass, each
+row through its own stream's head, so each head is optimized on its own
+batch while the backbone gets the sum of both gradients. Single-stream
+variants run the regular rows alone. The gradient buffer and the step's
+activation, ReLU-mask and upstream-gradient buffers (one
+`nn.ForwardTrace`) are allocated once per run, and one optimizer step
+updates one vector: the parameters, then log C_FP when the cost term
+trains. Model selection is by validation AUC-ROC of the inference head
 (the balanced one when it is trained), with early stopping after
 `early_stop_patience` epochs without improvement.
 """
@@ -136,26 +135,24 @@ def train_step(params: ModelParams, pair: BatchPair, spec: VariantSpec, cfg: Tra
     """Losses and gradients of one decoupled step; parameters are not updated.
 
     One gather, forward and backward pass: over the stacked regular and
-    balanced rows for dual-stream variants, over the regular rows and the
-    regular head alone otherwise. Each head's loss reads its own head's
-    logits on its own rows. The forward and backward passes reuse the
-    buffers of `trace` when given (see `nn.ForwardTrace`). Returns (loss_regular, loss_balanced (NaN when
-    single stream), gradient laid out like `params.vector` (the vector of
-    `out` when given), d/dlog_cfp).
+    balanced rows for dual-stream variants, over the regular rows alone
+    otherwise. The pair's `n_regular` first rows go through the regular
+    head and feed its loss, the rest the balanced head's. Both passes reuse
+    the buffers of `trace` when given (see `nn.ForwardTrace`). Returns
+    (loss_regular, loss_balanced (NaN when single stream), gradient laid
+    out like `params.vector` (the vector of `out` when given), d/dlog_cfp).
     """
-    n_reg = pair.n_regular
-    x, y = pair.rows(None if spec.dual_stream else n_reg)
-    trace = forward(params, x, None if spec.dual_stream else "regular", trace)
-    loss_r, d_r, d_cost = _head_loss(
-        spec.regular_terms, trace.logits_regular[:n_reg], y[:n_reg], cfg, deltas, cost_params
-    )
-    loss_b, d_b = float("nan"), None
+    n = pair.n_regular
+    x, y = pair.rows(None if spec.dual_stream else n)
+    trace = forward(params, x, n, trace)
+    z = trace.logits
+    loss_r, d_z, d_cost = _head_loss(spec.regular_terms, z[:n], y[:n], cfg, deltas, cost_params)
+    loss_b = float("nan")
     if spec.dual_stream:
-        loss_b, d_b, dcost_b = _head_loss(
-            spec.balanced_terms, trace.logits_balanced[n_reg:], y[n_reg:], cfg, deltas, cost_params
-        )
+        loss_b, d_b, dcost_b = _head_loss(spec.balanced_terms, z[n:], y[n:], cfg, deltas, cost_params)
         d_cost += dcost_b
-    grads = backward(params, trace, d_r, d_b, out)
+        d_z = np.concatenate((d_z, d_b))
+    grads = backward(params, trace, d_z, out)
     return loss_r, loss_b, grads.vector, d_cost
 
 
@@ -242,8 +239,7 @@ def logits(params: ModelParams, x: np.ndarray, head: str | None = None) -> np.nd
         head = "balanced" if "balanced" in available else "regular"
     if one_of("regular", "balanced").check("head", head) not in available:
         raise ValidationError(f"head {head!r} was not trained for this variant")
-    trace = forward(params, x, head)
-    return trace.logits_balanced if head == "balanced" else trace.logits_regular
+    return forward(params, x, 0 if head == "balanced" else None).logits
 
 
 def predict(params: ModelParams, x: np.ndarray, head: str | None = None) -> np.ndarray:
@@ -255,12 +251,27 @@ def predict(params: ModelParams, x: np.ndarray, head: str | None = None) -> np.n
     return probs
 
 
+def _t975(df: int) -> float:
+    """The two-sided 95% Student t quantile for integer `df` >= 1: bisects theta = atan(t / sqrt(df)) on the
+    closed-form P(|T| <= t) of Abramowitz & Stegun 26.7.3 (odd df) and 26.7.4 (even df)."""
+    def inside(theta: float) -> float:
+        c, s, term, total = math.cos(theta), math.sin(theta), 1.0, 0.0
+        for j in range(1 + df % 2, df, 2):  # df // 2 terms, each (j / (j + 1)) c^2 times the last
+            total += term
+            term *= c * c * j / (j + 1)
+        return s * total if df % 2 == 0 else 2 / math.pi * (theta + s * c * total)
+    lo, hi = 0.0, math.pi / 2
+    while lo < (mid := (lo + hi) / 2) < hi:
+        lo, hi = (mid, hi) if inside(mid) < 0.95 else (lo, mid)
+    return math.sqrt(df) * math.tan(mid)
+
+
 def _mean_ci(values: list[float]) -> tuple[float, float]:
     arr = np.asarray(values, dtype=np.float64)
     if arr.size < 2:
         return float(arr.mean()), float("nan")
     stderr = arr.std(ddof=1) / np.sqrt(arr.size)
-    return float(arr.mean()), float(1.96 * stderr)
+    return float(arr.mean()), float(_t975(arr.size - 1) * stderr)
 
 
 def _run_single(job) -> dict:
@@ -281,7 +292,7 @@ def _grid(cfg: TrainConfig, splits: tuple[Dataset, Dataset, Dataset], field: str
     """Train one job per (value of `field`, seed) on the same splits.
 
     Maps each value to its run count and, for each test metric, the mean,
-    the 95% CI half-width and the per-seed values.
+    the 95% Student t interval's half-width (NaN for one seed) and the per-seed values.
     """
     seeds = list_of(at_least(0)).check("seeds", list(seeds))
     repeated = next((s for i, s in enumerate(seeds) if s in seeds[:i]), None)
@@ -311,8 +322,6 @@ def sweep_theta(
     """Train/eval over the theta grid; one table row per theta with mean +- 95% CI."""
     if not variant_losses(cfg.variant).uses_cost:
         raise ValidationError("theta sweep requires a cost-matrix variant")
-    if len(seeds) < 3:
-        raise ValidationError("theta sweep needs at least 3 seeds for confidence intervals")
     grid = sorted({float(t) for t in list_of(POSITIVE).check("theta_grid", list(theta_grid))})
     table = _grid(cfg, splits, "theta", grid, seeds, ("auc_roc", "auc_prc"), max_workers)
     return [{"theta": t, **{k: v for k, v in row.items() if not k.endswith("_per_seed")}}

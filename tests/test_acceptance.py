@@ -161,18 +161,19 @@ def test_06_decoupling_isolation(bench_splits):
         pair = next_batch_pair(sampler)
         x, y = pair.rows()
         xr, yr = x[:pair.n_regular], y[:pair.n_regular]
-        trace = forward(params, xr)
-        _, d_r = dah_softmax(trace.logits_regular, yr, deltas)
-        only_regular = backward(params, trace, d_logits_regular=d_r)
+        trace = forward(params, xr)  # every row through the regular head
+        _, d_r = dah_softmax(trace.logits, yr, deltas)
+        only_regular = backward(params, trace, d_r)
         worst_balanced = max(worst_balanced, np.abs(only_regular.head_balanced.W).max(),
                              np.abs(only_regular.head_balanced.b).max())
         xb, yb = x[pair.n_regular:], y[pair.n_regular:]
-        trace_b = forward(params, xb)
-        _, d_b = dah_softmax(trace_b.logits_balanced, yb, deltas)
-        only_balanced = backward(params, trace_b, d_logits_balanced=d_b)
+        trace_b = forward(params, xb, 0)  # every row through the balanced head
+        _, d_b = dah_softmax(trace_b.logits, yb, deltas)
+        only_balanced = backward(params, trace_b, d_b)
         worst_regular = max(worst_regular, np.abs(only_balanced.head_regular.W).max(),
                             np.abs(only_balanced.head_regular.b).max())
-        both = backward(params, trace, d_logits_regular=d_r, d_logits_balanced=np.zeros_like(d_r))
+        # the stacked [xr; xb] pass with a zero balanced block gives the regular-only gradients exactly
+        both = backward(params, forward(params, x, pair.n_regular), np.vstack([d_r, np.zeros_like(d_b)]))
         for g_both, g_one in zip(both.flat(), only_regular.flat()):
             backbone_gap = max(backbone_gap, np.abs(g_both - g_one).max())
     ok = worst_balanced == 0.0 and worst_regular == 0.0 and backbone_gap == 0.0
@@ -213,11 +214,11 @@ def test_08_temperature_scaling(bench_splits):
     cfg = TrainConfig(variant="base", epochs=40, batch_size=64, learning_rate=1e-3,
                       seed=0, early_stop_patience=40)
     params, _ = train(cfg, (tr, va))
-    val_logits = forward(params, va.features).logits_regular
+    val_logits = forward(params, va.features).logits
     fitted = temperature_fit(val_logits, va.labels)
     nll_before = nll(val_logits, va.labels, 1.0)
     nll_after = nll(val_logits, va.labels, fitted)
-    test_logits = forward(params, te.features).logits_regular
+    test_logits = forward(params, te.features).logits
     before = auc_roc(ScoredSet(temperature_apply(test_logits, 1.0)[:, 1], te.labels))
     after = auc_roc(ScoredSet(temperature_apply(test_logits, fitted)[:, 1], te.labels))
     ok = before == after and nll_after <= nll_before + 1e-12

@@ -542,7 +542,9 @@ class TestOtherCommands:
         path = write_cfg(tmp_path, {"train": {"epochs": 2, "batch_size": 32},
                                     "ablation": {"seeds": [0, 1]}, "output_dir": str(out)})
         assert main(["ablate", "--config", str(path)]) == 0
-        table = json.loads((out / "ablation.json").read_text())["table"]
+        report = json.loads((out / "ablation.json").read_text())
+        table = report["table"]
+        assert report["skipped_variants"] == []
         assert_cells_match(out / "ablation.csv",
                            "variant,n_runs,auc_roc_mean,auc_roc_ci95,auc_prc_mean,auc_prc_ci95,bss_mean,bss_ci95",
                            [{"variant": v, **table[v]} for v in VARIANTS])
@@ -555,8 +557,10 @@ class TestOtherCommands:
                "output_dir": str(out)}
         (tmp_path / "c.json").write_text(json.dumps(cfg))
         assert main(["ablate", "--config", str(tmp_path / "c.json")]) == 0
-        table = json.loads((out / "ablation.json").read_text())["table"]
+        report = json.loads((out / "ablation.json").read_text())
+        table = report["table"]
         assert sorted(table) == ["base", "dah", "decoupling", "focal"]
+        assert report["skipped_variants"] == ["cost", "full"]
         for row in table.values():
             assert not any(key.startswith("auc_roc") for key in row)
             assert row["n_runs"] == 2 and len(row["macro_auc_per_seed"]) == 2
@@ -574,6 +578,16 @@ class TestOtherCommands:
         assert main(["sweep-theta", "--config", str(path)]) == 0
         rows = json.loads((out / "sweep_theta.json").read_text())["rows"]
         assert [row["theta"] for row in rows] == [1.0, 5.0, 10.0, 25.0, 50.0, 100.0]
+        assert_cells_match(out / "sweep_theta.csv",
+                           "theta,n_runs,auc_roc_mean,auc_roc_ci95,auc_prc_mean,auc_prc_ci95", rows)
+
+    def test_one_seed_sweep_writes_null_intervals(self, tmp_path):
+        out = tmp_path / "sw"
+        path = write_cfg(tmp_path, {"train": {"epochs": 2, "batch_size": 32, "variant": "cost"},
+                                    "sweep": {"theta_grid": [1, 5], "seeds": [0]}, "output_dir": str(out)})
+        assert main(["sweep-theta", "--config", str(path)]) == 0
+        rows = json.loads((out / "sweep_theta.json").read_text())["rows"]
+        assert [(row["n_runs"], row["auc_roc_ci95"], row["auc_prc_ci95"]) for row in rows] == [(1, None, None)] * 2
         assert_cells_match(out / "sweep_theta.csv",
                            "theta,n_runs,auc_roc_mean,auc_roc_ci95,auc_prc_mean,auc_prc_ci95", rows)
 

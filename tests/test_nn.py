@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -89,9 +91,9 @@ class TestInit:
 class TestForward:
     def test_zero_weights_give_zero_logits(self):
         p = zero_params(init_mlp(6, seed=0))
-        trace = forward(p, np.random.default_rng(0).normal(size=(5, 6)))
-        assert np.array_equal(trace.logits_regular, np.zeros((5, 2)))
-        assert np.array_equal(trace.logits_balanced, np.zeros((5, 2)))
+        x = np.random.default_rng(0).normal(size=(5, 6))
+        for n_regular in (None, 0, 2):
+            assert np.array_equal(forward(p, x, n_regular).logits, np.zeros((5, 2)))
 
     def test_hand_computed_single_hidden_layer(self):
         # depth=2: one backbone matrix + one head matrix, no residual block
@@ -109,13 +111,26 @@ class TestForward:
         hidden = np.maximum(x @ w0 + b0, 0.0)
         expected = hidden @ wr + br
         trace = forward(p, x)
-        assert np.abs(trace.logits_regular - expected).max() < 1e-12
+        assert np.abs(trace.logits - expected).max() < 1e-12
 
     def test_batch_shapes(self):
         p = init_mlp(7, n_classes=3, seed=0)
         trace = forward(p, np.zeros((128, 7)))
-        assert trace.logits_regular.shape == (128, 3)
-        assert trace.logits_balanced.shape == (128, 3)
+        assert trace.logits.shape == (128, 3) and trace.n_regular == 128
+        trace = forward(p, np.zeros((128, 7)), 50)
+        assert trace.logits.shape == (128, 3) and trace.n_regular == 50
+
+    @pytest.mark.parametrize("n_regular, message", [
+        (-1, "n_regular must be an integer >= 0, got -1"),
+        (True, "n_regular must be an integer >= 0, got True"),
+        (2.0, "n_regular must be an integer >= 0, got 2.0"),
+        ("3", "n_regular must be an integer >= 0, got '3'"),
+        (13, "n_regular must be at most the batch's 12 rows, got 13"),
+    ])
+    def test_n_regular_outside_the_batch_is_refused_by_name(self, n_regular, message):
+        p = init_mlp(7, seed=0)
+        with pytest.raises(ValidationError, match=f"^{message}$"):
+            forward(p, np.zeros((12, 7)), n_regular)
 
     def test_shape_mismatch(self):
         p = init_mlp(7, seed=0)
@@ -135,25 +150,21 @@ class TestForward:
     def test_forward_reproducible(self):
         p = init_mlp(6, seed=5)
         x = np.random.default_rng(2).normal(size=(4, 6))
-        a = forward(p, x)
-        b = forward(p, x)
-        assert np.array_equal(a.logits_regular, b.logits_regular)
-        assert np.array_equal(a.logits_balanced, b.logits_balanced)
+        for n_regular in (None, 0, 2):
+            assert np.array_equal(forward(p, x, n_regular).logits, forward(p, x, n_regular).logits)
 
     def test_forward_into_reused_trace_equals_fresh(self):
         rng = np.random.default_rng(3)
         p = init_mlp(5, hidden=9, depth=5, n_classes=3, seed=3)
         trace = ForwardTrace(p, 12)
         buffers = [id(a) for a in trace.act]
-        for head in (None, "regular", "balanced", None):
+        for n_regular in (None, 12, 0, 5, None):
             x = rng.normal(size=(12, 5))
-            fresh = forward(p, x, head)
-            assert forward(p, x, head, trace) is trace
+            fresh = forward(p, x, n_regular)
+            assert forward(p, x, n_regular, trace) is trace
             assert [id(a) for a in trace.act] == buffers
             assert np.array_equal(trace.hidden, fresh.hidden)
-            for name in ("logits_regular", "logits_balanced"):
-                got, want = getattr(trace, name), getattr(fresh, name)
-                assert (got is None and want is None) or np.array_equal(got, want)
+            assert np.array_equal(trace.logits, fresh.logits) and trace.n_regular == fresh.n_regular
         with pytest.raises(ValidationError, match="trace holds 12 rows, the batch has 4"):
             forward(p, rng.normal(size=(4, 5)), None, trace)
 
@@ -165,8 +176,10 @@ class TestForward:
         trace = forward(p, x)
         assert trace.hidden.shape == (100, 28)
         assert np.array_equal(trace.hidden, forward(p, x).hidden)
-        for head, logits in ((p.head_regular, trace.logits_regular), (p.head_balanced, trace.logits_balanced)):
-            assert np.abs(trace.hidden @ head.W + head.b - logits).max() < 1e-12
+        for n in (100, 0, 37):
+            logits = forward(p, x, n).logits
+            for head, rows in ((p.head_regular, slice(None, n)), (p.head_balanced, slice(n, None))):
+                assert np.abs(trace.hidden[rows] @ head.W + head.b - logits[rows]).max(initial=0.0) < 1e-12
 
     def test_zero_weights_give_zero_hidden(self):
         p = zero_params(init_mlp(4, seed=0))
@@ -184,26 +197,17 @@ class TestFoldedBiasAgainstUnfoldedOracle:
         p.vector[:] = rng.normal(scale=0.5, size=p.vector.size)  # nonzero biases, so the fold is exercised
         x = rng.normal(size=(rows, 5))
         _, _, ref_r, ref_b = ref_forward(p, x)
-        both = forward(p, x)
-        for got, ref in ((both.logits_regular, ref_r), (both.logits_balanced, ref_b),
-                         (forward(p, x, "regular").logits_regular, ref_r),
-                         (forward(p, x, "balanced").logits_balanced, ref_b)):
-            assert np.abs(got - ref).max() <= 1e-12 * max(np.abs(ref).max(), 1e-300)
-        assert forward(p, x, "regular").logits_balanced is None
-        assert forward(p, x, "balanced").logits_regular is None
+        # rows [:n] go through the regular head, the rest through the balanced head (all regular for None)
+        n_regular = data.draw(st.none() | st.integers(0, rows))
+        n = rows if n_regular is None else n_regular
+        trace = forward(p, x, n_regular)
+        ref = np.vstack([ref_r[:n], ref_b[n:]])
+        assert np.abs(trace.logits - ref).max() <= 1e-12 * max(np.abs(ref).max(), 1e-300)
 
-        # each head's upstream covers its own block (first/last rows) or is masked (None)
-        n_reg = data.draw(st.none() | st.integers(1, rows))
-        n_bal = data.draw(st.none() | st.integers(1, rows))
-        d_r = None if n_reg is None else rng.normal(size=(n_reg, 3))
-        d_b = None if n_bal is None else rng.normal(size=(n_bal, 3))
-        pad_r, pad_b = np.zeros((rows, 3)), np.zeros((rows, 3))
-        if d_r is not None:
-            pad_r[:n_reg] = d_r
-        if d_b is not None:
-            pad_b[rows - n_bal:] = d_b
-        ref = np.concatenate([g.ravel() for g in ref_gradients(p, x, pad_r, pad_b)])
-        got = backward(p, both, d_r, d_b).vector
+        # the oracle takes full-height per-head upstreams: each head's is zero outside its rows
+        d = rng.normal(size=(rows, 3))
+        ref = np.concatenate([g.ravel() for g in ref_gradients(p, x, *split_by_head(d, n))])
+        got = backward(p, trace, d).vector
         assert np.abs(got - ref).max() <= 1e-12 * max(np.abs(ref).max(), 1e-300)
 
 
@@ -231,15 +235,20 @@ def test_affine_views_write_through_after_every_construction(tmp_path):
         assert_affine_views_write_through(model)
 
 
+def split_by_head(d, n):
+    """A full-height upstream `d` as (regular head's, balanced head's): each zero outside its head's rows."""
+    d_r, d_b = d.copy(), d.copy()
+    d_r[n:], d_b[:n] = 0.0, 0.0
+    return d_r, d_b
+
+
 def model_loss(params, x, y, head="regular", deltas=None):
-    trace = forward(params, x)
-    logits = trace.logits_regular if head == "regular" else trace.logits_balanced
+    trace = forward(params, x, 0 if head == "balanced" else None)
     if deltas is None:
-        loss, d = ce(logits, y)
+        loss, d = ce(trace.logits, y)
     else:
-        loss, d = dah_softmax(logits, y, deltas)
-    kw = {"d_logits_regular": d} if head == "regular" else {"d_logits_balanced": d}
-    return loss, backward(params, trace, **kw)
+        loss, d = dah_softmax(trace.logits, y, deltas)
+    return loss, backward(params, trace, d)
 
 
 def poison_empty_like(monkeypatch):
@@ -259,84 +268,65 @@ class TestBackward:
         p = init_mlp(5, seed=0)
         x = np.random.default_rng(0).normal(size=(3, 5))
         trace = forward(p, x)
-        grads = backward(p, trace, np.zeros((3, 2)), np.zeros((3, 2)))
+        grads = backward(p, trace, np.zeros((3, 2)))
         for g in grads.flat():
             assert np.array_equal(g, np.zeros_like(g))
 
-    def test_masked_head_gets_exact_zero(self):
+    @pytest.mark.parametrize("n_regular, idle", [(0, "head_regular"), (6, "head_balanced")])
+    def test_head_with_no_rows_gets_exact_zero(self, n_regular, idle):
         p = init_mlp(5, seed=1)
         x = np.random.default_rng(1).normal(size=(6, 5))
         y = np.array([0, 1, 0, 1, 0, 1])
-        trace = forward(p, x)
-        _, d = ce(trace.logits_balanced, y)
-        grads = backward(p, trace, d_logits_balanced=d)
-        assert np.array_equal(grads.head_regular.W, np.zeros_like(grads.head_regular.W))
-        assert np.array_equal(grads.head_regular.b, np.zeros_like(grads.head_regular.b))
-        assert np.abs(grads.head_balanced.W).max() > 0
+        trace = forward(p, x, n_regular)
+        _, d = ce(trace.logits, y)
+        grads = backward(p, trace, d)
+        busy = "head_balanced" if idle == "head_regular" else "head_regular"
+        assert np.array_equal(getattr(grads, idle).Wb, np.zeros_like(getattr(grads, idle).Wb))
+        assert np.abs(getattr(grads, busy).W).max() > 0
 
     def test_backbone_gradient_is_sum_of_heads(self):
         p = init_mlp(5, seed=2)
         rng = np.random.default_rng(2)
         x = rng.normal(size=(6, 5))
-        trace = forward(p, x)
-        dr = rng.normal(size=(6, 2))
-        db = rng.normal(size=(6, 2))
-        both = backward(p, trace, dr, db)
-        only_r = backward(p, trace, d_logits_regular=dr)
-        only_b = backward(p, trace, d_logits_balanced=db)
+        trace = forward(p, x, 3)
+        d = rng.normal(size=(6, 2))
+        both = backward(p, trace, d)
+        only_r, only_b = (backward(p, trace, part) for part in split_by_head(d, 3))
         for g, gr, gb in zip(both.flat(), only_r.flat(), only_b.flat()):
             assert np.abs(g - (gr + gb)).max() < 1e-12
 
-    @pytest.mark.parametrize("n_reg, n_bal", [(5, None), (None, 7), (4, 5), (8, 8)])
-    def test_uncovered_rows_contribute_exact_zeros(self, monkeypatch, n_reg, n_bal):
-        # blocks shorter than the 12-row trace (alone, with a gap between them, or overlapping)
-        # give the gradients of the same upstream zero-padded to full height
-        rng = np.random.default_rng(n_reg or 0)
-        p = init_mlp(5, hidden=9, depth=5, n_classes=3, seed=2)
-        trace = forward(p, rng.normal(size=(12, 5)))
-        d_r = None if n_reg is None else rng.normal(size=(n_reg, 3))
-        d_b = None if n_bal is None else rng.normal(size=(n_bal, 3))
-        pad_r = None if d_r is None else np.vstack([d_r, np.zeros((12 - n_reg, 3))])
-        pad_b = None if d_b is None else np.vstack([np.zeros((12 - n_bal, 3)), d_b])
-        ref = backward(p, trace, pad_r, pad_b).vector
+    def test_backward_through_reused_trace_buffers_equals_fresh(self, monkeypatch):
+        # consecutive passes leave stale masks and upstream gradients in the trace; none shows,
+        # and with NaN-filled fresh buffers, a row backward never writes would show as well
         poison_empty_like(monkeypatch)
-        got = backward(p, trace, d_r, d_b).vector
-        assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
-
-    def test_backward_through_reused_trace_buffers_equals_fresh(self):
-        # consecutive passes leave stale masks and upstream gradients in the trace; none shows
         rng = np.random.default_rng(6)
         p = init_mlp(5, hidden=9, depth=5, n_classes=3, seed=6)
         trace = ForwardTrace(p, 12)
-        for n_reg, n_bal in [(12, 12), (5, None), (None, 7), (4, 5), (8, 8), (6, 6)]:
-            x = rng.normal(size=(12, 5))
-            d_r = None if n_reg is None else rng.normal(size=(n_reg, 3))
-            d_b = None if n_bal is None else rng.normal(size=(n_bal, 3))
-            got = backward(p, forward(p, x, None, trace), d_r, d_b).vector
-            assert np.array_equal(got, backward(p, forward(p, x), d_r, d_b).vector)
+        for n_regular in [12, 5, 0, 4, 8, 6]:
+            x, d = rng.normal(size=(12, 5)), rng.normal(size=(12, 3))
+            got = backward(p, forward(p, x, n_regular, trace), d).vector
+            assert np.array_equal(got, backward(p, forward(p, x, n_regular), d).vector)
 
     @pytest.mark.parametrize("head", ["regular", "balanced"])
     def test_single_head_pass_overwrites_a_stale_buffer(self, head):
-        # the head the forward pass skipped gets an exact zero gradient, whatever the buffer held
+        # the head no row went through gets an exact zero gradient, whatever the buffer held
         rng = np.random.default_rng(8)
         p = init_mlp(5, hidden=9, depth=5, n_classes=3, seed=8)
         x, d = rng.normal(size=(12, 5)), rng.normal(size=(12, 3))
-        d_r, d_b = (d, None) if head == "regular" else (None, d)
+        n_regular = 12 if head == "regular" else 0
         buffer = Gradients(rng.normal(size=p.vector.size), p.widths)
-        got = backward(p, forward(p, x, head), d_r, d_b, buffer)
-        assert np.array_equal(got.vector, backward(p, forward(p, x), d_r, d_b).vector)
+        got = backward(p, forward(p, x, n_regular), d, buffer)
+        assert np.array_equal(got.vector, backward(p, forward(p, x, n_regular), d).vector)
         other = got.head_balanced if head == "regular" else got.head_regular
         assert not other.Wb.any()
 
-    def test_overlapping_full_height_blocks_add(self, monkeypatch):
-        rng = np.random.default_rng(5)
-        p = init_mlp(5, hidden=9, depth=5, n_classes=2, seed=5)
-        trace = forward(p, rng.normal(size=(10, 5)))
-        dr, db = rng.normal(size=(10, 2)), rng.normal(size=(10, 2))
-        summed = backward(p, trace, d_logits_regular=dr).vector + backward(p, trace, d_logits_balanced=db).vector
-        poison_empty_like(monkeypatch)
-        both = backward(p, trace, dr, db).vector
-        assert np.abs(both - summed).max() <= 1e-12 * np.abs(summed).max()
+    @pytest.mark.parametrize("shape", [(7, 2), (5, 2), (6, 3), (6,)])
+    def test_an_upstream_of_another_shape_than_the_logits_is_refused(self, shape):
+        p = init_mlp(5, seed=4)
+        trace = forward(p, np.zeros((6, 5)), 2)
+        with pytest.raises(ValidationError, match=rf"^d_logits has shape {re.escape(str(shape))}, "
+                                                  r"the trace's logits \(6, 2\)$"):
+            backward(p, trace, np.zeros(shape))
 
     def test_gradcheck_through_full_model(self):
         for seed in range(5):
@@ -458,8 +448,8 @@ class TestOptimizers:
             opt_split = [OptState.for_vector(a, kind, lr=1e-2) for a in split.flat()]
             for _ in range(3):
                 trace = forward(packed, x)
-                _, d = ce(trace.logits_regular, y)
-                opt_step(packed.vector, backward(packed, trace, d_logits_regular=d).vector, opt_packed)
+                _, d = ce(trace.logits, y)
+                opt_step(packed.vector, backward(packed, trace, d).vector, opt_packed)
                 _, grads = model_loss(split, x, y)
                 for a, g, opt in zip(split.flat(), grads.flat(), opt_split):
                     opt_step(a, g, opt)
@@ -520,8 +510,8 @@ class TestParameterVector:
     def test_gradients_are_views_of_one_vector(self):
         p = init_mlp(4, seed=1)
         x = np.random.default_rng(0).normal(size=(6, 4))
-        _, d = ce(forward(p, x).logits_regular, np.array([0, 1, 1, 0, 0, 1]))
-        grads = backward(p, forward(p, x), d_logits_regular=d)
+        _, d = ce(forward(p, x).logits, np.array([0, 1, 1, 0, 0, 1]))
+        grads = backward(p, forward(p, x), d)
         assert grads.vector.shape == p.vector.shape
         assert_views_of_vector(grads)
         assert not grads.head_balanced.W.any()
@@ -557,9 +547,8 @@ class TestCheckpoints:
                         extra={"variant": "full"})
         p2, stats2, meta = load_checkpoint(path)
         x = np.random.default_rng(4).normal(size=(7, 5))
-        t1, t2 = forward(p, x), forward(p2, x)
-        assert np.array_equal(t1.logits_regular, t2.logits_regular)
-        assert np.array_equal(t1.logits_balanced, t2.logits_balanced)
+        for n_regular in (None, 0, 3):
+            assert np.array_equal(forward(p, x, n_regular).logits, forward(p2, x, n_regular).logits)
         assert meta["class_names"] == ["no", "yes"]
         assert meta["extra"]["variant"] == "full"
         assert p2.trained_heads == ("regular", "balanced")

@@ -282,16 +282,14 @@ def two_pass_step(params, pair, spec, cfg, deltas, cost_params):
     x, y = pair.rows()
     xr, yr = x[:pair.n_regular], y[:pair.n_regular]
     trace_r = forward(params, xr)
-    loss_r, d_r, d_cost = training._head_loss(spec.regular_terms, trace_r.logits_regular, yr,
-                                              cfg, deltas, cost_params)
-    grad = backward(params, trace_r, d_logits_regular=d_r).vector
+    loss_r, d_r, d_cost = training._head_loss(spec.regular_terms, trace_r.logits, yr, cfg, deltas, cost_params)
+    grad = backward(params, trace_r, d_r).vector
     loss_b = float("nan")
     if spec.dual_stream:
         xb, yb = x[pair.n_regular:], y[pair.n_regular:]
-        trace_b = forward(params, xb)
-        loss_b, d_b, dcost_b = training._head_loss(spec.balanced_terms, trace_b.logits_balanced, yb,
-                                                   cfg, deltas, cost_params)
-        grad = grad + backward(params, trace_b, d_logits_balanced=d_b).vector
+        trace_b = forward(params, xb, 0)
+        loss_b, d_b, dcost_b = training._head_loss(spec.balanced_terms, trace_b.logits, yb, cfg, deltas, cost_params)
+        grad = grad + backward(params, trace_b, d_b).vector
         d_cost += dcost_b
     return loss_r, loss_b, grad, d_cost
 
@@ -356,14 +354,14 @@ class TestStackedStep:
 
     @pytest.mark.parametrize("variant", VARIANTS)
     def test_step_gathers_and_computes_only_what_it_reads(self, splits, monkeypatch, variant):
-        # single-stream steps gather the regular draw's rows alone and compute no balanced logits
+        # single-stream steps gather the regular draw's rows alone and route none to the balanced head
         cfg = TrainConfig(variant=variant)
         spec, params, sampler, deltas, cost_params = step_inputs(cfg, splits[0])
         pair = next_batch_pair(sampler)
         seen = []
 
-        def recording_forward(params, x, head=None, trace=None, _real=training.forward):
-            seen.append((x, _real(params, x, head, trace)))
+        def recording_forward(params, x, n_regular=None, trace=None, _real=training.forward):
+            seen.append((x, _real(params, x, n_regular, trace)))
             return seen[-1][1]
 
         monkeypatch.setattr(training, "forward", recording_forward)
@@ -371,8 +369,8 @@ class TestStackedStep:
         [(x, trace)] = seen
         rows = pair.idx if spec.dual_stream else pair.idx[:pair.n_regular]
         assert np.array_equal(x, splits[0].features[rows])
-        assert trace.logits_regular.shape[0] == rows.size
-        assert (trace.logits_balanced is None) == (not spec.dual_stream)
+        assert trace.logits.shape[0] == rows.size
+        assert trace.n_regular == pair.n_regular
 
     def test_each_head_ignores_the_other_block_exactly(self, splits):
         tr = splits[0]
@@ -381,35 +379,36 @@ class TestStackedStep:
         n = pair.n_regular
         rng = np.random.default_rng(0)
         pair_x = pair.rows()[0]
-        trace = forward(params, pair_x)
-        d_r, d_b = rng.normal(size=(n, 2)), rng.normal(size=(n, 2))
-        fused = backward(params, trace, d_r, d_b)
-        regular_only = backward(params, trace, d_logits_regular=d_r)
-        balanced_only = backward(params, trace, d_logits_balanced=d_b)
+        trace = forward(params, pair_x, n)
+        d = rng.normal(size=(2 * n, 2))
+        fused = backward(params, trace, d)
+        zero = np.zeros((n, 2))
+        regular_only = backward(params, trace, np.vstack([d[:n], zero]))
+        balanced_only = backward(params, trace, np.vstack([zero, d[n:]]))
         assert not regular_only.head_balanced.W.any() and not regular_only.head_balanced.b.any()
         assert not balanced_only.head_regular.W.any() and not balanced_only.head_regular.b.any()
         # new data and upstream gradients in one block leave the other head's gradient bit-equal
         x = pair_x.copy()
         x[n:] = rng.normal(size=(n, tr.dim))
-        other_b = backward(params, forward(params, x), d_r, rng.normal(size=(n, 2)))
+        other_b = backward(params, forward(params, x, n), np.vstack([d[:n], rng.normal(size=(n, 2))]))
         assert np.array_equal(other_b.head_regular.W, fused.head_regular.W)
         assert np.array_equal(other_b.head_regular.b, fused.head_regular.b)
         x = pair_x.copy()
         x[:n] = rng.normal(size=(n, tr.dim))
-        other_r = backward(params, forward(params, x), rng.normal(size=(n, 2)), d_b)
+        other_r = backward(params, forward(params, x, n), np.vstack([rng.normal(size=(n, 2)), d[n:]]))
         assert np.array_equal(other_r.head_balanced.W, fused.head_balanced.W)
         assert np.array_equal(other_r.head_balanced.b, fused.head_balanced.b)
 
     def test_backward_into_reused_buffer_equals_fresh(self):
         rng = np.random.default_rng(1)
         params = init_mlp(5, hidden=9, depth=5, n_classes=3, seed=1)
-        trace = forward(params, rng.normal(size=(12, 5)))
+        x = rng.normal(size=(12, 5))
         buffer = Gradients(np.empty(params.vector.size), params.widths)
-        for d_r, d_b in [(rng.normal(size=(12, 3)), None), (None, rng.normal(size=(12, 3))),
-                         (rng.normal(size=(5, 3)), rng.normal(size=(7, 3)))]:
+        for n_regular in (12, 0, 5):
+            trace, d = forward(params, x, n_regular), rng.normal(size=(12, 3))
             buffer.vector[:] = rng.normal(size=buffer.vector.size)  # stale values from an earlier step
-            assert backward(params, trace, d_r, d_b, buffer) is buffer
-            assert np.array_equal(buffer.vector, backward(params, trace, d_r, d_b).vector)
+            assert backward(params, trace, d, buffer) is buffer
+            assert np.array_equal(buffer.vector, backward(params, trace, d).vector)
 
     @pytest.mark.parametrize("variant, n_classes", [(v, 2) for v in VARIANTS] + [
         (v, 3) for v in VARIANTS if not variant_losses(v).uses_cost])
@@ -490,7 +489,7 @@ class TestStackedStep:
                 return _real(*args)
 
             def counting_backward(*args, _real=training.backward):
-                calls["backward"].append(args[4])
+                calls["backward"].append(args[3])
                 return _real(*args)
 
             def counting_opt_step(vector, grad, opt, _real=training.opt_step):
@@ -565,7 +564,7 @@ class TestPredict:
         params = init_mlp(4, n_classes=2, seed=2)
         x = np.random.default_rng(1).normal(size=(30, 4))
         probs = predict(params, x, head="regular")
-        logits = forward(params, x).logits_regular
+        logits = forward(params, x).logits
         assert np.array_equal(training.logits(params, x, head="regular"), logits)
         expected = 1.0 / (1.0 + np.exp(-(logits[:, 1] - logits[:, 0])))
         assert np.abs(probs[:, 1] - expected).max() < 1e-12
@@ -627,9 +626,25 @@ class TestSweepAndAblation:
         with pytest.raises(ValidationError):
             sweep_theta(TrainConfig(variant="base"), splits)
 
-    def test_sweep_requires_three_seeds(self, splits):
-        with pytest.raises(ValidationError):
-            sweep_theta(TrainConfig(variant="cost"), splits, seeds=(0, 1))
+    def test_t_quantile_matches_scipy(self):
+        from scipy.stats import t
+
+        for df in range(1, 201):
+            assert training._t975(df) == pytest.approx(t.ppf(0.975, df), rel=1e-12, abs=0.0), df
+
+    def test_two_seed_sweep_interval_is_the_student_t_half_width(self, splits):
+        # two seeds are enough: the interval is t(0.975, 1 df) = 12.706... standard errors wide
+        from dataclasses import replace
+
+        cfg = TrainConfig(variant="cost", epochs=2, seed=0)
+        [row] = sweep_theta(cfg, splits, theta_grid=(5.0,), seeds=(0, 1))
+        runs = [training._run_single((replace(cfg, theta=5.0, seed=s), *splits)) for s in (0, 1)]
+        assert row["n_runs"] == 2
+        for metric in ("auc_roc", "auc_prc"):
+            values = np.array([r[metric] for r in runs])
+            half_width = 12.706204736174707 * values.std(ddof=1) / np.sqrt(2)
+            assert row[f"{metric}_mean"] == values.mean()
+            assert half_width > 0.0 and row[f"{metric}_ci95"] == pytest.approx(half_width, rel=1e-12)
 
     def test_ablation_covers_all_variants(self, splits):
         cfg = TrainConfig(epochs=2, seed=0)
