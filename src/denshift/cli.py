@@ -193,6 +193,7 @@ def cmd_train(cfg: dict, args) -> int:
         "imbalance_ratio": imbalance_ratio(raw),
         "best_epoch": history.best_epoch,
         "epochs_run": history.epochs_run,
+        "stop_reason": history.stop_reason,
         "cost_at_best": cost_at_best,
         "val": split_report(predict(params, va.features), va.labels),
         "test": split_report(test_probs, te.labels),

@@ -2,7 +2,11 @@
 
 Every loss takes a batch of logits (B x C) and integer labels (B,), checks
 the labels, and returns the mean loss together with d(loss)/d(logits), with
-the 1/B batch reduction already folded into the gradient. The cost-matrix
+the 1/B batch reduction already folded into the gradient. `ce` and
+`dah_softmax` also take logits with a leading head axis (H x B x C) and
+labels (H x B): one call returns each head's mean loss (an (H,) float64
+array) and the (H x B x C) gradient, each head's bit-equal to a 2-D call on
+its rows, so a step calls such a term once for all heads. The cost-matrix
 loss also returns the derivative with respect to its trainable log
 false-positive cost.
 
@@ -77,28 +81,37 @@ def softmax(logits: np.ndarray) -> np.ndarray:
     return np.exp(_log_softmax(logits))
 
 
-def _check_labels(logits: np.ndarray, y) -> np.ndarray:
-    if logits.ndim != 2:
-        raise ValidationError(f"logits must be 2-D, got shape {logits.shape}")
-    y = class_labels(y, logits.shape[1])
-    if y.shape != (logits.shape[0],):
-        raise ValidationError("labels must be one per logit row")
+def _check_labels(logits: np.ndarray, y, head_axis: bool = False) -> np.ndarray:
+    """`y` as class labels shaped `logits.shape[:-1]`; the logits are 2-D, or 3-D (H x B x C) when `head_axis`."""
+    if logits.ndim != 2 and not (head_axis and logits.ndim == 3):
+        raise ValidationError(f"logits must be {'2-D or 3-D' if head_axis else '2-D'}, got shape {logits.shape}")
+    y = class_labels(y, logits.shape[-1])
+    if y.shape != logits.shape[:-1]:
+        raise ValidationError(f"labels must be one per logit row, shaped {logits.shape[:-1]}, got {y.shape}")
     return y
 
 
 def _softmax_ce(logits: np.ndarray, y: np.ndarray, deltas: np.ndarray | None = None):
-    """Mean CE with each true logit lowered by deltas[y] (unshifted when None), and d/dlogits."""
-    b = logits.shape[0]
+    """Mean CE with each true logit lowered by deltas[y] (unshifted when None), and d/dlogits.
+
+    Logits with a head axis run as one batch of H*B rows; only the mean is taken per head.
+    """
+    shape = logits.shape
+    if len(shape) == 3:
+        logits, y = logits.reshape(-1, shape[2]), y.reshape(-1)
+    b = shape[-2]
     true = _true_entries(logits, y)
     if deltas is not None:
         logits = np.array(logits, dtype=np.float64, order="C")
         logits.ravel()[true] -= deltas[y]
     logp = _log_softmax(logits)
-    loss = float(-np.add.reduce(logp.ravel()[true]) / b)
+    picked = logp.ravel()[true]  # a copy: the gradient overwrites logp
     grad = np.exp(logp, out=logp)
     grad.ravel()[true] -= 1.0
     grad /= b
-    return loss, grad
+    if len(shape) == 2:
+        return float(-np.add.reduce(picked) / b), grad
+    return -np.add.reduce(picked.reshape(shape[:2]), axis=1) / b, grad.reshape(shape)
 
 
 def delta_margins(class_counts, margin_scale: float | None = None) -> np.ndarray:
@@ -142,9 +155,9 @@ def current_costs(cp: CostParams) -> tuple[float, float]:
     return c_fp, c_fn
 
 
-def ce(logits: np.ndarray, y) -> tuple[float, np.ndarray]:
-    """Softmax cross-entropy, mean over the batch: the zero-margin case of `dah_softmax`."""
-    return _softmax_ce(logits, _check_labels(logits, y))
+def ce(logits: np.ndarray, y) -> tuple[float | np.ndarray, np.ndarray]:
+    """Softmax cross-entropy, mean over the batch (per head with a head axis): the zero-margin case of `dah_softmax`."""
+    return _softmax_ce(logits, _check_labels(logits, y, head_axis=True))
 
 
 def focal(logits: np.ndarray, y, gamma: float = 2.0) -> tuple[float, np.ndarray]:
@@ -173,14 +186,15 @@ def focal(logits: np.ndarray, y, gamma: float = 2.0) -> tuple[float, np.ndarray]
     return loss, p
 
 
-def dah_softmax(logits: np.ndarray, y, deltas) -> tuple[float, np.ndarray]:
+def dah_softmax(logits: np.ndarray, y, deltas) -> tuple[float | np.ndarray, np.ndarray]:
     """Relaxed density-aware hinge: cross-entropy with the true logit shifted down by its margin.
 
-    The gradient is the softmax of the shifted logits minus the one-hot target.
+    The gradient is the softmax of the shifted logits minus the one-hot
+    target; a head axis gets one mean loss per head, as in `ce`.
     """
-    y = _check_labels(logits, y)
+    y = _check_labels(logits, y, head_axis=True)
     deltas = np.asarray(deltas, dtype=np.float64)
-    if deltas.shape != (logits.shape[1],):
+    if deltas.shape != (logits.shape[-1],):
         raise ValidationError("need one margin per class")
     return _softmax_ce(logits, y, deltas)
 

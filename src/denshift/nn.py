@@ -187,9 +187,10 @@ def forward(params: ModelParams, x: np.ndarray, n_regular: int | None = None,
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != params.input_dim:
         raise ValidationError(f"input shape {x.shape} does not match input_dim {params.input_dim}")
-    n = x.shape[0] if n_regular is None else at_least(0).check("n_regular", n_regular)
-    if n > x.shape[0]:
-        raise ValidationError(f"n_regular must be at most the batch's {x.shape[0]} rows, got {n}")
+    n = x.shape[0] if n_regular is None else n_regular
+    if type(n) is not int or not 0 <= n <= x.shape[0]:  # a plain int in range skips building the Rule
+        if at_least(0).check("n_regular", n) > x.shape[0]:
+            raise ValidationError(f"n_regular must be at most the batch's {x.shape[0]} rows, got {n}")
     if trace is None:
         trace = ForwardTrace(params, x.shape[0])
     elif trace.rows != x.shape[0]:

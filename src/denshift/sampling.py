@@ -27,7 +27,7 @@ from .errors import ValidationError
 
 @dataclass
 class BatchPair:
-    """One step's worth of draws: a regular batch stacked above a balanced one.
+    """One step's worth of draws: a regular batch stacked above a balanced one of the same size.
 
     `idx` holds the regular draw's row indices first, then the balanced
     draw's; they index `features` and `labels`, the whole split. A step

@@ -4,7 +4,8 @@ Each step draws a regular batch and a class-balanced batch, stacked in
 one array, regular rows first. Dual-stream variants run the stacked rows
 through the shared backbone in one forward and one backward pass, each
 row through its own stream's head, so each head is optimized on its own
-batch while the backbone gets the sum of both gradients. Single-stream
+batch while the backbone gets the sum of both gradients, and each loss
+term is called once per step over every head that holds it. Single-stream
 variants run the regular rows alone. The gradient buffer and the step's
 activation, ReLU-mask and upstream-gradient buffers (one
 `nn.ForwardTrace`) are allocated once per run, and one optimizer step
@@ -19,6 +20,7 @@ from __future__ import annotations
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -68,6 +70,14 @@ class VariantSpec:
     def uses_cost(self) -> bool:
         return "cost" in self.regular_terms or ("cost" in (self.balanced_terms or ()))
 
+    @cached_property
+    def loss_calls(self) -> tuple[tuple[str, object], ...]:
+        """Each loss term once, in order of first use, with the heads it covers: `...` for every trained head,
+        or the index of the one head (0 regular, 1 balanced) that holds it."""
+        heads = (self.regular_terms, self.balanced_terms) if self.dual_stream else (self.regular_terms,)
+        held = {term: [h for h, terms in enumerate(heads) if term in terms] for term in sum(heads, ())}
+        return tuple((term, ... if len(hs) == len(heads) else hs[0]) for term, hs in held.items())
+
 
 _VARIANT_SPECS = {
     "base": VariantSpec(False, ("ce",), None),
@@ -97,35 +107,49 @@ class EpochRecord(NamedTuple):
 
 @dataclass
 class TrainHistory:
-    """Per-epoch trajectory and the epoch whose parameters `train` returns."""
+    """Per-epoch trajectory, the epoch whose parameters `train` returns, and why training stopped:
+    "patience" when early stopping ended it, "epochs" when every epoch ran."""
 
     epochs: list[EpochRecord] = field(default_factory=list)
     best_epoch: int = -1
+    stop_reason: str = "epochs"
 
     @property
     def epochs_run(self) -> int:
         return len(self.epochs)
 
 
-def _head_loss(terms, z, y, cfg, deltas, cost_params):
-    """Sum the named loss terms on logits `z`; returns (loss, d/dz, d/dlog_cfp)."""
-    total, grad, d_log_cfp = 0.0, None, 0.0
-    for term in terms:
+def _step_loss(calls, z, y, cfg, deltas, cost_params):
+    """Sum each head's loss terms, calling each term of `calls` (see `VariantSpec.loss_calls`) once.
+
+    `z` holds the logits, with a leading head axis (H x B x C, labels
+    H x B) when two heads train. A term on every head gets all of `z`, a
+    term on one head that head's rows; the first term is on every head.
+    Returns (the loss: a float, or one per head; d/dz shaped like `z`;
+    d/dlog_cfp).
+    """
+    loss, d_z, d_log_cfp = 0.0, None, 0.0
+    for term, at in calls:
+        zh, yh = (z, y) if at is ... else (z[at], y[at])
         if term == "ce":
-            l, g = ce(z, y)
+            l, g = ce(zh, yh)
         elif term == "focal":
-            l, g = focal(z, y, cfg.gamma)
+            l, g = focal(zh, yh, cfg.gamma)
         elif term == "dah":
-            l, g = dah_softmax(z, y, deltas)
+            l, g = dah_softmax(zh, yh, deltas)
         elif term == "cost":
-            l, g, dc = cost_loss(z, y, cost_params)
+            l, g, dc = cost_loss(zh, yh, cost_params)
             l, g = cfg.lambda_cost * l, cfg.lambda_cost * g
             d_log_cfp += cfg.lambda_cost * dc
         else:
             raise ValidationError(f"unknown loss term {term!r}")
-        total += l
-        grad = g if grad is None else np.add(grad, g, out=grad)  # the first term's fresh array
-    return total, grad, d_log_cfp
+        if at is ...:
+            loss += l
+            d_z = g if d_z is None else np.add(d_z, g, out=d_z)  # the first term's fresh array
+        else:
+            loss[at] += l
+            d_z[at] += g
+    return loss, d_z, d_log_cfp
 
 
 def train_step(params: ModelParams, pair: BatchPair, spec: VariantSpec, cfg: TrainConfig,
@@ -137,22 +161,24 @@ def train_step(params: ModelParams, pair: BatchPair, spec: VariantSpec, cfg: Tra
     One gather, forward and backward pass: over the stacked regular and
     balanced rows for dual-stream variants, over the regular rows alone
     otherwise. The pair's `n_regular` first rows go through the regular
-    head and feed its loss, the rest the balanced head's. Both passes reuse
-    the buffers of `trace` when given (see `nn.ForwardTrace`). Returns
-    (loss_regular, loss_balanced (NaN when single stream), gradient laid
-    out like `params.vector` (the vector of `out` when given), d/dlog_cfp).
+    head and feed its loss, the rest the balanced head's. Dual-stream
+    logits are viewed as (2 x B x C), heads first, and each loss term is
+    called once per step over every head whose term list holds it; the
+    summed gradient, viewed as (2B x C), is the backward pass's upstream
+    gradient. Both passes reuse the buffers of `trace` when given (see
+    `nn.ForwardTrace`). Returns (loss_regular, loss_balanced (NaN when
+    single stream), gradient laid out like `params.vector` (the vector of
+    `out` when given), d/dlog_cfp).
     """
     n = pair.n_regular
     x, y = pair.rows(None if spec.dual_stream else n)
     trace = forward(params, x, n, trace)
     z = trace.logits
-    loss_r, d_z, d_cost = _head_loss(spec.regular_terms, z[:n], y[:n], cfg, deltas, cost_params)
-    loss_b = float("nan")
     if spec.dual_stream:
-        loss_b, d_b, dcost_b = _head_loss(spec.balanced_terms, z[n:], y[n:], cfg, deltas, cost_params)
-        d_cost += dcost_b
-        d_z = np.concatenate((d_z, d_b))
-    grads = backward(params, trace, d_z, out)
+        z, y = z.reshape(2, n, -1), y.reshape(2, n)
+    loss, d_z, d_cost = _step_loss(spec.loss_calls, z, y, cfg, deltas, cost_params)
+    grads = backward(params, trace, d_z.reshape(trace.logits.shape), out)
+    loss_r, loss_b = loss.tolist() if spec.dual_stream else (loss, float("nan"))
     return loss_r, loss_b, grads.vector, d_cost
 
 
@@ -223,6 +249,7 @@ def train(cfg: TrainConfig, splits: tuple[Dataset, Dataset]) -> tuple[ModelParam
                     history.best_epoch = epoch
                     best_params, best_saturated = params.copy(), saturated
                 elif epoch - history.best_epoch > cfg.early_stop_patience:
+                    history.stop_reason = "patience"
                     break
     except FloatingPointError as exc:
         raise NumericalError(f"numeric blow-up at epoch {epoch}: {exc}") from None

@@ -190,6 +190,22 @@ class TestTrain:
         for name in ("report.json", "history.csv", "checkpoint.npz"):
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes(), name
 
+    def test_stop_reason_names_what_ended_the_run(self, tmp_path):
+        def run(name, epochs, patience):
+            out = tmp_path / name
+            path = write_cfg(tmp_path, {"train": {"epochs": epochs, "early_stop_patience": patience},
+                                        "output_dir": str(out)}, name=f"{name}.json")
+            assert main(["train", "--config", str(path)]) == 0
+            return json.loads((out / "report.json").read_text())
+
+        full = run("full", 6, 6)
+        assert (full["stop_reason"], full["epochs_run"]) == ("epochs", 6)
+        early = run("early", 40, 0)
+        assert early["stop_reason"] == "patience" and early["epochs_run"] < 40
+        # stopped by patience in its last epoch: epochs_run alone would read as every epoch run
+        last = run("last", early["epochs_run"], 0)
+        assert (last["stop_reason"], last["epochs_run"]) == ("patience", early["epochs_run"])
+
     def test_variant_flag_changes_run(self, tmp_path):
         out = tmp_path / "b"
         path = write_cfg(tmp_path, {"output_dir": str(out)})

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -15,7 +17,7 @@ from denshift.losses import (
 )
 
 from denshift import training
-from denshift.metrics import nll
+from denshift.metrics import nll, split_report, temperature_fit
 from denshift.training import TrainConfig, variant_losses, VARIANTS
 from oracles import central_difference, ref_ce, ref_cost_loss, ref_dah_hinge, ref_dah_softmax, ref_focal
 
@@ -306,6 +308,59 @@ def test_all_losses_finite_on_random_inputs(b, c, seed):
         assert np.isfinite(cost_loss(z, y, CostParams(0.0, 5.0, 0.01))[0])
 
 
+@st.composite
+def head_axis_batches(draw):
+    h, b, c = draw(st.integers(1, 3)), draw(st.integers(1, 300)), draw(st.integers(2, 11))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    z = rng.normal(0.0, draw(st.floats(1e-2, 400.0)), size=(h, b, c))
+    if draw(st.booleans()):
+        z = np.round(z).astype(np.int64)
+    if draw(st.booleans()):
+        z = np.asfortranarray(z)
+    return z, rng.integers(0, c, size=(h, b)), rng.uniform(0.0, 2.0, size=c)
+
+
+def assert_same_bits(got, ref):
+    # equal values with equal sign bits, so a -0.0 that a per-head call gives is -0.0 here too
+    got, ref = np.asarray(got), np.asarray(ref)
+    assert got.shape == ref.shape and got.dtype == ref.dtype == np.float64
+    assert np.array_equal(got, ref) and np.array_equal(np.signbit(got), np.signbit(ref))
+
+
+@given(head_axis_batches())
+@settings(max_examples=150, deadline=None)
+def test_head_axis_losses_equal_one_call_per_head(batch):
+    z, y, deltas = batch
+    for loss in (ce, lambda z, y: dah_softmax(z, y, deltas)):
+        losses, grad = loss(z, y)
+        assert grad.shape == z.shape
+        per_head = [loss(z[h], y[h]) for h in range(z.shape[0])]
+        assert_same_bits(losses, [l for l, _ in per_head])
+        assert_same_bits(grad, np.stack([g for _, g in per_head]))
+
+
+class TestHeadAxisRefusals:
+    def test_labels_of_another_shape_are_refused_naming_it(self):
+        z = np.zeros((2, 3, 4))
+        for y in (np.zeros((2, 4), int), np.zeros(6, int), np.zeros(3, int), np.zeros((3, 2), int)):
+            for loss in (ce, lambda z, y: dah_softmax(z, y, np.ones(4))):
+                with pytest.raises(ValidationError, match=re.escape(f"shaped (2, 3), got {y.shape}")):
+                    loss(z, y)
+
+    def test_four_dimensional_logits_are_refused_naming_the_shape(self):
+        z = np.zeros((1, 2, 3, 4))
+        for loss in (ce, lambda z, y: dah_softmax(z, y, np.ones(4))):
+            with pytest.raises(ValidationError, match=r"logits must be 2-D or 3-D, got shape \(1, 2, 3, 4\)"):
+                loss(z, np.zeros((1, 2, 3), int))
+
+    @pytest.mark.parametrize("name", ["focal", "cost_loss", "nll", "temperature_fit", "split_report"])
+    def test_two_dimensional_only_losses_refuse_a_head_axis(self, name):
+        loss = {"focal": lambda z, y: focal(z, y, 2.0), "cost_loss": lambda z, y: cost_loss(z, y, CostParams()),
+                "nll": nll, "temperature_fit": temperature_fit, "split_report": split_report}[name]
+        with pytest.raises(ValidationError, match=r"logits must be 2-D, got shape \(2, 3, 2\)"):
+            loss(np.zeros((2, 3, 2)), np.zeros((2, 3), int))
+
+
 # The losses against the reference copies in oracles.py: equal with ==, not
 # within a tolerance, so every variant trains on the same numbers.
 
@@ -374,20 +429,27 @@ def test_column_major_logits_give_the_row_major_results(batch):
 
 @given(loss_batches())
 @settings(max_examples=100, deadline=None)
-def test_head_loss_equals_summed_references(batch):
+def test_step_loss_equals_summed_references(batch):
+    # each head's terms summed on its own rows; the second head gets the rows reversed
     z, y, deltas, cp, cfg = batch
     for variant in VARIANTS:
         spec = variant_losses(variant)
         if spec.uses_cost and z.shape[1] != 2:
             continue
-        for terms in filter(None, (spec.regular_terms, spec.balanced_terms)):
-            total, grad, d_log_cfp = 0.0, np.zeros_like(z), 0.0
+        heads = (spec.regular_terms, spec.balanced_terms) if spec.dual_stream else (spec.regular_terms,)
+        zs, ys = np.stack((z, z[::-1])), np.stack((y, y[::-1]))
+        losses, grad, d_log_cfp = np.zeros(len(heads)), np.zeros_like(zs[:len(heads)]), 0.0
+        for h, terms in enumerate(heads):
             for term in terms:
-                l, g, *dc = REFERENCES[term](z, y, cfg, deltas, cp)
+                l, g, *dc = REFERENCES[term](zs[h], ys[h], cfg, deltas, cp)
                 if term == "cost":
                     l, g = cfg.lambda_cost * l, cfg.lambda_cost * g
                     d_log_cfp += cfg.lambda_cost * dc[0]
-                total += l
-                grad += g
-            got = training._head_loss(terms, z, y, cfg, deltas, cp)
-            assert_same(got, (total, grad, d_log_cfp))
+                losses[h] += l
+                grad[h] += g
+        if spec.dual_stream:
+            got = training._step_loss(spec.loss_calls, zs, ys, cfg, deltas, cp)
+            assert_same(got, (losses, grad, d_log_cfp))
+        else:  # one head: 2-D logits, a float loss
+            got = training._step_loss(spec.loss_calls, z, y, cfg, deltas, cp)
+            assert_same(got, (losses[0], grad[0], d_log_cfp))

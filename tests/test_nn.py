@@ -132,6 +132,13 @@ class TestForward:
         with pytest.raises(ValidationError, match=f"^{message}$"):
             forward(p, np.zeros((12, 7)), n_regular)
 
+    def test_numpy_integer_n_regular_is_the_plain_int(self):
+        p = init_mlp(7, seed=0)
+        x = np.random.default_rng(0).normal(size=(12, 7))
+        plain = forward(p, x, 3)
+        assert np.array_equal(forward(p, x, np.int64(3)).logits, plain.logits)
+        assert plain.n_regular == 3
+
     def test_shape_mismatch(self):
         p = init_mlp(7, seed=0)
         with pytest.raises(ValidationError):
