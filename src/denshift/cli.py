@@ -225,17 +225,24 @@ def cmd_train(cfg: dict, args) -> int:
     return 0
 
 
+def _column_mismatch(names: list[str], expected: list[str]) -> str:
+    """How the feature columns `names` differ from the checkpoint's `expected` ones."""
+    missing, extra = sorted(set(expected) - set(names)), sorted(set(names) - set(expected))
+    if missing or extra:
+        return f"missing {missing}, unexpected {extra}"
+    for i, (name, want) in enumerate(zip(names, expected), start=1):
+        if name != want:
+            return f"feature column {i} is {name!r}, the checkpoint expects {want!r}"
+    return f"{len(names)} feature columns, the checkpoint expects {len(expected)}"  # a name repeated
+
+
 def cmd_eval(cfg: dict, args) -> int:
     params, stats, meta = load_checkpoint(args.checkpoint)
     label_column = args.label_column or meta["label_column"]
     ds = load_csv(args.csv, label_column)
-    if list(ds.feature_names) != list(meta["feature_names"]):
-        missing = set(meta["feature_names"]) - set(ds.feature_names)
-        extra = set(ds.feature_names) - set(meta["feature_names"])
-        raise SchemaError(
-            f"{args.csv}: feature columns do not match checkpoint "
-            f"(missing {sorted(missing)}, unexpected {sorted(extra)})"
-        )
+    names, expected = list(ds.feature_names), list(meta["feature_names"])
+    if names != expected:
+        raise SchemaError(f"{args.csv}: feature columns do not match checkpoint ({_column_mismatch(names, expected)})")
     # align the file's label indexing with the checkpoint's class order
     ckpt_classes = list(meta["class_names"])
     unknown = [c for c in ds.class_names if c not in ckpt_classes]

@@ -14,6 +14,7 @@ import json
 import math
 import numbers
 import sys
+import warnings
 from array import array
 from dataclasses import dataclass, field, fields
 from typing import Callable, NamedTuple
@@ -269,12 +270,83 @@ def load_csv(path, label_column: str) -> Dataset:
     """Load a UTF-8, comma-separated, headered CSV into a Dataset.
 
     Empty feature cells become NaN (missing); labels are mapped to
-    contiguous class indices in order of first appearance. A row is
-    converted whole; one that fails, or holds a non-finite value, is
-    parsed again cell by cell, which reads empty cells as NaN and names
+    contiguous class indices in order of first appearance. A byte-order
+    mark at the start of the file is skipped. A plain numeric file is
+    parsed by numpy's C reader; any other file (an empty cell, a quote,
+    a blank or ragged row, a cell numpy does not read) is read row by
+    row, which also names what is wrong with a file it refuses.
+    """
+    ds = _read_plain(path, label_column)
+    return _read_rows(path, label_column) if ds is None else ds
+
+
+def _read_plain(path, label_column: str) -> Dataset | None:
+    """The Dataset `_read_rows` would build, parsed by `np.loadtxt`; None unless the file is plain.
+
+    A plain file has no quote, no blank line (numpy skips one, the row
+    reader refuses it), no line longer than the csv module's field limit,
+    the header's number of cells in every row, a finite number in every
+    feature cell and 2 to MAX_LABEL_VALUES distinct non-empty labels,
+    and numpy reads it without an error or a warning.
+    """
+    class_index: dict[str, int] = {}
+
+    def label(cell: str) -> int:
+        cell = cell.strip()
+        if cell not in class_index:
+            if cell == "" or len(class_index) >= MAX_LABEL_VALUES:
+                raise ValueError("not a plain label")
+            class_index[cell] = len(class_index)
+        return class_index[cell]
+
+    n_lines = 0
+
+    def plain_lines(fh):
+        nonlocal n_lines
+        limit = csv.field_size_limit()
+        for line in fh:
+            if '"' in line or len(line) > limit:
+                raise ValueError("not a plain line")
+            n_lines += 1
+            yield line
+
+    try:
+        # universal newlines split lines at \r, \n and \r\n, where the csv module splits rows
+        with open(path, encoding="utf-8-sig") as fh:
+            first = fh.readline().rstrip("\n")
+            header = first.split(",") if first else []
+            if '"' in first or label_column not in header:
+                return None
+            label_idx = header.index(label_column)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")  # numpy warns on a file with no rows
+                table = np.loadtxt(plain_lines(fh), delimiter=",", comments=None,
+                                   converters={label_idx: label}, ndmin=2)
+    except (OSError, ValueError, Warning):  # the row reader reads the file, or says why it cannot
+        return None
+    if table.shape != (n_lines, len(header)) or len(class_index) < 2 or not np.isfinite(table).all():
+        return None
+    labels = table[:, label_idx].astype(np.int64)
+    # pack the feature cells to the front of the table's own buffer, so no second table-sized
+    # array is made: np.delete copies a block of rows (about 64k cells) before it is written
+    # back, and a packed block ends before the next block's rows begin
+    n, dim = table.shape[0], len(header) - 1
+    features = table.reshape(-1)[: n * dim].reshape(n, dim)
+    step = 1 + (1 << 16) // len(header)
+    for start in range(0, n, step):
+        features[start:start + step] = np.delete(table[start:start + step], label_idx, axis=1)
+    return Dataset(features, labels, tuple(header[:label_idx] + header[label_idx + 1:]), tuple(class_index),
+                   label_column=label_column)
+
+
+def _read_rows(path, label_column: str) -> Dataset:
+    """Read the CSV row by row with the csv module: the reader of every file that is not plain.
+
+    A row is converted whole; one that fails, or holds a non-finite value,
+    is parsed again cell by cell, which reads empty cells as NaN and names
     the row and column of a bad one.
     """
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)

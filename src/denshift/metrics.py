@@ -134,6 +134,8 @@ def score_report(s: ScoredSet) -> dict:
 
 def split_report(probs: np.ndarray, labels) -> dict:
     """`score_report` of the positive column for binary probabilities, else one-vs-rest AUCs."""
+    if np.ndim(probs) != 2:
+        raise ValidationError(f"probs must be 2-D, got shape {np.shape(probs)}")
     if probs.shape[1] == 2:
         return score_report(ScoredSet(probs[:, 1], labels))
     macro, micro = macro_micro_auc(probs, labels)

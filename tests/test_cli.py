@@ -475,6 +475,20 @@ class TestEval:
         assert code == 1
         assert "wrong" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("order, message", [
+        ([5, 0, 1, 2, 3, 4, 6], "feature column 1 is 'f5', the checkpoint expects 'f0'"),
+        ([0, 1, 2, 3, 4, 5, 5, 6], "7 feature columns, the checkpoint expects 6"),
+    ])
+    def test_reordered_columns_name_the_first_position_that_differs(self, trained_run, tmp_path, capsys,
+                                                                    order, message):
+        checkpoint, test_csv = trained_run
+        rows = [line.split(",") for line in test_csv.read_text(encoding="utf-8").splitlines()]
+        moved, out = tmp_path / "moved.csv", tmp_path / "e"
+        moved.write_text("".join(",".join(row[i] for i in order) + "\n" for row in rows), encoding="utf-8")
+        assert main(["eval", "--checkpoint", str(checkpoint), "--csv", str(moved), "--out", str(out)]) == 1
+        assert f"feature columns do not match checkpoint ({message})" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_label_column_flag_names_the_eval_files_label(self, tmp_path, capsys):
         run = tmp_path / "run"
         cfg = {"dataset": {"csv": {"path": str(write_multiclass_csv(tmp_path / "d.csv", label_column="outcome")),

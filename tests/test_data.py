@@ -1,4 +1,5 @@
 import math
+import random
 import re
 import tempfile
 from dataclasses import fields
@@ -10,6 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from denshift.data import (
+    MAX_LABEL_VALUES,
     Dataset,
     NormStats,
     SynthConfig,
@@ -22,6 +24,7 @@ from denshift.data import (
     stratified_split,
     write_table,
 )
+from denshift.data import _read_plain, _read_rows
 from denshift.errors import ParseError, SchemaError, ValidationError
 from denshift.losses import CostParams, ce, cost_loss, dah_softmax, focal
 from denshift.metrics import ScoredSet, macro_auc, nll, split_report, temperature_fit
@@ -119,6 +122,146 @@ class TestLoadCsv:
         p = write(tmp_path, "a,label\n1,x\n\n2,y\n")
         with pytest.raises(ParseError, match="row 2 has 0 cells"):
             load_csv(p, "label")
+
+
+# cells of every kind load_csv meets: plain numbers, which numpy's reader parses, missing
+# (empty) and quoted cells, which the row reader reads, and odd cells, which it refuses
+PLAIN_CELLS = ("0", "-3", "1e308", "5e-324", "-0.0", " 1.5 ", "+.5", "7.", "\u20032")
+ODD_CELLS = ("nan", "inf", "-inf", "1e999", "1_0", "\u0661", "\uff11", '"1"', '"1,5"', "1d5", "0x10",
+             "abc", "\x00", "\ufeff1", '"')
+ODD_LABELS = (" c0 ", "", "  ", '"c0"', "c0\x00", "\u0661")
+LINE_ENDINGS = ("\n", "\r\n", "\r")
+
+
+@st.composite
+def csv_texts(draw):
+    """A CSV text with a `label` column and mostly plain numeric cells.
+
+    Hypothesis draws its shape; a seeded generator fills the cells, as one draw per cell is slow.
+    """
+    dim, at = draw(st.integers(0, 3).flatmap(lambda d: st.tuples(st.just(d), st.integers(0, d))))
+    n_classes = draw(st.sampled_from([1, 2, 2, 2, 3, MAX_LABEL_VALUES + 1]))
+    n_rows = draw(st.sampled_from([0, 2, 3, 5, 8])) + (n_classes if n_classes > 3 else 0)
+    missing, odd = draw(st.sampled_from([0.0, 0.1])), draw(st.sampled_from([0.0, 0.0, 0.03]))
+    quoted = draw(st.sampled_from([0.0, 0.0, 0.2]))
+    ragged, blank = draw(st.integers(0, 7)) == 0, draw(st.integers(0, 7)) == 0
+    names = [draw(st.sampled_from(ODD_LABELS)) if draw(st.integers(0, 5)) == 0 else "c0"]
+    names += [f"c{k}" for k in range(1, n_classes)]
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+
+    def cell():
+        if rng.random() < odd:
+            return rng.choice(ODD_CELLS)
+        if rng.random() < missing:
+            text = rng.choice(("", "   "))
+        elif rng.random() < 0.2:
+            text = rng.choice(PLAIN_CELLS)
+        else:
+            text = repr(rng.uniform(-1, 1) * 10.0 ** rng.randint(-300, 300))
+        return f'"{text}"' if rng.random() < quoted else text  # the row reader unquotes it
+
+    header = [f"x{j}" for j in range(dim)]
+    header.insert(at, "label")
+    lines = [",".join(header)]
+    for i in range(n_rows):
+        cells = [cell() for _ in range(dim)]
+        cells.insert(at, names[i % n_classes])
+        if ragged and rng.random() < 0.2:
+            cells = cells[:-1] if rng.random() < 0.5 else cells + ["1"]
+        lines.append(",".join(cells))
+        if blank and rng.random() < 0.2:
+            lines.append(rng.choice(["", " "]))
+    end = draw(st.sampled_from(LINE_ENDINGS))
+    return end.join(lines) + (end if draw(st.booleans()) else "")
+
+
+def dataset_fields(ds):
+    """Every field of a loaded Dataset, its features as bytes: NaN positions and -0.0 compare exactly."""
+    return ds.features.shape, ds.features.tobytes(), ds.labels.tolist(), ds.class_names, ds.feature_names
+
+
+def read_outcome(read, path):
+    """What `read` makes of `path`: the Dataset's fields, or the exception's type and message."""
+    try:
+        return dataset_fields(read(path, "label"))
+    except Exception as exc:  # noqa: BLE001 - the type and the message are the outcome compared
+        return type(exc), str(exc)
+
+
+class TestPlainReader:
+    @pytest.mark.filterwarnings("error")  # numpy warns on a file with no rows; load_csv must not
+    @settings(max_examples=200, deadline=None)
+    @given(csv_texts())
+    @example("x0,label\n1,a\n2,b\n")
+    @example("label\r\na\r\nb")
+    @example("x0,label\n")
+    @example("x0,label,x1\r1,a,2\r\r3,b,4\r")
+    @example("label\n" + "".join(f"c{k}\n" for k in range(MAX_LABEL_VALUES + 1)))
+    def test_load_csv_matches_the_row_reader(self, text):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "t.csv"
+            path.write_bytes(text.encode("utf-8"))
+            expected = read_outcome(_read_rows, path)
+            assert read_outcome(load_csv, path) == expected
+            plain = _read_plain(path, "label")
+        assert plain is None or dataset_fields(plain) == expected
+
+    @pytest.mark.parametrize("end", LINE_ENDINGS)
+    @pytest.mark.parametrize("at", [0, 1, 2])
+    def test_plain_numeric_file_takes_numpys_reader(self, tmp_path, end, at):
+        rows = [["x0", "x1"], ["0.1", "-2e-3"], ["1e308", " 5 "], ["7", "8"]]
+        labels = ["label", "b", " a\t", "b "]
+        text = end.join(",".join(row[:at] + [label] + row[at:]) for row, label in zip(rows, labels))
+        path = tmp_path / "p.csv"
+        path.write_bytes(text.encode("utf-8"))
+        ds = _read_plain(path, "label")
+        assert dataset_fields(ds) == read_outcome(_read_rows, path)
+        assert ds.features.tolist() == [[0.1, -2e-3], [1e308, 5.0], [7.0, 8.0]]
+        assert ds.class_names == ("b", "a") and ds.feature_names == ("x0", "x1")
+
+    def test_a_table_of_many_blocks_packs_every_row(self, tmp_path):
+        feats = np.arange(150_000.0).reshape(1500, 100)  # about 650 rows a block; every cell differs
+        lines = [[f"x{j}" for j in range(100)]] + [[str(int(v)) for v in row] for row in feats.tolist()]
+        for i, cells in enumerate(lines):
+            cells.insert(50, "label" if i == 0 else "abc"[i % 3])
+        path = write(tmp_path, "".join(",".join(cells) + "\n" for cells in lines))
+        ds = _read_plain(path, "label")
+        assert dataset_fields(ds) == read_outcome(_read_rows, path)
+        assert ds.features.tobytes() == feats.tobytes()
+
+    @pytest.mark.parametrize("text", [
+        "x0,label\n1,a\n,b\n",  # an empty cell
+        'x0,label\n1,"a"\n2,b\n',  # a quote
+        '"x0",label\n1,a\n2,b\n',  # a quote in the header
+        "x0,label\n1,a\n\n2,b\n",  # a blank line
+        "x0,label\n1,a\n2\n",  # a ragged row
+        "label,x0,x1\na,1\nb,2\n",  # every row shorter than the header
+        "x0,label\n1,a,2\n3,b,4\n",  # every row longer than the header
+        "x0,label\n1_0,a\n2,b\n",  # an underscore, which float() reads
+        "x0,label\nnan,a\n2,b\n",  # a non-finite number, which numpy reads
+        "x0,label\n1,a\n2,\n",  # an empty label
+        "x0,label\n1,a\n2,a\n",  # one class
+        "x0,label\n",  # no rows
+        "x0,label\n" + "1." + "0" * 131072 + ",a\n2,b\n",  # a cell over the csv module's field limit
+    ])
+    def test_file_that_is_not_plain_takes_the_row_reader(self, tmp_path, recwarn, text):
+        path = write(tmp_path, text)
+        assert _read_plain(path, "label") is None
+        assert read_outcome(load_csv, path) == read_outcome(_read_rows, path)
+        assert not recwarn.list  # numpy's warning on a file with no rows stays inside
+
+    def test_a_blank_header_line_names_no_column(self, tmp_path):
+        path = write(tmp_path, "\na\nb\n")
+        assert _read_plain(path, "") is None
+        with pytest.raises(SchemaError, match=re.escape("label column '' not in header []")):
+            load_csv(path, "")
+
+    @pytest.mark.parametrize("text", ["label,x0,x1\na,1,2\nb,3,4\n", "x0,x1,label\n1,2,a\n3,4,b\n",
+                                      "label,x0,x1\na,1,2\nb,3,\n", "x0,x1,label\n1,2,a\n3,,b\n"])
+    def test_a_byte_order_mark_is_skipped(self, tmp_path, text):
+        ds = load_csv(write(tmp_path, "\ufeff" + text, "bom.csv"), "label")
+        assert dataset_fields(ds) == dataset_fields(load_csv(write(tmp_path, text), "label"))
+        assert ds.feature_names == ("x0", "x1") and ds.class_names == ("a", "b")
 
 
 class TestDataset:

@@ -357,8 +357,10 @@ class TestHeadAxisRefusals:
     def test_two_dimensional_only_losses_refuse_a_head_axis(self, name):
         loss = {"focal": lambda z, y: focal(z, y, 2.0), "cost_loss": lambda z, y: cost_loss(z, y, CostParams()),
                 "nll": nll, "temperature_fit": temperature_fit, "split_report": split_report}[name]
-        with pytest.raises(ValidationError, match=r"logits must be 2-D, got shape \(2, 3, 2\)"):
-            loss(np.zeros((2, 3, 2)), np.zeros((2, 3), int))
+        argument = "probs" if name == "split_report" else "logits"
+        for shape in ((2, 3, 2), (3, 2, 2)):  # (3, 2, 2): two entries on the second axis, like binary probs
+            with pytest.raises(ValidationError, match=re.escape(f"{argument} must be 2-D, got shape {shape}")):
+                loss(np.full(shape, 0.5), np.zeros(shape[:-1], int))
 
 
 # The losses against the reference copies in oracles.py: equal with ==, not
