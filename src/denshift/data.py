@@ -266,6 +266,19 @@ def _parse_cells(path, rownum: int, cells: list[str], names: tuple[str, ...]) ->
     return row
 
 
+def _class_index(classes: dict[str, int], cell: str) -> int | None:
+    """The class index of the label in `cell`, stripped, numbered in order of first appearance.
+
+    A new label is added to `classes`. None for an empty label, or for a
+    new one when `classes` already holds MAX_LABEL_VALUES labels.
+    """
+    cell = cell.strip()
+    index = classes.get(cell)
+    if index is None and cell != "" and len(classes) < MAX_LABEL_VALUES:
+        index = classes[cell] = len(classes)
+    return index
+
+
 def load_csv(path, label_column: str) -> Dataset:
     """Load a UTF-8, comma-separated, headered CSV into a Dataset.
 
@@ -292,12 +305,10 @@ def _read_plain(path, label_column: str) -> Dataset | None:
     class_index: dict[str, int] = {}
 
     def label(cell: str) -> int:
-        cell = cell.strip()
-        if cell not in class_index:
-            if cell == "" or len(class_index) >= MAX_LABEL_VALUES:
-                raise ValueError("not a plain label")
-            class_index[cell] = len(class_index)
-        return class_index[cell]
+        index = _class_index(class_index, cell)
+        if index is None:
+            raise ValueError("not a plain label")
+        return index
 
     n_lines = 0
 
@@ -320,8 +331,9 @@ def _read_plain(path, label_column: str) -> Dataset | None:
             label_idx = header.index(label_column)
             with warnings.catch_warnings():
                 warnings.simplefilter("error")  # numpy warns on a file with no rows
+                # any encoding but numpy < 2's default "bytes" hands the converter str, not bytes
                 table = np.loadtxt(plain_lines(fh), delimiter=",", comments=None,
-                                   converters={label_idx: label}, ndmin=2)
+                                   converters={label_idx: label}, ndmin=2, encoding="utf-8")
     except (OSError, ValueError, Warning):  # the row reader reads the file, or says why it cannot
         return None
     if table.shape != (n_lines, len(header)) or len(class_index) < 2 or not np.isfinite(table).all():
@@ -331,11 +343,16 @@ def _read_plain(path, label_column: str) -> Dataset | None:
     # array is made: np.delete copies a block of rows (about 64k cells) before it is written
     # back, and a packed block ends before the next block's rows begin
     n, dim = table.shape[0], len(header) - 1
-    features = table.reshape(-1)[: n * dim].reshape(n, dim)
+    packed = table.reshape(-1)[: n * dim].reshape(n, dim)
     step = 1 + (1 << 16) // len(header)
     for start in range(0, n, step):
-        features[start:start + step] = np.delete(table[start:start + step], label_idx, axis=1)
-    return Dataset(features, labels, tuple(header[:label_idx] + header[label_idx + 1:]), tuple(class_index),
+        packed[start:start + step] = np.delete(table[start:start + step], label_idx, axis=1)
+    del packed
+    try:
+        table.resize((n, dim))  # the buffer shrinks to the packed cells: the label column is not kept
+    except ValueError:  # the table does not own its buffer, or something else refers to it
+        table = table.reshape(-1)[: n * dim].reshape(n, dim).copy()
+    return Dataset(table, labels, tuple(header[:label_idx] + header[label_idx + 1:]), tuple(class_index),
                    label_column=label_column)
 
 
@@ -359,22 +376,17 @@ def _read_rows(path, label_column: str) -> Dataset:
 
         values = array("d")  # raw doubles, row after row: no float object outlives its row
         label_values: list[int] = []
-        class_names: list[str] = []
         class_index: dict[str, int] = {}
         for rownum, cells in enumerate(reader, start=1):
             if len(cells) != len(header):
                 raise ParseError(f"{path}: row {rownum} has {len(cells)} cells, expected {len(header)}")
-            raw_label = cells.pop(label_idx).strip()
-            if raw_label == "":
-                raise ParseError(f"{path}: row {rownum} has an empty label cell")
-            if raw_label not in class_index:
-                if len(class_names) >= MAX_LABEL_VALUES:
-                    raise ValidationError(
-                        f"{path}: label column has more than {MAX_LABEL_VALUES} distinct values"
-                    )
-                class_index[raw_label] = len(class_names)
-                class_names.append(raw_label)
-            label_values.append(class_index[raw_label])
+            raw_label = cells.pop(label_idx)
+            index = _class_index(class_index, raw_label)
+            if index is None:
+                if raw_label.strip() == "":
+                    raise ParseError(f"{path}: row {rownum} has an empty label cell")
+                raise ValidationError(f"{path}: label column has more than {MAX_LABEL_VALUES} distinct values")
+            label_values.append(index)
 
             try:
                 row = list(map(float, cells))
@@ -384,11 +396,11 @@ def _read_rows(path, label_column: str) -> Dataset:
                 row = _parse_cells(path, rownum, cells, feature_names)
             values.fromlist(row)
 
-    if len(class_names) < 2:
-        raise ValidationError(f"{path}: label column has a single class {class_names!r}")
+    if len(class_index) < 2:
+        raise ValidationError(f"{path}: label column has a single class {list(class_index)!r}")
     features = np.frombuffer(values, dtype=np.float64).reshape(len(label_values), len(feature_names))
     labels = np.array(label_values, dtype=np.int64)
-    return Dataset(features, labels, feature_names, tuple(class_names), label_column=label_column)
+    return Dataset(features, labels, feature_names, tuple(class_index), label_column=label_column)
 
 
 def _csv_field(text: str) -> str:

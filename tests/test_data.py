@@ -250,6 +250,30 @@ class TestPlainReader:
         assert read_outcome(load_csv, path) == read_outcome(_read_rows, path)
         assert not recwarn.list  # numpy's warning on a file with no rows stays inside
 
+    @pytest.mark.parametrize("text", ["x0,label\n1,a\n2,b\n", "x0,label\n1,a\n2, \n",
+                                      "x0,label\n1,\u00e9\n2,b\n"])
+    def test_labels_are_text_under_numpy_1s_default_encoding(self, tmp_path, monkeypatch, text):
+        # before NumPy 2, loadtxt's default encoding "bytes" handed converters latin-1 bytes
+        loadtxt = np.loadtxt
+        monkeypatch.setattr(np, "loadtxt", lambda *args, **kw: loadtxt(*args, **{"encoding": "bytes", **kw}))
+        path = write(tmp_path, text)
+        assert read_outcome(load_csv, path) == read_outcome(_read_rows, path)
+
+    @pytest.mark.parametrize("at", [0, 1, 2])
+    def test_the_dataset_holds_no_label_column(self, tmp_path, at):
+        header = ["x0", "x1"]
+        header.insert(at, "label")
+        rows = [[str(i), str(-i)] for i in range(300)]
+        for i, row in enumerate(rows):
+            row.insert(at, "ab"[i % 2])
+        path = write(tmp_path, "".join(",".join(cells) + "\n" for cells in [header] + rows))
+        features = _read_plain(path, "label").features
+        owner = features
+        while owner.base is not None:
+            owner = owner.base
+        assert owner.nbytes == features.nbytes == 300 * 2 * 8
+        assert features.tolist() == [[float(i), float(-i)] for i in range(300)]
+
     def test_a_blank_header_line_names_no_column(self, tmp_path):
         path = write(tmp_path, "\na\nb\n")
         assert _read_plain(path, "") is None
