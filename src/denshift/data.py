@@ -16,6 +16,7 @@ import numbers
 import sys
 import warnings
 from array import array
+from collections import Counter
 from dataclasses import dataclass, field, fields
 from typing import Callable, NamedTuple
 
@@ -284,10 +285,10 @@ def load_csv(path, label_column: str) -> Dataset:
 
     Empty feature cells become NaN (missing); labels are mapped to
     contiguous class indices in order of first appearance. A byte-order
-    mark at the start of the file is skipped. A plain numeric file is
-    parsed by numpy's C reader; any other file (an empty cell, a quote,
-    a blank or ragged row, a cell numpy does not read) is read row by
-    row, which also names what is wrong with a file it refuses.
+    mark at the start of the file is skipped. A plain numeric file, empty
+    feature cells allowed, is parsed by numpy's C reader; any other file
+    (a quote, a blank or ragged row, a cell numpy does not read) is read
+    row by row, which also names what is wrong with a file it refuses.
     """
     ds = _read_plain(path, label_column)
     return _read_rows(path, label_column) if ds is None else ds
@@ -296,11 +297,15 @@ def load_csv(path, label_column: str) -> Dataset:
 def _read_plain(path, label_column: str) -> Dataset | None:
     """The Dataset `_read_rows` would build, parsed by `np.loadtxt`; None unless the file is plain.
 
-    A plain file has no quote, no blank line (numpy skips one, the row
-    reader refuses it), no line longer than the csv module's field limit,
-    the header's number of cells in every row, a finite number in every
-    feature cell and 2 to MAX_LABEL_VALUES distinct non-empty labels,
-    and numpy reads it without an error or a warning.
+    A plain file has a header of distinct names, no quote, no blank line
+    (numpy skips one, the row reader refuses it), no line longer than the
+    csv module's field limit, the header's number of cells in every row,
+    a finite number or nothing in every feature cell and 2 to
+    MAX_LABEL_VALUES distinct non-empty labels, and numpy reads it
+    without an error or a warning. An empty feature cell is handed to
+    numpy as `nan`; the table is kept only if those are its only
+    non-finite cells, so a `nan` or `inf` written in the file is left to
+    the row reader, which refuses it.
     """
     class_index: dict[str, int] = {}
 
@@ -310,33 +315,44 @@ def _read_plain(path, label_column: str) -> Dataset | None:
             raise ValueError("not a plain label")
         return index
 
-    n_lines = 0
+    n_lines = n_empty = 0
 
-    def plain_lines(fh):
-        nonlocal n_lines
+    def plain_lines(fh, label_idx: int, find_empty: bool):
+        nonlocal n_lines, n_empty
         limit = csv.field_size_limit()
         for line in fh:
             if '"' in line or len(line) > limit:
                 raise ValueError("not a plain line")
+            if find_empty and (",," in line or line.startswith(",") or line.endswith((",\n", ","))):
+                cells = line.rstrip("\n").split(",")
+                for i, cell in enumerate(cells):
+                    if cell == "" and i != label_idx:  # an empty label stays empty: the converter refuses it
+                        cells[i] = "nan"
+                        n_empty += 1
+                line = ",".join(cells)
             n_lines += 1
             yield line
 
     try:
+        # the per-line test for an empty cell is CPython's slow two-character search; a numpy
+        # scan of the bytes spares it to a file that has none
+        find_empty = _may_hold_empty_cells(path)
         # universal newlines split lines at \r, \n and \r\n, where the csv module splits rows
         with open(path, encoding="utf-8-sig") as fh:
             first = fh.readline().rstrip("\n")
             header = first.split(",") if first else []
-            if '"' in first or label_column not in header:
+            if '"' in first or label_column not in header or len(set(header)) < len(header):
                 return None
             label_idx = header.index(label_column)
             with warnings.catch_warnings():
                 warnings.simplefilter("error")  # numpy warns on a file with no rows
                 # any encoding but numpy < 2's default "bytes" hands the converter str, not bytes
-                table = np.loadtxt(plain_lines(fh), delimiter=",", comments=None,
+                table = np.loadtxt(plain_lines(fh, label_idx, find_empty), delimiter=",", comments=None,
                                    converters={label_idx: label}, ndmin=2, encoding="utf-8")
     except (OSError, ValueError, Warning):  # the row reader reads the file, or says why it cannot
         return None
-    if table.shape != (n_lines, len(header)) or len(class_index) < 2 or not np.isfinite(table).all():
+    if (table.shape != (n_lines, len(header)) or len(class_index) < 2
+            or table.size - np.count_nonzero(np.isfinite(table)) != n_empty):
         return None
     labels = table[:, label_idx].astype(np.int64)
     # pack the feature cells to the front of the table's own buffer, so no second table-sized
@@ -356,51 +372,94 @@ def _read_plain(path, label_column: str) -> Dataset | None:
                    label_column=label_column)
 
 
+def _may_hold_empty_cells(path) -> bool:
+    """False when no comma in `path` sits beside another comma or a line break, or ends the file.
+
+    A numpy scan of the bytes, block by block. It may also flag a comma
+    beside a space, a quote or a sign (each a byte below ","), but never
+    passes over an empty cell.
+    """
+    last = b""
+    with open(path, "rb") as fh:
+        while block := fh.read(1 << 17):
+            codes = np.frombuffer(last + block, np.uint8)
+            low = codes <= ord(",")  # a comma, a line break, or a space, quote or sign
+            pair = low[1:] & low[:-1]
+            if pair.any() and ((codes[1:][pair] == ord(",")) | (codes[:-1][pair] == ord(","))).any():
+                return True
+            last = block[-1:]
+    return last == b","
+
+
 def _read_rows(path, label_column: str) -> Dataset:
     """Read the CSV row by row with the csv module: the reader of every file that is not plain.
 
     A row is converted whole; one that fails, or holds a non-finite value,
     is parsed again cell by cell, which reads empty cells as NaN and names
-    the row and column of a bad one.
+    the row and column of a bad one. A row the csv module cannot read (a
+    cell over its field limit, a byte that is not UTF-8) is named too.
     """
-    with open(path, newline="", encoding="utf-8-sig") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise SchemaError(f"{path}: empty file") from None
-        if label_column not in header:
-            raise SchemaError(f"{path}: label column {label_column!r} not in header {header}")
-        label_idx = header.index(label_column)
-        feature_names = tuple(h for i, h in enumerate(header) if i != label_idx)
+    header = None
+    values = array("d")  # raw doubles, row after row: no float object outlives its row
+    label_values: list[int] = []
+    class_index: dict[str, int] = {}
+    try:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
+            reader = csv.reader(fh)
+            header = next(reader, None)
+            if header is None:
+                raise SchemaError(f"{path}: empty file")
+            if label_column not in header:
+                raise SchemaError(f"{path}: label column {label_column!r} not in header {header}")
+            repeated = [name for name, count in Counter(header).items() if count > 1]
+            if repeated:
+                raise SchemaError(f"{path}: column {repeated[0]!r} appears more than once in the header")
+            label_idx = header.index(label_column)
+            feature_names = tuple(h for i, h in enumerate(header) if i != label_idx)
 
-        values = array("d")  # raw doubles, row after row: no float object outlives its row
-        label_values: list[int] = []
-        class_index: dict[str, int] = {}
-        for rownum, cells in enumerate(reader, start=1):
-            if len(cells) != len(header):
-                raise ParseError(f"{path}: row {rownum} has {len(cells)} cells, expected {len(header)}")
-            raw_label = cells.pop(label_idx)
-            index = _class_index(class_index, raw_label)
-            if index is None:
-                if raw_label.strip() == "":
-                    raise ParseError(f"{path}: row {rownum} has an empty label cell")
-                raise ValidationError(f"{path}: label column has more than {MAX_LABEL_VALUES} distinct values")
-            label_values.append(index)
+            for rownum, cells in enumerate(reader, start=1):
+                if len(cells) != len(header):
+                    raise ParseError(f"{path}: row {rownum} has {len(cells)} cells, expected {len(header)}")
+                raw_label = cells.pop(label_idx)
+                index = _class_index(class_index, raw_label)
+                if index is None:
+                    if raw_label.strip() == "":
+                        raise ParseError(f"{path}: row {rownum} has an empty label cell")
+                    raise ValidationError(f"{path}: label column has more than {MAX_LABEL_VALUES} distinct values")
+                label_values.append(index)
 
-            try:
-                row = list(map(float, cells))
-            except ValueError:
-                row = None
-            if row is None or not math.isfinite(sum(row)):
-                row = _parse_cells(path, rownum, cells, feature_names)
-            values.fromlist(row)
+                try:
+                    row = list(map(float, cells))
+                except ValueError:
+                    row = None
+                if row is None or not math.isfinite(sum(row)):
+                    row = _parse_cells(path, rownum, cells, feature_names)
+                values.fromlist(row)
+    except csv.Error as exc:  # the reader stopped inside the row after the last one read
+        bad_row = 0 if header is None else len(label_values) + 1
+        raise ParseError(f"{path}: {f'row {bad_row}' if bad_row else 'header'}: {exc}") from None
+    except UnicodeDecodeError as exc:  # raised as the text layer decodes a block, maybe rows ahead of the reader
+        bad_row = _undecodable_row(path)
+        raise ParseError(f"{path}: {f'row {bad_row}' if bad_row else 'header'}: "
+                         f"byte {exc.object[exc.start]:#04x} is not UTF-8") from None
 
     if len(class_index) < 2:
         raise ValidationError(f"{path}: label column has a single class {list(class_index)!r}")
     features = np.frombuffer(values, dtype=np.float64).reshape(len(label_values), len(feature_names))
     labels = np.array(label_values, dtype=np.int64)
     return Dataset(features, labels, feature_names, tuple(class_index), label_column=label_column)
+
+
+def _undecodable_row(path) -> int:
+    """The row (0: the header) of the first byte in `path` that is not UTF-8: line breaks out of quotes before it."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        data = data[: exc.start]
+    unquoted = data.split(b'"')[::2]  # a quoted cell's doubled quote splits it into quoted pieces only
+    return sum(part.count(b"\n") + part.count(b"\r") - part.count(b"\r\n") for part in unquoted)
 
 
 def _csv_field(text: str) -> str:

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from denshift.cli import DEFAULT_CONFIG, build_parser, config_hash, load_config, main
+from denshift.cli import DEFAULT_CONFIG, _column_mismatch, build_parser, config_hash, load_config, main
 from denshift.data import CONFIG_RULES, check_config
 from denshift.errors import ValidationError
 from denshift.metrics import ScoredSet, auc_prc, auc_roc, bss, split_report
@@ -475,18 +475,48 @@ class TestEval:
         assert code == 1
         assert "wrong" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("order, message", [
-        ([5, 0, 1, 2, 3, 4, 6], "feature column 1 is 'f5', the checkpoint expects 'f0'"),
-        ([0, 1, 2, 3, 4, 5, 5, 6], "7 feature columns, the checkpoint expects 6"),
+    @pytest.mark.parametrize("order, fresh, message", [
+        ([5, 0, 1, 2, 3, 4, 6], True,
+         "feature columns do not match checkpoint (feature column 1 is 'f5', the checkpoint expects 'f0')"),
+        ([0, 1, 2, 3, 4, 5, 5, 6], True,
+         "feature columns do not match checkpoint (missing [], unexpected ['f5_copy'])"),
+        ([0, 1, 2, 3, 4, 5, 5, 6], False, "column 'f5' appears more than once in the header"),
     ])
     def test_reordered_columns_name_the_first_position_that_differs(self, trained_run, tmp_path, capsys,
-                                                                    order, message):
+                                                                    order, fresh, message):
         checkpoint, test_csv = trained_run
-        rows = [line.split(",") for line in test_csv.read_text(encoding="utf-8").splitlines()]
+        rows = [[line.split(",")[i] for i in order] for line in test_csv.read_text(encoding="utf-8").splitlines()]
+        if fresh:  # a column added under a name of its own
+            rows[0] = [f"{name}_copy" if name in rows[0][:k] else name for k, name in enumerate(rows[0])]
         moved, out = tmp_path / "moved.csv", tmp_path / "e"
-        moved.write_text("".join(",".join(row[i] for i in order) + "\n" for row in rows), encoding="utf-8")
+        moved.write_text("".join(",".join(row) + "\n" for row in rows), encoding="utf-8")
         assert main(["eval", "--checkpoint", str(checkpoint), "--csv", str(moved), "--out", str(out)]) == 1
-        assert f"feature columns do not match checkpoint ({message})" in capsys.readouterr().err
+        assert capsys.readouterr().err == f"error: {moved}: {message}\n"
+        assert not out.exists()
+
+    def test_a_checkpoint_that_repeats_a_name_is_a_count_mismatch(self):
+        # load_csv refuses a repeated column name, so only a checkpoint's metadata can hold one
+        assert _column_mismatch(["f0", "f1"], ["f0", "f1", "f1"]) == "2 feature columns, the checkpoint expects 3"
+
+    @pytest.mark.parametrize("bad_row, message", [
+        (b"1." + b"0" * 131072 + b",0,0,0,0,0,majority", "row 2: field larger than field limit (131072)"),
+        (b"1,0,0,0,0,0,minorit\xe9", "row 2: byte 0xe9 is not UTF-8"),
+    ], ids=["field-limit", "latin-1"])
+    @pytest.mark.parametrize("command", ["train", "eval"])
+    def test_a_csv_the_csv_module_cannot_read_exits_one_naming_the_row(self, trained_run, tmp_path, capsys,
+                                                                       command, bad_row, message):
+        checkpoint, test_csv = trained_run
+        lines = test_csv.read_bytes().splitlines()
+        lines[2] = bad_row
+        bad, out = tmp_path / "bad.csv", tmp_path / "out"
+        bad.write_bytes(b"\n".join(lines) + b"\n")
+        if command == "train":
+            (tmp_path / "c.json").write_text(json.dumps({"dataset": {"csv": {"path": str(bad)}}}))
+            argv = ["train", "--config", str(tmp_path / "c.json")]
+        else:
+            argv = ["eval", "--checkpoint", str(checkpoint), "--csv", str(bad)]
+        assert main(argv + ["--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: {bad}: {message}\n"
         assert not out.exists()
 
     def test_label_column_flag_names_the_eval_files_label(self, tmp_path, capsys):

@@ -123,6 +123,42 @@ class TestLoadCsv:
         with pytest.raises(ParseError, match="row 2 has 0 cells"):
             load_csv(p, "label")
 
+    @pytest.mark.parametrize("text, name", [
+        ("x0,x0,label\n1,2,a\n3,,b\n", "x0"),
+        ("label,x0,label\na,1,a\nb,2,b\n", "label"),
+        ("x0,x1,x1,x0,label\n1,2,3,4,a\n5,6,7,8,b\n", "x0"),
+    ])
+    def test_a_repeated_column_name_is_refused(self, tmp_path, text, name):
+        p = write(tmp_path, text)
+        assert _read_plain(p, "label") is None
+        with pytest.raises(SchemaError, match=re.escape(f"column {name!r} appears more than once in the header")):
+            load_csv(p, "label")
+
+    @pytest.mark.parametrize("text, message", [
+        ("x0,label\n1." + "0" * 131072 + ",a\n2,b\n", "row 1: field larger than field limit (131072)"),
+        ("x0,label\n2,b\n1." + "0" * 131072 + ",a\n", "row 2: field larger than field limit (131072)"),
+        ("x0,label" + "0" * 131072 + "\n1,a\n", "header: field larger than field limit (131072)"),
+    ])
+    def test_a_cell_over_the_field_limit_names_its_row(self, tmp_path, text, message):
+        with pytest.raises(ParseError, match=re.escape(message)):
+            load_csv(write(tmp_path, text), "label")
+
+    @pytest.mark.parametrize("text, row", [
+        (b"x0,label\n1,a\n2,\xe9\n", "row 2"),
+        (b"\xef\xbb\xbfx0,label\r\n1,a\r\n2,b\r\n3,\xe9\r\n", "row 3"),
+        (b"x0,label\r1,a\r2,b\r\xff,c\r", "row 3"),
+        # the text layer decodes 8 KiB blocks, so the reader is rows short of the bad byte when it surfaces
+        (b"x0,label\n" + b"".join(b"%d,%s\n" % (i, b"ab"[i % 2:i % 2 + 1]) for i in range(1, 5000))
+         + b"5000,\xe9\n", "row 5000"),
+        (b"x\xe90,label\n1,a\n2,b\n", "header"),
+        (b'x0,label\n1,"a\nb"\n2,"c""\r\n"\n3,\xe9\n', "row 3"),  # line breaks in quoted cells
+    ])
+    def test_a_byte_that_is_not_utf8_names_its_row(self, tmp_path, text, row):
+        p = tmp_path / "latin1.csv"
+        p.write_bytes(text)
+        with pytest.raises(ParseError, match=re.escape(f"{p}: {row}: byte 0x") + ".. is not UTF-8"):
+            load_csv(p, "label")
+
 
 # cells of every kind load_csv meets: plain numbers, which numpy's reader parses, missing
 # (empty) and quoted cells, which the row reader reads, and odd cells, which it refuses
@@ -153,7 +189,7 @@ def csv_texts(draw):
         if rng.random() < odd:
             return rng.choice(ODD_CELLS)
         if rng.random() < missing:
-            text = rng.choice(("", "   "))
+            text = "   " if rng.random() < 0.1 else ""  # whitespace-only, or empty: numpy reads that
         elif rng.random() < 0.2:
             text = rng.choice(PLAIN_CELLS)
         else:
@@ -197,6 +233,13 @@ class TestPlainReader:
     @example("x0,label\n")
     @example("x0,label,x1\r1,a,2\r\r3,b,4\r")
     @example("label\n" + "".join(f"c{k}\n" for k in range(MAX_LABEL_VALUES + 1)))
+    @example("x0,label,x1\n,a,\n1,b,2\n3,a,\n")  # empty cells, first and last row, leading and trailing
+    @example(",,,label\n1,,,a\n,,,b\n")  # runs of empty cells
+    @example("x0,label\n1,a\n,\n")  # an empty label beside an empty cell
+    @example("x0,label\n,nan\n1,b\n")  # a class named nan
+    @example("x0,x1,label\n,nan,a\n1,2,b\n")  # an empty cell and a nan cell
+    @example("x0,x1,label\n,1,a\n1,inf,b\n")  # an empty cell and an inf cell
+    @example("x0,x1,label\n,1,a\n1, ,b\n")  # an empty cell and a whitespace-only one
     def test_load_csv_matches_the_row_reader(self, text):
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "t.csv"
@@ -230,7 +273,6 @@ class TestPlainReader:
         assert ds.features.tobytes() == feats.tobytes()
 
     @pytest.mark.parametrize("text", [
-        "x0,label\n1,a\n,b\n",  # an empty cell
         'x0,label\n1,"a"\n2,b\n',  # a quote
         '"x0",label\n1,a\n2,b\n',  # a quote in the header
         "x0,label\n1,a\n\n2,b\n",  # a blank line
@@ -240,6 +282,11 @@ class TestPlainReader:
         "x0,label\n1_0,a\n2,b\n",  # an underscore, which float() reads
         "x0,label\nnan,a\n2,b\n",  # a non-finite number, which numpy reads
         "x0,label\n1,a\n2,\n",  # an empty label
+        "x0,label\n1,a\n,\n",  # an empty label beside an empty feature cell
+        "x0,x1,label\n,nan,a\n1,2,b\n",  # an empty cell and a nan cell
+        "x0,x1,label\n,1,a\n1,inf,b\n",  # an empty cell and an inf cell
+        "x0,x1,label\n,1e999,a\n1,2,b\n",  # an empty cell and a number over float's range
+        "x0,x1,label\n,1,a\n1, ,b\n",  # an empty cell and a whitespace-only cell
         "x0,label\n1,a\n2,a\n",  # one class
         "x0,label\n",  # no rows
         "x0,label\n" + "1." + "0" * 131072 + ",a\n2,b\n",  # a cell over the csv module's field limit
@@ -249,6 +296,41 @@ class TestPlainReader:
         assert _read_plain(path, "label") is None
         assert read_outcome(load_csv, path) == read_outcome(_read_rows, path)
         assert not recwarn.list  # numpy's warning on a file with no rows stays inside
+
+    @pytest.mark.parametrize("text", [
+        "x0,label\n1,a\n,b\n",  # the last row
+        "x0,label\n,a\n1,b\n2,a\n",  # the first row
+        "x0,x1,label\n1,2,a\n,3,b\n4,5,a\n",  # a middle row
+        "label,x0,x1\na,,1\nb,2,\n",  # the label first
+        "x0,label,x1\n,a,\n1,b,2\n",  # the label in the middle, leading and trailing empty cells
+        "x0,x1,label\n,,a\n1,2,b\n",  # the label last, a leading run
+        "x0,x1,x2,x3,label\n1,,,,a\n,,,,b\n,,,4,a\n",  # runs of empty cells
+        "label,x0,x1,x2\r\na,,,\r\nb,1,,2\r\n",  # a trailing run, CRLF line ends
+        "x0,label\r,a\r1,b",  # CR line ends, no line end after the last row
+        "label,x0\na,1\nb,",  # an empty last cell, no line end after it
+        "x0,label\n,nan\n1,b\n",  # a class named nan
+    ])
+    def test_empty_feature_cells_take_numpys_reader(self, tmp_path, text):
+        path = write(tmp_path, text)
+        ds = _read_plain(path, "label")
+        assert dataset_fields(ds) == read_outcome(_read_rows, path) == read_outcome(load_csv, path)
+        assert np.isnan(ds.features).any()
+
+    @pytest.mark.parametrize("last_only", [False, True])
+    def test_a_file_with_missing_values_stays_on_numpys_reader(self, tmp_path, last_only):
+        rng = np.random.default_rng(0)
+        rows = [[repr(v) for v in row] for row in rng.normal(size=(2000, 10)).tolist()]
+        if last_only:
+            rows[-1][3] = ""
+        else:
+            for i, j in zip(*np.nonzero(rng.random((2000, 10)) < 0.01)):
+                rows[i][j] = ""
+        lines = [[f"x{j}" for j in range(10)] + ["label"]] + [cells + ["ab"[i % 2]] for i, cells in enumerate(rows)]
+        path = write(tmp_path, "".join(",".join(cells) + "\n" for cells in lines))
+        ds = _read_plain(path, "label")
+        assert ds is not None  # a missing value must not send the file to the row reader
+        assert dataset_fields(ds) == read_outcome(_read_rows, path)
+        assert np.isnan(ds.features).sum() == sum(cells.count("") for cells in rows)
 
     @pytest.mark.parametrize("text", ["x0,label\n1,a\n2,b\n", "x0,label\n1,a\n2, \n",
                                       "x0,label\n1,\u00e9\n2,b\n"])
