@@ -219,9 +219,7 @@ def cmd_train(cfg: dict, args) -> int:
     if te.n_classes == 2:
         _write_scores(out, "_test", test_probs, te.labels, cfg["metrics"]["n_bins"])
     _write_json(out / "report.json", report)
-    test_part = report["test"]
-    shown = ("auc_roc", "auc_prc", "bss") if "auc_roc" in test_part else ("macro_auc",)
-    print(f"{tcfg.variant}: test " + " ".join(f"{m}={test_part[m]:.4f}" for m in shown))
+    print(f"{tcfg.variant}: test " + " ".join(f"{m}={report['test'][m]:.4f}" for m in table_metrics(te.n_classes)))
     return 0
 
 
@@ -233,7 +231,6 @@ def _column_mismatch(names: list[str], expected: list[str]) -> str:
     for i, (name, want) in enumerate(zip(names, expected), start=1):
         if name != want:
             return f"feature column {i} is {name!r}, the checkpoint expects {want!r}"
-    return f"{len(names)} feature columns, the checkpoint expects {len(expected)}"  # a name repeated
 
 
 def cmd_eval(cfg: dict, args) -> int:
@@ -270,19 +267,24 @@ def cmd_eval(cfg: dict, args) -> int:
     return 0
 
 
+def _write_grid(cfg: dict, name: str, key: str, rows: list[dict], n_classes: int, payload: dict) -> None:
+    """`<name>.csv` (`key`, `n_runs`, each metric's mean and ci95), `<name>.json` and one stdout line per row."""
+    metrics = table_metrics(n_classes)
+    columns = [key, "n_runs"] + [f"{m}_{stat}" for m in metrics for stat in ("mean", "ci95")]
+    out = _out_dir(cfg)
+    write_table(out / f"{name}.csv", columns, ([row[k] for k in columns] for row in rows))
+    _write_json(out / f"{name}.json", {"config_hash": config_hash(cfg), **payload})
+    for row in rows:
+        print(f"{key}={row[key]} " + " ".join(f"{m}={row[m + '_mean']:.4f}" for m in metrics))
+
+
 def cmd_ablate(cfg: dict, args) -> int:
     tcfg = TrainConfig(**cfg["train"])
     _, splits, _ = _splits(cfg)
-    table = run_ablation(tcfg, splits, seeds=tuple(cfg["ablation"]["seeds"]),
-                         max_workers=_max_workers())
-    out = _out_dir(cfg)
-    metrics = table_metrics(splits[0].n_classes)
-    columns = ["variant", "n_runs"] + [f"{m}_{stat}" for m in metrics for stat in ("mean", "ci95")]
-    write_table(out / "ablation.csv", columns, ([v] + [row[k] for k in columns[1:]] for v, row in table.items()))
+    table = run_ablation(tcfg, splits, seeds=tuple(cfg["ablation"]["seeds"]), max_workers=_max_workers())
     skipped = [v for v in VARIANTS if v not in table]  # the binary-only cost variants, on multi-class data
-    _write_json(out / "ablation.json", {"config_hash": config_hash(cfg), "skipped_variants": skipped, "table": table})
-    for v, row in table.items():
-        print(f"{v:<11} " + " ".join(f"{m}={row[m + '_mean']:.4f}" for m in metrics))
+    _write_grid(cfg, "ablation", "variant", [{"variant": v, **row} for v, row in table.items()],
+                splits[0].n_classes, {"skipped_variants": skipped, "table": table})
     return 0
 
 
@@ -291,12 +293,7 @@ def cmd_sweep_theta(cfg: dict, args) -> int:
     _, splits, _ = _splits(cfg)
     rows = sweep_theta(tcfg, splits, theta_grid=cfg["sweep"]["theta_grid"],
                        seeds=tuple(cfg["sweep"]["seeds"]), max_workers=_max_workers())
-    out = _out_dir(cfg)
-    columns = ["theta", "n_runs", "auc_roc_mean", "auc_roc_ci95", "auc_prc_mean", "auc_prc_ci95"]
-    write_table(out / "sweep_theta.csv", columns, ([row[k] for k in columns] for row in rows))
-    _write_json(out / "sweep_theta.json", {"config_hash": config_hash(cfg), "rows": rows})
-    for row in rows:
-        print(f"theta={row['theta']:<6g} auc_roc={row['auc_roc_mean']:.4f} auc_prc={row['auc_prc_mean']:.4f}")
+    _write_grid(cfg, "sweep_theta", "theta", rows, splits[0].n_classes, {"rows": rows})
     return 0
 
 

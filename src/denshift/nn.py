@@ -15,7 +15,9 @@ Everything is float64.
 from __future__ import annotations
 
 import json
+import tokenize
 import zipfile
+from collections import Counter
 from dataclasses import dataclass, field
 from itertools import accumulate
 
@@ -336,6 +338,9 @@ _CHECKPOINT_META = {
 }
 # each checkpoint array of the preprocessing stats -> its NormStats field
 _NORM_ARRAYS = {"norm_mean": "mean", "norm_std": "std", "norm_impute": "impute", "norm_constant": "constant_mask"}
+# what a damaged archive raises: a bad zip, a zip feature not implemented, a member cut short (an EOFError with
+# no text), an .npy header that does not parse
+_UNREADABLE = (ValueError, zipfile.BadZipFile, NotImplementedError, EOFError, tokenize.TokenError)
 
 
 def save_checkpoint(path, params: ModelParams, norm_stats: NormStats,
@@ -360,18 +365,19 @@ def load_checkpoint(path) -> tuple[ModelParams, NormStats, dict]:
     """Inverse of save_checkpoint; logits reproduce bit-exactly on the same platform.
 
     A file that is no readable .npz archive, metadata that is no JSON object or of another version, a missing
-    or unknown key or array, a metadata value that breaks its `_CHECKPOINT_META` rule, widths that do not run
-    from the features to the classes, a `params` vector of another size than the widths need, norm_* arrays
-    not of one entry per feature (bool for norm_constant), or an array not bool, integer or float or holding
-    a NaN or an inf raise ValidationError naming the file and what is wrong. Only arrays a check names are
-    decompressed.
+    or unknown key or array, a metadata value that breaks its `_CHECKPOINT_META` rule, a repeated feature name,
+    widths that do not run from the features to the classes, a `params` vector of another size than the widths
+    need, norm_* arrays not of one entry per feature (bool for norm_constant), or an array not bool, integer or
+    float or holding a NaN or an inf raise ValidationError naming the file and what is wrong. Only arrays a
+    check names are decompressed.
     """
     where = f"checkpoint {path}"
     with open(path, "rb") as fh:
         try:  # any file but a zip archive raises BadZipFile
             npz = np.lib.npyio.NpzFile(fh)
-        except (ValueError, zipfile.BadZipFile) as exc:
-            raise ValidationError(f"{where}: not a readable .npz archive ({exc})") from None
+        except _UNREADABLE as exc:
+            raise ValidationError(f"{where}: not a readable .npz archive "
+                                  f"({str(exc) or 'a member ends early'})") from None
         with npz:
             return _read_checkpoint(where, npz)
 
@@ -382,10 +388,11 @@ def _read_checkpoint(where: str, npz) -> tuple[ModelParams, NormStats, dict]:
     def array(key: str) -> np.ndarray:
         if key not in npz.files:
             raise ValidationError(f"{where}: missing the array {key!r}")
-        try:  # a damaged member raises BadZipFile; a member numpy cannot read, ValueError
+        try:
             value = np.asarray(npz[key])
-        except (ValueError, zipfile.BadZipFile) as exc:
-            raise ValidationError(f"{where}: not a readable .npz archive ({exc})") from None
+        except _UNREADABLE as exc:
+            raise ValidationError(f"{where}: not a readable .npz archive "
+                                  f"({str(exc) or 'a member ends early'})") from None
         if value.dtype.kind not in "biuf":
             raise ValidationError(f"{where}: the array {key!r} holds {value.dtype}, not bool, integer or float")
         if value.dtype.kind == "f" and not np.isfinite(value).all():
@@ -408,6 +415,9 @@ def _read_checkpoint(where: str, npz) -> tuple[ModelParams, NormStats, dict]:
         if key not in meta:
             raise ValidationError(f"{where}: metadata lacks the key {key!r}")
         rule.check(f"{where}: metadata key {key!r}", meta[key])
+    repeated = [name for name, count in Counter(meta["feature_names"]).items() if count > 1]
+    if repeated:
+        raise ValidationError(f"{where}: metadata key 'feature_names' repeats the name {repeated[0]!r}")
     n_in, n_out = len(meta["feature_names"]), len(meta["class_names"])
     ends = Rule(lambda v: len(v) >= 3 and v[0] == n_in and v[-1] == n_out, f"[{n_in}, one or more widths, {n_out}]")
     widths = tuple(ends.check(f"{where}: metadata key 'widths'", meta["widths"]))

@@ -314,11 +314,16 @@ def _run_jobs(jobs, max_workers: int = 1) -> list[dict]:
         return list(pool.map(_run_single, jobs))
 
 
+def table_metrics(n_classes: int) -> tuple[str, ...]:
+    """Test metrics of a grid table and a CLI summary: binary scores, or macro/micro AUC for multi-class."""
+    return ("auc_roc", "auc_prc", "bss") if n_classes == 2 else ("macro_auc", "micro_auc")
+
+
 def _grid(cfg: TrainConfig, splits: tuple[Dataset, Dataset, Dataset], field: str, values, seeds,
-          metrics, max_workers: int) -> dict:
+          max_workers: int) -> dict:
     """Train one job per (value of `field`, seed) on the same splits.
 
-    Maps each value to its run count and, for each test metric, the mean,
+    Maps each value to its run count and, for each of the splits' `table_metrics`, the mean,
     the 95% Student t interval's half-width (NaN for one seed) and the per-seed values.
     """
     seeds = list_of(at_least(0)).check("seeds", list(seeds))
@@ -332,44 +337,28 @@ def _grid(cfg: TrainConfig, splits: tuple[Dataset, Dataset, Dataset], field: str
     for i, value in enumerate(values):
         runs = results[i * len(seeds):(i + 1) * len(seeds)]
         row = table[value] = {"n_runs": len(runs)}
-        for metric in metrics:
+        for metric in table_metrics(train_ds.n_classes):
             per_seed = [r[metric] for r in runs]
             row[f"{metric}_mean"], row[f"{metric}_ci95"] = _mean_ci(per_seed)
             row[f"{metric}_per_seed"] = per_seed
     return table
 
 
-def sweep_theta(
-    cfg: TrainConfig,
-    splits: tuple[Dataset, Dataset, Dataset],
-    theta_grid=(1.0, 5.0, 10.0, 25.0, 50.0, 100.0),
-    seeds=(0, 1, 2),
-    max_workers: int = 1,
-) -> list[dict]:
+def sweep_theta(cfg: TrainConfig, splits: tuple[Dataset, Dataset, Dataset],
+                theta_grid=(1.0, 5.0, 10.0, 25.0, 50.0, 100.0), seeds=(0, 1, 2), max_workers: int = 1) -> list[dict]:
     """Train/eval over the theta grid; one table row per theta with mean +- 95% CI."""
     if not variant_losses(cfg.variant).uses_cost:
         raise ValidationError("theta sweep requires a cost-matrix variant")
     grid = sorted({float(t) for t in list_of(POSITIVE).check("theta_grid", list(theta_grid))})
-    table = _grid(cfg, splits, "theta", grid, seeds, ("auc_roc", "auc_prc"), max_workers)
-    return [{"theta": t, **{k: v for k, v in row.items() if not k.endswith("_per_seed")}}
-            for t, row in table.items()]
+    return [{"theta": t, **row} for t, row in _grid(cfg, splits, "theta", grid, seeds, max_workers).items()]
 
 
-def table_metrics(n_classes: int) -> tuple[str, ...]:
-    """Test metrics an ablation table aggregates: binary scores, or macro/micro AUC for multi-class."""
-    return ("auc_roc", "auc_prc", "bss") if n_classes == 2 else ("macro_auc", "micro_auc")
-
-
-def run_ablation(
-    cfg: TrainConfig,
-    splits: tuple[Dataset, Dataset, Dataset],
-    seeds=(0, 1, 2, 3, 4),
-    max_workers: int = 1,
-) -> dict:
+def run_ablation(cfg: TrainConfig, splits: tuple[Dataset, Dataset, Dataset], seeds=(0, 1, 2, 3, 4),
+                 max_workers: int = 1) -> dict:
     """Train every variant on identical splits with shared seeds; consolidated metric table.
 
     On multi-class data the binary-only cost variants are skipped.
     """
     n_classes = splits[0].n_classes
     variants = tuple(v for v in VARIANTS if n_classes == 2 or not variant_losses(v).uses_cost)
-    return _grid(cfg, splits, "variant", variants, seeds, table_metrics(n_classes), max_workers)
+    return _grid(cfg, splits, "variant", variants, seeds, max_workers)

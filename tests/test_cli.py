@@ -11,7 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from denshift.cli import DEFAULT_CONFIG, _column_mismatch, build_parser, config_hash, load_config, main
+from denshift.cli import DEFAULT_CONFIG, build_parser, config_hash, load_config, main
 from denshift.data import CONFIG_RULES, check_config
 from denshift.errors import ValidationError
 from denshift.metrics import ScoredSet, auc_prc, auc_roc, bss, split_report
@@ -340,6 +340,21 @@ class TestEval:
                  **dict(arrays, __meta__=np.frombuffer(json.dumps(meta).encode("utf-8"), dtype=np.uint8)))
         np.savez(tmp_path / "complex_params.npz", **dict(arrays, params=arrays["params"] + 0j))
         np.savez(tmp_path / "text_std.npz", **dict(arrays, norm_std=arrays["norm_std"].astype(str)))
+        blob = (run / "checkpoint.npz").read_bytes()
+        central = blob.index(b"PK\x01\x02")
+        header_dict = blob.index(b"\x93NUMPY", blob.index(b"params.npy")) + 10
+        assert blob[:4] == b"PK\x03\x04" and blob[header_dict:header_dict + 1] == b"{"
+        byte_edits = {  # name -> {offset: the byte written there}
+            "zip_version_85": {central + 6: 85},  # the first central-directory header's "version needed"
+            "method_99": {8: 99, central + 10: 99},  # the first member's compression method, local and central
+            "extra_length": {28: 255, 29: 255},  # the first local header's extra-field length: its data runs off
+            "header_quote": {header_dict: ord("'")},  # the quote opens a string the .npy header never closes
+        }
+        for name, edits in byte_edits.items():
+            edited = bytearray(blob)
+            for offset, value in edits.items():
+                edited[offset] = value
+            (tmp_path / f"{name}.npz").write_bytes(bytes(edited))
         first = np.arange(arrays["norm_std"].size) == 0  # the first of 6 features
         bad_norm = {  # name -> (the arrays it replaces, the message that refuses it)
             "std_3": ({"norm_std": arrays["norm_std"][:3]}, "the array 'norm_std' holds float64 of shape (3,), "
@@ -372,13 +387,17 @@ class TestEval:
                               ("meta_not_json", "the array '__meta__' is not a JSON object"),
                               ("extra_list", "metadata key 'extra' must be a JSON object, got ['variant']"),
                               ("complex_params", "the array 'params' holds complex128"),
-                              ("text_std", "the array 'norm_std' holds <U")):
+                              ("text_std", "the array 'norm_std' holds <U"),
+                              ("zip_version_85", "not a readable .npz archive (zip file version 8.5)"),
+                              ("method_99", "not a readable .npz archive (That compression method is not supported)"),
+                              ("extra_length", "not a readable .npz archive (a member ends early)"),
+                              ("header_quote", "not a readable .npz archive (")):
             out = tmp_path / f"eval_{name}"
             code = main(["eval", "--checkpoint", str(tmp_path / f"{name}.npz"), "--csv", str(gen / "test.csv"),
                          "--out", str(out)])
             assert code == 1
             err = capsys.readouterr().err
-            assert f"checkpoint {tmp_path / name}.npz: {message}" in err
+            assert f"checkpoint {tmp_path / name}.npz: {message}" in err and err.count("\n") == 1
             assert "Traceback" not in err
             assert not out.exists()
 
@@ -494,9 +513,40 @@ class TestEval:
         assert capsys.readouterr().err == f"error: {moved}: {message}\n"
         assert not out.exists()
 
-    def test_a_checkpoint_that_repeats_a_name_is_a_count_mismatch(self):
-        # load_csv refuses a repeated column name, so only a checkpoint's metadata can hold one
-        assert _column_mismatch(["f0", "f1"], ["f0", "f1", "f1"]) == "2 feature columns, the checkpoint expects 3"
+    def test_a_checkpoint_that_repeats_a_feature_name_exits_one_naming_the_file(self, trained_run, tmp_path, capsys):
+        # load_csv refuses a repeated column name, and load_checkpoint a repeated feature name
+        checkpoint, csv = trained_run
+        with np.load(checkpoint) as blob:
+            arrays = {k: blob[k] for k in blob.files}
+        meta = json.loads(bytes(arrays["__meta__"]).decode("utf-8"))
+        meta["feature_names"][2] = meta["feature_names"][4]
+        arrays["__meta__"] = np.frombuffer(json.dumps(meta).encode("utf-8"), dtype=np.uint8)
+        bad, out = tmp_path / "bad.npz", tmp_path / "eval"
+        np.savez(bad, **arrays)
+        assert main(["eval", "--checkpoint", str(bad), "--csv", str(csv), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: checkpoint {bad}: metadata key 'feature_names' repeats the name " \
+                                          f"'{meta['feature_names'][4]}'\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("mutated, count", [("checkpoint", 1000), ("csv", 400)])
+    def test_mutated_bytes_exit_zero_one_or_two_with_at_most_one_stderr_line(self, trained_run, tmp_path,
+                                                                              mutated, count):
+        # 1-3 random bytes of a trained checkpoint or of its test CSV, at a fixed seed: eval raises nothing
+        checkpoint, csv = trained_run
+        files = {"checkpoint": checkpoint, "csv": csv}
+        original, files[mutated] = files[mutated].read_bytes(), tmp_path / files[mutated].name
+        argv = ["eval", "--checkpoint", str(files["checkpoint"]), "--csv", str(files["csv"]),
+                "--out", str(tmp_path / "eval")]
+        rng = np.random.default_rng(3)
+        for i in range(count):
+            edited = bytearray(original)
+            for _ in range(rng.integers(1, 4)):
+                edited[rng.integers(len(edited))] = rng.integers(256)
+            files[mutated].write_bytes(bytes(edited))
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+                code = main(argv)
+            assert code in (0, 1, 2) and err.getvalue().count("\n") <= 1, (i, code, err.getvalue())
 
     @pytest.mark.parametrize("bad_row, message", [
         (b"1." + b"0" * 131072 + b",0,0,0,0,0,majority", "row 2: field larger than field limit (131072)"),
@@ -595,6 +645,16 @@ class TestResultFiles:
         labels = [int(row[3]) for row in rows]
         assert split_report(probs, labels) == json.loads((out / "report.json").read_text())["metrics"]
 
+    def test_multiclass_train_prints_the_grid_table_metrics(self, tmp_path, capsys):
+        src = write_multiclass_csv(tmp_path / "d.csv")
+        (tmp_path / "c.json").write_text(json.dumps({"dataset": {"csv": {"path": str(src)}},
+                                                     "train": {"epochs": 2, "batch_size": 16},
+                                                     "output_dir": str(tmp_path / "run")}))
+        assert main(["train", "--config", str(tmp_path / "c.json"), "--variant", "decoupling"]) == 0
+        test = json.loads((tmp_path / "run" / "report.json").read_text())["test"]
+        assert capsys.readouterr().out == \
+            f"decoupling: test macro_auc={test['macro_auc']:.4f} micro_auc={test['micro_auc']:.4f}\n"
+
 
 class TestOtherCommands:
     def test_ablate_table_shape(self, tmp_path):
@@ -639,7 +699,11 @@ class TestOtherCommands:
         rows = json.loads((out / "sweep_theta.json").read_text())["rows"]
         assert [row["theta"] for row in rows] == [1.0, 5.0, 10.0, 25.0, 50.0, 100.0]
         assert_cells_match(out / "sweep_theta.csv",
-                           "theta,n_runs,auc_roc_mean,auc_roc_ci95,auc_prc_mean,auc_prc_ci95", rows)
+                           "theta,n_runs,auc_roc_mean,auc_roc_ci95,auc_prc_mean,auc_prc_ci95,bss_mean,bss_ci95", rows)
+        for row in rows:  # the per-seed values each mean is taken over, as ablation.json keeps them
+            for metric in ("auc_roc", "auc_prc", "bss"):
+                assert len(row[f"{metric}_per_seed"]) == 3
+                assert row[f"{metric}_mean"] == np.mean(row[f"{metric}_per_seed"])
 
     def test_one_seed_sweep_writes_null_intervals(self, tmp_path):
         out = tmp_path / "sw"
@@ -647,9 +711,25 @@ class TestOtherCommands:
                                     "sweep": {"theta_grid": [1, 5], "seeds": [0]}, "output_dir": str(out)})
         assert main(["sweep-theta", "--config", str(path)]) == 0
         rows = json.loads((out / "sweep_theta.json").read_text())["rows"]
-        assert [(row["n_runs"], row["auc_roc_ci95"], row["auc_prc_ci95"]) for row in rows] == [(1, None, None)] * 2
+        assert [(row["n_runs"], row["auc_roc_ci95"], row["auc_prc_ci95"], row["bss_ci95"])
+                for row in rows] == [(1, None, None, None)] * 2
         assert_cells_match(out / "sweep_theta.csv",
-                           "theta,n_runs,auc_roc_mean,auc_roc_ci95,auc_prc_mean,auc_prc_ci95", rows)
+                           "theta,n_runs,auc_roc_mean,auc_roc_ci95,auc_prc_mean,auc_prc_ci95,bss_mean,bss_ci95", rows)
+
+    @pytest.mark.parametrize("command, key, rows", [
+        ("ablate", "variant", lambda report: [{"variant": v, **report["table"][v]} for v in VARIANTS]),
+        ("sweep-theta", "theta", lambda report: report["rows"])])
+    def test_grid_commands_print_one_line_per_row(self, tmp_path, capsys, command, key, rows):
+        out = tmp_path / "grid"
+        path = write_cfg(tmp_path, {"train": {"epochs": 1, "batch_size": 32, "variant": "cost"},
+                                    "ablation": {"seeds": [0]}, "sweep": {"theta_grid": [1, 5], "seeds": [0]},
+                                    "output_dir": str(out)})
+        assert main([command, "--config", str(path)]) == 0
+        report = json.loads(next(out.glob("*.json")).read_text())
+        expected = [f"{key}={row[key]} auc_roc={row['auc_roc_mean']:.4f} auc_prc={row['auc_prc_mean']:.4f} "
+                    f"bss={row['bss_mean']:.4f}" for row in rows(report)]
+        assert capsys.readouterr().out.splitlines() == expected
+        assert len(expected) == {"ablate": len(VARIANTS), "sweep-theta": 2}[command]
 
     @pytest.mark.parametrize("command, section, key", [("ablate", "ablation", "seeds"),
                                                       ("sweep-theta", "sweep", "theta_grid")])
