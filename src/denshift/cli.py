@@ -63,6 +63,8 @@ def load_config(path=None, overrides: dict | None = None) -> dict:
                 user = json.load(fh)
             except json.JSONDecodeError as exc:
                 raise ValidationError(f"{path}: invalid JSON config: {exc}") from None
+            except UnicodeDecodeError as exc:
+                raise ValidationError(f"{path}: byte {exc.object[exc.start]:#04x} is not UTF-8") from None
         check_config(user)
         if "csv" in user.get("dataset", {}):
             cfg["dataset"].pop("synthetic", None)  # file picks the source
@@ -216,8 +218,7 @@ def cmd_train(cfg: dict, args) -> int:
                     raw.feature_names, raw.label_column, extra=extra)
     write_table(out / "history.csv", ("epoch", *EpochRecord._fields),
                 ((epoch, *record) for epoch, record in enumerate(history.epochs)))
-    if te.n_classes == 2:
-        _write_scores(out, "_test", test_probs, te.labels, cfg["metrics"]["n_bins"])
+    _write_scores(out, "_test", test_probs, te.labels, cfg["metrics"]["n_bins"])
     _write_json(out / "report.json", report)
     print(f"{tcfg.variant}: test " + " ".join(f"{m}={report['test'][m]:.4f}" for m in table_metrics(te.n_classes)))
     return 0

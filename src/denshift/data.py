@@ -302,8 +302,10 @@ def _read_plain(path, label_column: str) -> Dataset | None:
     csv module's field limit, the header's number of cells in every row,
     a finite number or nothing in every feature cell and 2 to
     MAX_LABEL_VALUES distinct non-empty labels, and numpy reads it
-    without an error or a warning. An empty feature cell is handed to
-    numpy as `nan`; the table is kept only if those are its only
+    without an error or a warning. numpy first reads the lines as they
+    are and stops at the first cell it cannot read, such as an empty one;
+    it then reads them once more from the top, each empty feature cell
+    written as `nan`. The table is kept only if those are its only
     non-finite cells, so a `nan` or `inf` written in the file is left to
     the row reader, which refuses it.
     """
@@ -317,13 +319,19 @@ def _read_plain(path, label_column: str) -> Dataset | None:
 
     n_lines = n_empty = 0
 
-    def plain_lines(fh, label_idx: int, find_empty: bool):
+    def plain_lines(fh, label_idx: int, fill_empty: bool):
+        """The lines after the header, from the top, counted; with `fill_empty`, each empty feature cell is `nan`."""
         nonlocal n_lines, n_empty
+        class_index.clear()
+        n_lines = n_empty = 0
+        fh.seek(0)
+        fh.readline()
         limit = csv.field_size_limit()
         for line in fh:
             if '"' in line or len(line) > limit:
                 raise ValueError("not a plain line")
-            if find_empty and (",," in line or line.startswith(",") or line.endswith((",\n", ","))):
+            # a line with no empty cell is passed on unsplit: the substring tests cost less than a split
+            if fill_empty and (",," in line or line.startswith(",") or line.endswith((",\n", ","))):
                 cells = line.rstrip("\n").split(",")
                 for i, cell in enumerate(cells):
                     if cell == "" and i != label_idx:  # an empty label stays empty: the converter refuses it
@@ -334,9 +342,6 @@ def _read_plain(path, label_column: str) -> Dataset | None:
             yield line
 
     try:
-        # the per-line test for an empty cell is CPython's slow two-character search; a numpy
-        # scan of the bytes spares it to a file that has none
-        find_empty = _may_hold_empty_cells(path)
         # universal newlines split lines at \r, \n and \r\n, where the csv module splits rows
         with open(path, encoding="utf-8-sig") as fh:
             first = fh.readline().rstrip("\n")
@@ -344,60 +349,30 @@ def _read_plain(path, label_column: str) -> Dataset | None:
             if '"' in first or label_column not in header or len(set(header)) < len(header):
                 return None
             label_idx = header.index(label_column)
+            # any encoding but numpy < 2's default "bytes" hands the converter str, not bytes
+            options = dict(delimiter=",", comments=None, converters={label_idx: label}, ndmin=2, encoding="utf-8")
             with warnings.catch_warnings():
                 warnings.simplefilter("error")  # numpy warns on a file with no rows
-                # any encoding but numpy < 2's default "bytes" hands the converter str, not bytes
-                table = np.loadtxt(plain_lines(fh, label_idx, find_empty), delimiter=",", comments=None,
-                                   converters={label_idx: label}, ndmin=2, encoding="utf-8")
+                try:
+                    table = np.loadtxt(plain_lines(fh, label_idx, False), **options)
+                except ValueError:  # numpy stops at the first cell it cannot read, such as an empty one
+                    table = np.loadtxt(plain_lines(fh, label_idx, True), **options)
     except (OSError, ValueError, Warning):  # the row reader reads the file, or says why it cannot
         return None
     if (table.shape != (n_lines, len(header)) or len(class_index) < 2
             or table.size - np.count_nonzero(np.isfinite(table)) != n_empty):
         return None
-    labels = table[:, label_idx].astype(np.int64)
-    # pack the feature cells to the front of the table's own buffer, so no second table-sized
-    # array is made: np.delete copies a block of rows (about 64k cells) before it is written
-    # back, and a packed block ends before the next block's rows begin
-    n, dim = table.shape[0], len(header) - 1
-    packed = table.reshape(-1)[: n * dim].reshape(n, dim)
-    step = 1 + (1 << 16) // len(header)
-    for start in range(0, n, step):
-        packed[start:start + step] = np.delete(table[start:start + step], label_idx, axis=1)
-    del packed
-    try:
-        table.resize((n, dim))  # the buffer shrinks to the packed cells: the label column is not kept
-    except ValueError:  # the table does not own its buffer, or something else refers to it
-        table = table.reshape(-1)[: n * dim].reshape(n, dim).copy()
-    return Dataset(table, labels, tuple(header[:label_idx] + header[label_idx + 1:]), tuple(class_index),
-                   label_column=label_column)
-
-
-def _may_hold_empty_cells(path) -> bool:
-    """False when no comma in `path` sits beside another comma or a line break, or ends the file.
-
-    A numpy scan of the bytes, block by block. It may also flag a comma
-    beside a space, a quote or a sign (each a byte below ","), but never
-    passes over an empty cell.
-    """
-    last = b""
-    with open(path, "rb") as fh:
-        while block := fh.read(1 << 17):
-            codes = np.frombuffer(last + block, np.uint8)
-            low = codes <= ord(",")  # a comma, a line break, or a space, quote or sign
-            pair = low[1:] & low[:-1]
-            if pair.any() and ((codes[1:][pair] == ord(",")) | (codes[:-1][pair] == ord(","))).any():
-                return True
-            last = block[-1:]
-    return last == b","
+    return Dataset(np.delete(table, label_idx, axis=1), table[:, label_idx].astype(np.int64),
+                   tuple(header[:label_idx] + header[label_idx + 1:]), tuple(class_index), label_column=label_column)
 
 
 def _read_rows(path, label_column: str) -> Dataset:
     """Read the CSV row by row with the csv module: the reader of every file that is not plain.
 
-    A row is converted whole; one that fails, or holds a non-finite value,
-    is parsed again cell by cell, which reads empty cells as NaN and names
-    the row and column of a bad one. A row the csv module cannot read (a
-    cell over its field limit, a byte that is not UTF-8) is named too.
+    Each row is parsed cell by cell, which reads empty cells as NaN and
+    names the row and column of a bad one. A row the csv module cannot
+    read (a cell over its field limit, a byte that is not UTF-8) is named
+    too.
     """
     header = None
     values = array("d")  # raw doubles, row after row: no float object outlives its row
@@ -427,14 +402,7 @@ def _read_rows(path, label_column: str) -> Dataset:
                         raise ParseError(f"{path}: row {rownum} has an empty label cell")
                     raise ValidationError(f"{path}: label column has more than {MAX_LABEL_VALUES} distinct values")
                 label_values.append(index)
-
-                try:
-                    row = list(map(float, cells))
-                except ValueError:
-                    row = None
-                if row is None or not math.isfinite(sum(row)):
-                    row = _parse_cells(path, rownum, cells, feature_names)
-                values.fromlist(row)
+                values.fromlist(_parse_cells(path, rownum, cells, feature_names))
     except csv.Error as exc:  # the reader stopped inside the row after the last one read
         bad_row = 0 if header is None else len(label_values) + 1
         raise ParseError(f"{path}: {f'row {bad_row}' if bad_row else 'header'}: {exc}") from None

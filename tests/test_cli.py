@@ -635,7 +635,12 @@ class TestResultFiles:
         header, rows = read_table(run / "history.csv")
         assert header == HISTORY_HEADER and len(rows) == 3
         assert all([cell == "" for cell in row[1:]] == [False, False, False, True, True, True] for row in rows)
-        assert not (run / "predictions_test.csv").exists()
+        header, rows = read_table(run / "predictions_test.csv")  # written as eval writes predictions.csv
+        assert header == "p0,p1,p2,label" and len(rows) == 9  # 3 of each class's 30 rows are test rows
+        probs = np.array([[float(c) for c in row[:3]] for row in rows])
+        assert np.allclose(probs.sum(axis=1), 1.0, rtol=0, atol=1e-12)
+        report = json.loads((run / "report.json").read_text())
+        assert split_report(probs, [int(row[3]) for row in rows]) == report["test"]
 
         assert main(["eval", "--checkpoint", str(run / "checkpoint.npz"), "--csv", str(src),
                      "--out", str(out)]) == 0
@@ -1042,3 +1047,36 @@ class TestFlags:
         for argv in (["train", "--config", "c.json", "--out", "o"], ["gen-data", "--config", "c.json", "--out", "o"],
                      ["eval", "--checkpoint", "c.npz", "--csv", "d.csv", "--out", "o"]):
             assert build_parser().parse_args(argv).out == "o"
+
+
+class TestConfigBytes:
+    @pytest.mark.parametrize("command", [c for c, flags in _READ.items() if "--config" in flags])
+    def test_a_config_byte_that_is_not_utf8_exits_one_naming_file_and_byte(self, tmp_path, capsys, command):
+        bad, out = tmp_path / "bad.json", tmp_path / "out"
+        bad.write_bytes(b'{"train": {"epochs": 2\xe9}}')
+        assert main(_ARGV[command] + ["--config", str(bad), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: {bad}: byte 0xe9 is not UTF-8\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command, seed", [("train", 0), ("ablate", 1), ("sweep-theta", 2), ("gen-data", 3)])
+    def test_mutated_config_bytes_exit_zero_one_or_two_with_at_most_one_stderr_line(self, tmp_path, monkeypatch,
+                                                                                    command, seed):
+        # 1-3 random bytes of a tiny config at a fixed seed, as the checkpoint and CSV mutations do
+        monkeypatch.setenv("DENSHIFT_THREADS", "1")
+        original = json.dumps({
+            "dataset": {"synthetic": {"n_majority": 40, "n_minority": 8, "n_minority_modes": 2, "dim": 3}},
+            "train": {"epochs": 2, "batch_size": 8, "hidden": 4},
+            "ablation": {"seeds": [0]}, "sweep": {"theta_grid": [1, 5], "seeds": [0]},
+        }, separators=(",", ":")).encode()  # no spaces: a byte set to a digit cannot lengthen a number
+        config = tmp_path / "cfg.json"
+        argv = [command, "--config", str(config), "--out", str(tmp_path / "out")]
+        rng = np.random.default_rng(seed)
+        for i in range(200):
+            edited = bytearray(original)
+            for _ in range(rng.integers(1, 4)):
+                edited[rng.integers(len(edited))] = rng.integers(256)
+            config.write_bytes(bytes(edited))
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+                code = main(argv)
+            assert code in (0, 1, 2) and err.getvalue().count("\n") <= 1, (i, code, err.getvalue())

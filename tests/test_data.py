@@ -287,6 +287,7 @@ class TestPlainReader:
         "x0,x1,label\n,1,a\n1,inf,b\n",  # an empty cell and an inf cell
         "x0,x1,label\n,1e999,a\n1,2,b\n",  # an empty cell and a number over float's range
         "x0,x1,label\n,1,a\n1, ,b\n",  # an empty cell and a whitespace-only cell
+        "x0,x1,label\n,1,a\n1_0,2,b\n",  # an empty cell, then an underscore
         "x0,label\n1,a\n2,a\n",  # one class
         "x0,label\n",  # no rows
         "x0,label\n" + "1." + "0" * 131072 + ",a\n2,b\n",  # a cell over the csv module's field limit
@@ -340,6 +341,27 @@ class TestPlainReader:
         monkeypatch.setattr(np, "loadtxt", lambda *args, **kw: loadtxt(*args, **{"encoding": "bytes", **kw}))
         path = write(tmp_path, text)
         assert read_outcome(load_csv, path) == read_outcome(_read_rows, path)
+
+    @pytest.mark.parametrize("text, passes, outcome", [
+        ("x0,x1,label\n1,2,a\n3,4,b\n", 1, [[1.0, 2.0], [3.0, 4.0]]),  # plain
+        ("x0,x1,label\n,2,a\n3,4,b\n", 2, [[math.nan, 2.0], [3.0, 4.0]]),  # an empty cell in the first row
+        ("x0,x1,label\n1,2,a\n3,,b\n", 2, [[1.0, 2.0], [3.0, math.nan]]),  # and in the last row
+        ("x0,x1,label\n,nan,a\n1,2,b\n", 2, "row 1, column 'x1': non-finite value 'nan'"),
+        ("x0,x1,label\n,1,a\n1_0,2,b\n", 2, [[math.nan, 1.0], [10.0, 2.0]]),  # the row reader reads 1_0
+        ('"x0",label\n1,a\n2,b\n', 0, [[1.0], [2.0]]),  # a quoted header
+    ])
+    def test_numpy_parses_once_and_once_more_after_a_cell_it_cannot_read(self, tmp_path, monkeypatch, text,
+                                                                         passes, outcome):
+        loadtxt, calls = np.loadtxt, []
+        monkeypatch.setattr(np, "loadtxt", lambda *args, **kw: calls.append(1) or loadtxt(*args, **kw))
+        path = write(tmp_path, text)
+        if isinstance(outcome, str):
+            with pytest.raises(ParseError) as refused:
+                load_csv(path, "label")
+            assert str(refused.value) == f"{path}: {outcome}"
+        else:
+            assert np.array_equal(load_csv(path, "label").features, outcome, equal_nan=True)
+        assert len(calls) == passes
 
     @pytest.mark.parametrize("at", [0, 1, 2])
     def test_the_dataset_holds_no_label_column(self, tmp_path, at):

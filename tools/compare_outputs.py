@@ -7,8 +7,10 @@ and every command runs as `python -m denshift.cli ...` in the same working
 directory, `DIR/run` (a CSV path enters `config_hash`, so both trees must
 see the same paths). The command set covers `gen-data`; `train` of all six
 variants with temperature scaling; a 3-class `train` and `eval`; `eval` on
-a plain and on an empty-cell CSV; `ablate` on binary and 3-class data;
-`sweep-theta`; `grad-check`; and one refusal for each nonzero exit code.
+a plain CSV, on one with empty cells, on one whose only empty cell is in
+its last row, on one with quoted labels and on one with a whitespace-only
+cell; `ablate` on binary and 3-class data; `sweep-theta`; `grad-check`; one
+refusal for each nonzero exit code; and the refusal of a `nan` text cell.
 Each command's stdout, stderr and exit code are kept as files under
 `_cmd/`, beside the files the commands write.
 
@@ -71,19 +73,27 @@ def _commands() -> list[tuple[str, list[str]]]:
                         "--out", "eval_plain"]),
         ("eval-empty-cells", ["eval", "--checkpoint", "train_full/checkpoint.npz", "--csv", "inputs/empty_cells.csv",
                               "--bins", "5", "--out", "eval_empty_cells"]),
+        ("eval-last-row-empty", ["eval", "--checkpoint", "train_full/checkpoint.npz",
+                                 "--csv", "inputs/last_row_empty.csv", "--out", "eval_last_row_empty"]),
+        ("eval-quoted-labels", ["eval", "--checkpoint", "train_full/checkpoint.npz",
+                                "--csv", "inputs/quoted_labels.csv", "--out", "eval_quoted_labels"]),
+        ("eval-whitespace-cell", ["eval", "--checkpoint", "train_full/checkpoint.npz",
+                                  "--csv", "inputs/whitespace_cell.csv", "--out", "eval_whitespace_cell"]),
         ("ablate", ["ablate", "--config", "inputs/ablate.json", "--out", "ablate"]),
         ("ablate-3class", ["ablate", "--config", "inputs/ablate_multiclass.json", "--out", "ablate_3class"]),
         ("sweep-theta", ["sweep-theta", "--config", "inputs/sweep.json", "--out", "sweep"]),
         ("grad-check", ["grad-check"]),
         ("refuse-exit-1", ["eval", "--checkpoint", "train_full/checkpoint.npz", "--csv", "inputs/three_class.csv",
                            "--out", "refused_1"]),
+        ("refuse-nan-cell", ["eval", "--checkpoint", "train_full/checkpoint.npz", "--csv", "inputs/nan_cell.csv",
+                             "--out", "refused_nan"]),
         ("refuse-exit-2", ["train", "--config", "inputs/overflow.json", "--variant", "full", "--out", "refused_2"]),
     ]
     return commands
 
 
 def _write_inputs(inputs: Path) -> None:
-    """The config files, a 3-class CSV, and a binary CSV with empty cells; the same bytes on every call."""
+    """The config files, a 3-class CSV and five binary CSVs for `train_full`'s checkpoint, the same bytes each call."""
     inputs.mkdir(parents=True)
     for name, cfg in _configs().items():
         (inputs / name).write_text(json.dumps(cfg, indent=2) + "\n", encoding="utf-8")
@@ -93,12 +103,24 @@ def _write_inputs(inputs: Path) -> None:
         k = i % 3
         lines.append(",".join(repr(rng.gauss(1.5 * (k == j), 1.0)) for j in range(3)) + f",{'xyz'[k]}")
     (inputs / "three_class.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
-    lines = [",".join(f"f{j}" for j in range(SYNTHETIC["dim"])) + ",label"]
-    for i in range(120):
-        minority = i % 6 == 0
-        cells = ["" if (i + j) % 9 == 0 else repr(rng.gauss(1.0 * minority, 1.0)) for j in range(SYNTHETIC["dim"])]
-        lines.append(",".join(cells) + (",minority" if minority else ",majority"))
-    (inputs / "empty_cells.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+    def write_binary(name: str, rows: list[list[str]]) -> None:
+        lines = [",".join(f"f{j}" for j in range(SYNTHETIC["dim"])) + ",label"] + [",".join(row) for row in rows]
+        (inputs / name).write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+    labels = ["minority" if i % 6 == 0 else "majority" for i in range(120)]
+    write_binary("empty_cells.csv", [["" if (i + j) % 9 == 0 else repr(rng.gauss(1.0 * (label == "minority"), 1.0))
+                                      for j in range(SYNTHETIC["dim"])] + [label] for i, label in enumerate(labels)])
+    rows = [[repr(rng.gauss(1.0 * (label == "minority"), 1.0)) for _ in range(SYNTHETIC["dim"])] + [label]
+            for label in labels]
+    write_binary("quoted_labels.csv", [row[:-1] + [f'"{row[-1]}"'] for row in rows])
+    # one edited cell each: numpy's first pass stops at the last row's empty cell; the row reader reads
+    # a whitespace-only cell as missing; the text nan is refused
+    for name, (i, j, text) in {"last_row_empty.csv": (119, 3, ""), "whitespace_cell.csv": (40, 2, "  "),
+                               "nan_cell.csv": (60, 1, "nan")}.items():
+        edited = [list(row) for row in rows]
+        edited[i][j] = text
+        write_binary(name, edited)
 
 
 def run_tree(tree: Path, run: Path) -> None:
