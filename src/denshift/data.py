@@ -3,7 +3,7 @@
 A Dataset couples a feature matrix with integer class labels and the
 per-class counts that drive every density-aware component downstream.
 Missing feature values are carried as NaN until `apply_preprocess`
-imputes them; after preprocessing every value is finite.
+imputes them to the training mean; after preprocessing every value is finite.
 """
 
 from __future__ import annotations
@@ -198,21 +198,23 @@ class Dataset:
 
 @dataclass(frozen=True)
 class NormStats:
-    """Per-feature normalization fitted on the training split only.
+    """Per-feature z-score stats fitted on the training split only.
 
-    mean/std use the population (1/N) convention over present values;
-    impute holds the training mean; constant_mask flags features whose
-    observed variance was zero (their std is recorded as 1).
+    mean/std use the population (1/N) convention over present values; a
+    feature whose observed variance was zero has std 1. A missing cell
+    takes the mean, so it z-scores to 0.
     """
 
     mean: np.ndarray
     std: np.ndarray
-    impute: np.ndarray
-    constant_mask: np.ndarray
 
     def __post_init__(self):
-        freeze(self, **{f.name: np.asarray(getattr(self, f.name)) for f in fields(self)})
-        for name in ("mean", "std", "impute"):
+        freeze(self, mean=np.asarray(self.mean), std=np.asarray(self.std))
+        if self.mean.ndim != 1:
+            raise ValidationError(f"mean: must be 1-D, got shape {self.mean.shape}")
+        if self.std.shape != self.mean.shape:
+            raise ValidationError(f"std: shape {self.std.shape} does not match mean's {self.mean.shape}")
+        for name in ("mean", "std"):
             if not np.isfinite(getattr(self, name)).all():
                 raise ValidationError(f"{name}: entries must be finite")
         if (self.std <= 0).any():
@@ -294,6 +296,10 @@ def load_csv(path, label_column: str) -> Dataset:
     return _read_rows(path, label_column) if ds is None else ds
 
 
+class _NotPlain(Exception):
+    """A line `_read_plain` leaves to the row reader; not a ValueError, so numpy's retry does not catch it."""
+
+
 def _read_plain(path, label_column: str) -> Dataset | None:
     """The Dataset `_read_rows` would build, parsed by `np.loadtxt`; None unless the file is plain.
 
@@ -329,7 +335,7 @@ def _read_plain(path, label_column: str) -> Dataset | None:
         limit = csv.field_size_limit()
         for line in fh:
             if '"' in line or len(line) > limit:
-                raise ValueError("not a plain line")
+                raise _NotPlain
             # a line with no empty cell is passed on unsplit: the substring tests cost less than a split
             if fill_empty and (",," in line or line.startswith(",") or line.endswith((",\n", ","))):
                 cells = line.rstrip("\n").split(",")
@@ -357,7 +363,7 @@ def _read_plain(path, label_column: str) -> Dataset | None:
                     table = np.loadtxt(plain_lines(fh, label_idx, False), **options)
                 except ValueError:  # numpy stops at the first cell it cannot read, such as an empty one
                     table = np.loadtxt(plain_lines(fh, label_idx, True), **options)
-    except (OSError, ValueError, Warning):  # the row reader reads the file, or says why it cannot
+    except (OSError, ValueError, Warning, _NotPlain):  # the row reader reads the file, or says why it cannot
         return None
     if (table.shape != (n_lines, len(header)) or len(class_index) < 2
             or table.size - np.count_nonzero(np.isfinite(table)) != n_empty):
@@ -480,21 +486,16 @@ def fit_preprocess(train: Dataset) -> NormStats:
     if (n_present == 0).any():
         bad = [train.feature_names[j] for j in np.flatnonzero(n_present == 0)]
         raise ValidationError(f"all-missing feature columns: {bad}")
-    mean = np.nanmean(feats, axis=0)
     std = np.nanstd(feats, axis=0)  # population (1/N) convention
-    constant = std == 0.0
-    std = np.where(constant, 1.0, std)
-    return NormStats(mean=mean, std=std, impute=mean.copy(), constant_mask=constant)
+    return NormStats(np.nanmean(feats, axis=0), np.where(std == 0.0, 1.0, std))
 
 
 def apply_preprocess(ds: Dataset, stats: NormStats) -> Dataset:
-    """Impute missing cells to the training mean, then z-score with the fitted stats."""
+    """Z-score with the fitted stats; a missing cell takes the training mean, so it becomes +0.0."""
     if stats.dim != ds.dim:
         raise ValidationError(f"stats dimension {stats.dim} does not match dataset dim {ds.dim}")
-    feats = ds.features.copy()
-    missing = np.isnan(feats)
-    feats[missing] = np.broadcast_to(stats.impute, feats.shape)[missing]
-    feats = (feats - stats.mean) / stats.std
+    feats = (ds.features - stats.mean) / stats.std
+    feats[np.isnan(feats)] = 0.0
     return Dataset(feats, ds.labels, ds.feature_names, ds.class_names, label_column=ds.label_column)
 
 

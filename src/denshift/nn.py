@@ -26,7 +26,7 @@ import numpy as np
 from .data import CONFIG_RULES, TEXT, NormStats, Rule, at_least, list_of, one_of, or_null
 from .errors import NumericalError, ValidationError
 
-CHECKPOINT_VERSION = "denshift-checkpoint-2"
+CHECKPOINT_VERSION = "denshift-checkpoint-3"
 # Adam's moment decay rates and denominator guard, the defaults of Kingma & Ba (arXiv:1412.6980)
 _ADAM_BETA1, _ADAM_BETA2, _ADAM_EPS = 0.9, 0.999, 1e-8
 # grad_check's central-difference step and the most entries it probes
@@ -337,7 +337,7 @@ _CHECKPOINT_META = {
     "extra": Rule(lambda v: isinstance(v, dict), "a JSON object"),
 }
 # each checkpoint array of the preprocessing stats -> its NormStats field
-_NORM_ARRAYS = {"norm_mean": "mean", "norm_std": "std", "norm_impute": "impute", "norm_constant": "constant_mask"}
+_NORM_ARRAYS = {"norm_mean": "mean", "norm_std": "std"}
 # what a damaged archive raises: a bad zip, a zip feature not implemented, a member cut short (an EOFError with
 # no text), an .npy header that does not parse
 _UNREADABLE = (ValueError, zipfile.BadZipFile, NotImplementedError, EOFError, tokenize.TokenError)
@@ -367,41 +367,33 @@ def load_checkpoint(path) -> tuple[ModelParams, NormStats, dict]:
     A file that is no readable .npz archive, metadata that is no JSON object or of another version, a missing
     or unknown key or array, a metadata value that breaks its `_CHECKPOINT_META` rule, a repeated feature name,
     widths that do not run from the features to the classes, a `params` vector of another size than the widths
-    need, norm_* arrays not of one entry per feature (bool for norm_constant), or an array not bool, integer or
-    float or holding a NaN or an inf raise ValidationError naming the file and what is wrong. Only arrays a
-    check names are decompressed.
+    need, norm_* arrays not of one entry per feature, or an array not bool, integer or float or holding a NaN
+    or an inf raise ValidationError naming the file and what is wrong. Only arrays a check names are decompressed.
     """
     where = f"checkpoint {path}"
     with open(path, "rb") as fh:
-        try:  # any file but a zip archive raises BadZipFile
-            npz = np.lib.npyio.NpzFile(fh)
+        try:  # any file but a zip archive raises BadZipFile; a damaged member raises as it is read
+            with np.lib.npyio.NpzFile(fh) as npz:
+                return _read_checkpoint(where, npz)
         except _UNREADABLE as exc:
             raise ValidationError(f"{where}: not a readable .npz archive "
                                   f"({str(exc) or 'a member ends early'})") from None
-        with npz:
-            return _read_checkpoint(where, npz)
 
 
 def _read_checkpoint(where: str, npz) -> tuple[ModelParams, NormStats, dict]:
-    read = set()
-
     def array(key: str) -> np.ndarray:
         if key not in npz.files:
             raise ValidationError(f"{where}: missing the array {key!r}")
-        try:
-            value = np.asarray(npz[key])
-        except _UNREADABLE as exc:
-            raise ValidationError(f"{where}: not a readable .npz archive "
-                                  f"({str(exc) or 'a member ends early'})") from None
+        value = np.asarray(npz[key])
         if value.dtype.kind not in "biuf":
             raise ValidationError(f"{where}: the array {key!r} holds {value.dtype}, not bool, integer or float")
         if value.dtype.kind == "f" and not np.isfinite(value).all():
             raise ValidationError(f"{where}: the array {key!r} holds a NaN or an inf")
-        read.add(key)
         return value
 
+    meta_bytes = array("__meta__").tobytes()  # not bytes(): a 0-d integer array would be read as a length
     try:
-        meta = json.loads(bytes(array("__meta__")).decode("utf-8"))
+        meta = json.loads(meta_bytes.decode("utf-8"))
     except ValueError:  # also a JSONDecodeError or a UnicodeDecodeError
         meta = None
     if not isinstance(meta, dict):
@@ -432,16 +424,15 @@ def _read_checkpoint(where: str, npz) -> tuple[ModelParams, NormStats, dict]:
     vector = np.asarray(array("params"), dtype=np.float64)
     norm = {f: array(key) for key, f in _NORM_ARRAYS.items()}
     for key, f in _NORM_ARRAYS.items():
-        if norm[f].shape != (n_in,) or (f == "constant_mask" and norm[f].dtype != bool):
+        if norm[f].shape != (n_in,):
             raise ValidationError(f"{where}: the array {key!r} holds {norm[f].dtype} of shape {norm[f].shape}, "
-                                  f"need shape ({n_in},){' of bool' if f == 'constant_mask' else ''}")
+                                  f"need shape ({n_in},)")
     try:
         stats = NormStats(**norm)
-    except ValidationError as exc:  # NormStats's message starts with the field it refuses
+    except ValidationError as exc:  # NormStats's message starts with the field it refuses: norm_<field> holds it
         field, _, why = str(exc).partition(": ")
-        key = next(k for k, f in _NORM_ARRAYS.items() if f == field)
-        raise ValidationError(f"{where}: the array {key!r}: {why}") from None
-    unknown = [key for key in npz.files if key not in read]
+        raise ValidationError(f"{where}: the array 'norm_{field}': {why}") from None
+    unknown = [key for key in npz.files if key not in ("__meta__", "params", *_NORM_ARRAYS)]
     if unknown:
         raise ValidationError(f"{where}: unknown array {unknown[0]!r}")
     try:  # the size check runs by arithmetic on the widths, before any layer is built

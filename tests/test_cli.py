@@ -294,8 +294,9 @@ class TestEval:
         assert auc_roc(scored) == report["metrics"]["auc_roc"]
         assert bss(scored) == pytest.approx(report["metrics"]["bss"], abs=1e-15)
 
-    def test_a_version_1_checkpoint_or_an_unknown_metadata_key_exits_one(self, trained_run, tmp_path, capsys):
-        # format 1 stored one array per layer and recorded n_backbone and normalize_balanced; format 2 reads none
+    def test_a_format_1_or_2_checkpoint_or_an_unknown_metadata_key_exits_one(self, trained_run, tmp_path, capsys):
+        # format 1 stored one array per layer and recorded n_backbone and normalize_balanced; format 2 stored
+        # norm_impute and norm_constant beside norm_mean and norm_std; format 3 reads none of them
         checkpoint, csv = trained_run
         with np.load(checkpoint) as blob:
             arrays = {k: blob[k] for k in blob.files}
@@ -304,10 +305,14 @@ class TestEval:
         views.vector[:] = arrays.pop("params")
         layers = [f"backbone_{i}" for i in range(len(views.backbone))] + ["head_regular", "head_balanced"]
         version_1 = dict(arrays, **dict(zip([f"{layer}_{k}" for layer in layers for k in "Wb"], views.flat())))
+        version_2 = dict(arrays, params=views.vector, norm_impute=arrays["norm_mean"],
+                         norm_constant=arrays["norm_std"] == 1.0)
         cases = {  # name -> (metadata, arrays, the message that refuses it)
             "version_1": ({k: v for k, v in meta.items() if k != "widths"} | {
                 "version": "denshift-checkpoint-1", "n_backbone": 3, "normalize_balanced": False}, version_1,
                 "unsupported checkpoint version 'denshift-checkpoint-1'"),
+            "version_2": (dict(meta, version="denshift-checkpoint-2"), version_2,
+                          "unsupported checkpoint version 'denshift-checkpoint-2'"),
             "normalize_balanced": (dict(meta, normalize_balanced=True), dict(arrays, params=views.vector),
                                    "unknown metadata key 'normalize_balanced'"),
         }
@@ -316,7 +321,7 @@ class TestEval:
             np.savez(bad, **dict(members, __meta__=np.frombuffer(json.dumps(edited).encode("utf-8"), dtype=np.uint8)))
             assert main(["eval", "--checkpoint", str(bad), "--csv", str(csv), "--out", str(out)]) == 1
             err = capsys.readouterr().err
-            assert f"checkpoint {bad}: {message}" in err
+            assert f"checkpoint {bad}: {message}" in err and err.count("\n") == 1
             assert "Traceback" not in err
             assert not out.exists()
 
@@ -359,12 +364,9 @@ class TestEval:
         bad_norm = {  # name -> (the arrays it replaces, the message that refuses it)
             "std_3": ({"norm_std": arrays["norm_std"][:3]}, "the array 'norm_std' holds float64 of shape (3,), "
                       "need shape (6,)"),
-            "impute_5": ({"norm_impute": arrays["norm_impute"][:5]}, "the array 'norm_impute' holds float64 of "
-                         "shape (5,), need shape (6,)"),
+            "impute_member": ({"norm_impute": arrays["norm_mean"]}, "unknown array 'norm_impute'"),
             "mean_2d": ({"norm_mean": arrays["norm_mean"][None]}, "the array 'norm_mean' holds float64 of shape "
                         "(1, 6), need shape (6,)"),
-            "constant_float": ({"norm_constant": np.full(6, 0.5)}, "the array 'norm_constant' holds float64 of "
-                               "shape (6,), need shape (6,) of bool"),
             "std_nan": ({"norm_std": np.where(first, np.nan, arrays["norm_std"])},
                         "the array 'norm_std' holds a NaN or an inf"),
             "params_nan": ({"params": np.full_like(arrays["params"], np.nan)},

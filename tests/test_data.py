@@ -1,3 +1,4 @@
+import csv
 import math
 import random
 import re
@@ -349,6 +350,9 @@ class TestPlainReader:
         ("x0,x1,label\n,nan,a\n1,2,b\n", 2, "row 1, column 'x1': non-finite value 'nan'"),
         ("x0,x1,label\n,1,a\n1_0,2,b\n", 2, [[math.nan, 1.0], [10.0, 2.0]]),  # the row reader reads 1_0
         ('"x0",label\n1,a\n2,b\n', 0, [[1.0], [2.0]]),  # a quoted header
+        ('x0,label\n1,a\n2,b\n3,"c"\n', 1, [[1.0], [2.0], [3.0]]),  # a quote in the last row: no retry
+        ("x0,label\n1,a\n" + "2" * (csv.field_size_limit() + 1) + ",b\n", 1,  # a line over the csv field limit
+         f"row 2: field larger than field limit ({csv.field_size_limit()})"),
     ])
     def test_numpy_parses_once_and_once_more_after_a_cell_it_cannot_read(self, tmp_path, monkeypatch, text,
                                                                          passes, outcome):
@@ -409,7 +413,7 @@ class TestDataset:
 
 FROZEN_HOLDERS = {
     "Dataset": lambda: Dataset(np.zeros((4, 2)), [0, 1, 0, 1], ["a", "b"], ["x", "y"]),
-    "NormStats": lambda: NormStats(np.zeros(2), np.ones(2), np.zeros(2), np.zeros(2, dtype=bool)),
+    "NormStats": lambda: NormStats(np.zeros(2), np.ones(2)),
     "ScoredSet": lambda: ScoredSet([0.2, 0.9], [0, 1]),
 }
 
@@ -418,7 +422,7 @@ FROZEN_HOLDERS = {
 def test_frozen_holders_refuse_writes_to_every_array(holder):
     obj = FROZEN_HOLDERS[holder]()
     arrays = {f.name: getattr(obj, f.name) for f in fields(obj) if isinstance(getattr(obj, f.name), np.ndarray)}
-    assert len(arrays) == {"Dataset": 3, "NormStats": 4, "ScoredSet": 2}[holder]
+    assert len(arrays) == {"Dataset": 3, "NormStats": 2, "ScoredSet": 2}[holder]
     for arr in arrays.values():
         with pytest.raises(ValueError, match="read-only"):
             arr[0] = arr[0]
@@ -520,12 +524,10 @@ class TestPreprocess:
     def test_constant_column_flagged_with_unit_std(self):
         stats = fit_preprocess(self.make([5.0, 5.0, 5.0]))
         assert stats.std[0] == 1.0
-        assert stats.constant_mask[0]
 
     def test_missing_ignored_when_fitting(self):
         stats = fit_preprocess(self.make([1.0, np.nan, 3.0]))
         assert stats.mean[0] == pytest.approx(2.0)
-        assert stats.impute[0] == pytest.approx(2.0)
 
     def test_all_missing_column_named(self):
         feats = np.array([[1.0, np.nan], [2.0, np.nan]])
@@ -539,8 +541,8 @@ class TestPreprocess:
         test = self.make([2.0, np.nan, 4.0])
         out = apply_preprocess(test, stats)
         assert out.features[0, 0] == pytest.approx(0.0)
-        # the missing cell lands exactly on the imputed-then-normalized value
-        assert out.features[1, 0] == pytest.approx((stats.impute[0] - stats.mean[0]) / stats.std[0])
+        # the missing cell takes the training mean, so it lands exactly on +0.0, sign bit included
+        assert out.features[1, 0] == 0.0 and not np.signbit(out.features[1, 0])
         assert not out.has_missing
 
     def test_train_split_is_standardized_after_apply(self):
@@ -561,15 +563,24 @@ class TestPreprocess:
     @pytest.mark.parametrize("field, bad, message", [
         ("mean", np.nan, "mean: entries must be finite"), ("mean", -np.inf, "mean: entries must be finite"),
         ("std", np.nan, "std: entries must be finite"), ("std", np.inf, "std: entries must be finite"),
-        ("impute", np.nan, "impute: entries must be finite"), ("impute", np.inf, "impute: entries must be finite"),
         ("std", 0.0, "std: stddev entries must be > 0"), ("std", -1.0, "std: stddev entries must be > 0"),
     ])
     def test_stats_refuse_bad_entries_naming_the_field(self, field, bad, message):
         # a NaN std would turn a whole column into NaN, which the preprocessed Dataset reads as missing
-        arrays = {"mean": np.zeros(2), "std": np.ones(2), "impute": np.zeros(2), "constant_mask": np.zeros(2, bool)}
+        arrays = {"mean": np.zeros(2), "std": np.ones(2)}
         arrays[field] = np.array([bad, 1.0])
         with pytest.raises(ValidationError, match=f"^{message}$"):
             NormStats(**arrays)
+
+    @pytest.mark.parametrize("mean, std, message", [
+        (np.zeros((2, 3)), np.ones((2, 3)), r"mean: must be 1-D, got shape \(2, 3\)"),
+        (0.0, 1.0, r"mean: must be 1-D, got shape \(\)"),
+        (np.zeros(3), np.ones(2), r"std: shape \(2,\) does not match mean's \(3,\)"),
+    ])
+    def test_stats_refuse_arrays_of_another_shape_naming_the_field(self, mean, std, message):
+        # such stats reached apply_preprocess, which ended in numpy's broadcast error or a wrong `dim`
+        with pytest.raises(ValidationError, match=f"^{message}$"):
+            NormStats(mean, std)
 
 
 class TestStratifiedSplit:

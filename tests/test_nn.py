@@ -233,8 +233,7 @@ def test_affine_views_write_through_after_every_construction(tmp_path):
     import pickle
 
     p = init_mlp(4, hidden=6, depth=5, n_classes=3, seed=2)
-    stats = NormStats(mean=np.zeros(4), std=np.ones(4), impute=np.zeros(4),
-                      constant_mask=np.zeros(4, dtype=bool))
+    stats = NormStats(mean=np.zeros(4), std=np.ones(4))
     save_checkpoint(tmp_path / "c.npz", p, stats, ("a", "b", "c"), tuple("wxyz"))
     loaded, _, _ = load_checkpoint(tmp_path / "c.npz")
     for model in (p, p.copy(), loaded, pickle.loads(pickle.dumps(p)),
@@ -528,8 +527,7 @@ class TestParameterVector:
         from denshift.training import TrainConfig, train
 
         p = init_mlp(3, seed=4)
-        stats = NormStats(mean=np.zeros(3), std=np.ones(3), impute=np.zeros(3),
-                          constant_mask=np.zeros(3, dtype=bool))
+        stats = NormStats(mean=np.zeros(3), std=np.ones(3))
         save_checkpoint(tmp_path / "c.npz", p, stats, ("a", "b"), ("x", "y", "z"))
         loaded, _, _ = load_checkpoint(tmp_path / "c.npz")
         assert_views_of_vector(loaded)
@@ -545,10 +543,7 @@ class TestCheckpoints:
     def test_checkpoint_round_trip_bit_exact(self, tmp_path):
         p = init_mlp(5, seed=9)
         p.trained_heads = ("regular", "balanced")
-        stats = NormStats(
-            mean=np.arange(5.0), std=np.ones(5) * 2.0,
-            impute=np.arange(5.0), constant_mask=np.zeros(5, dtype=bool),
-        )
+        stats = NormStats(mean=np.arange(5.0), std=np.ones(5) * 2.0)
         path = tmp_path / "ckpt.npz"
         save_checkpoint(path, p, stats, ("no", "yes"), tuple("abcde"), "outcome",
                         extra={"variant": "full"})
@@ -572,32 +567,38 @@ class TestCheckpoints:
 
     @pytest.mark.parametrize("flag", [False, True])
     def test_an_unknown_metadata_key_is_refused_by_name(self, tmp_path, flag):
-        # format 1 recorded normalize_balanced; format 2 has no such key, so even false is refused
+        # format 1 recorded normalize_balanced; formats 2 and 3 have no such key, so even false is refused
         p = init_mlp(5, seed=9)
-        stats = NormStats(mean=np.zeros(5), std=np.ones(5), impute=np.zeros(5),
-                          constant_mask=np.zeros(5, dtype=bool))
+        stats = NormStats(mean=np.zeros(5), std=np.ones(5))
         path = tmp_path / "ckpt.npz"
         save_checkpoint(path, p, stats, ("no", "yes"), tuple("abcde"))
         rewrite_checkpoint(path, lambda meta: meta.update(normalize_balanced=flag))
         with pytest.raises(ValidationError, match=r"ckpt\.npz: unknown metadata key 'normalize_balanced'"):
             load_checkpoint(path)
 
-    def test_a_version_1_checkpoint_is_refused_by_its_version(self, tmp_path):
-        # format 1 stored each layer's W and b as its own array and counted the backbone layers
+    @pytest.mark.parametrize("version", [1, 2])
+    def test_a_format_1_or_2_checkpoint_is_refused_by_its_version(self, tmp_path, version):
+        # format 1 stored each layer's W and b as its own array and counted the backbone layers; format 2 stored
+        # the parameter vector and its widths, and norm_impute and norm_constant beside norm_mean and norm_std
         import json
 
         p = init_mlp(5, seed=9)
-        layers = [f"backbone_{i}" for i in range(len(p.backbone))] + ["head_regular", "head_balanced"]
-        arrays = dict(zip([f"{layer}_{k}" for layer in layers for k in "Wb"], p.flat()))
-        arrays.update(norm_mean=np.zeros(5), norm_std=np.ones(5), norm_impute=np.zeros(5),
+        meta = {"version": f"denshift-checkpoint-{version}", "resid_span": [1, 2], "trained_heads": None,
+                "class_names": ["no", "yes"], "feature_names": list("abcde"), "label_column": "label", "extra": {}}
+        arrays = dict(norm_mean=np.zeros(5), norm_std=np.ones(5), norm_impute=np.zeros(5),
                       norm_constant=np.zeros(5, dtype=bool))
-        meta = {"version": "denshift-checkpoint-1", "n_backbone": len(p.backbone), "resid_span": [1, 2],
-                "trained_heads": None, "class_names": ["no", "yes"], "feature_names": list("abcde"),
-                "label_column": "label", "extra": {}}
-        np.savez(tmp_path / "v1.npz", __meta__=np.frombuffer(json.dumps(meta).encode("utf-8"), dtype=np.uint8),
-                 **arrays)
-        with pytest.raises(ValidationError, match=r"v1\.npz: unsupported checkpoint version 'denshift-checkpoint-1'"):
-            load_checkpoint(tmp_path / "v1.npz")
+        if version == 1:
+            layers = [f"backbone_{i}" for i in range(len(p.backbone))] + ["head_regular", "head_balanced"]
+            arrays.update(zip([f"{layer}_{k}" for layer in layers for k in "Wb"], p.flat()))
+            meta["n_backbone"] = len(p.backbone)
+        else:
+            arrays["params"] = p.vector
+            meta["widths"] = list(p.widths)
+        path = tmp_path / f"v{version}.npz"
+        np.savez(path, __meta__=np.frombuffer(json.dumps(meta).encode("utf-8"), dtype=np.uint8), **arrays)
+        with pytest.raises(ValidationError, match=rf"v{version}\.npz: unsupported checkpoint version "
+                                                  rf"'denshift-checkpoint-{version}'$"):
+            load_checkpoint(path)
 
 
 def rewrite_checkpoint(path, meta_edit=None, **arrays_edit):
@@ -622,8 +623,7 @@ class TestCheckpointValidation:
     @pytest.fixture
     def saved(self, tmp_path):
         p = init_mlp(5, hidden=7, depth=5, n_classes=3, seed=2)  # 4 backbone layers, resid_span (1, 2)
-        stats = NormStats(mean=np.zeros(5), std=np.ones(5), impute=np.zeros(5),
-                          constant_mask=np.zeros(5, dtype=bool))
+        stats = NormStats(mean=np.zeros(5), std=np.ones(5))
         path = tmp_path / "ckpt.npz"
         save_checkpoint(path, p, stats, ("a", "b", "c"), tuple("vwxyz"))
         return path, p
@@ -666,14 +666,14 @@ class TestCheckpointValidation:
         ({"__meta__": np.frombuffer(b"{oops", dtype=np.uint8)}, r"the array '__meta__' is not a JSON object"),
         ({"__meta__": np.frombuffer(b"\xff", dtype=np.uint8)}, r"the array '__meta__' is not a JSON object"),
         ({"__meta__": np.frombuffer(b"[1]", dtype=np.uint8)}, r"the array '__meta__' is not a JSON object"),
+        # a 0-d integer array is read as its bytes, not as a length: bytes() of it would ask for 2**40 zeros
+        ({"__meta__": np.asarray(2**40)}, r"the array '__meta__' is not a JSON object"),
         ({"params": np.zeros(258, dtype=complex)}, r"the array 'params' holds complex128, not bool"),
         ({"norm_std": np.array(["1"] * 5)}, r"the array 'norm_std' holds <U1, not bool, integer or float"),
         ({"junk": np.zeros(3)}, r"unknown array 'junk'"),
         ({"norm_std": np.ones(3)}, r"the array 'norm_std' holds float64 of shape \(3,\), need shape \(5,\)"),
-        ({"norm_impute": np.zeros(6)}, r"the array 'norm_impute' holds float64 of shape \(6,\), need shape \(5,\)"),
+        ({"norm_impute": np.zeros(5)}, r"unknown array 'norm_impute'"),  # a member of format 2 only
         ({"norm_mean": np.zeros((1, 5))}, r"the array 'norm_mean' holds float64 of shape \(1, 5\), need shape"),
-        ({"norm_constant": np.full(5, 0.5)}, r"the array 'norm_constant' holds float64 of shape \(5,\), "
-                                             r"need shape \(5,\) of bool"),
         ({"norm_std": np.array([1.0, np.nan, 1.0, 1.0, 1.0])}, r"the array 'norm_std' holds a NaN or an inf"),
         ({"params": np.full(258, np.nan)}, r"the array 'params' holds a NaN or an inf"),
         ({"params": np.where(np.arange(258) == 200, -np.inf, 0.0)}, r"the array 'params' holds a NaN or an inf"),
@@ -749,8 +749,7 @@ class TestCheckpointValidation:
         # backbone widths 5 -> 7 -> 7 -> 4: a skip from act[1] (width 7) onto layer 2's output (width 4)
         p = ModelParams(np.random.default_rng(0).normal(size=6 * 7 + 8 * 7 + 8 * 4 + 2 * 5 * 2), (5, 7, 7, 4, 2),
                         resid_span=(1, 2))
-        stats = NormStats(mean=np.zeros(5), std=np.ones(5), impute=np.zeros(5),
-                          constant_mask=np.zeros(5, dtype=bool))
+        stats = NormStats(mean=np.zeros(5), std=np.ones(5))
         save_checkpoint(tmp_path / "c.npz", p, stats, ("a", "b"), tuple("vwxyz"))
         with pytest.raises(ValidationError, match="adds a width-7 activation to a width-4 layer output"):
             load_checkpoint(tmp_path / "c.npz")

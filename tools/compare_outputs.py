@@ -16,9 +16,11 @@ Each command's stdout, stderr and exit code are kept as files under
 
 The script then lists each file that exists in one tree's outputs only or
 differs between them: a CSV by the columns whose cells differ, a JSON file
-by the key paths added, removed or changed, anything else by its first
-differing lines. Last, it runs NEW_TREE a second time and checks that every
-file is byte-identical to its first run. It exits 0 when that rerun
+by the key paths added, removed or changed, an `.npz` archive by the
+members added, removed, changed or unchanged and by the key paths of its
+`__meta__` JSON added, removed or changed, anything else by its first
+differing lines. Last, it runs NEW_TREE a second time and checks that
+every file is byte-identical to its first run. It exits 0 when that rerun
 matches, and 1 when it does not. Outputs are kept in `DIR/old`, `DIR/new`
 and `DIR/rerun`. It takes about 20 s on a 2-vCPU x86_64 machine.
 """
@@ -28,6 +30,7 @@ from __future__ import annotations
 import argparse
 import csv
 import difflib
+import io
 import json
 import os
 import random
@@ -35,7 +38,10 @@ import shutil
 import subprocess
 import sys
 import tempfile
+import zipfile
 from pathlib import Path
+
+import numpy as np
 
 SYNTHETIC = {"n_majority": 270, "n_minority": 30, "n_minority_modes": 2, "dim": 6, "mode_spread": 3.0,
              "noise_scale": 1.0, "seed": 4}
@@ -159,24 +165,45 @@ def _csv_columns(text: str) -> dict[str, list[str]]:
     return {name: [row[i] if i < len(row) else None for row in rows] for i, name in enumerate(header)}
 
 
+def _changes(kind: str, a: dict, b: dict) -> list[str]:
+    """The keys of `b` not in `a`, of `a` not in `b`, and in both with other values, one indented line each."""
+    added, removed = [k for k in b if k not in a], [k for k in a if k not in b]
+    changed = [k for k in a if k in b and a[k] != b[k]]
+    return [f"    {kind} {what} ({len(keys)}): {', '.join(keys)}"
+            for what, keys in (("added", added), ("removed", removed), ("changed", changed)) if keys]
+
+
+def _npz_members(blob: bytes) -> dict[str, bytes]:
+    with zipfile.ZipFile(io.BytesIO(blob)) as archive:
+        return {name: archive.read(name) for name in archive.namelist()}
+
+
+def _npz_meta(member: bytes) -> dict[str, object]:
+    """The key paths of a checkpoint's `__meta__.npy`, a uint8 array of JSON text."""
+    return _leaves(json.loads(np.load(io.BytesIO(member)).tobytes().decode("utf-8")))
+
+
 def _describe(name: str, old: bytes, new: bytes) -> list[str]:
     """How one file differs, as indented lines."""
+    if name.endswith(".npz"):
+        a, b = _npz_members(old), _npz_members(new)
+        unchanged = [k for k in a if b.get(k) == a[k]]
+        lines = _changes("members", a, b)
+        if unchanged:
+            lines.append(f"    members unchanged ({len(unchanged)}): {', '.join(unchanged)}")
+        if "__meta__.npy" in a and "__meta__.npy" in b:
+            lines += _changes("__meta__ keys", _npz_meta(a["__meta__.npy"]), _npz_meta(b["__meta__.npy"]))
+        return lines
     try:
         old_text, new_text = old.decode("utf-8"), new.decode("utf-8")
     except UnicodeDecodeError:
         return [f"    binary: {len(old)} -> {len(new)} bytes"]
     if name.endswith(".json"):
-        a, b = _leaves(json.loads(old_text)), _leaves(json.loads(new_text))
-    elif name.endswith(".csv"):
-        a, b = _csv_columns(old_text), _csv_columns(new_text)
-    else:
-        diff = difflib.unified_diff(old_text.splitlines(), new_text.splitlines(), lineterm="", n=0)
-        return [f"    {line}" for line in list(diff)[2:]]
-    kind = "keys" if name.endswith(".json") else "columns"
-    added, removed = [k for k in b if k not in a], [k for k in a if k not in b]
-    changed = [k for k in a if k in b and a[k] != b[k]]
-    return [f"    {kind} {what} ({len(keys)}): {', '.join(keys)}"
-            for what, keys in (("added", added), ("removed", removed), ("changed", changed)) if keys]
+        return _changes("keys", _leaves(json.loads(old_text)), _leaves(json.loads(new_text)))
+    if name.endswith(".csv"):
+        return _changes("columns", _csv_columns(old_text), _csv_columns(new_text))
+    diff = difflib.unified_diff(old_text.splitlines(), new_text.splitlines(), lineterm="", n=0)
+    return [f"    {line}" for line in list(diff)[2:]]
 
 
 def compare(old_dir: Path, new_dir: Path) -> list[str]:
