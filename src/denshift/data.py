@@ -310,16 +310,19 @@ def _read_plain(path, label_column: str) -> Dataset | None:
     MAX_LABEL_VALUES distinct non-empty labels, and numpy reads it
     without an error or a warning. numpy first reads the lines as they
     are and stops at the first cell it cannot read, such as an empty one;
-    it then reads them once more from the top, each empty feature cell
-    written as `nan`. The table is kept only if those are its only
+    unless that was a label it refuses, it then reads them once more from
+    the top, each empty feature cell written as `nan`. The table is kept only if those are its only
     non-finite cells, so a `nan` or `inf` written in the file is left to
     the row reader, which refuses it.
     """
     class_index: dict[str, int] = {}
+    refused_label = False  # numpy wraps the converter's error in its own ValueError; this tells them apart
 
     def label(cell: str) -> int:
+        nonlocal refused_label
         index = _class_index(class_index, cell)
         if index is None:
+            refused_label = True
             raise ValueError("not a plain label")
         return index
 
@@ -362,6 +365,8 @@ def _read_plain(path, label_column: str) -> Dataset | None:
                 try:
                     table = np.loadtxt(plain_lines(fh, label_idx, False), **options)
                 except ValueError:  # numpy stops at the first cell it cannot read, such as an empty one
+                    if refused_label:  # the second pass rewrites no label cell, so it would refuse it too
+                        return None
                     table = np.loadtxt(plain_lines(fh, label_idx, True), **options)
     except (OSError, ValueError, Warning, _NotPlain):  # the row reader reads the file, or says why it cannot
         return None

@@ -10,6 +10,14 @@ its rows, so a step calls such a term once for all heads. The cost-matrix
 loss also returns the derivative with respect to its trainable log
 false-positive cost.
 
+`focal`, `dah_softmax` and `cost_loss` skip their argument checks when
+their last argument `checked` is True: the caller vouches that the labels
+are a contiguous int64 array of in-range class indices shaped like the
+logits' rows, that `gamma` is non-negative, that `deltas` is a float64
+array of one margin per class and that the task is binary. `training.train`
+passes it, since its labels come from a `Dataset`, its margins from
+`delta_margins` and `gamma` from a `TrainConfig`, each checked once per run.
+
 `ce`, `dah_softmax` and `metrics.nll` share one log-softmax cross-entropy
 core (`ce` is its zero-margin case, as in LDAM, arXiv:1906.07413).
 
@@ -160,10 +168,11 @@ def ce(logits: np.ndarray, y) -> tuple[float | np.ndarray, np.ndarray]:
     return _softmax_ce(logits, _check_labels(logits, y, head_axis=True))
 
 
-def focal(logits: np.ndarray, y, gamma: float = 2.0) -> tuple[float, np.ndarray]:
-    """Focal loss (1 - p_y)^gamma * CE; gamma=0 reduces to cross-entropy."""
-    NON_NEGATIVE.check("gamma", gamma)
-    y = _check_labels(logits, y)
+def focal(logits: np.ndarray, y, gamma: float = 2.0, checked: bool = False) -> tuple[float, np.ndarray]:
+    """Focal loss (1 - p_y)^gamma * CE; gamma=0 reduces to cross-entropy. `checked`: see the module docstring."""
+    if not checked:
+        NON_NEGATIVE.check("gamma", gamma)
+        y = _check_labels(logits, y)
     b = logits.shape[0]
     true = _true_entries(logits, y)
     logp = _log_softmax(logits)
@@ -186,29 +195,33 @@ def focal(logits: np.ndarray, y, gamma: float = 2.0) -> tuple[float, np.ndarray]
     return loss, p
 
 
-def dah_softmax(logits: np.ndarray, y, deltas) -> tuple[float | np.ndarray, np.ndarray]:
+def dah_softmax(logits: np.ndarray, y, deltas, checked: bool = False) -> tuple[float | np.ndarray, np.ndarray]:
     """Relaxed density-aware hinge: cross-entropy with the true logit shifted down by its margin.
 
     The gradient is the softmax of the shifted logits minus the one-hot
-    target; a head axis gets one mean loss per head, as in `ce`.
+    target; a head axis gets one mean loss per head, as in `ce`. `checked`:
+    see the module docstring.
     """
-    y = _check_labels(logits, y, head_axis=True)
-    deltas = np.asarray(deltas, dtype=np.float64)
-    if deltas.shape != (logits.shape[-1],):
-        raise ValidationError("need one margin per class")
+    if not checked:
+        y = _check_labels(logits, y, head_axis=True)
+        deltas = np.asarray(deltas, dtype=np.float64)
+        if deltas.shape != (logits.shape[-1],):
+            raise ValidationError("need one margin per class")
     return _softmax_ce(logits, y, deltas)
 
 
-def cost_loss(logits: np.ndarray, y, cp: CostParams) -> tuple[float, np.ndarray, float]:
+def cost_loss(logits: np.ndarray, y, cp: CostParams, checked: bool = False) -> tuple[float, np.ndarray, float]:
     """Cost-weighted binary loss on the largest logit of each row.
 
     Returns (loss, d/dlogits, d/dlog_cfp). The logit gradient flows to the
     arg-max entry of each row (first index on ties); the log_cfp gradient
     chains through both costs since c_fn = theta * c_fp + offset.
+    `checked`: see the module docstring; the costs are checked either way.
     """
-    y = _check_labels(logits, y)
-    if logits.shape[1] != 2:
-        raise UnsupportedTaskError("cost matrix loss applies to binary prediction only")
+    if not checked:
+        y = _check_labels(logits, y)
+        if logits.shape[1] != 2:
+            raise UnsupportedTaskError("cost matrix loss applies to binary prediction only")
     b = logits.shape[0]
     c_fp, c_fn = current_costs(cp)
     top = _true_entries(logits, logits.argmax(axis=1))

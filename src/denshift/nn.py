@@ -34,10 +34,12 @@ _FD_EPS, _FD_SAMPLES = 1e-5, 200
 
 
 class DenseLayer:
-    """One affine map a @ W + b, held as the (d_in + 1, d_out) matrix Wb = [W; b]; W and b are views of it."""
+    """One affine map a @ W + b, held as the (d_in + 1, d_out) matrix Wb = [W; b]; W, b and WT = W.T are views
+    of it, made once: an in-place update of the parameter vector moves none of them."""
 
     def __init__(self, Wb: np.ndarray):
         self.Wb, self.W, self.b = Wb, Wb[:-1], Wb[-1]
+        self.WT = self.W.T
 
 
 def _layer_shapes(widths: tuple[int, ...]):
@@ -111,14 +113,26 @@ class ForwardTrace:
     backward pass over the trace allocates them, so a trace that only
     predicts never does. A trace fits one row count and the layer widths of
     the parameters it was made for.
+
+    Every slice and transpose of these buffers that a pass reads is made
+    once: those of `act` with the trace (`x`, `out`, `act_T`), those of
+    `d_act` with the first backward pass (`d_out`), and each head's rows
+    with the first pass at a given `n_regular` (`heads`). So a pass over a
+    reused trace builds no view of its buffers.
     """
 
     def __init__(self, params: ModelParams, rows: int):
         self.act = [_with_ones(rows, width) for width in params.widths[:-1]]
         self.logits = np.empty((rows, params.n_classes))
+        self.x = self.act[0][:, :-1]  # the batch, without its ones column
+        self.out = [a[:, :-1] for a in self.act[1:]]  # backbone layer l's GEMM writes out[l]
+        self.act_T = [a.T for a in self.act[:-1]]  # backbone layer l's input, transposed for its [W; b] gradient
         self.n_regular = rows
         self.masks: list[np.ndarray] | None = None
         self.d_act: list[np.ndarray] | None = None
+        self.d_out: list[np.ndarray] | None = None  # d_act[l] without its last column, as out[l]
+        self.logits_by_head: np.ndarray | None = None
+        self._heads_at: int | None = None  # the n_regular that `heads` last made its views for
 
     @property
     def rows(self) -> int:
@@ -128,6 +142,38 @@ class ForwardTrace:
     def hidden(self) -> np.ndarray:
         """The last hidden representation (the heads' input), without its ones column."""
         return self.act[-1][:, :-1]
+
+    def heads(self, n_regular: int) -> tuple[tuple, tuple]:
+        """Each head's views when the first `n_regular` rows go through the regular head, regular head first:
+        (its rows as a slice, those rows of the hidden buffer with its ones column, their transpose, those rows
+        of `logits`, those rows of the hidden gradient or None before the first backward pass).
+
+        They are made again only when `n_regular` changes, and so is
+        `logits_by_head`: the logits viewed as (2 x n_regular x C), heads
+        first, when both heads hold `n_regular` rows, else None.
+        """
+        if n_regular != self._heads_at:
+            hidden, logits, n = self.act[-1], self.logits, n_regular
+            d_hidden = None if self.d_out is None else self.d_out[-1]
+            self._heads = tuple((rows, hidden[rows], hidden[rows].T, logits[rows],
+                                 None if d_hidden is None else d_hidden[rows])
+                                for rows in (slice(0, n), slice(n, self.rows)))
+            self.logits_by_head = logits.reshape(2, n, logits.shape[1]) if 2 * n == self.rows else None
+            self._heads_at = n
+        return self._heads
+
+    def _backward_buffers(self) -> None:
+        """ReLU masks and upstream-gradient buffers laid out like each backbone layer's output buffer.
+
+        Whole contiguous rows keep numpy's elementwise calls unbuffered; each
+        gradient buffer's last column stays 0 and no GEMM reads it.
+        """
+        self.masks = [np.empty(a.shape, dtype=bool) for a in self.act[1:]]
+        self.d_act = [np.empty_like(a) for a in self.act[1:]]
+        for d in self.d_act:
+            d[:, -1] = 0.0
+        self.d_out = [d[:, :-1] for d in self.d_act]
+        self._heads_at = None  # the heads' views now include their rows of the hidden gradient
 
 
 class Gradients(_LayerVector):
@@ -163,20 +209,6 @@ def _with_ones(rows: int, width: int) -> np.ndarray:
     return buf
 
 
-def _backward_buffers(act: list[np.ndarray]) -> tuple[list[np.ndarray], list[np.ndarray]]:
-    """ReLU masks and upstream-gradient buffers laid out like each backbone layer's output buffer.
-
-    Whole contiguous rows keep numpy's elementwise calls unbuffered; each
-    gradient buffer's last column stays 0 and no GEMM reads it.
-    """
-    masks, d_act = [], []
-    for a in act[1:]:
-        masks.append(np.empty(a.shape, dtype=bool))
-        d_act.append(np.empty_like(a))
-        d_act[-1][:, -1] = 0.0
-    return masks, d_act
-
-
 def forward(params: ModelParams, x: np.ndarray, n_regular: int | None = None,
             trace: ForwardTrace | None = None) -> ForwardTrace:
     """Run a batch through the backbone, rows `[:n_regular]` through the regular head and the rest through the
@@ -197,18 +229,18 @@ def forward(params: ModelParams, x: np.ndarray, n_regular: int | None = None,
         trace = ForwardTrace(params, x.shape[0])
     elif trace.rows != x.shape[0]:
         raise ValidationError(f"trace holds {trace.rows} rows, the batch has {x.shape[0]}")
-    act, span = trace.act, params.resid_span
-    act[0][:, :-1] = x
+    act, out, span = trace.act, trace.out, params.resid_span
+    np.copyto(trace.x, x)
     for l, layer in enumerate(params.backbone):
         a = act[l + 1]
-        np.matmul(act[l], layer.Wb, out=a[:, :-1])
+        np.matmul(act[l], layer.Wb, out=out[l])
         if span is not None and l == span[1]:
             a += act[span[0]]  # whole rows, one contiguous add; then the ones column is restored
             a[:, -1] = 1.0
         np.maximum(a, 0.0, out=a)
-    np.matmul(a[:n], params.head_regular.Wb, out=trace.logits[:n])
-    if n < trace.rows:  # a single-stream step sends no row to the balanced head; skip its empty GEMM
-        np.matmul(a[n:], params.head_balanced.Wb, out=trace.logits[n:])
+    for head, (rows, hidden, _, z, _) in zip((params.head_regular, params.head_balanced), trace.heads(n)):
+        if rows.start < rows.stop:  # a head with no rows (the balanced one of a single-stream step): no empty GEMM
+            np.matmul(hidden, head.Wb, out=z)
     trace.n_regular = n
     return trace
 
@@ -226,17 +258,19 @@ def backward(params: ModelParams, trace: ForwardTrace, d_logits: np.ndarray,
     """
     if d_logits.shape != trace.logits.shape:
         raise ValidationError(f"d_logits has shape {d_logits.shape}, the trace's logits {trace.logits.shape}")
-    hidden = trace.act[-1]  # with its ones column
     grads = Gradients(np.empty(params.vector.size), params.widths) if out is None else out
     if trace.masks is None:
-        trace.masks, trace.d_act = _backward_buffers(trace.act)
-    masks, d_act = trace.masks, trace.d_act
-    d_hidden, n = d_act[-1][:, :-1], trace.n_regular
-    for head, grad, rows in ((params.head_regular, grads.head_regular, slice(0, n)),
-                             (params.head_balanced, grads.head_balanced, slice(n, trace.rows))):
-        np.matmul(hidden[rows].T, d_logits[rows], out=grad.Wb)  # exact zeros for a head with no rows
-        if rows.start < rows.stop:  # such a head writes no row of d_hidden; skip its empty GEMM
-            np.matmul(d_logits[rows], head.W.T, out=d_hidden[rows])
+        trace._backward_buffers()
+    act, act_T, masks, d_act, d_out = trace.act, trace.act_T, trace.masks, trace.d_act, trace.d_out
+    for head, grad, (rows, _, hidden_T, _, d_hidden) in zip((params.head_regular, params.head_balanced),
+                                                           (grads.head_regular, grads.head_balanced),
+                                                           trace.heads(trace.n_regular)):
+        if rows.start < rows.stop:
+            d = d_logits[rows]
+            np.matmul(hidden_T, d, out=grad.Wb)
+            np.matmul(d, head.WT, out=d_hidden)
+        else:  # a head with no rows gets exact zeros, as its empty GEMM would give, and no row of d_hidden
+            grad.Wb.fill(0.0)
 
     span = params.resid_span
     skip = None  # the residual's upstream gradient, taken at layer span[1] and added at layer span[0] - 1
@@ -244,11 +278,10 @@ def backward(params: ModelParams, trace: ForwardTrace, d_logits: np.ndarray,
         da = d_act[l]  # whole rows: the last column is 0 and the ones column's mask is open
         if span is not None and l == span[0] - 1:
             da += skip
-        np.multiply(da, np.greater(trace.act[l + 1], 0.0, out=masks[l]), out=da)
-        dz = da[:, :-1]
-        np.matmul(trace.act[l].T, dz, out=grads.backbone[l].Wb)
+        np.multiply(da, np.greater(act[l + 1], 0.0, out=masks[l]), out=da)
+        np.matmul(act_T[l], d_out[l], out=grads.backbone[l].Wb)
         if l > 0:  # the input's own gradient is never needed
-            np.matmul(dz, params.backbone[l].W.T, out=d_act[l - 1][:, :-1])
+            np.matmul(d_out[l], params.backbone[l].WT, out=d_out[l - 1])
         if span is not None and l == span[1]:
             skip = da
     return grads

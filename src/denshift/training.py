@@ -6,13 +6,18 @@ through the shared backbone in one forward and one backward pass, each
 row through its own stream's head, so each head is optimized on its own
 batch while the backbone gets the sum of both gradients, and each loss
 term is called once per step over every head that holds it. Single-stream
-variants run the regular rows alone. The gradient buffer and the step's
-activation, ReLU-mask and upstream-gradient buffers (one
-`nn.ForwardTrace`) are allocated once per run, and one optimizer step
-updates one vector: the parameters, then log C_FP when the cost term
-trains. Model selection is by validation AUC-ROC of the inference head
-(the balanced one when it is trained), with early stopping after
-`early_stop_patience` epochs without improvement.
+variants run the regular rows alone. Once per run, not once per step,
+`train` allocates the gradient buffer and the step's activation,
+ReLU-mask and upstream-gradient buffers (one `nn.ForwardTrace`, which
+also makes once each slice and transpose of them that a pass reads), and
+one more trace for the validation rows. Its labels, margins and `gamma`
+are checked once too, when their `Dataset`, `delta_margins` and
+`TrainConfig` are made, so its steps call `focal`, `dah_softmax` and
+`cost_loss` without their argument checks; `ce` keeps its label check.
+One optimizer step updates one vector: the parameters, then log C_FP
+when the cost term trains. Model selection is by validation AUC-ROC of
+the inference head (the balanced one when it is trained), with early
+stopping after `early_stop_patience` epochs without improvement.
 """
 
 from __future__ import annotations
@@ -27,7 +32,7 @@ import numpy as np
 
 from .data import CONFIG_RULES, POSITIVE, VARIANTS, Dataset, at_least, check_fields, list_of, one_of
 from .errors import NumericalError, UnsupportedTaskError, ValidationError
-from .losses import CostParams, ce, cost_loss, current_costs, dah_softmax, delta_margins, focal, softmax
+from .losses import CostParams, _row_max, ce, cost_loss, current_costs, dah_softmax, delta_margins, focal, softmax
 from .metrics import ScoredSet, auc_prc, auc_roc, macro_auc, split_report
 from .nn import ForwardTrace, Gradients, ModelParams, OptState, backward, forward, init_mlp, opt_step
 from .sampling import BatchPair, SamplerState, epoch_batches
@@ -119,26 +124,27 @@ class TrainHistory:
         return len(self.epochs)
 
 
-def _step_loss(calls, z, y, cfg, deltas, cost_params):
+def _step_loss(calls, z, y, cfg, deltas, cost_params, checked=False):
     """Sum each head's loss terms, calling each term of `calls` (see `VariantSpec.loss_calls`) once.
 
     `z` holds the logits, with a leading head axis (H x B x C, labels
     H x B) when two heads train. A term on every head gets all of `z`, a
     term on one head that head's rows; the first term is on every head.
-    Returns (the loss: a float, or one per head; d/dz shaped like `z`;
-    d/dlog_cfp).
+    `checked` goes to each loss that takes it, positionally, as the last
+    argument. Returns (the loss: a float, or one per head; d/dz shaped
+    like `z`; d/dlog_cfp).
     """
     loss, d_z, d_log_cfp = 0.0, None, 0.0
     for term, at in calls:
         zh, yh = (z, y) if at is ... else (z[at], y[at])
         if term == "ce":
-            l, g = ce(zh, yh)
+            l, g = ce(zh, yh)  # logits and labels alone: a stand-in for `ce` may take no third argument
         elif term == "focal":
-            l, g = focal(zh, yh, cfg.gamma)
+            l, g = focal(zh, yh, cfg.gamma, checked)
         elif term == "dah":
-            l, g = dah_softmax(zh, yh, deltas)
+            l, g = dah_softmax(zh, yh, deltas, checked)
         elif term == "cost":
-            l, g, dc = cost_loss(zh, yh, cost_params)
+            l, g, dc = cost_loss(zh, yh, cost_params, checked)
             l, g = cfg.lambda_cost * l, cfg.lambda_cost * g
             d_log_cfp += cfg.lambda_cost * dc
         else:
@@ -154,8 +160,8 @@ def _step_loss(calls, z, y, cfg, deltas, cost_params):
 
 def train_step(params: ModelParams, pair: BatchPair, spec: VariantSpec, cfg: TrainConfig,
                deltas: np.ndarray, cost_params: CostParams | None,
-               out: Gradients | None = None,
-               trace: ForwardTrace | None = None) -> tuple[float, float, np.ndarray, float]:
+               out: Gradients | None = None, trace: ForwardTrace | None = None,
+               checked: bool = False) -> tuple[float, float, np.ndarray, float]:
     """Losses and gradients of one decoupled step; parameters are not updated.
 
     One gather, forward and backward pass: over the stacked regular and
@@ -165,8 +171,11 @@ def train_step(params: ModelParams, pair: BatchPair, spec: VariantSpec, cfg: Tra
     logits are viewed as (2 x B x C), heads first, and each loss term is
     called once per step over every head whose term list holds it; the
     summed gradient, viewed as (2B x C), is the backward pass's upstream
-    gradient. Both passes reuse the buffers of `trace` when given (see
-    `nn.ForwardTrace`). Returns (loss_regular, loss_balanced (NaN when
+    gradient. Both passes reuse the buffers of `trace` and its views when
+    given (see `nn.ForwardTrace`). With `checked` the losses skip their
+    argument checks (see `losses`): `train` passes it for its own labels,
+    margins and config; without it every loss checks its arguments, as
+    on any public call. Returns (loss_regular, loss_balanced (NaN when
     single stream), gradient laid out like `params.vector` (the vector of
     `out` when given), d/dlog_cfp).
     """
@@ -175,16 +184,16 @@ def train_step(params: ModelParams, pair: BatchPair, spec: VariantSpec, cfg: Tra
     trace = forward(params, x, n, trace)
     z = trace.logits
     if spec.dual_stream:
-        z, y = z.reshape(2, n, -1), y.reshape(2, n)
-    loss, d_z, d_cost = _step_loss(spec.loss_calls, z, y, cfg, deltas, cost_params)
+        z, y = trace.logits_by_head, y.reshape(2, n)
+    loss, d_z, d_cost = _step_loss(spec.loss_calls, z, y, cfg, deltas, cost_params, checked)
     grads = backward(params, trace, d_z.reshape(trace.logits.shape), out)
     loss_r, loss_b = loss.tolist() if spec.dual_stream else (loss, float("nan"))
     return loss_r, loss_b, grads.vector, d_cost
 
 
-def _val_metrics(params: ModelParams, val: Dataset) -> tuple[float, float, bool]:
-    probs = predict(params, val.features)
-    saturated = bool(probs.max(axis=1).min() == 1.0)  # every row's top class probability is exactly 1
+def _val_metrics(params: ModelParams, val: Dataset, trace: ForwardTrace) -> tuple[float, float, bool]:
+    probs = predict(params, val.features, trace=trace)
+    saturated = bool(_row_max(probs).min() == 1.0)  # every row's top class probability is exactly 1
     if val.n_classes == 2:
         scored = ScoredSet(probs[:, 1], val.labels)
         return auc_roc(scored), auc_prc(scored), saturated
@@ -209,6 +218,7 @@ def train(cfg: TrainConfig, splits: tuple[Dataset, Dataset]) -> tuple[ModelParam
     grad = np.empty_like(state)
     grads = Gradients(grad[:n], init.widths)
     trace = ForwardTrace(params, 2 * cfg.batch_size if spec.dual_stream else cfg.batch_size)
+    val_trace = ForwardTrace(params, val_ds.n)
     sampler = SamplerState(
         train_ds, cfg.batch_size, seed=cfg.seed,
         q_regular=cfg.q_regular, q_balanced=cfg.q_balanced,
@@ -225,7 +235,9 @@ def train(cfg: TrainConfig, splits: tuple[Dataset, Dataset]) -> tuple[ModelParam
             for epoch in range(cfg.epochs):
                 sum_r = sum_b = 0.0
                 for step, pair in enumerate(epoch_batches(sampler)):
-                    loss_r, loss_b, _, d_cost = train_step(params, pair, spec, cfg, deltas, cost_params, grads, trace)
+                    # positional: a wrapper on `train_step` may forward *args alone
+                    loss_r, loss_b, _, d_cost = train_step(params, pair, spec, cfg, deltas, cost_params, grads,
+                                                           trace, True)
                     if not math.isfinite(loss_r) or (spec.dual_stream and not math.isfinite(loss_b)):
                         costs = current_costs(cost_params) if cost_params else None
                         raise NumericalError(
@@ -241,7 +253,7 @@ def train(cfg: TrainConfig, splits: tuple[Dataset, Dataset]) -> tuple[ModelParam
                     sum_b += loss_b
 
                 costs = current_costs(cost_params) if spec.uses_cost else (float("nan"), float("nan"))
-                *val, saturated = _val_metrics(params, val_ds)
+                *val, saturated = _val_metrics(params, val_ds, val_trace)
                 record = EpochRecord(sum_r / (step + 1), sum_b / (step + 1), *val, *costs)
                 history.epochs.append(record)
 
@@ -259,19 +271,23 @@ def train(cfg: TrainConfig, splits: tuple[Dataset, Dataset]) -> tuple[ModelParam
     return best_params, history
 
 
-def logits(params: ModelParams, x: np.ndarray, head: str | None = None) -> np.ndarray:
-    """Logits of the chosen head (default: balanced when trained, else regular)."""
+def logits(params: ModelParams, x: np.ndarray, head: str | None = None,
+           trace: ForwardTrace | None = None) -> np.ndarray:
+    """Logits of the chosen head (default: balanced when trained, else regular); with `trace`, a view of its
+    buffer, which the next pass over the trace overwrites."""
     available = params.trained_heads if params.trained_heads is not None else ("regular", "balanced")
     if head is None:
         head = "balanced" if "balanced" in available else "regular"
     if one_of("regular", "balanced").check("head", head) not in available:
         raise ValidationError(f"head {head!r} was not trained for this variant")
-    return forward(params, x, 0 if head == "balanced" else None).logits
+    return forward(params, x, 0 if head == "balanced" else None, trace).logits
 
 
-def predict(params: ModelParams, x: np.ndarray, head: str | None = None) -> np.ndarray:
-    """Class probabilities: the softmax of `logits`; a non-finite one raises NumericalError."""
-    probs = softmax(logits(params, x, head))
+def predict(params: ModelParams, x: np.ndarray, head: str | None = None,
+            trace: ForwardTrace | None = None) -> np.ndarray:
+    """Class probabilities: the softmax of `logits`, computed in `trace` when given; a non-finite one raises
+    NumericalError."""
+    probs = softmax(logits(params, x, head, trace))
     if not np.isfinite(probs).all():
         bad = int((~np.isfinite(probs)).any(axis=1).sum())
         raise NumericalError(f"non-finite class probabilities in {bad} of {probs.shape[0]} rows")

@@ -353,16 +353,22 @@ class TestPlainReader:
         ('x0,label\n1,a\n2,b\n3,"c"\n', 1, [[1.0], [2.0], [3.0]]),  # a quote in the last row: no retry
         ("x0,label\n1,a\n" + "2" * (csv.field_size_limit() + 1) + ",b\n", 1,  # a line over the csv field limit
          f"row 2: field larger than field limit ({csv.field_size_limit()})"),
+        # a label the converter refuses: the second pass rewrites no label cell, so it is not run
+        ("x0,label\n1,a\n2,b\n3,\n", 1, "row 3 has an empty label cell"),
+        pytest.param("x0,label\n" + "".join(f"{i},c{i}\n" for i in range(MAX_LABEL_VALUES + 1)), 1,
+                     ValidationError(f"label column has more than {MAX_LABEL_VALUES} distinct values"),
+                     id="one-label-too-many"),
     ])
     def test_numpy_parses_once_and_once_more_after_a_cell_it_cannot_read(self, tmp_path, monkeypatch, text,
                                                                          passes, outcome):
         loadtxt, calls = np.loadtxt, []
         monkeypatch.setattr(np, "loadtxt", lambda *args, **kw: calls.append(1) or loadtxt(*args, **kw))
         path = write(tmp_path, text)
-        if isinstance(outcome, str):
-            with pytest.raises(ParseError) as refused:
+        if not isinstance(outcome, list):  # a refusal: a ParseError's message, or the error itself
+            error = ParseError(outcome) if isinstance(outcome, str) else outcome
+            with pytest.raises(type(error)) as refused:
                 load_csv(path, "label")
-            assert str(refused.value) == f"{path}: {outcome}"
+            assert str(refused.value) == f"{path}: {error}"
         else:
             assert np.array_equal(load_csv(path, "label").features, outcome, equal_nan=True)
         assert len(calls) == passes

@@ -1,15 +1,17 @@
+import functools
 import math
 
 import numpy as np
 import pytest
 
+import denshift.diagnostics as diagnostics
 import denshift.training as training
 from denshift.data import SynthConfig, apply_preprocess, fit_preprocess, gen_synthetic, stratified_split
 from denshift.diagnostics import gradient_report
 from denshift.errors import NumericalError, UnsupportedTaskError, ValidationError
 from denshift.losses import CostParams, delta_margins
 from denshift.nn import ForwardTrace, Gradients, OptState, backward, forward, init_mlp, opt_step
-from denshift.sampling import SamplerState, epoch_batches, next_batch_pair
+from denshift.sampling import BatchPair, SamplerState, epoch_batches, next_batch_pair
 from denshift.training import (
     TrainConfig,
     VARIANTS,
@@ -445,6 +447,46 @@ class TestStackedStep:
             assert np.array_equal(grad, fresh_grad)
             assert d_cost == fresh_cost
             params.vector -= 1e-2 * fresh_grad  # move off the current point between steps
+
+    def test_one_trace_follows_n_regular_like_fresh_traces(self, splits):
+        # the trace makes its head views once per n_regular: each pass over the reused trace, at any
+        # sequence of n_regular, for predict and for a step, equals a pass over a fresh one bit for bit
+        tr = splits[0]
+        params = init_mlp(tr.dim, hidden=9, depth=5, n_classes=2, seed=2)  # depth 5 has a residual block
+        params.trained_heads = ("regular", "balanced")
+        rng = np.random.default_rng(2)
+        rows, k = 16, 5
+        x, d = rng.normal(size=(rows, tr.dim)), rng.normal(size=(rows, 2))
+        trace = ForwardTrace(params, rows)
+        for n in (rows, 0, k, rows):
+            assert forward(params, x, n, trace) is trace
+            fresh = forward(params, x, n)
+            assert np.array_equal(trace.logits, fresh.logits), n
+            assert np.array_equal(backward(params, trace, d).vector, backward(params, fresh, d).vector), n
+        assert np.array_equal(predict(params, x, "balanced", trace), predict(params, x, "balanced"))
+        assert np.array_equal(backward(params, trace, d).vector, backward(params, forward(params, x, 0), d).vector)
+        cfg = TrainConfig(variant="full")
+        pair = BatchPair(x, rng.integers(0, 2, size=rows), np.arange(rows), rows // 2)
+        args = (variant_losses("full"), cfg, delta_margins(tr.class_counts), CostParams(0.3, cfg.theta, cfg.offset))
+        got, want = train_step(params, pair, *args, None, trace), train_step(params, pair, *args)
+        assert got[:2] + got[3:] == want[:2] + want[3:] and np.array_equal(got[2], want[2])
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_a_hand_built_pair_with_an_out_of_range_label_is_refused(self, variant):
+        # the step's losses skip their label checks only when `train` says its labels were checked
+        params = init_mlp(3, n_classes=2, seed=0)
+        pair = BatchPair(np.zeros((8, 3)), np.array([0, 1, 2, 0, 1, 0, 1, 0]), np.arange(8), 4)
+        cfg = TrainConfig(variant=variant)
+        cost_params = CostParams(0.0, cfg.theta, cfg.offset) if variant_losses(variant).uses_cost else None
+        with pytest.raises(ValidationError, match="^label out of range: labels must be whole numbers 0/1$"):
+            train_step(params, pair, variant_losses(variant), cfg, delta_margins([5, 3]), cost_params)
+
+    @pytest.mark.parametrize("n_classes", [2, 3])
+    def test_gradient_report_reads_as_with_the_checks_skipped(self, monkeypatch, n_classes):
+        # the probes' steps check their hand-built labels; skipping the checks, as `train` does, moves no bit
+        report = gradient_report(n_classes)
+        monkeypatch.setattr(diagnostics, "train_step", functools.partial(train_step, checked=True))
+        assert gradient_report(n_classes) == report
 
     def test_steady_state_step_allocates_less_than_one_activation(self):
         # dual stream, hidden 128, batch 256: after warm-up, K steps of sample, train_step and Adam

@@ -6,7 +6,8 @@ Each tree is a checkout of this repository; its `src/` is put on PYTHONPATH
 and every command runs as `python -m denshift.cli ...` in the same working
 directory, `DIR/run` (a CSV path enters `config_hash`, so both trees must
 see the same paths). The command set covers `gen-data`; `train` of all six
-variants with temperature scaling; a 3-class `train` and `eval`; `eval` on
+variants with temperature scaling; a `full` `train` with the SGD
+optimizer; a 3-class `train` and `eval`; `eval` on
 a plain CSV, on one with empty cells, on one whose only empty cell is in
 its last row, on one with quoted labels and on one with a whitespace-only
 cell; `ablate` on binary and 3-class data; `sweep-theta`; `grad-check`; one
@@ -61,6 +62,7 @@ def _configs() -> dict[str, dict]:
                                        ablation={"seeds": [0, 1]}),
         "sweep.json": dict(synthetic, train=dict(TRAIN, epochs=4, variant="cost"),
                            sweep={"theta_grid": [1, 10, 100], "seeds": [0, 1]}),
+        "sgd.json": dict(synthetic, train=dict(TRAIN, optimizer="sgd", learning_rate=0.05)),
         "overflow.json": dict(synthetic, train=dict(TRAIN, optimizer="sgd", learning_rate=1000)),
     }
 
@@ -71,6 +73,7 @@ def _commands() -> list[tuple[str, list[str]]]:
     commands += [(f"train-{v}", ["train", "--config", "inputs/binary.json", "--variant", v, "--out", f"train_{v}"])
                  for v in VARIANTS]
     commands += [
+        ("train-sgd", ["train", "--config", "inputs/sgd.json", "--variant", "full", "--out", "train_sgd"]),
         ("train-3class", ["train", "--config", "inputs/multiclass.json", "--variant", "decoupling",
                           "--out", "train_3class"]),
         ("eval-3class", ["eval", "--checkpoint", "train_3class/checkpoint.npz", "--csv", "inputs/three_class.csv",
