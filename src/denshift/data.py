@@ -118,14 +118,19 @@ def check_fields(obj, section: str) -> None:
         CONFIG_RULES[f"{section}.{f.name}"].check(f.name, getattr(obj, f.name))
 
 
+def out_of_range(n_classes: int) -> ValidationError:
+    """The error of a label that is not a whole number in [0, n_classes)."""
+    valid = "0/1" if n_classes == 2 else f"in 0..{n_classes - 1}"
+    return ValidationError(f"label out of range: labels must be whole numbers {valid}")
+
+
 def class_labels(labels, n_classes: int) -> np.ndarray:
     """`labels` as contiguous int64 class indices; each must be a whole number in [0, n_classes)."""
     y = np.ascontiguousarray(labels, dtype=np.int64)
     fractional = y is not labels and not np.array_equal(y, labels)
     # one reduction over the labels as unsigned integers: a negative label wraps to a huge one
     if fractional or (y.size and np.maximum.reduce(y.view(np.uint64), axis=None) >= n_classes):
-        valid = "0/1" if n_classes == 2 else f"in 0..{n_classes - 1}"
-        raise ValidationError(f"label out of range: labels must be whole numbers {valid}")
+        raise out_of_range(n_classes)
     return y
 
 
@@ -364,8 +369,8 @@ def _read_plain(path, label_column: str) -> Dataset | None:
                 warnings.simplefilter("error")  # numpy warns on a file with no rows
                 try:
                     table = np.loadtxt(plain_lines(fh, label_idx, False), **options)
-                except ValueError:  # numpy stops at the first cell it cannot read, such as an empty one
-                    if refused_label:  # the second pass rewrites no label cell, so it would refuse it too
+                except ValueError as exc:  # numpy stops at the first cell it cannot read, such as an empty one
+                    if refused_label or isinstance(exc, UnicodeDecodeError):  # a second pass would stop there too
                         return None
                     table = np.loadtxt(plain_lines(fh, label_idx, True), **options)
     except (OSError, ValueError, Warning, _NotPlain):  # the row reader reads the file, or says why it cannot

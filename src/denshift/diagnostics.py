@@ -6,6 +6,7 @@ from dataclasses import replace
 
 import numpy as np
 
+from .data import Dataset
 from .losses import CostParams, delta_margins
 from .nn import grad_check, init_mlp
 from .sampling import BatchPair
@@ -32,11 +33,9 @@ def gradient_report(n_classes: int = 2, seed: int = 0) -> dict[str, float]:
     """
     input_dim, batch_size = 12, 24  # each stream's random batch: 24 rows of 12 features
     rng = np.random.default_rng(seed)
-    x_reg = rng.normal(size=(batch_size, input_dim))
-    y_reg = rng.integers(0, n_classes, size=batch_size)
-    x_bal = rng.normal(size=(batch_size, input_dim))
-    y_bal = rng.integers(0, n_classes, size=batch_size)
-    pair = BatchPair(np.concatenate((x_reg, x_bal)), np.concatenate((y_reg, y_bal)),
+    draws = [(rng.normal(size=(batch_size, input_dim)), rng.integers(0, n_classes, size=batch_size)) for _ in range(2)]
+    x, y = (np.concatenate(part) for part in zip(*draws))  # the regular stream's rows, then the balanced one's
+    pair = BatchPair(Dataset(x, y, tuple(map(str, range(input_dim))), tuple(map(str, range(n_classes)))),
                      np.arange(2 * batch_size), batch_size)
     init = init_mlp(input_dim, hidden=28, depth=4, n_classes=n_classes, seed=seed + 1)
     n = init.vector.size

@@ -10,13 +10,10 @@ its rows, so a step calls such a term once for all heads. The cost-matrix
 loss also returns the derivative with respect to its trainable log
 false-positive cost.
 
-`focal`, `dah_softmax` and `cost_loss` skip their argument checks when
-their last argument `checked` is True: the caller vouches that the labels
-are a contiguous int64 array of in-range class indices shaped like the
-logits' rows, that `gamma` is non-negative, that `deltas` is a float64
-array of one margin per class and that the task is binary. `training.train`
-passes it, since its labels come from a `Dataset`, its margins from
-`delta_margins` and `gamma` from a `TrainConfig`, each checked once per run.
+Each loss skips its argument checks when its last argument `checked` is
+True; the caller then vouches for the labels (contiguous int64 class
+indices in range, one per logit row), `gamma`, the float64 margins (one
+per class) and a binary task. `training.train_step` passes it on every call.
 
 `ce`, `dah_softmax` and `metrics.nll` share one log-softmax cross-entropy
 core (`ce` is its zero-margin case, as in LDAM, arXiv:1906.07413).
@@ -163,9 +160,9 @@ def current_costs(cp: CostParams) -> tuple[float, float]:
     return c_fp, c_fn
 
 
-def ce(logits: np.ndarray, y) -> tuple[float | np.ndarray, np.ndarray]:
-    """Softmax cross-entropy, mean over the batch (per head with a head axis): the zero-margin case of `dah_softmax`."""
-    return _softmax_ce(logits, _check_labels(logits, y, head_axis=True))
+def ce(logits: np.ndarray, y, checked: bool = False) -> tuple[float | np.ndarray, np.ndarray]:
+    """Softmax cross-entropy, mean over the batch (per head with a head axis). `checked`: see the module docstring."""
+    return _softmax_ce(logits, y if checked else _check_labels(logits, y, head_axis=True))
 
 
 def focal(logits: np.ndarray, y, gamma: float = 2.0, checked: bool = False) -> tuple[float, np.ndarray]:

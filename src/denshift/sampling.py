@@ -3,8 +3,8 @@
 Class j is drawn with probability n_j^q / sum_c n_c^q, then an instance
 uniformly within the class, with replacement. q=1 reproduces regular
 random sampling (instance-uniform), q=0 class-balanced sampling. A
-SamplerState pairs one regular stream with one balanced stream so the
-decoupled trainer gets both batches per step, stacked in one index array.
+SamplerState pairs one regular stream with one balanced stream, so each
+step gets a `BatchPair`: both batches' row indices and the split they index.
 
 The sampler draws one block of pairs ahead (an epoch of them, capped at
 `_BLOCK_DRAWS` row draws) in a few array operations, and
@@ -30,19 +30,18 @@ class BatchPair:
     """One step's worth of draws: a regular batch stacked above a balanced one of the same size.
 
     `idx` holds the regular draw's row indices first, then the balanced
-    draw's; they index `features` and `labels`, the whole split. A step
-    gathers only the rows it reads with `rows`.
+    draw's, into the split `ds`, whose labels its `Dataset` checked once.
+    A step gathers only the rows it reads with `rows`.
     """
 
-    features: np.ndarray
-    labels: np.ndarray
+    ds: Dataset
     idx: np.ndarray
     n_regular: int
 
     def rows(self, stop: int | None = None) -> tuple[np.ndarray, np.ndarray]:
         """Features and labels of the drawn rows before `stop` (all of them when None), in one gather."""
         idx = self.idx[:stop]
-        return self.features[idx], self.labels[idx]
+        return self.ds.features[idx], self.ds.labels[idx]
 
 
 def class_probs(class_counts, q: float) -> np.ndarray:
@@ -175,8 +174,7 @@ def next_batch_pair(sampler: SamplerState) -> BatchPair:
         sampler._block, sampler._next = sampler._draw_block(), 0
     idx = sampler._block[sampler._next]
     sampler._next += 1
-    ds = sampler.ds
-    return BatchPair(ds.features, ds.labels, idx, sampler.batch_size)
+    return BatchPair(sampler.ds, idx, sampler.batch_size)
 
 
 def epoch_batches(sampler: SamplerState):

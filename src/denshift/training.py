@@ -10,10 +10,8 @@ variants run the regular rows alone. Once per run, not once per step,
 `train` allocates the gradient buffer and the step's activation,
 ReLU-mask and upstream-gradient buffers (one `nn.ForwardTrace`, which
 also makes once each slice and transpose of them that a pass reads), and
-one more trace for the validation rows. Its labels, margins and `gamma`
-are checked once too, when their `Dataset`, `delta_margins` and
-`TrainConfig` are made, so its steps call `focal`, `dah_softmax` and
-`cost_loss` without their argument checks; `ce` keeps its label check.
+one more trace for the validation rows. Every step calls the losses with
+their argument checks skipped (see `train_step`).
 One optimizer step updates one vector: the parameters, then log C_FP
 when the cost term trains. Model selection is by validation AUC-ROC of
 the inference head (the balanced one when it is trained), with early
@@ -30,7 +28,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .data import CONFIG_RULES, POSITIVE, VARIANTS, Dataset, at_least, check_fields, list_of, one_of
+from .data import CONFIG_RULES, POSITIVE, VARIANTS, Dataset, at_least, check_fields, list_of, one_of, out_of_range
 from .errors import NumericalError, UnsupportedTaskError, ValidationError
 from .losses import CostParams, _row_max, ce, cost_loss, current_costs, dah_softmax, delta_margins, focal, softmax
 from .metrics import ScoredSet, auc_prc, auc_roc, macro_auc, split_report
@@ -124,27 +122,26 @@ class TrainHistory:
         return len(self.epochs)
 
 
-def _step_loss(calls, z, y, cfg, deltas, cost_params, checked=False):
+def _step_loss(calls, z, y, cfg, deltas, cost_params):
     """Sum each head's loss terms, calling each term of `calls` (see `VariantSpec.loss_calls`) once.
 
     `z` holds the logits, with a leading head axis (H x B x C, labels
     H x B) when two heads train. A term on every head gets all of `z`, a
     term on one head that head's rows; the first term is on every head.
-    `checked` goes to each loss that takes it, positionally, as the last
-    argument. Returns (the loss: a float, or one per head; d/dz shaped
-    like `z`; d/dlog_cfp).
+    Every loss skips its argument checks (see `train_step`). Returns (the
+    loss: a float, or one per head; d/dz shaped like `z`; d/dlog_cfp).
     """
     loss, d_z, d_log_cfp = 0.0, None, 0.0
     for term, at in calls:
         zh, yh = (z, y) if at is ... else (z[at], y[at])
         if term == "ce":
-            l, g = ce(zh, yh)  # logits and labels alone: a stand-in for `ce` may take no third argument
+            l, g = ce(zh, yh, True)
         elif term == "focal":
-            l, g = focal(zh, yh, cfg.gamma, checked)
+            l, g = focal(zh, yh, cfg.gamma, True)
         elif term == "dah":
-            l, g = dah_softmax(zh, yh, deltas, checked)
+            l, g = dah_softmax(zh, yh, deltas, True)
         elif term == "cost":
-            l, g, dc = cost_loss(zh, yh, cost_params, checked)
+            l, g, dc = cost_loss(zh, yh, cost_params, True)
             l, g = cfg.lambda_cost * l, cfg.lambda_cost * g
             d_log_cfp += cfg.lambda_cost * dc
         else:
@@ -159,9 +156,8 @@ def _step_loss(calls, z, y, cfg, deltas, cost_params, checked=False):
 
 
 def train_step(params: ModelParams, pair: BatchPair, spec: VariantSpec, cfg: TrainConfig,
-               deltas: np.ndarray, cost_params: CostParams | None,
-               out: Gradients | None = None, trace: ForwardTrace | None = None,
-               checked: bool = False) -> tuple[float, float, np.ndarray, float]:
+               deltas: np.ndarray, cost_params: CostParams | None, out: Gradients | None = None,
+               trace: ForwardTrace | None = None) -> tuple[float, float, np.ndarray, float]:
     """Losses and gradients of one decoupled step; parameters are not updated.
 
     One gather, forward and backward pass: over the stacked regular and
@@ -172,20 +168,26 @@ def train_step(params: ModelParams, pair: BatchPair, spec: VariantSpec, cfg: Tra
     called once per step over every head whose term list holds it; the
     summed gradient, viewed as (2B x C), is the backward pass's upstream
     gradient. Both passes reuse the buffers of `trace` and its views when
-    given (see `nn.ForwardTrace`). With `checked` the losses skip their
-    argument checks (see `losses`): `train` passes it for its own labels,
-    margins and config; without it every loss checks its arguments, as
-    on any public call. Returns (loss_regular, loss_balanced (NaN when
-    single stream), gradient laid out like `params.vector` (the vector of
-    `out` when given), d/dlog_cfp).
+    given (see `nn.ForwardTrace`). The losses skip their checks: the
+    pair's labels are its `Dataset`'s, and the step first raises the
+    losses' errors for a class count other than the model's, margins not
+    one per class and a cost term on other than 2 classes. Returns
+    (loss_regular, loss_balanced (NaN when single stream), gradient laid
+    out like `params.vector` (the vector of `out` when given), d/dlog_cfp).
     """
+    if pair.ds.n_classes != params.n_classes:
+        raise out_of_range(params.n_classes)
+    if deltas.shape != (params.n_classes,):
+        raise ValidationError("need one margin per class")
+    if spec.uses_cost and params.n_classes != 2:
+        raise UnsupportedTaskError("cost matrix loss applies to binary prediction only")
     n = pair.n_regular
     x, y = pair.rows(None if spec.dual_stream else n)
     trace = forward(params, x, n, trace)
     z = trace.logits
     if spec.dual_stream:
         z, y = trace.logits_by_head, y.reshape(2, n)
-    loss, d_z, d_cost = _step_loss(spec.loss_calls, z, y, cfg, deltas, cost_params, checked)
+    loss, d_z, d_cost = _step_loss(spec.loss_calls, z, y, cfg, deltas, cost_params)
     grads = backward(params, trace, d_z.reshape(trace.logits.shape), out)
     loss_r, loss_b = loss.tolist() if spec.dual_stream else (loss, float("nan"))
     return loss_r, loss_b, grads.vector, d_cost
@@ -235,9 +237,7 @@ def train(cfg: TrainConfig, splits: tuple[Dataset, Dataset]) -> tuple[ModelParam
             for epoch in range(cfg.epochs):
                 sum_r = sum_b = 0.0
                 for step, pair in enumerate(epoch_batches(sampler)):
-                    # positional: a wrapper on `train_step` may forward *args alone
-                    loss_r, loss_b, _, d_cost = train_step(params, pair, spec, cfg, deltas, cost_params, grads,
-                                                           trace, True)
+                    loss_r, loss_b, _, d_cost = train_step(params, pair, spec, cfg, deltas, cost_params, grads, trace)
                     if not math.isfinite(loss_r) or (spec.dual_stream and not math.isfinite(loss_b)):
                         costs = current_costs(cost_params) if cost_params else None
                         raise NumericalError(

@@ -42,7 +42,7 @@ CSV_CELLS = st.one_of(
 
 def write(tmp_path, text, name="data.csv"):
     p = tmp_path / name
-    p.write_text(text, encoding="utf-8")
+    p.write_bytes(text) if isinstance(text, bytes) else p.write_text(text, encoding="utf-8")
     return p
 
 
@@ -358,6 +358,10 @@ class TestPlainReader:
         pytest.param("x0,label\n" + "".join(f"{i},c{i}\n" for i in range(MAX_LABEL_VALUES + 1)), 1,
                      ValidationError(f"label column has more than {MAX_LABEL_VALUES} distinct values"),
                      id="one-label-too-many"),
+        # a byte that is not UTF-8 past the text layer's first 8 KiB chunk: numpy meets it, not the header read,
+        # and a second pass would decode the same bytes
+        pytest.param(b"x0,label\n" + b"1,a\n2,b\n" * 1023 + b"3,\xe9\n", 1, "row 2047: byte 0xe9 is not UTF-8",
+                     id="a-byte-not-utf-8-past-8-KiB"),
     ])
     def test_numpy_parses_once_and_once_more_after_a_cell_it_cannot_read(self, tmp_path, monkeypatch, text,
                                                                          passes, outcome):

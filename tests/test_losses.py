@@ -414,6 +414,24 @@ def test_losses_equal_reference_copies(batch):
 
 @given(loss_batches())
 @settings(max_examples=100, deadline=None)
+def test_skipping_the_checks_changes_no_bit(batch):
+    # the training step calls every loss with `checked=True`; on labels and margins that pass the checks,
+    # each call gives the checked call's bits, on 2-D logits and, for the losses that take one, a head axis
+    z, y, deltas, cp, cfg = batch
+    calls = {"ce": (ce, ()), "focal": (focal, (cfg.gamma,)), "dah_softmax": (dah_softmax, (deltas,))}
+    if z.shape[1] == 2:
+        calls["cost_loss"] = (cost_loss, (cp,))
+    zs, ys = np.stack((z, z[::-1])), np.stack((y, y[::-1]))
+    for name, (loss, args) in calls.items():
+        for logits, labels in ((z, y), (zs, ys)) if name in ("ce", "dah_softmax") else ((z, y),):
+            got, want = loss(logits, labels, *args, True), loss(logits, labels, *args)
+            assert len(got) == len(want), name
+            for g, w in zip(got, want):
+                assert_same_bits(g, w)
+
+
+@given(loss_batches())
+@settings(max_examples=100, deadline=None)
 def test_column_major_logits_give_the_row_major_results(batch):
     # logits laid out column-major (z.T, DataFrame.to_numpy()) give the same bits as a C-ordered copy
     z, y, deltas, cp, cfg = batch

@@ -87,7 +87,7 @@ class TestBatchPairs:
         x_reg = pair.rows()[0][:pair.n_regular]
         assert x_reg.shape == (8, 1)
         assert np.array_equal(x_reg[:, 0], pair.idx[:pair.n_regular].astype(float))
-        assert pair.features is ds.features and pair.labels is ds.labels  # the sampler's own split
+        assert pair.ds is ds  # the sampler's own split
 
     def test_one_stacked_draw_gathered_whole_or_regular_only(self):
         ds = make_ds([30, 10])

@@ -60,3 +60,12 @@ def test_rank_metrics_use_the_default_sort_and_the_sampler_a_stable_one():
     # class order fixes which row each draw picks, so it must keep rows in ascending order within a class
     assert _argsort_kinds("metrics.py") == [None, None]
     assert _argsort_kinds("sampling.py") == ["stable"]
+
+
+def test_only_the_four_losses_take_a_checked_flag():
+    # the training step has one form: it calls each loss with its checks skipped and takes no such flag itself
+    takers = sorted(f"{path.name}: {node.name}" for path in sorted(SRC.glob("*.py"))
+                    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+                    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                    and "checked" in {a.arg for a in node.args.posonlyargs + node.args.args + node.args.kwonlyargs})
+    assert takers == ["losses.py: ce", "losses.py: cost_loss", "losses.py: dah_softmax", "losses.py: focal"]

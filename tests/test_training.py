@@ -1,12 +1,10 @@
-import functools
 import math
 
 import numpy as np
 import pytest
 
-import denshift.diagnostics as diagnostics
 import denshift.training as training
-from denshift.data import SynthConfig, apply_preprocess, fit_preprocess, gen_synthetic, stratified_split
+from denshift.data import Dataset, SynthConfig, apply_preprocess, fit_preprocess, gen_synthetic, stratified_split
 from denshift.diagnostics import gradient_report
 from denshift.errors import NumericalError, UnsupportedTaskError, ValidationError
 from denshift.losses import CostParams, delta_margins
@@ -245,7 +243,7 @@ class TestTrainLoop:
     def test_nonfinite_loss_aborts_with_diagnostics(self, splits, monkeypatch):
         tr, va, _ = splits
 
-        def poisoned(logits, y):
+        def poisoned(logits, y, checked):
             return float("nan"), np.zeros_like(logits)
 
         monkeypatch.setattr(training, "ce", poisoned)
@@ -466,27 +464,39 @@ class TestStackedStep:
         assert np.array_equal(predict(params, x, "balanced", trace), predict(params, x, "balanced"))
         assert np.array_equal(backward(params, trace, d).vector, backward(params, forward(params, x, 0), d).vector)
         cfg = TrainConfig(variant="full")
-        pair = BatchPair(x, rng.integers(0, 2, size=rows), np.arange(rows), rows // 2)
+        ds = Dataset(x, rng.integers(0, 2, size=rows), tr.feature_names, tr.class_names)
+        pair = BatchPair(ds, np.arange(rows), rows // 2)
         args = (variant_losses("full"), cfg, delta_margins(tr.class_counts), CostParams(0.3, cfg.theta, cfg.offset))
         got, want = train_step(params, pair, *args, None, trace), train_step(params, pair, *args)
         assert got[:2] + got[3:] == want[:2] + want[3:] and np.array_equal(got[2], want[2])
 
     @pytest.mark.parametrize("variant", VARIANTS)
     def test_a_hand_built_pair_with_an_out_of_range_label_is_refused(self, variant):
-        # the step's losses skip their label checks only when `train` says its labels were checked
+        # the step's losses skip their label checks: a pair's labels are those its Dataset checked when built
         params = init_mlp(3, n_classes=2, seed=0)
-        pair = BatchPair(np.zeros((8, 3)), np.array([0, 1, 2, 0, 1, 0, 1, 0]), np.arange(8), 4)
         cfg = TrainConfig(variant=variant)
         cost_params = CostParams(0.0, cfg.theta, cfg.offset) if variant_losses(variant).uses_cost else None
         with pytest.raises(ValidationError, match="^label out of range: labels must be whole numbers 0/1$"):
-            train_step(params, pair, variant_losses(variant), cfg, delta_margins([5, 3]), cost_params)
+            ds = Dataset(np.zeros((8, 3)), np.array([0, 1, 2, 0, 1, 0, 1, 0]), ("a", "b", "c"), ("x", "y"))
+            train_step(params, BatchPair(ds, np.arange(8), 4), variant_losses(variant), cfg, delta_margins([5, 3]),
+                       cost_params)
 
-    @pytest.mark.parametrize("n_classes", [2, 3])
-    def test_gradient_report_reads_as_with_the_checks_skipped(self, monkeypatch, n_classes):
-        # the probes' steps check their hand-built labels; skipping the checks, as `train` does, moves no bit
-        report = gradient_report(n_classes)
-        monkeypatch.setattr(diagnostics, "train_step", functools.partial(train_step, checked=True))
-        assert gradient_report(n_classes) == report
+    @pytest.mark.parametrize("model_classes, n_margins, variant, error, message", [
+        pytest.param(2, 2, "base", ValidationError, "label out of range: labels must be whole numbers 0/1",
+                     id="a-3-class-pair-on-a-2-class-model"),
+        pytest.param(3, 2, "dah", ValidationError, "need one margin per class", id="margins-of-the-wrong-length"),
+        pytest.param(3, 3, "cost", UnsupportedTaskError, "cost matrix loss applies to binary prediction only",
+                     id="a-cost-variant-on-3-classes"),
+    ])
+    def test_the_step_refuses_what_its_unchecked_losses_would_misread(self, model_classes, n_margins, variant,
+                                                                       error, message):
+        # the losses' own messages, raised before a loss that skips its checks could read past a row or a margin
+        ds = Dataset(np.zeros((9, 3)), np.arange(9) % 3, ("a", "b", "c"), ("x", "y", "z"))
+        params = init_mlp(3, n_classes=model_classes, seed=0)
+        cfg = TrainConfig(variant=variant)
+        with pytest.raises(error, match=f"^{message}$"):
+            train_step(params, BatchPair(ds, np.arange(8), 4), variant_losses(variant), cfg,
+                       delta_margins(np.arange(1, n_margins + 1)), CostParams(0.0, cfg.theta, cfg.offset))
 
     def test_steady_state_step_allocates_less_than_one_activation(self):
         # dual stream, hidden 128, batch 256: after warm-up, K steps of sample, train_step and Adam
