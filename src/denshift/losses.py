@@ -10,10 +10,10 @@ its rows, so a step calls such a term once for all heads. The cost-matrix
 loss also returns the derivative with respect to its trainable log
 false-positive cost.
 
-Each loss skips its argument checks when its last argument `checked` is
-True; the caller then vouches for the labels (contiguous int64 class
-indices in range, one per logit row), `gamma`, the float64 margins (one
-per class) and a binary task. `training.train_step` passes it on every call.
+Each loss skips its per-row label scan when its last argument `checked` is
+True; the caller vouches for the labels (contiguous int64 class indices
+in range, one per logit row). Its O(1) argument checks run either way.
+`training.train_step` passes it on every call.
 
 `ce`, `dah_softmax` and `metrics.nll` share one log-softmax cross-entropy
 core (`ce` is its zero-margin case, as in LDAM, arXiv:1906.07413).
@@ -167,8 +167,8 @@ def ce(logits: np.ndarray, y, checked: bool = False) -> tuple[float | np.ndarray
 
 def focal(logits: np.ndarray, y, gamma: float = 2.0, checked: bool = False) -> tuple[float, np.ndarray]:
     """Focal loss (1 - p_y)^gamma * CE; gamma=0 reduces to cross-entropy. `checked`: see the module docstring."""
+    NON_NEGATIVE.check("gamma", gamma)
     if not checked:
-        NON_NEGATIVE.check("gamma", gamma)
         y = _check_labels(logits, y)
     b = logits.shape[0]
     true = _true_entries(logits, y)
@@ -201,9 +201,9 @@ def dah_softmax(logits: np.ndarray, y, deltas, checked: bool = False) -> tuple[f
     """
     if not checked:
         y = _check_labels(logits, y, head_axis=True)
-        deltas = np.asarray(deltas, dtype=np.float64)
-        if deltas.shape != (logits.shape[-1],):
-            raise ValidationError("need one margin per class")
+    deltas = np.asarray(deltas, dtype=np.float64)
+    if deltas.shape != (logits.shape[-1],):
+        raise ValidationError("need one margin per class")
     return _softmax_ce(logits, y, deltas)
 
 
@@ -217,8 +217,8 @@ def cost_loss(logits: np.ndarray, y, cp: CostParams, checked: bool = False) -> t
     """
     if not checked:
         y = _check_labels(logits, y)
-        if logits.shape[1] != 2:
-            raise UnsupportedTaskError("cost matrix loss applies to binary prediction only")
+    if logits.shape[1] != 2:
+        raise UnsupportedTaskError("cost matrix loss applies to binary prediction only")
     b = logits.shape[0]
     c_fp, c_fn = current_costs(cp)
     top = _true_entries(logits, logits.argmax(axis=1))

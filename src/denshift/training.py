@@ -11,7 +11,7 @@ variants run the regular rows alone. Once per run, not once per step,
 ReLU-mask and upstream-gradient buffers (one `nn.ForwardTrace`, which
 also makes once each slice and transpose of them that a pass reads), and
 one more trace for the validation rows. Every step calls the losses with
-their argument checks skipped (see `train_step`).
+their label scans skipped (see `train_step`).
 One optimizer step updates one vector: the parameters, then log C_FP
 when the cost term trains. Model selection is by validation AUC-ROC of
 the inference head (the balanced one when it is trained), with early
@@ -29,7 +29,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .data import CONFIG_RULES, POSITIVE, VARIANTS, Dataset, at_least, check_fields, list_of, one_of, out_of_range
-from .errors import NumericalError, UnsupportedTaskError, ValidationError
+from .errors import NumericalError, ValidationError
 from .losses import CostParams, _row_max, ce, cost_loss, current_costs, dah_softmax, delta_margins, focal, softmax
 from .metrics import ScoredSet, auc_prc, auc_roc, macro_auc, split_report
 from .nn import ForwardTrace, Gradients, ModelParams, OptState, backward, forward, init_mlp, opt_step
@@ -128,7 +128,7 @@ def _step_loss(calls, z, y, cfg, deltas, cost_params):
     `z` holds the logits, with a leading head axis (H x B x C, labels
     H x B) when two heads train. A term on every head gets all of `z`, a
     term on one head that head's rows; the first term is on every head.
-    Every loss skips its argument checks (see `train_step`). Returns (the
+    Every loss skips its label scan (see `train_step`). Returns (the
     loss: a float, or one per head; d/dz shaped like `z`; d/dlog_cfp).
     """
     loss, d_z, d_log_cfp = 0.0, None, 0.0
@@ -168,19 +168,15 @@ def train_step(params: ModelParams, pair: BatchPair, spec: VariantSpec, cfg: Tra
     called once per step over every head whose term list holds it; the
     summed gradient, viewed as (2B x C), is the backward pass's upstream
     gradient. Both passes reuse the buffers of `trace` and its views when
-    given (see `nn.ForwardTrace`). The losses skip their checks: the
-    pair's labels are its `Dataset`'s, and the step first raises the
-    losses' errors for a class count other than the model's, margins not
-    one per class and a cost term on other than 2 classes. Returns
+    given (see `nn.ForwardTrace`). The losses skip their label scans, as
+    the pair's labels are its `Dataset`'s, and keep their other checks.
+    The step's one refusal is a split with more classes than the model,
+    whose labels could pass the model's last class. Returns
     (loss_regular, loss_balanced (NaN when single stream), gradient laid
     out like `params.vector` (the vector of `out` when given), d/dlog_cfp).
     """
-    if pair.ds.n_classes != params.n_classes:
+    if pair.ds.n_classes > params.n_classes:
         raise out_of_range(params.n_classes)
-    if deltas.shape != (params.n_classes,):
-        raise ValidationError("need one margin per class")
-    if spec.uses_cost and params.n_classes != 2:
-        raise UnsupportedTaskError("cost matrix loss applies to binary prediction only")
     n = pair.n_regular
     x, y = pair.rows(None if spec.dual_stream else n)
     trace = forward(params, x, n, trace)
@@ -208,8 +204,6 @@ def train(cfg: TrainConfig, splits: tuple[Dataset, Dataset]) -> tuple[ModelParam
     if train_ds.has_missing or val_ds.has_missing:
         raise ValidationError("splits must be preprocessed (no missing values)")
     spec = variant_losses(cfg.variant)
-    if spec.uses_cost and train_ds.n_classes != 2:
-        raise UnsupportedTaskError("cost-matrix variants support binary tasks only")
 
     init = init_mlp(train_ds.dim, cfg.hidden, cfg.depth, train_ds.n_classes, seed=cfg.seed)
     # the optimizer updates one vector: the parameters, then log C_FP when the cost term trains

@@ -776,6 +776,20 @@ class TestOtherCommands:
         assert message in captured.err and captured.out == ""
         assert not out.exists()
 
+    @pytest.mark.parametrize("command, csv, message", [
+        ("train", {"label_column": "label"}, "error: dataset.csv needs a path"),
+        ("gen-data", {"path": "data.csv"}, "error: gen-data needs a synthetic dataset source"),
+    ])
+    def test_a_csv_source_the_command_cannot_read_is_exit_one_naming_it(self, tmp_path, capsys, command, csv,
+                                                                       message):
+        out = tmp_path / "csv_source"
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"dataset": {"csv": csv}, "output_dir": str(out)}), encoding="utf-8")
+        assert main([command, "--config", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == message + "\n" and captured.out == ""
+        assert not out.exists()
+
     @pytest.mark.parametrize("command", ["train", "ablate", "sweep-theta"])
     def test_removed_normalize_balanced_key_is_exit_one(self, tmp_path, capsys, command):
         out = tmp_path / "norm"

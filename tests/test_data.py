@@ -55,6 +55,11 @@ class TestLoadCsv:
         assert ds.class_counts.tolist() == [1, 3]
         assert ds.labels.tolist() == [0, 1, 1, 1]
 
+    def test_empty_file_is_schema_error(self, tmp_path):
+        p = write(tmp_path, "")
+        with pytest.raises(SchemaError, match=f"^{re.escape(str(p))}: empty file$"):
+            load_csv(p, "label")
+
     def test_missing_label_column_is_schema_error(self, tmp_path):
         p = write(tmp_path, "a,b\n1,2\n")
         with pytest.raises(SchemaError):
@@ -413,6 +418,21 @@ class TestDataset:
         ds = Dataset(np.zeros((4, 1)), [0.0, 1.0, 0.0, 1.0], ("a",), ("x", "y"))
         assert ds.labels.dtype == np.int64 and ds.labels.tolist() == [0, 1, 0, 1]
 
+    @pytest.mark.parametrize("features, labels, feature_names, class_names, message", [
+        pytest.param(np.zeros(4), [0, 1, 0, 1], ("a",), ("x", "y"), r"features must be 2-D, got shape \(4,\)",
+                     id="features-not-2-d"),
+        pytest.param(np.zeros((4, 1)), [0, 1, 0], ("a",), ("x", "y"), r"labels shape \(3,\) does not match 4 rows",
+                     id="labels-of-another-length"),
+        pytest.param(np.zeros((4, 1)), [0, 1, 0, 1], ("a", "b"), ("x", "y"), "2 feature names for 1 columns",
+                     id="feature-names-of-another-count"),
+        pytest.param(np.zeros((4, 1)), [0, 0, 0, 0], ("a",), ("x",), "need at least 2 classes", id="one-class-name"),
+        pytest.param(np.array([[0.0], [np.inf], [1.0], [2.0]]), [0, 1, 0, 1], ("a",), ("x", "y"),
+                     "features contain Inf", id="an-inf-feature"),
+    ])
+    def test_refusals_name_the_problem(self, features, labels, feature_names, class_names, message):
+        with pytest.raises(ValidationError, match=f"^{message}$"):
+            Dataset(features, labels, feature_names, class_names)
+
     def test_a_class_with_no_instances_is_refused_by_training(self):
         # a split or an eval file may lack a class; training on one refuses it, naming the class
         ds = Dataset(np.zeros((4, 1)), [0, 1, 0, 1], ("a",), ("x", "y", "z"))
@@ -539,6 +559,10 @@ class TestPreprocess:
         stats = fit_preprocess(self.make([1.0, np.nan, 3.0]))
         assert stats.mean[0] == pytest.approx(2.0)
 
+    def test_empty_split_refused(self):
+        with pytest.raises(ValidationError, match="^cannot fit preprocessing on an empty split$"):
+            fit_preprocess(self.make([]))
+
     def test_all_missing_column_named(self):
         feats = np.array([[1.0, np.nan], [2.0, np.nan]])
         ds = Dataset(feats, np.array([0, 1]), ("a", "b"), ("x", "y"))
@@ -663,6 +687,17 @@ class TestSynthetic:
         )
         ds = gen_synthetic(cfg)
         assert logistic_regression_auc(ds.features, ds.labels) > 0.99
+
+    def test_more_modes_than_dimensions_sit_at_the_mode_spread(self):
+        # 5 modes in 3 dimensions cannot be orthonormal: each centre is a unit direction scaled by
+        # mode_spread * noise_scale; a minority spread near 0 puts every minority row on its mode's centre
+        cfg = SynthConfig(n_majority=20, n_minority=10, n_minority_modes=5, dim=3, mode_spread=2.5,
+                          noise_scale=1.5, minority_scale=1e-9, seed=1)
+        minority = gen_synthetic(cfg).features[20:]
+        assert np.abs(np.linalg.norm(minority, axis=1) - 2.5 * 1.5).max() < 1e-6
+        centres = minority[::2]  # rows are ordered mode by mode, 2 rows each
+        assert np.abs(minority[1::2] - centres).max() < 1e-6
+        assert np.linalg.matrix_rank(centres) == 3 and len(np.unique(centres.round(6), axis=0)) == 5
 
     def test_bad_config_rejected(self):
         with pytest.raises(ValidationError, match=r"dataset\.synthetic needs n_majority >= n_minority >= "

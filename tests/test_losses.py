@@ -191,6 +191,20 @@ class TestLabelChecks:
             loss(np.zeros((2, 2)), [0, 1, 1])
         loss(np.zeros((2, 2)), np.array([1, 7, 0, 7])[::2])  # strided labels in range
 
+    @pytest.mark.parametrize("call, error, message", [
+        pytest.param(lambda: dah_softmax(np.zeros((2, 3)), np.array([0, 1]), [0.1, 0.2], True), ValidationError,
+                     "need one margin per class", id="dah_softmax-margins-of-the-wrong-length"),
+        pytest.param(lambda: cost_loss(np.zeros((2, 3)), np.array([0, 1]), CostParams(), True),
+                     UnsupportedTaskError, "cost matrix loss applies to binary prediction only",
+                     id="cost_loss-on-3-columns"),
+        pytest.param(lambda: focal(np.zeros((2, 2)), np.array([0, 1]), -1.0, True), ValidationError,
+                     re.escape("gamma must be a finite number >= 0, got -1.0"), id="focal-negative-gamma"),
+    ])
+    def test_skipping_the_label_scan_keeps_the_other_checks(self, call, error, message):
+        # `checked` vouches for the labels only; the O(1) argument checks run on every call
+        with pytest.raises(error, match=f"^{message}$"):
+            call()
+
 
 class TestCostParams:
     def test_current_costs(self):

@@ -109,6 +109,8 @@ class TestScoredSet:
             ScoredSet(np.array([0.5, 0.2]), np.array([0, 2]))
         with pytest.raises(ValidationError):
             ScoredSet(np.array([]), np.array([]))
+        with pytest.raises(ValidationError, match="^scores and labels must be equal-length vectors$"):
+            ScoredSet(np.array([0.2, 0.9, 0.4]), np.array([0, 1]))
 
     def test_fractional_labels_rejected(self):
         with pytest.raises(ValidationError, match="0/1"):
@@ -406,6 +408,12 @@ class TestTemperature:
             labels[:2] = [0, 1]
             t = temperature_fit(z, labels)
             assert nll(z, labels, t) <= nll(z, labels, 1.0) + 1e-12
+
+    def test_unit_temperature_when_the_search_cannot_beat_it(self):
+        # p(class 1) = 3/4 on every row matches the labels' frequency, so T = 1 is the exact optimum and
+        # the search's nearby end point, a little worse, falls back to it
+        z = np.tile([0.0, np.log(3.0)], (4, 1))
+        assert temperature_fit(z, [1, 1, 1, 0]) == 1.0
 
     def test_degenerate_labels_rejected(self):
         with pytest.raises(ValidationError):

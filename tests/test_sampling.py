@@ -266,6 +266,21 @@ class TestRarePaths:
                     assert np.array_equal(within[pair, s], ref_within)
             assert rng.bit_generator.state == ref_rng.bit_generator.state
 
+    def test_a_count_of_2_to_the_32_takes_the_per_draw_path(self):
+        # the raw-word decode reads bounded ints from 32-bit half-words, so it covers counts below 2**32 only
+        counts = np.array([2**32, 3])
+        cdfs = (np.array([0.5, 1.0]), np.array([0.75, 1.0]))
+        draws = _BlockDraws(cdfs, counts)
+        assert not draws.decodable
+        rng, ref_rng = np.random.default_rng(9), np.random.default_rng(9)
+        classes, within = draws.draw(rng, 2, 8)
+        for pair in range(2):
+            for s, cdf in enumerate(cdfs):
+                ref_classes, ref_within = ref_class_draw(ref_rng, cdf, counts, 8)
+                assert np.array_equal(classes[pair, s], ref_classes)
+                assert np.array_equal(within[pair, s], ref_within)
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+
     @pytest.mark.parametrize("step", [-1, 0, 1])
     def test_class_bounds_next_to_a_drawn_double(self, step):
         # seed 3's first double is below 1/2, where doubles are finer than the 2**-53 grid of

@@ -69,3 +69,20 @@ def test_only_the_four_losses_take_a_checked_flag():
                     if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
                     and "checked" in {a.arg for a in node.args.posonlyargs + node.args.args + node.args.kwonlyargs})
     assert takers == ["losses.py: ce", "losses.py: cost_loss", "losses.py: dah_softmax", "losses.py: focal"]
+
+
+def _raised_messages(tree: ast.AST) -> list[str]:
+    """The first argument of each `raise X(...)` that is a string or f-string literal, as its source text."""
+    firsts = [node.exc.args[0] for node in ast.walk(tree)
+              if isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call) and node.exc.args]
+    return [ast.unparse(a) if isinstance(a, ast.JoinedStr) else a.value for a in firsts
+            if isinstance(a, ast.JoinedStr) or isinstance(a, ast.Constant) and isinstance(a.value, str)]
+
+
+def test_each_refusal_message_is_raised_at_one_site():
+    # a rule checked at two sites drifts: one copy changes its message, its type or its condition, the other not
+    messages = [m for path in sorted(SRC.glob("*.py"))
+                for m in _raised_messages(ast.parse(path.read_text(encoding="utf-8")))]
+    repeated = sorted({m for m in messages if messages.count(m) > 1})
+    assert len(messages) >= 80  # the walk found the package's refusals
+    assert not repeated, f"messages raised at more than one site in src/: {repeated}"

@@ -490,13 +490,42 @@ class TestStackedStep:
     ])
     def test_the_step_refuses_what_its_unchecked_losses_would_misread(self, model_classes, n_margins, variant,
                                                                        error, message):
-        # the losses' own messages, raised before a loss that skips its checks could read past a row or a margin
+        # a pair of more classes than the model is the step's one refusal; margins of the wrong length and a cost
+        # term on 3 classes are refused inside the losses, whose O(1) checks run with the label scan skipped
         ds = Dataset(np.zeros((9, 3)), np.arange(9) % 3, ("a", "b", "c"), ("x", "y", "z"))
         params = init_mlp(3, n_classes=model_classes, seed=0)
         cfg = TrainConfig(variant=variant)
         with pytest.raises(error, match=f"^{message}$"):
             train_step(params, BatchPair(ds, np.arange(8), 4), variant_losses(variant), cfg,
                        delta_margins(np.arange(1, n_margins + 1)), CostParams(0.0, cfg.theta, cfg.offset))
+
+    @pytest.mark.parametrize("variant", [v for v in VARIANTS if not variant_losses(v).uses_cost])
+    def test_a_split_with_fewer_classes_than_the_model_steps(self, variant):
+        # every label of a 2-class split lies below a 3-class model's class count, so the losses read it as it is
+        ds = Dataset(np.zeros((8, 3)), np.arange(8) % 2, ("a", "b", "c"), ("x", "y"))
+        params, spec = init_mlp(3, n_classes=3, seed=0), variant_losses(variant)
+        loss_r, loss_b, grad, _ = train_step(params, BatchPair(ds, np.arange(8), 4), spec, TrainConfig(variant=variant),
+                                             delta_margins([4, 4, 4]), None)
+        assert math.isfinite(loss_r) and (math.isfinite(loss_b) or not spec.dual_stream)
+        assert grad.shape == params.vector.shape
+
+    @pytest.mark.parametrize("variant", ["dah", "full"])
+    def test_margins_as_a_list_step_as_margins_as_an_array(self, variant):
+        rng = np.random.default_rng(4)
+        ds = Dataset(rng.normal(size=(8, 3)), np.arange(8) % 2, ("a", "b", "c"), ("x", "y"))
+        params, cfg = init_mlp(3, n_classes=2, seed=0), TrainConfig(variant=variant)
+        args = (BatchPair(ds, np.arange(8), 4), variant_losses(variant), cfg)
+        cost_params = CostParams(0.3, cfg.theta, cfg.offset)
+        got = train_step(params, *args, [0.1, 0.2], cost_params)
+        want = train_step(params, *args, np.array([0.1, 0.2]), cost_params)
+        assert [float(v).hex() for v in got[:2] + got[3:]] == [float(v).hex() for v in want[:2] + want[3:]]
+        assert np.array_equal(got[2], want[2])
+
+    def test_an_unknown_loss_term_is_refused_naming_it(self):
+        ds = Dataset(np.zeros((8, 3)), np.arange(8) % 2, ("a", "b", "c"), ("x", "y"))
+        with pytest.raises(ValidationError, match="^unknown loss term 'nope'$"):
+            train_step(init_mlp(3, n_classes=2, seed=0), BatchPair(ds, np.arange(8), 4),
+                       VariantSpec(False, ("nope",), None), TrainConfig(), delta_margins([4, 4]), None)
 
     def test_steady_state_step_allocates_less_than_one_activation(self):
         # dual stream, hidden 128, batch 256: after warm-up, K steps of sample, train_step and Adam

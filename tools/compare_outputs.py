@@ -11,7 +11,8 @@ optimizer; a 3-class `train` and `eval`; `eval` on
 a plain CSV, on one with empty cells, on one whose only empty cell is in
 its last row, on one with quoted labels and on one with a whitespace-only
 cell; `ablate` on binary and 3-class data; `sweep-theta`; `grad-check`; one
-refusal for each nonzero exit code; and the refusal of a `nan` text cell.
+refusal for each nonzero exit code; the refusal of a `nan` text cell; and
+the refusal of a `cost` `train` on 3-class data.
 Each command's stdout, stderr and exit code are kept as files under
 `_cmd/`, beside the files the commands write.
 
@@ -97,6 +98,8 @@ def _commands() -> list[tuple[str, list[str]]]:
         ("refuse-nan-cell", ["eval", "--checkpoint", "train_full/checkpoint.npz", "--csv", "inputs/nan_cell.csv",
                              "--out", "refused_nan"]),
         ("refuse-exit-2", ["train", "--config", "inputs/overflow.json", "--variant", "full", "--out", "refused_2"]),
+        ("refuse-cost-3class", ["train", "--config", "inputs/multiclass.json", "--variant", "cost",
+                                "--out", "refused_cost"]),
     ]
     return commands
 
