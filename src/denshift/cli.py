@@ -246,6 +246,9 @@ def cmd_eval(cfg: dict, args) -> int:
     unknown = [c for c in ds.class_names if c not in ckpt_classes]
     if unknown:
         raise SchemaError(f"{args.csv}: label values unknown to checkpoint: {unknown}")
+    missing = [c for c in ckpt_classes if c not in ds.class_names]
+    if missing:
+        raise SchemaError(f"{args.csv}: no rows of checkpoint classes {missing}")
     remap = np.array([ckpt_classes.index(c) for c in ds.class_names], dtype=np.int64)
     labels = remap[ds.labels]
     ds = Dataset(ds.features, labels, ds.feature_names, tuple(ckpt_classes), label_column=label_column)

@@ -148,8 +148,8 @@ class Dataset:
 
     features may contain NaN (missing) before preprocessing but never Inf.
     labels are contiguous class indices aligned with class_names. A class
-    may have no rows (a split or an eval file can lack one); `SamplerState`
-    and `stratified_split` refuse such a class, naming it.
+    may have no rows; `SamplerState` and `stratified_split` refuse such a
+    class, naming it.
     """
 
     features: np.ndarray
@@ -517,13 +517,10 @@ def stratified_split(
     """Split into (train, val, test) preserving per-class proportions within one instance.
 
     Per class, indices are shuffled with the seeded generator and allocated by
-    largest remainder, so each split count is within +-1 of count*fraction.
+    largest remainder, so each split count is within +-1 of count*fraction; a
+    class that gives some split no row is refused, naming it and that split.
     """
     fracs = tuple(map(float, CONFIG_RULES["split.fractions"].check("fractions", list(fractions))))
-    too_small = [ds.class_names[c] for c in range(ds.n_classes) if ds.class_counts[c] < len(fracs)]
-    if too_small:
-        raise ValidationError(f"classes too small to stratify (< {len(fracs)} instances): {too_small}")
-
     rng = np.random.default_rng(seed)
     split_indices: list[list[int]] = [[], [], []]
     for c in range(ds.n_classes):
@@ -535,6 +532,10 @@ def stratified_split(
         remainders = [q - a for q, a in zip(quotas, alloc)]
         for s in sorted(range(3), key=lambda s: (-remainders[s], s))[: n_c - sum(alloc)]:
             alloc[s] += 1
+        if 0 in alloc:
+            split = ("train", "val", "test")[alloc.index(0)]
+            raise ValidationError(f"class {ds.class_names[c]!r} has {n_c} rows: the {split} split gets none of them "
+                                  f"at fractions {list(fracs)}")
         start = 0
         for s in range(3):
             split_indices[s].extend(idx[start : start + alloc[s]].tolist())

@@ -15,8 +15,9 @@ True; the caller vouches for the labels (contiguous int64 class indices
 in range, one per logit row). Its O(1) argument checks run either way.
 `training.train_step` passes it on every call.
 
-`ce`, `dah_softmax` and `metrics.nll` share one log-softmax cross-entropy
-core (`ce` is its zero-margin case, as in LDAM, arXiv:1906.07413).
+The three softmax losses and `metrics.nll` share one cross-entropy core: `ce`
+is its plain case, `dah_softmax` lowers each true logit by its class margin (as
+LDAM does, arXiv:1906.07413), `focal` weights each row by (1 - p_y)**gamma.
 
 The density-aware hinge assigns class c the margin
 
@@ -96,9 +97,10 @@ def _check_labels(logits: np.ndarray, y, head_axis: bool = False) -> np.ndarray:
     return y
 
 
-def _softmax_ce(logits: np.ndarray, y: np.ndarray, deltas: np.ndarray | None = None):
+def _softmax_ce(logits: np.ndarray, y: np.ndarray, deltas: np.ndarray | None = None, gamma: float = 0.0):
     """Mean CE with each true logit lowered by deltas[y] (unshifted when None), and d/dlogits.
 
+    A gamma > 0 weights each row's CE by w**gamma, w = 1 - p_y (focal loss, arXiv:1708.02002).
     Logits with a head axis run as one batch of H*B rows; only the mean is taken per head.
     """
     shape = logits.shape
@@ -112,7 +114,19 @@ def _softmax_ce(logits: np.ndarray, y: np.ndarray, deltas: np.ndarray | None = N
     logp = _log_softmax(logits)
     picked = logp.ravel()[true]  # a copy: the gradient overwrites logp
     grad = np.exp(logp, out=logp)
-    grad.ravel()[true] -= 1.0
+    if gamma > 0.0:
+        p_true = grad.ravel()[true]
+        w = 1.0 - p_true
+        wg = w**gamma
+        # d/dz_j [w^g * CE] = (p_j - onehot_j) * (g w^(g-1) p_y CE + w^g);
+        # when p_y == 1 both terms vanish faster than w^(g-1) diverges.
+        with np.errstate(divide="ignore", invalid="ignore"):
+            fac = gamma * w ** (gamma - 1.0) * p_true * -picked
+        picked = wg * picked
+        grad.ravel()[true] -= 1.0
+        grad *= (np.where(w > 0.0, fac, 0.0) + wg)[:, None]
+    else:
+        grad.ravel()[true] -= 1.0
     grad /= b
     if len(shape) == 2:
         return float(-np.add.reduce(picked) / b), grad
@@ -166,30 +180,9 @@ def ce(logits: np.ndarray, y, checked: bool = False) -> tuple[float | np.ndarray
 
 
 def focal(logits: np.ndarray, y, gamma: float = 2.0, checked: bool = False) -> tuple[float, np.ndarray]:
-    """Focal loss (1 - p_y)^gamma * CE; gamma=0 reduces to cross-entropy. `checked`: see the module docstring."""
+    """Focal loss (1 - p_y)^gamma * CE; gamma=0 is `ce` bit for bit. `checked`: see the module docstring."""
     NON_NEGATIVE.check("gamma", gamma)
-    if not checked:
-        y = _check_labels(logits, y)
-    b = logits.shape[0]
-    true = _true_entries(logits, y)
-    logp = _log_softmax(logits)
-    logp_true = logp.ravel()[true]
-    ce_i = -logp_true
-    p = np.exp(logp, out=logp)
-    p_true = p.ravel()[true]
-    w = 1.0 - p_true
-    wg = w**gamma
-    loss = float(-np.add.reduce(wg * logp_true) / b)  # negated as in `_softmax_ce`, so gamma=0 is ce bit for bit
-
-    # d/dz_j [(1-p)^g * CE] = (p_j - onehot_j) * (g (1-p)^(g-1) p CE + (1-p)^g);
-    # when p_y == 1 both terms vanish faster than (1-p)^(g-1) diverges.
-    with np.errstate(divide="ignore", invalid="ignore"):
-        fac = gamma * w ** (gamma - 1.0) * p_true * ce_i
-    fac = np.where(w > 0.0, fac, 0.0)
-    p.ravel()[true] -= 1.0
-    p *= (fac + wg)[:, None]
-    p /= b
-    return loss, p
+    return _softmax_ce(logits, y if checked else _check_labels(logits, y), gamma=gamma)
 
 
 def dah_softmax(logits: np.ndarray, y, deltas, checked: bool = False) -> tuple[float | np.ndarray, np.ndarray]:

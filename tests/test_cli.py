@@ -602,6 +602,22 @@ class TestEval:
         assert "non-finite" in capsys.readouterr().err
         assert list(out.glob("*")) == []
 
+    def test_a_csv_without_rows_of_a_checkpoint_class_is_exit_one_naming_file_and_class(self, tmp_path, capsys):
+        src = write_multiclass_csv(tmp_path / "d.csv")
+        run, out = tmp_path / "run", tmp_path / "eval"
+        (tmp_path / "c.json").write_text(json.dumps({"dataset": {"csv": {"path": str(src)}},
+                                                     "train": {"epochs": 1, "batch_size": 16},
+                                                     "output_dir": str(run)}))
+        assert main(["train", "--config", str(tmp_path / "c.json"), "--variant", "decoupling"]) == 0
+        lines = src.read_text().splitlines()
+        no_z = tmp_path / "no_z.csv"
+        no_z.write_text("\n".join(line for line in lines if not line.endswith(",z")) + "\n")
+        capsys.readouterr()
+        assert main(["eval", "--checkpoint", str(run / "checkpoint.npz"), "--csv", str(no_z),
+                     "--out", str(out)]) == 1
+        assert capsys.readouterr() == ("", f"error: {no_z}: no rows of checkpoint classes ['z']\n")
+        assert not out.exists()
+
 
 class TestResultFiles:
     def test_binary_history_and_predictions_read_back_as_the_report(self, tmp_path):
@@ -774,6 +790,17 @@ class TestOtherCommands:
         assert main([command, "--config", str(path)]) == 1
         captured = capsys.readouterr()
         assert message in captured.err and captured.out == ""
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["train", "gen-data"])
+    def test_a_class_too_small_to_reach_every_split_is_exit_one_and_writes_nothing(self, tmp_path, capsys, command):
+        # 5 minority rows at (0.8, 0.1, 0.1) allocate 4/1/0: the test split would hold no minority row
+        out = tmp_path / "small"
+        path = write_cfg(tmp_path, {"dataset": {"synthetic": dict(TINY["dataset"]["synthetic"], n_minority=5)},
+                                    "output_dir": str(out)})
+        assert main([command, "--config", str(path)]) == 1
+        assert capsys.readouterr() == ("", "error: class 'minority' has 5 rows: the test split gets none of them "
+                                           "at fractions [0.8, 0.1, 0.1]\n")
         assert not out.exists()
 
     @pytest.mark.parametrize("command, csv, message", [
@@ -958,7 +985,7 @@ _BAD_CONFIG = st.one_of(
     _bad(_NON_NEGATIVE, _NEGATIVE),
     _bad(_PROBABILITIES, st.one_of(_NEGATIVE, st.floats(min_value=1.0 + 1e-12))),
     *[_bad([key], st.one_of(st.none(), st.integers(), st.floats(), st.text(max_size=6), st.booleans()).filter(
-        lambda v: not any(type(v) is type(c) and v == c for c in ok))) for key, ok in _CHOICES.items()],
+        lambda v, ok=ok: not any(type(v) is type(c) and v == c for c in ok))) for key, ok in _CHOICES.items()],
     _bad(_STRINGS, st.one_of(st.none(), st.booleans(), st.integers(), st.floats(), st.lists(st.text(), max_size=2))),
     _bad(["split.fractions"], st.one_of(
         _NOT_A_LIST, st.lists(st.just(0.5), min_size=0, max_size=5).filter(lambda v: len(v) != 3),

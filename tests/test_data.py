@@ -646,13 +646,28 @@ class TestStratifiedSplit:
         with pytest.raises(ValidationError):
             stratified_split(self.make([10, 2]))
 
+    def test_a_class_with_no_rows_is_refused_naming_it(self):
+        ds = Dataset(np.zeros((20, 1)), np.arange(20) % 2, ("a",), ("c0", "c1", "c2"))
+        with pytest.raises(ValidationError, match=r"^class 'c2' has 0 rows: the train split gets none of them"):
+            stratified_split(ds)
+
     @given(
         counts=st.lists(st.integers(3, 60), min_size=2, max_size=4),
         seed=st.integers(0, 2**32 - 1),
     )
     @settings(max_examples=60, deadline=None)
     def test_proportions_within_one_disjoint_exhaustive(self, counts, seed):
+        # at (0.8, 0.1, 0.1) largest remainder gives a class of 3 rows 3/0/0 and one of 4 to 6 rows no test
+        # row (4 -> 3/1/0, 6 -> 5/1/0); from 7 rows (5/1/1) on every split gets one, so only then does it split
         ds = self.make(counts)
+        small = [(c, n_c) for c, n_c in enumerate(counts) if n_c < 7]
+        if small:
+            c, n_c = small[0]
+            message = (f"class 'c{c}' has {n_c} rows: the {'val' if n_c == 3 else 'test'} split gets none of them "
+                       "at fractions [0.8, 0.1, 0.1]")
+            with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+                stratified_split(ds, (0.8, 0.1, 0.1), seed=seed)
+            return
         parts = stratified_split(ds, (0.8, 0.1, 0.1), seed=seed)
         all_rows = np.concatenate([p.features[:, 0] for p in parts])
         assert sorted(all_rows.tolist()) == ds.features[:, 0].tolist()

@@ -71,6 +71,17 @@ def test_only_the_four_losses_take_a_checked_flag():
     assert takers == ["losses.py: ce", "losses.py: cost_loss", "losses.py: dah_softmax", "losses.py: focal"]
 
 
+def test_only_the_cross_entropy_core_and_softmax_call_log_softmax():
+    # `ce`, `dah_softmax`, `focal` and `metrics.nll` share `_softmax_ce`; a loss that calls `_log_softmax`
+    # itself holds a second copy of the cross-entropy arithmetic
+    callers = sorted(f"{path.name}: {node.name}" for path in sorted(SRC.glob("*.py"))
+                     for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+                     if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                     and "_log_softmax" in {n.func.id if isinstance(n.func, ast.Name) else getattr(n.func, "attr", None)
+                                            for n in ast.walk(node) if isinstance(n, ast.Call)})
+    assert callers == ["losses.py: _softmax_ce", "losses.py: softmax"], f"callers of _log_softmax: {callers}"
+
+
 def _raised_messages(tree: ast.AST) -> list[str]:
     """The first argument of each `raise X(...)` that is a string or f-string literal, as its source text."""
     firsts = [node.exc.args[0] for node in ast.walk(tree)

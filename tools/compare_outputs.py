@@ -7,12 +7,16 @@ and every command runs as `python -m denshift.cli ...` in the same working
 directory, `DIR/run` (a CSV path enters `config_hash`, so both trees must
 see the same paths). The command set covers `gen-data`; `train` of all six
 variants with temperature scaling; a `full` `train` with the SGD
-optimizer; a 3-class `train` and `eval`; `eval` on
+optimizer; a `focal` `train` at `gamma` 0.5, whose focal gradient factor
+w**(gamma-1) diverges as p_y -> 1; a 3-class `train` and `eval`; `eval` on
 a plain CSV, on one with empty cells, on one whose only empty cell is in
 its last row, on one with quoted labels and on one with a whitespace-only
 cell; `ablate` on binary and 3-class data; `sweep-theta`; `grad-check`; one
-refusal for each nonzero exit code; the refusal of a `nan` text cell; and
-the refusal of a `cost` `train` on 3-class data.
+refusal for each nonzero exit code; the refusal of a `nan` text cell; the
+refusal of a `cost` `train` on 3-class data; the refusal of a `train`
+whose 5 minority rows leave the test split none (`refuse-empty-split`);
+and the refusal of a 3-class `eval` on a CSV without one class's rows
+(`refuse-missing-class`).
 Each command's stdout, stderr and exit code are kept as files under
 `_cmd/`, beside the files the commands write.
 
@@ -64,6 +68,8 @@ def _configs() -> dict[str, dict]:
         "sweep.json": dict(synthetic, train=dict(TRAIN, epochs=4, variant="cost"),
                            sweep={"theta_grid": [1, 10, 100], "seeds": [0, 1]}),
         "sgd.json": dict(synthetic, train=dict(TRAIN, optimizer="sgd", learning_rate=0.05)),
+        "focal_gamma.json": dict(synthetic, train=dict(TRAIN, gamma=0.5)),
+        "small_minority.json": dict(synthetic, dataset={"synthetic": dict(SYNTHETIC, n_minority=5)}),
         "overflow.json": dict(synthetic, train=dict(TRAIN, optimizer="sgd", learning_rate=1000)),
     }
 
@@ -75,6 +81,8 @@ def _commands() -> list[tuple[str, list[str]]]:
                  for v in VARIANTS]
     commands += [
         ("train-sgd", ["train", "--config", "inputs/sgd.json", "--variant", "full", "--out", "train_sgd"]),
+        ("train-focal-gamma", ["train", "--config", "inputs/focal_gamma.json", "--variant", "focal",
+                               "--out", "train_focal_gamma"]),
         ("train-3class", ["train", "--config", "inputs/multiclass.json", "--variant", "decoupling",
                           "--out", "train_3class"]),
         ("eval-3class", ["eval", "--checkpoint", "train_3class/checkpoint.npz", "--csv", "inputs/three_class.csv",
@@ -100,12 +108,16 @@ def _commands() -> list[tuple[str, list[str]]]:
         ("refuse-exit-2", ["train", "--config", "inputs/overflow.json", "--variant", "full", "--out", "refused_2"]),
         ("refuse-cost-3class", ["train", "--config", "inputs/multiclass.json", "--variant", "cost",
                                 "--out", "refused_cost"]),
+        ("refuse-empty-split", ["train", "--config", "inputs/small_minority.json", "--out", "refused_split"]),
+        ("refuse-missing-class", ["eval", "--checkpoint", "train_3class/checkpoint.npz",
+                                  "--csv", "inputs/two_of_three_class.csv", "--out", "refused_class"]),
     ]
     return commands
 
 
 def _write_inputs(inputs: Path) -> None:
-    """The config files, a 3-class CSV and five binary CSVs for `train_full`'s checkpoint, the same bytes each call."""
+    """The config files, two 3-class CSVs (one without its `z` rows) and five binary CSVs for `train_full`'s
+    checkpoint, the same bytes each call."""
     inputs.mkdir(parents=True)
     for name, cfg in _configs().items():
         (inputs / name).write_text(json.dumps(cfg, indent=2) + "\n", encoding="utf-8")
@@ -115,6 +127,8 @@ def _write_inputs(inputs: Path) -> None:
         k = i % 3
         lines.append(",".join(repr(rng.gauss(1.5 * (k == j), 1.0)) for j in range(3)) + f",{'xyz'[k]}")
     (inputs / "three_class.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    (inputs / "two_of_three_class.csv").write_text("\n".join(line for line in lines if not line.endswith(",z")) + "\n",
+                                                   encoding="utf-8")
 
     def write_binary(name: str, rows: list[list[str]]) -> None:
         lines = [",".join(f"f{j}" for j in range(SYNTHETIC["dim"])) + ",label"] + [",".join(row) for row in rows]
